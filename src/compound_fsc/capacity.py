@@ -12,14 +12,14 @@ so reported values are always achievable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .causal import (
     CausalConditioning,
-    DEFAULT_TABLE_CAP,
     channel_prob_table,
+    history_tables,
     policy_weight_table,
     uniform_policy,
     random_policy,
@@ -35,29 +35,26 @@ from .channel import (
     uniform_ergodicity_horizon,
 )
 from .directed_info import information_functional
-from .errors import CapExceededError, ValidationError
-from .util import enumerate_paths, project_rows_to_simplex, xlogy
+from .errors import ValidationError
+from .util import project_rows_to_simplex
 
 _TINY = 1e-300
+STEP_INIT = 0.5  # iteration t moves by STEP_INIT / t**STEP_POWER
+STEP_POWER = 0.5
+AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
+VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
+ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     restarts: int = 3
-    step_init: float = 0.5
-    step_power: float = 0.5
-    avg_fraction: float = 0.5
-    value_tol: float = 1e-6
-    active_tol: float = 1e-12
     seed: int = 7
-    table_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 0:
             raise ValidationError("max_iters must be >= 1 and restarts >= 0")
-        if self.step_init <= 0 or not 0 < self.avg_fraction <= 1:
-            raise ValidationError("bad step schedule or averaging fraction")
 
 
 @dataclass(frozen=True)
@@ -104,69 +101,6 @@ class CapacityReport:
         }
 
 
-class _PathWorkspace:
-    """Index arrays shared by every objective/gradient evaluation at one horizon."""
-
-    def __init__(self, x_card: int, y_card: int, z_card: int, n: int, feedback: FeedbackMap, cap: int):
-        nx, ny = x_card ** n, y_card ** n
-        if nx * ny > cap:
-            raise CapExceededError(
-                f"solver path table needs {nx * ny} entries (cap {cap})"
-            )
-        self.n = n
-        self.x_card = x_card
-        self.y_card = y_card
-        self.z_card = z_card
-        x_paths = enumerate_paths(x_card, n)
-        y_paths = enumerate_paths(y_card, n)
-        z_paths = feedback.table[y_paths]
-        base = x_card * z_card
-        self.hist = []
-        self.x_at = []
-        h = np.zeros((nx, ny), dtype=np.int64)
-        for i in range(n):
-            self.hist.append(h)
-            xi = np.broadcast_to(x_paths[:, i][:, None], (nx, ny))
-            self.x_at.append(np.ascontiguousarray(xi))
-            if i < n - 1:
-                h = h * base + x_paths[:, i][:, None] * z_card + z_paths[:, i][None, :]
-
-    def factors(self, conds) -> list[np.ndarray]:
-        return [conds[i][self.hist[i], self.x_at[i]] for i in range(self.n)]
-
-    def weights(self, conds) -> np.ndarray:
-        w = np.ones_like(self.x_at[0], dtype=float)
-        for f in self.factors(conds):
-            w = w * f
-        return w
-
-    def gradient(self, conds, didw: np.ndarray) -> list[np.ndarray]:
-        """d/d conds of sum W * didw, via leave-one-out path products."""
-        facs = self.factors(conds)
-        n = self.n
-        pref = [None] * n
-        suf = [None] * n
-        acc = np.ones_like(didw)
-        for i in range(n):
-            pref[i] = acc
-            acc = acc * facs[i]
-        acc = np.ones_like(didw)
-        for i in range(n - 1, -1, -1):
-            suf[i] = acc
-            acc = acc * facs[i]
-        grads = []
-        for i in range(n):
-            contrib = pref[i] * suf[i] * didw
-            g = np.zeros_like(conds[i])
-            np.add.at(g, (self.hist[i], self.x_at[i]), contrib)
-            grads.append(g)
-        return grads
-
-
-def _pair_value(w: np.ndarray, p: np.ndarray) -> float:
-    return information_functional(w, p)
-
-
 def _pair_didw(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     p_y = (w * p).sum(axis=0)
     log_py = np.log(np.maximum(p_y, _TINY))
@@ -176,23 +110,53 @@ def _pair_didw(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gradient(conds, tables, facs, didw: np.ndarray) -> list[np.ndarray]:
+    """d/d conds of sum W * didw, via leave-one-out path products."""
+    n = len(facs)
+    pref = [None] * n
+    suf = [None] * n
+    acc = np.ones_like(didw)
+    for i in range(n):
+        pref[i] = acc
+        acc = acc * facs[i]
+    acc = np.ones_like(didw)
+    for i in range(n - 1, -1, -1):
+        suf[i] = acc
+        acc = acc * facs[i]
+    grads = []
+    for i in range(n):
+        g = np.zeros_like(conds[i])
+        np.add.at(g, tables[i], pref[i] * suf[i] * didw)
+        grads.append(g)
+    return grads
+
+
 def _conds_copy(q: CausalConditioning) -> list[np.ndarray]:
     return [np.array(c) for c in q.conditionals]
 
 
-def _as_policy(conds, n, x_card, z_card) -> CausalConditioning:
-    return CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
-
-
-def _solve(pairs, x_card, y_card, z_card, n, feedback, cfg, extra_starts):
-    """Shared max-min ascent. pairs: list of (label_tuple, P table)."""
-    ws = _PathWorkspace(x_card, y_card, z_card, n, feedback, cfg.table_cap)
-    tables = [p for _, p in pairs]
+def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, extra_starts) -> CapacityReport:
+    """Shared max-min ascent and its report. pairs: list of (label_tuple, P table)."""
+    cfg = cfg or SolverConfig()
+    first = family.members[0]
+    x_card, z_card = first.n_inputs, feedback.z_card
+    tables = list(history_tables(x_card, first.n_outputs, feedback, n))
+    probs = [p for _, p in pairs]
 
     def value(conds):
-        w = ws.weights(conds)
-        vals = [_pair_value(w, p) / n for p in tables]
-        return min(vals), vals, w
+        facs = [c[index] for c, index in zip(conds, tables)]
+        w = np.ones_like(facs[0])
+        for f in facs:
+            w = w * f
+        vals = [information_functional(w, p) / n for p in probs]
+        return min(vals), vals, w, facs
+
+    def active_gradient(conds, j, vals, w, facs):
+        active = min(
+            (i for i, v in enumerate(vals) if v <= j + ACTIVE_TOL),
+            default=int(np.argmin(vals)),
+        )
+        return active, _gradient(conds, tables, facs, _pair_didw(w, probs[active]))
 
     rng = np.random.default_rng(cfg.seed)
     starts = [uniform_policy(n, x_card, z_card)]
@@ -204,22 +168,17 @@ def _solve(pairs, x_card, y_card, z_card, n, feedback, cfg, extra_starts):
         conds = _conds_copy(q0)
         avg = [np.zeros_like(c) for c in conds]
         avg_count = 0
-        avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - cfg.avg_fraction))))
+        avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - AVG_FRACTION))))
         best_v, best_conds = -math.inf, None
         history = []
         for t in range(1, cfg.max_iters + 1):
-            j, vals, w = value(conds)
+            j, vals, w, facs = value(conds)
             history.append(j)
             if j > best_v:
                 best_v = j
                 best_conds = [c.copy() for c in conds]
-            active = min(
-                (i for i, v in enumerate(vals) if v <= j + cfg.active_tol),
-                default=int(np.argmin(vals)),
-            )
-            didw = _pair_didw(w, tables[active])
-            grads = ws.gradient(conds, didw)
-            step = cfg.step_init / (t ** cfg.step_power)
+            _, grads = active_gradient(conds, j, vals, w, facs)
+            step = STEP_INIT / (t ** STEP_POWER)
             for i in range(n):
                 conds[i] = project_rows_to_simplex(conds[i] + (step / n) * grads[i])
             if t >= avg_from:
@@ -227,46 +186,48 @@ def _solve(pairs, x_card, y_card, z_card, n, feedback, cfg, extra_starts):
                     avg[i] += conds[i]
                 avg_count += 1
         avg_conds = [a / avg_count for a in avg]
-        j_avg, _, _ = value(avg_conds)
+        j_avg = value(avg_conds)[0]
         for cand_v, cand_c, src in ((j_avg, avg_conds, "averaged"), (best_v, best_conds, "best")):
             if cand_v > global_best[0]:
                 global_best = (cand_v, cand_c, history, start_idx, src)
 
     c_n, conds, history, start_idx, source = global_best
-    j_final, vals, w = value(conds)
-    active = min(
-        (i for i, v in enumerate(vals) if v <= j_final + cfg.active_tol),
-        default=int(np.argmin(vals)),
-    )
-    didw = _pair_didw(w, tables[active])
-    grads = ws.gradient(conds, didw)
+    active, grads = active_gradient(conds, *value(conds))
     probe = 1e-3
     moved = [project_rows_to_simplex(conds[i] + probe * grads[i] / n) - conds[i] for i in range(n)]
     stationarity = max(float(np.abs(m).max()) for m in moved) / probe
     # converged when the running best stopped improving over the last quarter
     running = np.maximum.accumulate(history)
     window = max(10, cfg.max_iters // 4)
-    converged = (running[-1] - running[max(0, len(running) - window)]) <= cfg.value_tol
+    converged = (running[-1] - running[max(0, len(running) - window)]) <= VALUE_TOL
     diag = SolverDiagnostics(
         converged=bool(converged),
         iterations=cfg.max_iters,
         restarts=len(starts),
         best_start=start_idx,
         source=source,
-        final_step=cfg.step_init / (cfg.max_iters ** cfg.step_power),
+        final_step=STEP_INIT / (cfg.max_iters ** STEP_POWER),
         stationarity_norm=stationarity,
         value_history=tuple(history),
     )
-    return c_n, _as_policy(conds, n, x_card, z_card), pairs[active][0], diag
+    return CapacityReport(
+        n=n,
+        state_count=first.n_states,
+        C_n_nats=c_n,
+        hatC_n_nats=c_n - math.log(first.n_states) / n,
+        worst_case=pairs[active][0],
+        policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(conds)),
+        diagnostics=diag,
+    )
 
 
-def _state_pairs(family: CompoundFamily, n: int, cap: int):
+def _state_pairs(family: CompoundFamily, n: int):
     """(state label, member label) pairs in lexicographic evaluation order."""
     pairs = []
     states = family.members[0].states
     for s_idx, s_label in enumerate(states):
         for label, m in family:
-            pairs.append(((str(s_label), label), channel_prob_table(m, n, s_idx, cap=cap)))
+            pairs.append(((str(s_label), label), channel_prob_table(m, n, s_idx)))
     return pairs
 
 
@@ -279,23 +240,9 @@ def compute_Cn(
 ) -> CapacityReport:
     """Max over input laws of the min per-symbol directed information, together
     with the same value shifted down by ln|S|/n."""
-    cfg = cfg or SolverConfig()
-    first = family.members[0]
-    if feedback.table.size != first.n_outputs:
+    if feedback.table.size != family.members[0].n_outputs:
         raise ValidationError("feedback map does not cover the output alphabet")
-    pairs = _state_pairs(family, n, cfg.table_cap)
-    c_n, policy, worst, diag = _solve(
-        pairs, first.n_inputs, first.n_outputs, feedback.z_card, n, feedback, cfg, extra_starts
-    )
-    return CapacityReport(
-        n=n,
-        state_count=first.n_states,
-        C_n_nats=c_n,
-        hatC_n_nats=c_n - math.log(first.n_states) / n,
-        worst_case=worst,
-        policy=policy,
-        diagnostics=diag,
-    )
+    return _solve(family, _state_pairs(family, n), feedback, n, cfg, extra_starts)
 
 
 def compute_Cn_nofeedback(
@@ -322,30 +269,17 @@ def compute_Cn_markovian(
     Requires an input-independent state marginal and uniform ergodicity at
     the configured tolerance.
     """
-    cfg = cfg or SolverConfig()
-    first = family.members[0]
     for label, m in family:
         state_transition_matrix(m)
     if uniform_ergodicity_horizon(family, ergodicity_eps, ergodicity_max_n) is None:
         raise ValidationError(
             f"family is not uniformly ergodic within {ergodicity_max_n} steps at eps={ergodicity_eps}"
         )
-    pairs = []
-    for label, m in family:
-        pi = stationary_distribution(m)
-        pairs.append((("stationary", label), channel_prob_table(m, n, pi, cap=cfg.table_cap)))
-    c_n, policy, worst, diag = _solve(
-        pairs, first.n_inputs, first.n_outputs, feedback.z_card, n, feedback, cfg, extra_starts
-    )
-    return CapacityReport(
-        n=n,
-        state_count=first.n_states,
-        C_n_nats=c_n,
-        hatC_n_nats=c_n - math.log(first.n_states) / n,
-        worst_case=worst,
-        policy=policy,
-        diagnostics=diag,
-    )
+    pairs = [
+        (("stationary", label), channel_prob_table(m, n, stationary_distribution(m)))
+        for label, m in family
+    ]
+    return _solve(family, pairs, feedback, n, cfg, extra_starts)
 
 
 def product_policy(q_head: CausalConditioning, q_tail: CausalConditioning) -> CausalConditioning:
@@ -502,7 +436,6 @@ class FeedbackGapResult:
     C_nfb: float
     gap: float
     uniform_value: float
-    minmax_bound: float
     report_fb: CapacityReport
     report_nfb: CapacityReport
 
@@ -513,36 +446,27 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     For these channels a uniform open-loop input attains every per-member
     maximum (additive noise), so the min-max side needs no inner solve.
     """
-    cfg = cfg or SolverConfig()
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
             raise ValidationError(f"member {label!r} is not Gilbert-Elliot shaped")
     first = family.members[0]
     q_u = uniform_policy(n, first.n_inputs, 1)
-    nofb = no_feedback(first.outputs)
-    w = policy_weight_table(q_u, first.n_outputs, nofb, cap=cfg.table_cap)
-    per_pair = []
-    for s_idx in range(first.n_states):
-        for label, m in family:
-            p = channel_prob_table(m, n, s_idx, cap=cfg.table_cap)
-            per_pair.append(information_functional(w, p) / n)
-    uniform_value = min(per_pair)
-    minmax_bound = uniform_value
+    w = policy_weight_table(q_u, first.n_outputs, no_feedback(first.outputs))
+    uniform_value = min(information_functional(w, p) / n for _, p in _state_pairs(family, n))
     rep_fb = compute_Cn(family, identity_feedback(first.outputs), n, cfg)
     rep_nfb = compute_Cn_nofeedback(family, n, cfg)
     if rep_nfb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("no-feedback solve fell below the feasible uniform value")
     if rep_fb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("feedback solve fell below the feasible uniform value")
-    if rep_fb.C_n_nats > minmax_bound + 1e-9:
-        raise RuntimeError("feedback solve exceeded the min-max bound")
+    if rep_fb.C_n_nats > uniform_value + 1e-9:
+        raise RuntimeError("feedback solve exceeded the min-max bound (the uniform value)")
     return FeedbackGapResult(
         n=n,
         C_fb=rep_fb.C_n_nats,
         C_nfb=rep_nfb.C_n_nats,
         gap=rep_fb.C_n_nats - rep_nfb.C_n_nats,
         uniform_value=uniform_value,
-        minmax_bound=minmax_bound,
         report_fb=rep_fb,
         report_nfb=rep_nfb,
     )

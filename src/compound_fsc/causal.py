@@ -262,26 +262,38 @@ def channel_prob_table(fsc: FscSpec, n: int, s0_prior, cap: int = DEFAULT_TABLE_
     return table
 
 
+def history_tables(x_card: int, y_card: int, feedback: FeedbackMap, n: int, cap: int = DEFAULT_TABLE_CAP):
+    """Yield, for steps i = 0..n-1, two int64 tables over all path pairs
+    [xcode, ycode]: the code of the history (x^i, f(y)^i), as rows of
+    CausalConditioning.conditionals[i] are numbered, and the input x_i (a
+    read-only broadcast view).
+
+    So conditionals[i][hist, x] is the step-i factor of q(x^n || f(y)^{n-1}).
+    Refuses above the cap before building the first table.
+    """
+    nx, ny = x_card ** n, y_card ** n
+    _check_cap(nx, ny, cap)
+    x_paths = enumerate_paths(x_card, n)
+    z_paths = feedback_paths(feedback, enumerate_paths(y_card, n))
+    base = x_card * feedback.z_card
+    h = np.zeros((nx, ny), dtype=np.int64)
+    for i in range(n):
+        xi = x_paths[:, i][:, None]
+        yield h, np.broadcast_to(xi, h.shape)
+        if i < n - 1:
+            h = h * base + xi * feedback.z_card + z_paths[:, i][None, :]
+
+
 def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}) over all path pairs."""
     if feedback.z_card != q.z_card:
         raise ValidationError("policy and feedback map disagree on |Z|")
     if feedback.table.size != y_card:
         raise ValidationError("feedback table does not cover the output alphabet")
-    n = q.horizon
-    nx, ny = q.x_card ** n, y_card ** n
-    _check_cap(nx, ny, cap)
-    x_paths = enumerate_paths(q.x_card, n)
-    y_paths = enumerate_paths(y_card, n)
-    z_paths = feedback_paths(feedback, y_paths)
-    base = q.x_card * q.z_card
-    w = np.ones((nx, ny))
-    h = np.zeros((nx, ny), dtype=np.int64)
-    for i in range(n):
-        xi = x_paths[:, i][:, None]
-        w *= q.conditionals[i][h, np.broadcast_to(xi, h.shape)]
-        if i < n - 1:
-            h = h * base + xi * q.z_card + z_paths[:, i][None, :]
+    tables = history_tables(q.x_card, y_card, feedback, q.horizon, cap)
+    w = q.conditionals[0][next(tables)]
+    for c, index in zip(q.conditionals[1:], tables):
+        w *= c[index]
     return w
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -388,15 +388,6 @@ def uniform_ergodicity_horizon(family: CompoundFamily, eps: float, max_n: int = 
             return None
         overall = max(overall, last_bad + 1)
     return overall
-
-
-def load_channel(path) -> FscSpec:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid channel JSON: {e}") from e
-    return FscSpec.from_dict(d)
 
 
 def load_family(path) -> CompoundFamily:

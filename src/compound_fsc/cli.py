@@ -351,7 +351,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     names = None if args.suite in (None, "all") else [args.suite]
-    results = run_suites(names)
+    results = run_suites(names, seed=args.seed)
     out = _out_dir(args)
     config = {"suite": args.suite or "all"}
     metrics = {"wall_clock_s": time.monotonic() - t0}

@@ -3,7 +3,9 @@
 A depth-n tree over feedback alphabet Z holds one input symbol per node,
 levels concatenated, nodes within a level ordered by the mixed-radix code of
 their feedback history. Concatenated trees chain N blocks of depth m, each
-block consulting only the feedback received inside the block.
+block consulting only the feedback received inside the block. This module
+alone knows that layout: everything else reads a tree's symbols through
+paths_rows or node_columns.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ class ConcatTree:
     def key(self) -> tuple:
         return tuple(tree_code(b) for b in self.blocks)
 
+    @property
+    def symbols(self) -> np.ndarray:
+        """Block symbol vectors end to end: the flat layout node_columns walks."""
+        return np.concatenate([b.symbols for b in self.blocks])
+
 
 def tree_code(tree: CodeTree) -> int:
     """Canonical integer encoding: mixed-radix over the flat symbol vector."""
@@ -125,23 +132,39 @@ def path(tree, z_hist) -> np.ndarray:
     return paths_rows(tree, z_hist[: tree.depth - 1][None, :])[0]
 
 
+def node_columns(tree, rows: int):
+    """Walk `rows` feedback paths down trees shaped like `tree` in lockstep.
+
+    A generator over positions in `tree.symbols` (blocks end to end, each
+    block's levels in order): next() gives every row's step-1 node, and
+    send(z) with the step's feedback symbols, one per row, gives the next
+    step's node. After a block's last level the walk restarts at the next
+    block's root, so the feedback sent there is not used.
+    """
+    blocks = _blocks(tree)
+    m, z = blocks[0].depth, blocks[0].z_card
+    size = tree_size(m, z)
+    level_off = [tree_size(j, z) for j in range(m)]
+    for b in range(len(blocks)):
+        node = np.zeros(rows, dtype=np.int64)
+        for j in range(m):
+            fb = yield b * size + level_off[j] + node
+            if j < m - 1:
+                node = node * z + fb
+
+
 def paths_rows(tree, z_rows: np.ndarray) -> np.ndarray:
     """Row-wise tree paths for a matrix of feedback histories (T, depth-1)."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
-    blocks = _blocks(tree)
-    m = blocks[0].depth
-    z = blocks[0].z_card
     t = z_rows.shape[0]
     if z_rows.shape[1] != tree.depth - 1:
         raise ValidationError("feedback matrix must have depth-1 columns")
+    symbols = tree.symbols
+    cols = node_columns(tree, t)
     out = np.empty((t, tree.depth), dtype=np.int64)
-    level_off = [tree_size(j, z) for j in range(m)]
-    for b, block in enumerate(blocks):
-        node = np.zeros(t, dtype=np.int64)
-        for j in range(m):
-            out[:, b * m + j] = block.symbols[level_off[j] + node]
-            if j < m - 1:
-                node = node * z + z_rows[:, b * m + j]
+    out[:, 0] = symbols[next(cols)]
+    for i in range(1, tree.depth):
+        out[:, i] = symbols[cols.send(z_rows[:, i - 1])]
     return out
 
 

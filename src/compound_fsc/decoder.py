@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import causal_log_prob_rows, causal_prob_rows, feedback_paths
+from .causal import causal_log_prob_rows, feedback_paths
 from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, paths_rows
 from .errors import ValidationError
-from .util import enumerate_paths
 
 
 def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:

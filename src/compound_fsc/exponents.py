@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .causal import (
     CausalConditioning,
     DEFAULT_TABLE_CAP,

@@ -22,7 +22,7 @@ from .channel import (
     identity_feedback,
     make_gilbert_elliot,
 )
-from .codetree import Codebook, paths_rows, sample_codebook, tree_size
+from .codetree import Codebook, node_columns, paths_rows, sample_codebook
 from .decoder import MLDecoder, UniversalDecoder
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, enumerate_paths, wilson_interval, worker_count
@@ -74,21 +74,6 @@ def _sample_categorical_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cum < u[:, None]).sum(axis=1), rows.shape[1] - 1)
 
 
-def _tree_program(cb: Codebook):
-    """Flatten all codebook trees into one symbol matrix plus block layout."""
-    first = cb.trees[0]
-    blocks = getattr(first, "blocks", None)
-    if blocks is None:
-        m, n_blocks = first.depth, 1
-        flat = np.stack([t.symbols for t in cb.trees])
-    else:
-        m, n_blocks = first.block_depth, first.n_blocks
-        flat = np.stack([np.concatenate([b.symbols for b in t.blocks]) for t in cb.trees])
-    z = first.z_card
-    level_off = np.array([tree_size(j, z) for j in range(m)])
-    return flat, m, n_blocks, tree_size(m, z), level_off
-
-
 def simulate_batch(
     fsc: FscSpec,
     cb: Codebook,
@@ -98,26 +83,23 @@ def simulate_batch(
     u_steps: np.ndarray,
 ):
     """Drive the channel for every trial at once; returns (x, y, states)."""
-    flat, m, n_blocks, block_size, level_off = _tree_program(cb)
+    symbols = np.stack([tree.symbols for tree in cb.trees])
     t, n = u_steps.shape[0], cb.depth
-    z_card = cb.trees[0].z_card
     s_cur = s0.copy()
     xs = np.empty((t, n), dtype=np.int64)
     ys = np.empty((t, n), dtype=np.int64)
     states = np.empty((t, n), dtype=np.int64)
-    node = np.zeros(t, dtype=np.int64)
+    cols = node_columns(cb.trees[0], t)
+    col = next(cols)
     for i in range(n):
-        b, j = divmod(i, m)
-        if j == 0:
-            node = np.zeros(t, dtype=np.int64)
-        x = flat[w, b * block_size + level_off[j] + node]
+        x = symbols[w, col]
         rows = fsc.kernel[s_cur, x].reshape(t, -1)
         pick = _sample_categorical_rows(rows, u_steps[:, i])
         y = pick // fsc.n_states
         s_cur = pick % fsc.n_states
-        if j < m - 1:
-            node = node * z_card + feedback.table[y]
         xs[:, i], ys[:, i], states[:, i] = x, y, s_cur
+        if i < n - 1:
+            col = cols.send(feedback.table[y])
     return xs, ys, states
 
 

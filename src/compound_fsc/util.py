@@ -26,20 +26,10 @@ def xlogy(x, y):
     return out
 
 
-def entropy_nats(p) -> float:
-    """Entropy of a probability vector, in nats."""
-    p = np.asarray(p, dtype=float)
-    return float(-xlogy(p, p).sum())
-
-
 def binary_entropy_nats(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-
-
-def l1_distance(p, q) -> float:
-    return float(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)).sum())
 
 
 def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -71,18 +61,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def mixed_radix_index(digits, base: int) -> int:
-    """Integer code of a digit string, earliest digit most significant."""
-    h = 0
-    for d in digits:
-        h = h * base + int(d)
-    return h
-
-
 def enumerate_paths(card: int, length: int) -> np.ndarray:
     """All sequences of given length over {0..card-1} as an int matrix.
 
-    Row order matches mixed_radix_index: row k encodes the digits of k.
+    Row k holds the base-`card` digits of k, earliest digit most significant.
     """
     if length == 0:
         return np.zeros((1, 0), dtype=np.int64)

@@ -7,6 +7,7 @@ tests reuse these functions with larger instance counts.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SolverConfig, compute_Cn, compute_Cn_nofeedback, superadditivity_check
-from .causal import random_policy, uniform_policy
+from .causal import random_policy
 from .channel import CompoundFamily, FscSpec, bsc, identity_feedback
 from .decoder import RankingFunction, merge_rankings, separability_check
 from .directed_info import (
@@ -52,10 +53,6 @@ def random_fsc(rng: np.random.Generator, n_states: int, n_inputs: int, n_outputs
     inputs = tuple(str(i) for i in range(n_inputs))
     outputs = tuple(str(i) for i in range(n_outputs))
     return FscSpec(states=states, inputs=inputs, outputs=outputs, kernel=kernel)
-
-
-def random_singleton_family(rng: np.random.Generator, n_states: int = 2) -> CompoundFamily:
-    return CompoundFamily(members=(random_fsc(rng, n_states, 2, 2),), labels=("m0",))
 
 
 def random_family(rng: np.random.Generator, n_members: int, n_states: int = 2) -> CompoundFamily:
@@ -371,7 +368,12 @@ SUITES = {
 }
 
 
-def run_suites(names=None) -> list[CheckResult]:
+SEED_STRIDE = 100  # built-in suite seeds are 20..28, so derived seeds never collide
+
+
+def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
+    """Run the named suites (all by default), each at its built-in seed plus
+    SEED_STRIDE * seed; seed 0 keeps the built-in seeds."""
     if names is None or names == ["all"] or names == "all":
         names = list(SUITES)
     results = []
@@ -381,5 +383,6 @@ def run_suites(names=None) -> list[CheckResult]:
         except KeyError:
             known = ", ".join(SUITES)
             raise ValidationError(f"unknown suite {name!r}; known suites: {known}") from None
-        results.append(fn())
+        base = inspect.signature(fn).parameters["seed"].default
+        results.append(fn(seed=base + SEED_STRIDE * seed))
     return results

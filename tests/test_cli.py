@@ -131,6 +131,23 @@ class TestVerify:
         assert rows[0][0] == "kim-identity"
         assert rows[0][1] == "True"
 
+    def test_seed_reaches_suites_and_rerun_reproduces(self, tmp_path):
+        from compound_fsc.verify import suite_state_gap
+
+        def run(seed, out):
+            assert main(["verify", "--suite", "state-gap", "--seed", str(seed), "--out", str(out)]) == 0
+            return (out / "verify_results.csv").read_bytes()
+
+        seeded = run(1, tmp_path / "s1")
+        assert seeded != run(0, tmp_path / "s0")
+        # built-in seed 22 plus 100 x --seed
+        _, rows = read_csv(tmp_path / "s1" / "verify_results.csv")
+        assert float(rows[0][4]) == suite_state_gap(seed=122).worst
+
+        rc = main(["rerun", str(tmp_path / "s1" / "manifest.json"), "--out", str(tmp_path / "replay")])
+        assert rc == 0
+        assert (tmp_path / "replay" / "verify_results.csv").read_bytes() == seeded
+
     def test_unknown_suite(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "bogus", "--out", str(tmp_path / "run")])
         assert rc == 2

@@ -1,0 +1,67 @@
+"""Source hygiene: every imported name is used and every `__all__` entry
+resolves, checked on the syntax tree of each package module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "compound_fsc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Name bound by each import statement -> line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                names[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                names[a.asname or a.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _dunder_all(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _top_level(tree: ast.Module) -> set:
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    exported = set(_dunder_all(tree))
+    used = _used(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported(tree).items()
+        if name not in used and name not in exported
+    )
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dunder_all_resolves(path):
+    tree = ast.parse(path.read_text())
+    missing = sorted(set(_dunder_all(tree)) - _top_level(tree))
+    assert not missing, f"{path.name} lists undefined names in __all__: {', '.join(missing)}"

@@ -21,9 +21,12 @@ from compound_fsc import (
     make_gilbert_elliot,
     make_memoryless,
     no_feedback,
+    paths_rows,
     random_coding_bound,
     run_trials,
     sample_codebook,
+    sample_concat_codebook,
+    simulate_batch,
     uniform_policy,
 )
 
@@ -158,6 +161,27 @@ def test_results_invariant_to_thread_count(monkeypatch):
     assert np.array_equal(single.decisions, multi.decisions)
     assert np.array_equal(single.outputs, multi.outputs)
     assert single.errors == multi.errors
+
+
+@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
+def test_simulated_inputs_follow_tree_paths(concat):
+    # the simulator and the decoder must read trees through the same layout
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=0.4))
+    fb = identity_feedback(fsc.outputs)
+    rng = np.random.default_rng(9)
+    if concat:
+        cb = sample_concat_codebook(uniform_policy(3, 2, fb.z_card), 2, 6, rng)
+    else:
+        cb = sample_codebook(uniform_policy(6, 2, fb.z_card), 6, rng)
+    trials = 600
+    w = rng.integers(cb.m_count, size=trials)
+    s0 = rng.integers(fsc.n_states, size=trials)
+    xs, ys, _ = simulate_batch(fsc, cb, fb, w, s0, rng.random((trials, cb.depth)))
+    z = fb.table[ys[:, :-1]]
+    for msg, tree in enumerate(cb.trees):
+        rows = w == msg
+        assert rows.any()
+        assert np.array_equal(xs[rows], paths_rows(tree, z[rows]))
 
 
 def test_trial_config_validation():
