@@ -19,6 +19,7 @@ import numpy as np
 from .causal import (
     CausalConditioning,
     channel_prob_table,
+    check_table_bytes,
     history_tables,
     policy_weight_table,
     uniform_policy,
@@ -44,6 +45,12 @@ STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
+# Path-sized tables alive at the solver's peak, besides one per pair and four
+# per step (history codes, factors, prefix and suffix products): the value's
+# and the supergradient's temporaries. Calibrated on ge-gap (6 pairs) with 3
+# iterations and no restarts, which peaked at 57, 60 and 65 tables of 4^n
+# entries at n = 8, 9 and 10 (65, 158 and 566 MB peak RSS).
+SOLVER_TEMP_TABLES = 20
 
 
 @dataclass(frozen=True)
@@ -221,14 +228,24 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
     )
 
 
+def _pair_tables(family: CompoundFamily, n: int, starts):
+    """[(pair label, channel table)] for (pair label, member, s0 prior) triples,
+    once the solver's whole working set fits the table budget."""
+    starts = list(starts)
+    entries = family.members[0].n_inputs ** n * family.members[0].n_outputs ** n
+    check_table_bytes(entries, len(starts) + 4 * n + SOLVER_TEMP_TABLES, "capacity solver")
+    return [(label, channel_prob_table(m, n, s0)) for label, m, s0 in starts]
+
+
 def _state_pairs(family: CompoundFamily, n: int):
     """(state label, member label) pairs in lexicographic evaluation order."""
-    pairs = []
     states = family.members[0].states
-    for s_idx, s_label in enumerate(states):
-        for label, m in family:
-            pairs.append(((str(s_label), label), channel_prob_table(m, n, s_idx)))
-    return pairs
+    starts = (
+        ((str(s_label), label), m, s_idx)
+        for s_idx, s_label in enumerate(states)
+        for label, m in family
+    )
+    return _pair_tables(family, n, starts)
 
 
 def compute_Cn(
@@ -275,10 +292,9 @@ def compute_Cn_markovian(
         raise ValidationError(
             f"family is not uniformly ergodic within {ergodicity_max_n} steps at eps={ergodicity_eps}"
         )
-    pairs = [
-        (("stationary", label), channel_prob_table(m, n, stationary_distribution(m)))
-        for label, m in family
-    ]
+    pairs = _pair_tables(
+        family, n, ((("stationary", label), m, stationary_distribution(m)) for label, m in family)
+    )
     return _solve(family, pairs, feedback, n, cfg, extra_starts)
 
 
@@ -444,17 +460,21 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     """Feedback vs no-feedback worst-case values for a Gilbert-Elliot family.
 
     For these channels a uniform open-loop input attains every per-member
-    maximum (additive noise), so the min-max side needs no inner solve.
+    maximum (additive noise), so the min-max side needs no inner solve. The
+    channel tables do not depend on the feedback map, so both solves and the
+    uniform value share one set.
     """
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
             raise ValidationError(f"member {label!r} is not Gilbert-Elliot shaped")
     first = family.members[0]
     q_u = uniform_policy(n, first.n_inputs, 1)
-    w = policy_weight_table(q_u, first.n_outputs, no_feedback(first.outputs))
-    uniform_value = min(information_functional(w, p) / n for _, p in _state_pairs(family, n))
-    rep_fb = compute_Cn(family, identity_feedback(first.outputs), n, cfg)
-    rep_nfb = compute_Cn_nofeedback(family, n, cfg)
+    nofb = no_feedback(first.outputs)
+    pairs = _state_pairs(family, n)
+    w = policy_weight_table(q_u, first.n_outputs, nofb)
+    uniform_value = min(information_functional(w, p) / n for _, p in pairs)
+    rep_fb = _solve(family, pairs, identity_feedback(first.outputs), n, cfg, ())
+    rep_nfb = _solve(family, pairs, nofb, n, cfg, ())
     if rep_nfb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("no-feedback solve fell below the feasible uniform value")
     if rep_fb.C_n_nats < uniform_value - 1e-9:

@@ -19,7 +19,7 @@ from .errors import CapExceededError, ValidationError
 from .util import enumerate_paths
 
 ROW_SUM_TOL = 1e-9
-DEFAULT_TABLE_CAP = 2 ** 24
+TABLE_BYTES = 2 ** 30  # budget for the float64/int64 path tables alive at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +231,11 @@ def _as_prior(fsc: FscSpec, s0_prior) -> np.ndarray:
     if s0_prior is None:
         return np.full(fsc.n_states, 1.0 / fsc.n_states)
     if np.isscalar(s0_prior) or isinstance(s0_prior, (int, np.integer)):
+        s0 = int(s0_prior)
+        if not 0 <= s0 < fsc.n_states:
+            raise ValidationError(f"initial state {s0} outside 0..{fsc.n_states - 1}")
         p = np.zeros(fsc.n_states)
-        p[int(s0_prior)] = 1.0
+        p[s0] = 1.0
         return p
     p = np.asarray(s0_prior, dtype=float)
     if p.shape != (fsc.n_states,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
@@ -245,34 +248,45 @@ def feedback_paths(feedback: FeedbackMap, y_rows: np.ndarray) -> np.ndarray:
     return feedback.table[np.asarray(y_rows, dtype=np.int64)]
 
 
-def channel_prob_table(fsc: FscSpec, n: int, s0_prior, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def check_table_bytes(entries: int, arrays: int, what: str) -> None:
+    """The one size guard for path tables: `arrays` tables of `entries` 8-byte entries."""
+    if entries * 8 * arrays > TABLE_BYTES:
+        raise CapExceededError(
+            f"{what} would need {entries * 8 * arrays} bytes (budget {TABLE_BYTES}); refusing to approximate"
+        )
+
+
+def channel_prob_table(fsc: FscSpec, n: int, s0_prior) -> np.ndarray:
     """Table P[xcode, ycode] = sum_s0 prior(s0) P(y^n || x^n, s0).
 
-    Path codes are mixed-radix, earliest symbol most significant. Refuses
-    above the cap instead of approximating.
+    Path codes are mixed-radix, earliest symbol most significant. One forward
+    recursion over the path tree: alpha[xcode, ycode, s] = P(y^i, s_i = s ||
+    x^i) grows by one (x, y) level per step, and the state is summed out at
+    the end. Refuses past TABLE_BYTES instead of approximating.
     """
-    nx, ny = fsc.n_inputs ** n, fsc.n_outputs ** n
-    _check_cap(nx, ny, cap)
-    x_paths = enumerate_paths(fsc.n_inputs, n)
-    y_paths = enumerate_paths(fsc.n_outputs, n)
-    table = np.empty((nx, ny))
-    for k, xp in enumerate(x_paths):
-        rows = np.broadcast_to(xp, (ny, n))
-        table[k] = causal_prob_rows(fsc, rows, y_paths, s0_prior)
-    return table
+    s_card = fsc.n_states
+    # peak: about 1.25 |S| tables at the last step (its input and output
+    # alpha) or |S| + 1 while summing out the state; 2 |S| + 1 covers both
+    check_table_bytes(fsc.n_inputs ** n * fsc.n_outputs ** n, 2 * s_card + 1, "channel table")
+    alpha = _as_prior(fsc, s0_prior).reshape(1, 1, s_card)
+    for i in range(1, n + 1):
+        alpha = np.einsum("abs,sxyt->axbyt", alpha, fsc.kernel, order="C")
+        alpha = alpha.reshape(fsc.n_inputs ** i, fsc.n_outputs ** i, s_card)
+    return alpha.sum(axis=2)
 
 
-def history_tables(x_card: int, y_card: int, feedback: FeedbackMap, n: int, cap: int = DEFAULT_TABLE_CAP):
+def history_tables(x_card: int, y_card: int, feedback: FeedbackMap, n: int):
     """Yield, for steps i = 0..n-1, two int64 tables over all path pairs
     [xcode, ycode]: the code of the history (x^i, f(y)^i), as rows of
     CausalConditioning.conditionals[i] are numbered, and the input x_i (a
     read-only broadcast view).
 
     So conditionals[i][hist, x] is the step-i factor of q(x^n || f(y)^{n-1}).
-    Refuses above the cap before building the first table.
+    Refuses past TABLE_BYTES before building the first table.
     """
     nx, ny = x_card ** n, y_card ** n
-    _check_cap(nx, ny, cap)
+    # the current code table, the next one and one temporary
+    check_table_bytes(nx * ny, 3, "history tables")
     x_paths = enumerate_paths(x_card, n)
     z_paths = feedback_paths(feedback, enumerate_paths(y_card, n))
     base = x_card * feedback.z_card
@@ -284,13 +298,16 @@ def history_tables(x_card: int, y_card: int, feedback: FeedbackMap, n: int, cap:
             h = h * base + xi * feedback.z_card + z_paths[:, i][None, :]
 
 
-def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap) -> np.ndarray:
     """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}) over all path pairs."""
     if feedback.z_card != q.z_card:
         raise ValidationError("policy and feedback map disagree on |Z|")
     if feedback.table.size != y_card:
         raise ValidationError("feedback table does not cover the output alphabet")
-    tables = history_tables(q.x_card, y_card, feedback, q.horizon, cap)
+    # measured peak about 4 tables: two history codes, the weights and one
+    # gathered factor
+    check_table_bytes(q.x_card ** q.horizon * y_card ** q.horizon, 5, "policy weight table")
+    tables = history_tables(q.x_card, y_card, feedback, q.horizon)
     w = q.conditionals[0][next(tables)]
     for c, index in zip(q.conditionals[1:], tables):
         w *= c[index]
@@ -302,7 +319,6 @@ def joint_and_output_probs(
     fsc: FscSpec,
     s0,
     feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint P[xcode, ycode] and output marginal over all length-n paths.
 
@@ -310,17 +326,10 @@ def joint_and_output_probs(
     """
     if q.x_card != fsc.n_inputs:
         raise ValidationError("policy and channel disagree on |X|")
-    w = policy_weight_table(q, fsc.n_outputs, feedback, cap=cap)
-    p = channel_prob_table(fsc, q.horizon, s0, cap=cap)
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, q.horizon, s0)
     joint = w * p
     return joint, joint.sum(axis=0)
-
-
-def _check_cap(nx: int, ny: int, cap: int) -> None:
-    if nx * ny > cap:
-        raise CapExceededError(
-            f"joint table would need {nx * ny} entries (cap {cap}); refusing to approximate"
-        )
 
 
 def save_policy(q: CausalConditioning, path) -> None:

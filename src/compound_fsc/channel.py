@@ -21,6 +21,7 @@ from .errors import CapExceededError, NoStationaryError, NotMarkovianError, Vali
 ROW_SUM_TOL = 1e-9
 STATE_MARGINAL_TOL = 1e-9
 STATIONARY_TOL = 1e-10
+QUANTIZE_MEMBER_CAP = 200_000  # most members quantize_family enumerates
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -277,12 +278,13 @@ def quantize_channel(fsc: FscSpec, k_grid: int) -> FscSpec:
     return FscSpec(states=fsc.states, inputs=fsc.inputs, outputs=fsc.outputs, kernel=kernel)
 
 
-def quantize_family(k_grid: int, states, inputs, outputs, member_cap: int = 200_000) -> CompoundFamily:
+def quantize_family(k_grid: int, states, inputs, outputs) -> CompoundFamily:
     """Enumerate every kernel whose rows lie on the renormalized k_grid lattice.
 
     Each (s_prev, x) row ranges independently over the distinct renormalized
     grid rows; all-zero grid rows are replaced by the uniform row. Refuses
-    (rather than truncates) when the member count would exceed member_cap.
+    (rather than truncates) when the member count would exceed
+    QUANTIZE_MEMBER_CAP.
     """
     if k_grid < 2:
         raise ValidationError("k_grid must be >= 2")
@@ -302,9 +304,9 @@ def quantize_family(k_grid: int, states, inputs, outputs, member_cap: int = 200_
         seen[tuple(np.round(row, 12))] = row
     rows = [seen[k] for k in sorted(seen)]
     count = len(rows) ** n_rows
-    if count > member_cap:
+    if count > QUANTIZE_MEMBER_CAP:
         raise CapExceededError(
-            f"quantized family would have {count} members (cap {member_cap})"
+            f"quantized family would have {count} members (cap {QUANTIZE_MEMBER_CAP})"
         )
     members, labels = [], []
     shape = (len(states), len(inputs), len(outputs), len(states))

@@ -19,7 +19,7 @@ import numpy as np
 from .causal import CausalConditioning
 from .errors import CapExceededError, ValidationError
 
-DEFAULT_TYPE_SPACE_CAP = 1024
+TYPE_SPACE_CAP = 1024  # most distinct block trees the type operations enumerate
 
 
 def tree_size(depth: int, z_card: int) -> int:
@@ -209,11 +209,11 @@ def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
     return p
 
 
-def _guard_type_space(x_card: int, m: int, z_card: int, cap: int) -> int:
+def _guard_type_space(x_card: int, m: int, z_card: int) -> int:
     space = x_card ** tree_size(m, z_card)
-    if space > cap:
+    if space > TYPE_SPACE_CAP:
         raise CapExceededError(
-            f"type operations need |X|^D(m) = {space} distinct block trees (cap {cap})"
+            f"type operations need |X|^D(m) = {space} distinct block trees (cap {TYPE_SPACE_CAP})"
         )
     return space
 
@@ -241,8 +241,8 @@ class TreeType:
         return self.entries
 
 
-def tree_type(tree: ConcatTree, type_space_cap: int = DEFAULT_TYPE_SPACE_CAP) -> TreeType:
-    _guard_type_space(tree.x_card, tree.block_depth, tree.z_card, type_space_cap)
+def tree_type(tree: ConcatTree) -> TreeType:
+    _guard_type_space(tree.x_card, tree.block_depth, tree.z_card)
     counts = Counter(tree_code(b) for b in tree.blocks)
     return TreeType(
         block_depth=tree.block_depth,
@@ -258,11 +258,9 @@ def type_count_bound(n_blocks: int, m: int, x_card: int, z_card: int) -> int:
     return (n_blocks + 1) ** (x_card ** tree_size(m, z_card))
 
 
-def sample_uniform_from_type(
-    tt: TreeType, rng: np.random.Generator, type_space_cap: int = DEFAULT_TYPE_SPACE_CAP
-) -> ConcatTree:
+def sample_uniform_from_type(tt: TreeType, rng: np.random.Generator) -> ConcatTree:
     """Uniform draw from the type class: shuffle the block multiset."""
-    _guard_type_space(tt.x_card, tt.block_depth, tt.z_card, type_space_cap)
+    _guard_type_space(tt.x_card, tt.block_depth, tt.z_card)
     blocks = []
     for code, count in tt.entries:
         block = tree_from_code(code, tt.block_depth, tt.x_card, tt.z_card)
@@ -340,9 +338,7 @@ class DominantTypeResult:
     target_size: int
 
 
-def dominant_type_subcode(
-    cb: Codebook, type_space_cap: int = DEFAULT_TYPE_SPACE_CAP
-) -> DominantTypeResult:
+def dominant_type_subcode(cb: Codebook) -> DominantTypeResult:
     """Thin a concatenated-tree codebook to its most frequent block type.
 
     Keeps the first ceil(M / (N+1)^(|X|^D(m))) trees of that type in message
@@ -352,11 +348,11 @@ def dominant_type_subcode(
     first = cb.trees[0]
     if not isinstance(first, ConcatTree):
         raise ValidationError("dominant-type thinning needs concatenated trees")
-    _guard_type_space(first.x_card, first.block_depth, first.z_card, type_space_cap)
+    _guard_type_space(first.x_card, first.block_depth, first.z_card)
     by_type: dict = {}
     types: dict = {}
     for idx, tree in enumerate(cb.trees):
-        tt = tree_type(tree, type_space_cap)
+        tt = tree_type(tree)
         by_type.setdefault(tt.key, []).append(idx)
         types[tt.key] = tt
     top = max(len(v) for v in by_type.values())

@@ -14,7 +14,6 @@ import numpy as np
 
 from .causal import (
     CausalConditioning,
-    DEFAULT_TABLE_CAP,
     channel_prob_table,
     joint_and_output_probs,
     policy_weight_table,
@@ -88,34 +87,22 @@ def directed_info_from_joint(joint: np.ndarray, n: int, x_card: int, y_card: int
     return math.fsum(per_step_terms(joint, n, x_card, y_card))
 
 
-def directed_information(
-    q: CausalConditioning,
-    fsc: FscSpec,
-    s0,
-    feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> DirectedInfoResult:
+def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> DirectedInfoResult:
     """Directed information for one channel member from initial state s0.
 
     s0 may be a state index or a prior vector over states; a prior computes
     the quantity for the channel law mixed over the initial state.
     """
-    w = policy_weight_table(q, fsc.n_outputs, feedback, cap=cap)
-    p = channel_prob_table(fsc, q.horizon, s0, cap=cap)
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, q.horizon, s0)
     value = information_functional(w, p)
     steps = per_step_terms(w * p, q.horizon, q.x_card, fsc.n_outputs)
     return DirectedInfoResult(value_nats=value, per_step=tuple(steps))
 
 
-def directed_information_kim(
-    q: CausalConditioning,
-    fsc: FscSpec,
-    s0,
-    feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> float:
+def directed_information_kim(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> float:
     """Same quantity through the exchange identity; agrees to 1e-10."""
-    joint, _ = joint_and_output_probs(q, fsc, s0, feedback, cap=cap)
+    joint, _ = joint_and_output_probs(q, fsc, s0, feedback)
     return math.fsum(exchange_terms(joint, q.horizon, q.x_card, fsc.n_outputs))
 
 
@@ -136,7 +123,6 @@ def state_gap_check(
     fsc: FscSpec,
     feedback: FeedbackMap,
     s0_prior=None,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> StateGapResult:
     """Gap between state-marginalized and state-averaged directed information.
 
@@ -146,9 +132,9 @@ def state_gap_check(
     if s0_prior is None:
         s0_prior = np.full(fsc.n_states, 1.0 / fsc.n_states)
     s0_prior = np.asarray(s0_prior, dtype=float)
-    mixed = directed_information(q, fsc, s0_prior, feedback, cap=cap).value_nats
+    mixed = directed_information(q, fsc, s0_prior, feedback).value_nats
     given = math.fsum(
-        float(pr) * directed_information(q, fsc, s, feedback, cap=cap).value_nats
+        float(pr) * directed_information(q, fsc, s, feedback).value_nats
         for s, pr in enumerate(s0_prior)
         if pr > 0
     )
@@ -179,7 +165,6 @@ def continuity_bound_check(
     fsc: FscSpec,
     s0,
     feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> ContinuityBoundResult:
     """|I(q1) - I(q2)| against -delta log(delta / |Y|^{2n}).
 
@@ -188,12 +173,12 @@ def continuity_bound_check(
     """
     if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
         raise ValidationError("policies must share horizon and alphabets")
-    w1 = policy_weight_table(q1, fsc.n_outputs, feedback, cap=cap)
-    w2 = policy_weight_table(q2, fsc.n_outputs, feedback, cap=cap)
+    w1 = policy_weight_table(q1, fsc.n_outputs, feedback)
+    w2 = policy_weight_table(q2, fsc.n_outputs, feedback)
     delta = float(np.abs(w1 - w2).sum())
     if delta > 0.5:
         return ContinuityBoundResult(delta=delta, lhs=None, rhs=None, applicable=False)
-    p = channel_prob_table(fsc, q1.horizon, s0, cap=cap)
+    p = channel_prob_table(fsc, q1.horizon, s0)
     lhs = abs(information_functional(w1, p) - information_functional(w2, p))
     if delta == 0.0:
         rhs = 0.0
@@ -219,7 +204,6 @@ def zero_capacity_witness(
     n: int,
     s0_prior=None,
     solver_cfg=None,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> ZeroCapacityWitness:
     """Certify a useless channel: zero info under a uniform open-loop input
     forces the output law to ignore the input, and then no causally
@@ -227,8 +211,8 @@ def zero_capacity_witness(
     """
     q_u = uniform_policy(n, fsc.n_inputs, 1)
     nofb = no_feedback(fsc.outputs)
-    w = policy_weight_table(q_u, fsc.n_outputs, nofb, cap=cap)
-    p = channel_prob_table(fsc, n, s0_prior, cap=cap)
+    w = policy_weight_table(q_u, fsc.n_outputs, nofb)
+    p = channel_prob_table(fsc, n, s0_prior)
     uniform_value = information_functional(w, p)
     if uniform_value > 1e-10:
         return ZeroCapacityWitness(

@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An exact enumeration would exceed the configured size cap."""
+    """An exact enumeration would exceed its fixed size limit."""
 
 
 class NotMarkovianError(ValidationError):

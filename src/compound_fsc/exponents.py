@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .causal import (
     CausalConditioning,
-    DEFAULT_TABLE_CAP,
     channel_prob_table,
     policy_weight_table,
 )
@@ -21,35 +20,22 @@ from .directed_info import information_functional
 from .errors import ValidationError
 
 
-def gallager_e0(
-    rho: float,
-    q: CausalConditioning,
-    fsc: FscSpec,
-    s0: int,
-    feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> float:
+def gallager_e0(rho: float, q: CausalConditioning, fsc: FscSpec, s0: int, feedback: FeedbackMap) -> float:
     """-(1/n) ln sum_y [ sum_x q(x||z(y)) P(y||x,s0)^{1/(1+rho)} ]^{1+rho}."""
     if rho < 0:
         raise ValidationError("rho must be non-negative")
     n = q.horizon
-    w = policy_weight_table(q, fsc.n_outputs, feedback, cap=cap)
-    p = channel_prob_table(fsc, n, s0, cap=cap)
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, n, s0)
     inner = (w * p ** (1.0 / (1.0 + rho))).sum(axis=0)
     total = float((inner ** (1.0 + rho)).sum())
     return -math.log(total) / n
 
 
-def f_n_exponent(
-    rho: float,
-    q: CausalConditioning,
-    fsc: FscSpec,
-    feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> float:
+def f_n_exponent(rho: float, q: CausalConditioning, fsc: FscSpec, feedback: FeedbackMap) -> float:
     """Worst-initial-state exponent: -rho ln|S|/n + min_s0 E0(rho, q, s0)."""
     n = q.horizon
-    e0 = min(gallager_e0(rho, q, fsc, s0, feedback, cap=cap) for s0 in range(fsc.n_states))
+    e0 = min(gallager_e0(rho, q, fsc, s0, feedback) for s0 in range(fsc.n_states))
     return -rho * math.log(fsc.n_states) / n + e0
 
 
@@ -59,11 +45,10 @@ def random_coding_bound(
     fsc: FscSpec,
     feedback: FeedbackMap,
     rate_nats: float,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> float:
     """|S| exp(-n (F_n - rho R)): ensemble error bound at the given rate."""
     n = q.horizon
-    f = f_n_exponent(rho, q, fsc, feedback, cap=cap)
+    f = f_n_exponent(rho, q, fsc, feedback)
     return fsc.n_states * math.exp(-n * (f - rho * rate_nats))
 
 
@@ -102,7 +87,6 @@ def e0_lower_bound_check(
     fsc: FscSpec,
     s0: int,
     feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> E0LowerBoundResult:
     """E0 >= (rho/n) I - (rho^2/2n) (ln(e |Y|^n))^2.
 
@@ -110,10 +94,10 @@ def e0_lower_bound_check(
     second-moment bound for the block channel.
     """
     n = q.horizon
-    w = policy_weight_table(q, fsc.n_outputs, feedback, cap=cap)
-    p = channel_prob_table(fsc, n, s0, cap=cap)
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, n, s0)
     info = information_functional(w, p)
-    e0 = gallager_e0(rho, q, fsc, s0, feedback, cap=cap)
+    e0 = gallager_e0(rho, q, fsc, s0, feedback)
     big_l = 1.0 + n * math.log(fsc.n_outputs)
     bound = rho * info / n - rho * rho * big_l * big_l / (2.0 * n)
     return E0LowerBoundResult(
@@ -137,17 +121,14 @@ def fn_superadditivity_check(
     q_tail: CausalConditioning,
     fsc: FscSpec,
     feedback: FeedbackMap,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> FnSuperadditivityResult:
     """n F_n(product law) >= k F_k(head) + m F_m(tail) for n = k + m."""
     from .capacity import product_policy
 
     k, m = q_head.horizon, q_tail.horizon
     q_n = product_policy(q_head, q_tail)
-    lhs = (k + m) * f_n_exponent(rho, q_n, fsc, feedback, cap=cap)
-    rhs = k * f_n_exponent(rho, q_head, fsc, feedback, cap=cap) + m * f_n_exponent(
-        rho, q_tail, fsc, feedback, cap=cap
-    )
+    lhs = (k + m) * f_n_exponent(rho, q_n, fsc, feedback)
+    rhs = k * f_n_exponent(rho, q_head, fsc, feedback) + m * f_n_exponent(rho, q_tail, fsc, feedback)
     return FnSuperadditivityResult(
         rho=rho, k=k, m=m, lhs=lhs, rhs=rhs, passed=bool(lhs >= rhs - 1e-9)
     )

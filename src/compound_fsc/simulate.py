@@ -28,6 +28,7 @@ from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, enumerate_paths, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
+EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ class TrialConfig:
             raise ValidationError("trials must be >= 1")
         if self.decoder not in ("ml", "universal"):
             raise ValidationError("decoder must be 'ml' or 'universal'")
+        if self.s0 is not None:
+            n_states = self.family.member(self.true_label).n_states
+            if not isinstance(self.s0, (int, np.integer)) or not 0 <= self.s0 < n_states:
+                raise ValidationError(f"s0 = {self.s0} outside 0..{n_states - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,20 +162,14 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     )
 
 
-def exact_error_probability(
-    cb: Codebook,
-    fsc: FscSpec,
-    s0: int,
-    feedback: FeedbackMap,
-    decoder,
-    cap: int = 4096,
-) -> float:
+def exact_error_probability(cb: Codebook, fsc: FscSpec, s0: int, feedback: FeedbackMap, decoder) -> float:
     """Average over messages of the exact decoding-error probability, by
-    enumerating every output path. Refuses when |Y|^n exceeds the cap."""
+    enumerating every output path. Refuses when |Y|^n exceeds
+    EXACT_OUTPUT_PATHS."""
     n = cb.depth
     n_y = fsc.n_outputs ** n
-    if n_y > cap:
-        raise CapExceededError(f"output enumeration needs {n_y} paths (cap {cap})")
+    if n_y > EXACT_OUTPUT_PATHS:
+        raise CapExceededError(f"output enumeration needs {n_y} paths (cap {EXACT_OUTPUT_PATHS})")
     y_all = enumerate_paths(fsc.n_outputs, n)
     w_hat = decoder.decode_rows(cb, y_all)
     z_all = feedback_paths(feedback, y_all[:, :-1])

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import compound_fsc.capacity as capmod
 from compound_fsc import (
+    CapExceededError,
     CapacityReport,
     CompoundFamily,
     GilbertElliotParams,
@@ -17,6 +19,7 @@ from compound_fsc import (
     compute_Cn_nofeedback,
     directed_information,
     ge_feedback_gap,
+    ge_gap_family,
     identity_feedback,
     input_prob,
     make_gilbert_elliot,
@@ -253,6 +256,46 @@ def test_ge_feedback_gap_single_member():
     assert res.C_fb <= res.uniform_value + 1e-9
     assert res.C_nfb >= res.uniform_value - 1e-9
     assert res.C_fb >= res.C_nfb - 1e-9
+
+
+def test_ge_feedback_gap_builds_each_channel_table_once(monkeypatch):
+    calls = []
+    build = capmod.channel_prob_table
+
+    def counting(fsc, n, s0_prior):
+        calls.append(s0_prior)
+        return build(fsc, n, s0_prior)
+
+    monkeypatch.setattr(capmod, "channel_prob_table", counting)
+    fam = ge_gap_family()
+    ge_feedback_gap(fam, 2, SolverConfig(max_iters=20, restarts=0))
+    assert len(calls) == fam.members[0].n_states * len(fam.members) == 6
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise _Built
+
+
+def test_solver_refuses_past_byte_budget_before_any_table(monkeypatch):
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    fam = ge_gap_family()
+    fb = identity_feedback(fam.members[0].outputs)
+    with pytest.raises(CapExceededError):
+        compute_Cn(fam, fb, 12)
+    with pytest.raises(CapExceededError):
+        compute_Cn_markovian(fam, fb, 12)
+
+
+def test_solver_admits_n10_on_ge_gap(monkeypatch):
+    # the guard passes, so the first channel table build is reached
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    fam = ge_gap_family()
+    with pytest.raises(_Built):
+        compute_Cn(fam, identity_feedback(fam.members[0].outputs), 10, SolverConfig(max_iters=3, restarts=0))
 
 
 def test_ge_feedback_gap_state_degenerate():

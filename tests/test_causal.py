@@ -254,6 +254,27 @@ def test_table_cap_refusal():
         policy_weight_table(q, 2, identity_feedback((0, 1)))
 
 
+def test_channel_table_non_square_alphabets():
+    fsc = random_fsc(np.random.default_rng(41), 3, 3, 2)
+    n, prior = 3, np.array([0.2, 0.5, 0.3])
+    given = channel_prob_table(fsc, n, 1)
+    mixed = channel_prob_table(fsc, n, prior)
+    assert given.shape == mixed.shape == (27, 8)
+    for (i, xs), (j, ys) in itertools.product(
+        enumerate(enumerate_paths(3, n)), enumerate(enumerate_paths(2, n))
+    ):
+        per_state = [causal_channel_prob(fsc, xs, ys, s) for s in range(3)]
+        assert given[i, j] == pytest.approx(per_state[1], rel=1e-12, abs=0)
+        assert mixed[i, j] == pytest.approx(float(np.dot(prior, per_state)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s0", [-1, 2, 5])
+def test_channel_table_rejects_out_of_range_state(s0):
+    fsc = ge(0.3, 0.4, 0.05, 0.45)
+    with pytest.raises(ValidationError):
+        channel_prob_table(fsc, 2, s0)
+
+
 def test_enumerate_paths_order():
     paths = enumerate_paths(2, 2)
     assert paths.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]

@@ -223,6 +223,16 @@ class TestSimulate:
         header, rows = read_csv(out2 / "simulate_results.csv")
         assert int(dict(zip(header, rows[0]))["trials"]) == 20
 
+    def test_out_of_range_initial_state_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"s0": 7}))
+        rc = main(
+            ["simulate", "--preset", "ge-gap", "--config", str(cfg_path), "--n", "2",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_simulate_without_inputs(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "run")])
         assert rc == 2

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used and every `__all__` entry
-resolves, checked on the syntax tree of each package module."""
+"""Source hygiene: every imported name is used, every `__all__` entry
+resolves and no function takes a size-cap knob, checked on the syntax tree of
+each package module."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,19 @@ def test_dunder_all_resolves(path):
     tree = ast.parse(path.read_text())
     missing = sorted(set(_dunder_all(tree)) - _top_level(tree))
     assert not missing, f"{path.name} lists undefined names in __all__: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cap_parameters(path):
+    """Size limits are module constants behind their guards, never per-call knobs."""
+    knobs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            knobs += [
+                f"{getattr(node, 'name', 'lambda')}({p.arg}) (line {node.lineno})"
+                for p in params
+                if p.arg == "cap" or p.arg.endswith("_cap")
+            ]
+    assert not knobs, f"{path.name} has size-cap parameters: {', '.join(knobs)}"

@@ -98,7 +98,23 @@ def test_exact_error_enumeration_cap():
     fb = identity_feedback((0, 1))
     cb = constant_codebook(13, (0, 1))
     with pytest.raises(CapExceededError):
-        exact_error_probability(cb, fsc, 0, fb, MLDecoder(fsc, fb), cap=4096)
+        exact_error_probability(cb, fsc, 0, fb, MLDecoder(fsc, fb))
+
+
+@pytest.mark.parametrize("s0", [-1, 2])
+def test_trial_config_rejects_out_of_range_state(s0):
+    fam = CompoundFamily(
+        members=(make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45)),),
+        labels=("ge",),
+    )
+    with pytest.raises(ValidationError):
+        TrialConfig(
+            family=fam,
+            true_label="ge",
+            codebook=constant_codebook(3, (0, 1)),
+            feedback=identity_feedback((0, 1)),
+            s0=s0,
+        )
 
 
 def test_monte_carlo_matches_exact():
