@@ -21,6 +21,8 @@ from .causal import (
     channel_prob_table,
     check_table_bytes,
     history_tables,
+    policy_adjoint,
+    policy_products,
     policy_weight_table,
     uniform_policy,
     random_policy,
@@ -45,12 +47,12 @@ STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
-# Path-sized tables alive at the solver's peak, besides one per pair and four
-# per step (history codes, factors, prefix and suffix products): the value's
-# and the supergradient's temporaries. Calibrated on ge-gap (6 pairs) with 3
-# iterations and no restarts, which peaked at 57, 60 and 65 tables of 4^n
-# entries at n = 8, 9 and 10 (65, 158 and 566 MB peak RSS).
-SOLVER_TEMP_TABLES = 20
+# Path-sized tables alive at the solver's peak besides one per pair: the
+# weights, the policy copies, the history codes and the value's and the
+# supergradient's temporaries. On ge-gap (6 pairs) with 3 iterations and no
+# restarts, tracemalloc measured 11.9, 10.8 and 10.6 of them at n = 8, 9 and
+# 10 (46, 73 and 178 MB peak RSS); one table of headroom on top.
+SOLVER_TEMP_TABLES = 13
 
 
 @dataclass(frozen=True)
@@ -110,32 +112,7 @@ class CapacityReport:
 
 def _pair_didw(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     p_y = (w * p).sum(axis=0)
-    log_py = np.log(np.maximum(p_y, _TINY))
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * (np.log(p[mask]) - np.broadcast_to(log_py, p.shape)[mask] - 1.0)
-    return out
-
-
-def _gradient(conds, tables, facs, didw: np.ndarray) -> list[np.ndarray]:
-    """d/d conds of sum W * didw, via leave-one-out path products."""
-    n = len(facs)
-    pref = [None] * n
-    suf = [None] * n
-    acc = np.ones_like(didw)
-    for i in range(n):
-        pref[i] = acc
-        acc = acc * facs[i]
-    acc = np.ones_like(didw)
-    for i in range(n - 1, -1, -1):
-        suf[i] = acc
-        acc = acc * facs[i]
-    grads = []
-    for i in range(n):
-        g = np.zeros_like(conds[i])
-        np.add.at(g, tables[i], pref[i] * suf[i] * didw)
-        grads.append(g)
-    return grads
+    return p * (np.log(p, out=np.zeros_like(p), where=p > 0) - np.log(np.maximum(p_y, _TINY)) - 1.0)
 
 
 def _conds_copy(q: CausalConditioning) -> list[np.ndarray]:
@@ -147,23 +124,20 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
     cfg = cfg or SolverConfig()
     first = family.members[0]
     x_card, z_card = first.n_inputs, feedback.z_card
-    tables = list(history_tables(x_card, first.n_outputs, feedback, n))
+    codes = list(history_tables(x_card, feedback, n))
     probs = [p for _, p in pairs]
 
     def value(conds):
-        facs = [c[index] for c, index in zip(conds, tables)]
-        w = np.ones_like(facs[0])
-        for f in facs:
-            w = w * f
+        prods, w = policy_products(conds, codes, first.n_outputs)
         vals = [information_functional(w, p) / n for p in probs]
-        return min(vals), vals, w, facs
+        return min(vals), vals, w, prods
 
-    def active_gradient(conds, j, vals, w, facs):
+    def active_gradient(conds, j, vals, w, prods):
         active = min(
             (i for i, v in enumerate(vals) if v <= j + ACTIVE_TOL),
             default=int(np.argmin(vals)),
         )
-        return active, _gradient(conds, tables, facs, _pair_didw(w, probs[active]))
+        return active, policy_adjoint(conds, codes, prods, _pair_didw(w, probs[active]))
 
     rng = np.random.default_rng(cfg.seed)
     starts = [uniform_policy(n, x_card, z_card)]
@@ -179,12 +153,12 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
         best_v, best_conds = -math.inf, None
         history = []
         for t in range(1, cfg.max_iters + 1):
-            j, vals, w, facs = value(conds)
+            j, vals, w, prods = value(conds)
             history.append(j)
             if j > best_v:
                 best_v = j
                 best_conds = [c.copy() for c in conds]
-            _, grads = active_gradient(conds, j, vals, w, facs)
+            _, grads = active_gradient(conds, j, vals, w, prods)
             step = STEP_INIT / (t ** STEP_POWER)
             for i in range(n):
                 conds[i] = project_rows_to_simplex(conds[i] + (step / n) * grads[i])
@@ -233,7 +207,7 @@ def _pair_tables(family: CompoundFamily, n: int, starts):
     once the solver's whole working set fits the table budget."""
     starts = list(starts)
     entries = family.members[0].n_inputs ** n * family.members[0].n_outputs ** n
-    check_table_bytes(entries, len(starts) + 4 * n + SOLVER_TEMP_TABLES, "capacity solver")
+    check_table_bytes(entries, len(starts) + SOLVER_TEMP_TABLES, "capacity solver")
     return [(label, channel_prob_table(m, n, s0)) for label, m, s0 in starts]
 
 
@@ -307,8 +281,6 @@ def product_policy(q_head: CausalConditioning, q_tail: CausalConditioning) -> Ca
     reps = base ** q_head.horizon
     for local in range(q_tail.horizon):
         conds.append(np.tile(q_tail.conditionals[local], (reps, 1)))
-        reps_check = conds[-1].shape[0]
-        assert reps_check == base ** (q_head.horizon + local)
     return CausalConditioning(
         horizon=q_head.horizon + q_tail.horizon,
         x_card=q_head.x_card,

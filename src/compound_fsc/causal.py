@@ -275,27 +275,52 @@ def channel_prob_table(fsc: FscSpec, n: int, s0_prior) -> np.ndarray:
     return alpha.sum(axis=2)
 
 
-def history_tables(x_card: int, y_card: int, feedback: FeedbackMap, n: int):
-    """Yield, for steps i = 0..n-1, two int64 tables over all path pairs
-    [xcode, ycode]: the code of the history (x^i, f(y)^i), as rows of
-    CausalConditioning.conditionals[i] are numbered, and the input x_i (a
-    read-only broadcast view).
+def history_tables(x_card: int, feedback: FeedbackMap, n: int):
+    """Yield, for steps i = 0..n-1, the int64 code of (x^i, f(y)^i, x_i) into
+    CausalConditioning.conditionals[i].ravel(): code_i = (code_{i-1} * |Z| +
+    f(y_{i-1})) * |X| + x_i.
 
-    So conditionals[i][hist, x] is the step-i factor of q(x^n || f(y)^{n-1}).
-    Refuses past TABLE_BYTES before building the first table.
+    Code i broadcasts against the (X,)*n + (Y,)*n path tensor (axis k holds
+    x_k, axis n + k holds y_k) and spans only the axes of x_0..x_i and
+    y_0..y_{i-1}, so it lives on the (|X||Y|)^i-prefix tree, not on the full
+    path-pair table.
     """
-    nx, ny = x_card ** n, y_card ** n
-    # the current code table, the next one and one temporary
-    check_table_bytes(nx * ny, 3, "history tables")
-    x_paths = enumerate_paths(x_card, n)
-    z_paths = feedback_paths(feedback, enumerate_paths(y_card, n))
-    base = x_card * feedback.z_card
-    h = np.zeros((nx, ny), dtype=np.int64)
+    code = np.zeros((), dtype=np.int64)
     for i in range(n):
-        xi = x_paths[:, i][:, None]
-        yield h, np.broadcast_to(xi, h.shape)
-        if i < n - 1:
-            h = h * base + xi * feedback.z_card + z_paths[:, i][None, :]
+        if i:
+            code = code * feedback.z_card + feedback.table.reshape((-1,) + (1,) * (n - i))
+        code = code * x_card + np.arange(x_card).reshape((-1,) + (1,) * (2 * n - 1 - i))
+        yield code
+
+
+def policy_products(conds, codes, y_card: int):
+    """Running products prods[i] = prod_{k <= i} conds[k].ravel()[codes[k]]
+    over the prefix tree, multiplied earliest step first, and the weight
+    table W[xcode, ycode] = q(x^n || f(y)^{n-1}) that prods[-1] spreads over
+    the unused last output."""
+    prods = []
+    for c, code in zip(conds, codes):
+        f = c.reshape(-1)[code]
+        prods.append(prods[-1] * f if prods else f)
+    last = prods[-1]
+    full = np.broadcast_to(last, last.shape[:-1] + (y_card,))
+    return prods, full.reshape(last.shape[0] ** len(prods), -1)
+
+
+def policy_adjoint(conds, codes, prods, didw: np.ndarray) -> list[np.ndarray]:
+    """d/d conds[i] of sum(W * didw) for the W of policy_products, stepping
+    back one tree level at a time: U_{n-1} = sum_{y_{n-1}} didw, U_{i-1} =
+    sum_{x_i, y_{i-1}} f_i U_i, and step i's gradient is prods[i-1] U_i
+    folded into conditionals[i]'s entries by its codes."""
+    n = len(codes)
+    u = didw.reshape(codes[-1].shape[:-1] + (-1,)).sum(axis=-1, keepdims=True)
+    grads = [None] * n
+    for i in range(n - 1, -1, -1):
+        g = prods[i - 1] * u if i else u
+        grads[i] = np.bincount(codes[i].ravel(), g.ravel(), conds[i].size).reshape(conds[i].shape)
+        if i:
+            u = (conds[i].reshape(-1)[codes[i]] * u).sum(axis=(i, n + i - 1), keepdims=True)
+    return grads
 
 
 def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap) -> np.ndarray:
@@ -304,14 +329,11 @@ def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMa
         raise ValidationError("policy and feedback map disagree on |Z|")
     if feedback.table.size != y_card:
         raise ValidationError("feedback table does not cover the output alphabet")
-    # measured peak about 4 tables: two history codes, the weights and one
-    # gathered factor
-    check_table_bytes(q.x_card ** q.horizon * y_card ** q.horizon, 5, "policy weight table")
-    tables = history_tables(q.x_card, y_card, feedback, q.horizon)
-    w = q.conditionals[0][next(tables)]
-    for c, index in zip(q.conditionals[1:], tables):
-        w *= c[index]
-    return w
+    # measured peak 2.7 tables: the last code, factor and product (half a
+    # table each at |Y| = 2), the shorter ones and the weights
+    check_table_bytes(q.x_card ** q.horizon * y_card ** q.horizon, 3, "policy weight table")
+    codes = history_tables(q.x_card, feedback, q.horizon)
+    return policy_products(q.conditionals, codes, y_card)[1]
 
 
 def joint_and_output_probs(

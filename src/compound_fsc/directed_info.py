@@ -42,9 +42,11 @@ def information_functional(w: np.ndarray, p: np.ndarray) -> float:
     """sum_{x,y} w(x,y) p(y||x) log( p(y||x) / sum_x' w p ) with 0 log 0 = 0."""
     joint = w * p
     p_y = joint.sum(axis=0)
-    mask = joint > 0
-    terms = joint[mask] * (np.log(p[mask]) - np.log(p_y[np.nonzero(mask)[1]]))
-    return float(terms.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(p)
+        terms -= np.log(p_y)
+        terms *= joint
+    return float(terms.sum(where=joint > 0))
 
 
 def _tensor(joint: np.ndarray, n: int, x_card: int, y_card: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import causal_prob_rows, feedback_paths, uniform_policy
+from .causal import _as_prior, causal_prob_rows, feedback_paths, uniform_policy
 from .channel import (
     CompoundFamily,
     FeedbackMap,
@@ -49,10 +49,12 @@ class TrialConfig:
             raise ValidationError("trials must be >= 1")
         if self.decoder not in ("ml", "universal"):
             raise ValidationError("decoder must be 'ml' or 'universal'")
+        fsc = self.family.member(self.true_label)
         if self.s0 is not None:
-            n_states = self.family.member(self.true_label).n_states
-            if not isinstance(self.s0, (int, np.integer)) or not 0 <= self.s0 < n_states:
-                raise ValidationError(f"s0 = {self.s0} outside 0..{n_states - 1}")
+            if not isinstance(self.s0, (int, np.integer)) or not 0 <= self.s0 < fsc.n_states:
+                raise ValidationError(f"s0 = {self.s0} outside 0..{fsc.n_states - 1}")
+        _as_prior(fsc, self.s0_prior)
+        _as_prior(fsc, self.decoder_s0_prior)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +126,7 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     if cfg.s0 is not None:
         s0 = np.full(cfg.trials, cfg.s0, dtype=np.int64)
     else:
-        prior = (
-            np.full(fsc.n_states, 1.0 / fsc.n_states)
-            if cfg.s0_prior is None
-            else np.asarray(cfg.s0_prior, dtype=float)
-        )
-        s0 = _sample_categorical_rows(np.tile(prior, (cfg.trials, 1)), u[:, 1])
+        s0 = _sample_categorical_rows(np.tile(_as_prior(fsc, cfg.s0_prior), (cfg.trials, 1)), u[:, 1])
     decoder = _make_decoder(cfg)
 
     def chunk(lo: int, hi: int):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,36 @@ def test_solver_admits_n10_on_ge_gap(monkeypatch):
     fam = ge_gap_family()
     with pytest.raises(_Built):
         compute_Cn(fam, identity_feedback(fam.members[0].outputs), 10, SolverConfig(max_iters=3, restarts=0))
+
+
+def test_solver_admits_n11_on_ge_gap(monkeypatch):
+    # the working set no longer grows with n, so n = 11 now fits the budget
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    fam = ge_gap_family()
+    with pytest.raises(_Built):
+        compute_Cn(fam, identity_feedback(fam.members[0].outputs), 11, SolverConfig(max_iters=3, restarts=0))
+
+
+def test_solver_charge_bounds_its_measured_peak(monkeypatch):
+    charged = []
+    guard = capmod.check_table_bytes
+
+    def recording(entries, arrays, what):
+        charged.append(entries * 8 * arrays)
+        guard(entries, arrays, what)
+
+    monkeypatch.setattr(capmod, "check_table_bytes", recording)
+    fam = ge_gap_family()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_Cn(fam, identity_feedback(fam.members[0].outputs), 8, SolverConfig(max_iters=2, restarts=0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1
+    assert peak <= charged[0]
 
 
 def test_ge_feedback_gap_state_degenerate():

@@ -7,6 +7,7 @@ import pytest
 from compound_fsc import (
     CapExceededError,
     CausalConditioning,
+    FeedbackMap,
     GilbertElliotParams,
     ValidationError,
     bsc,
@@ -31,6 +32,7 @@ from compound_fsc import (
     save_policy,
     uniform_policy,
 )
+from compound_fsc.causal import history_tables, policy_adjoint, policy_products
 from compound_fsc.util import enumerate_paths
 
 
@@ -159,17 +161,54 @@ def test_joint_table_is_weight_times_channel():
     assert np.abs(p_y - joint.sum(axis=0)).max() == 0.0
 
 
+# (|X|, feedback map): identity, none, permuted, coarse with 1 < |Z| < |Y|,
+# and a non-square alphabet
+FEEDBACK_CASES = (
+    (2, identity_feedback((0, 1))),
+    (2, no_feedback((0, 1))),
+    (2, FeedbackMap(z_alphabet=(0, 1, 2), table=np.array([2, 0, 1]))),
+    (2, FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1]))),
+    (3, identity_feedback((0, 1))),
+)
+
+
 def test_joint_table_brute_force_oracle():
     rng = np.random.default_rng(17)
-    fsc = random_fsc(rng, 2, 2, 2)
-    q = random_policy(2, 2, 2, rng)
-    fb = identity_feedback(fsc.outputs)
-    joint, _ = joint_and_output_probs(q, fsc, 1, fb)
-    for xi, xs in enumerate(itertools.product(range(2), repeat=2)):
-        for yi, ys in enumerate(itertools.product(range(2), repeat=2)):
-            zs = [fb.table[y] for y in ys]
-            want = input_prob(q, xs, zs[:1]) * causal_channel_prob(fsc, xs, ys, 1)
-            assert joint[xi, yi] == pytest.approx(want, abs=1e-14)
+    for x_card, fb in FEEDBACK_CASES:
+        y_card = fb.table.size
+        for n in (1, 2, 3):
+            fsc = random_fsc(rng, 2, x_card, y_card)
+            q = random_policy(n, x_card, fb.z_card, rng)
+            w = policy_weight_table(q, y_card, fb)
+            joint, _ = joint_and_output_probs(q, fsc, 1, fb)
+            for xi, xs in enumerate(itertools.product(range(x_card), repeat=n)):
+                for yi, ys in enumerate(itertools.product(range(y_card), repeat=n)):
+                    q_path = input_prob(q, xs, [fb.table[y] for y in ys[: n - 1]])
+                    assert w[xi, yi] == q_path  # same factors, same order
+                    want = q_path * causal_channel_prob(fsc, xs, ys, 1)
+                    assert joint[xi, yi] == pytest.approx(want, abs=1e-14)
+
+
+def test_policy_adjoint_matches_multilinear_difference():
+    # W is linear in each conditional entry, so adding 1 to entry (h, x) of
+    # step i changes sum(W * D) by exactly that entry's supergradient
+    rng = np.random.default_rng(29)
+    for x_card, fb in FEEDBACK_CASES:
+        y_card = fb.table.size
+        for n in (1, 2, 3):
+            conds = list(random_policy(n, x_card, fb.z_card, rng).conditionals)
+            codes = list(history_tables(x_card, fb, n))
+            d = rng.standard_normal((x_card ** n, y_card ** n))
+            prods, w = policy_products(conds, codes, y_card)
+            grads = policy_adjoint(conds, codes, prods, d)
+            for i, c in enumerate(conds):
+                assert grads[i].shape == c.shape
+                for h, x in itertools.product(range(c.shape[0]), range(x_card)):
+                    bumped = list(conds)
+                    bumped[i] = c.copy()
+                    bumped[i][h, x] += 1.0
+                    diff = ((policy_products(bumped, codes, y_card)[1] - w) * d).sum()
+                    assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
 
 
 def test_joint_table_mixes_over_state_prior():

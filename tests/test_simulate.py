@@ -117,6 +117,33 @@ def test_trial_config_rejects_out_of_range_state(s0):
         )
 
 
+def _refuse_to_simulate(*args, **kwargs):
+    raise AssertionError("a trial ran before the prior was checked")
+
+
+@pytest.mark.parametrize("field", ["s0_prior", "decoder_s0_prior"])
+@pytest.mark.parametrize(
+    "prior", [(0.2, 0.3, 0.5), (1.5, -0.5), (0.3, 0.3)], ids=["three-states", "negative", "unnormalised"]
+)
+def test_trial_config_rejects_bad_state_prior(monkeypatch, field, prior):
+    monkeypatch.setattr("compound_fsc.simulate.simulate_batch", _refuse_to_simulate)
+    fam = CompoundFamily(
+        members=(make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45)),),
+        labels=("ge",),
+    )
+    with pytest.raises(ValidationError):
+        run_trials(
+            TrialConfig(
+                family=fam,
+                true_label="ge",
+                codebook=constant_codebook(3, (0, 1)),
+                feedback=identity_feedback((0, 1)),
+                trials=50,
+                **{field: prior},
+            )
+        )
+
+
 def test_monte_carlo_matches_exact():
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45))
     fam = CompoundFamily(members=(fsc,), labels=("ge",))
