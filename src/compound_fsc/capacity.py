@@ -50,9 +50,10 @@ ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
 # Path-sized tables alive at the solver's peak besides one per pair: the
 # weights, the policy copies, the history codes and the value's and the
 # supergradient's temporaries. On ge-gap (6 pairs) with 3 iterations and no
-# restarts, tracemalloc measured 11.9, 10.8 and 10.6 of them at n = 8, 9 and
-# 10 (46, 73 and 178 MB peak RSS); one table of headroom on top.
-SOLVER_TEMP_TABLES = 13
+# restarts, tracemalloc measured 10.3, 8.8 and 8.8 of them at n = 8, 9 and
+# 10 (at n = 8, 1.4 of the 10.3 are one-time import allocations of a fresh
+# process); one table of headroom on top, rounded up.
+SOLVER_TEMP_TABLES = 12
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,19 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
         vals = [information_functional(w, p) / n for p in probs]
         return min(vals), vals, w, prods
 
-    def active_gradient(conds, j, vals, w, prods):
+    def active_gradient(conds):
+        j, vals, w, prods = value(conds)
         active = min(
             (i for i, v in enumerate(vals) if v <= j + ACTIVE_TOL),
             default=int(np.argmin(vals)),
         )
-        return active, policy_adjoint(conds, codes, prods, _pair_didw(w, probs[active]))
+        return j, active, policy_adjoint(conds, codes, prods, _pair_didw(w, probs[active]))
+
+    def ascent_step(conds, step):
+        # the weights and products die before the projection and the
+        # supergradient on return, so the next evaluation starts without them
+        j, _, grads = active_gradient(conds)
+        return j, [project_rows_to_simplex(c + (step / n) * g) for c, g in zip(conds, grads)]
 
     rng = np.random.default_rng(cfg.seed)
     starts = [uniform_policy(n, x_card, z_card)]
@@ -153,15 +161,11 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
         best_v, best_conds = -math.inf, None
         history = []
         for t in range(1, cfg.max_iters + 1):
-            j, vals, w, prods = value(conds)
+            j, stepped = ascent_step(conds, STEP_INIT / (t ** STEP_POWER))
             history.append(j)
             if j > best_v:
-                best_v = j
-                best_conds = [c.copy() for c in conds]
-            _, grads = active_gradient(conds, j, vals, w, prods)
-            step = STEP_INIT / (t ** STEP_POWER)
-            for i in range(n):
-                conds[i] = project_rows_to_simplex(conds[i] + (step / n) * grads[i])
+                best_v, best_conds = j, conds
+            conds = stepped
             if t >= avg_from:
                 for i in range(n):
                     avg[i] += conds[i]
@@ -173,7 +177,7 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
                 global_best = (cand_v, cand_c, history, start_idx, src)
 
     c_n, conds, history, start_idx, source = global_best
-    active, grads = active_gradient(conds, *value(conds))
+    _, active, grads = active_gradient(conds)
     probe = 1e-3
     moved = [project_rows_to_simplex(conds[i] + probe * grads[i] / n) - conds[i] for i in range(n)]
     stationarity = max(float(np.abs(m).max()) for m in moved) / probe

@@ -73,6 +73,8 @@ class CausalConditioning:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalConditioning":
+        if not isinstance(d, dict):
+            raise ValidationError("policy JSON must be an object")
         try:
             horizon = int(d["horizon"])
             x_card = int(d["x_card"])
@@ -146,36 +148,9 @@ def input_prob(q: CausalConditioning, xs, zs) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class ForwardState:
-    """State-resolved prefix weights alpha[s] = P(y^i, s_i = s || x^i, s_0)."""
-
-    step: int
-    alpha: np.ndarray
-
-    @property
-    def prefix_prob(self) -> float:
-        return float(math.fsum(self.alpha.tolist()))
-
-
-def forward_pass(fsc: FscSpec, xs, ys, s0: int) -> list[ForwardState]:
-    """All intermediate forward states for one (x, y) path from state s0."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValidationError("input and output paths must have equal length")
-    if not 0 <= s0 < fsc.n_states:
-        raise ValidationError("s0 outside the state alphabet")
-    alpha = np.zeros(fsc.n_states)
-    alpha[s0] = 1.0
-    out = [ForwardState(step=0, alpha=alpha)]
-    for i, (x, y) in enumerate(zip(xs, ys), start=1):
-        alpha = alpha @ fsc.kernel[:, x, y, :]
-        out.append(ForwardState(step=i, alpha=alpha))
-    return out
-
 def causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
-    """P(y^n || x^n, s_0): sum over state paths via the forward recursion."""
-    return forward_pass(fsc, xs, ys, s0)[-1].prefix_prob
+    """P(y^n || x^n, s_0): causal_log_prob_rows on one row."""
+    return float(np.exp(causal_log_prob_rows(fsc, [list(xs)], [list(ys)], s0)[0]))
 
 
 def naive_causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
@@ -193,22 +168,10 @@ def naive_causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
     return math.fsum(total)
 
 
-def causal_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s0_prior) -> np.ndarray:
-    """Vector of sum_s0 prior(s0) P(y || x, s0) for row-aligned path matrices."""
-    x_rows = np.asarray(x_rows, dtype=np.int64)
-    y_rows = np.asarray(y_rows, dtype=np.int64)
-    if x_rows.shape != y_rows.shape:
-        raise ValidationError("path matrices must share shape")
-    t, n = x_rows.shape
-    alpha = np.broadcast_to(_as_prior(fsc, s0_prior), (t, fsc.n_states)).copy()
-    for i in range(n):
-        step = fsc.kernel[:, x_rows[:, i], y_rows[:, i], :]  # [s_prev, row, s_next]
-        alpha = np.einsum("ts,str->tr", alpha, step)
-    return alpha.sum(axis=1)
-
-
 def causal_log_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s0_prior) -> np.ndarray:
-    """Log of causal_prob_rows with per-step rescaling; -inf for zero paths."""
+    """Vector of log sum_s0 prior(s0) P(y || x, s0) for row-aligned path
+    matrices, by the forward recursion rescaled at every step; -inf for
+    impossible rows. The one recursion along given path rows."""
     x_rows = np.asarray(x_rows, dtype=np.int64)
     y_rows = np.asarray(y_rows, dtype=np.int64)
     if x_rows.shape != y_rows.shape:
@@ -220,10 +183,9 @@ def causal_log_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s
         step = fsc.kernel[:, x_rows[:, i], y_rows[:, i], :]
         alpha = np.einsum("ts,str->tr", alpha, step)
         scale = alpha.sum(axis=1)
-        dead = scale <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_acc += np.where(dead, -np.inf, np.log(np.where(dead, 1.0, scale)))
-        alpha = np.where(dead[:, None], 0.0, alpha / np.where(scale[:, None] == 0, 1.0, scale[:, None]))
+        with np.errstate(divide="ignore"):
+            log_acc += np.log(scale)  # -inf once a row is impossible
+        alpha /= np.where(scale > 0.0, scale, 1.0)[:, None]  # a dead row stays zero
     return log_acc
 
 
@@ -283,11 +245,12 @@ def history_tables(x_card: int, feedback: FeedbackMap, n: int):
     Code i broadcasts against the (X,)*n + (Y,)*n path tensor (axis k holds
     x_k, axis n + k holds y_k) and spans only the axes of x_0..x_i and
     y_0..y_{i-1}, so it lives on the (|X||Y|)^i-prefix tree, not on the full
-    path-pair table.
+    path-pair table. With |Z| = 1 the feedback term is always 0 and the
+    codes span no output axis.
     """
     code = np.zeros((), dtype=np.int64)
     for i in range(n):
-        if i:
+        if i and feedback.z_card > 1:
             code = code * feedback.z_card + feedback.table.reshape((-1,) + (1,) * (n - i))
         code = code * x_card + np.arange(x_card).reshape((-1,) + (1,) * (2 * n - 1 - i))
         yield code
@@ -297,14 +260,15 @@ def policy_products(conds, codes, y_card: int):
     """Running products prods[i] = prod_{k <= i} conds[k].ravel()[codes[k]]
     over the prefix tree, multiplied earliest step first, and the weight
     table W[xcode, ycode] = q(x^n || f(y)^{n-1}) that prods[-1] spreads over
-    the unused last output."""
+    every output axis it does not span (the last one, or all n without
+    feedback)."""
     prods = []
     for c, code in zip(conds, codes):
         f = c.reshape(-1)[code]
         prods.append(prods[-1] * f if prods else f)
-    last = prods[-1]
-    full = np.broadcast_to(last, last.shape[:-1] + (y_card,))
-    return prods, full.reshape(last.shape[0] ** len(prods), -1)
+    last, n = prods[-1], len(prods)
+    full = np.broadcast_to(last, last.shape[:n] + (y_card,) * n)
+    return prods, full.reshape(last.shape[0] ** n, -1)
 
 
 def policy_adjoint(conds, codes, prods, didw: np.ndarray) -> list[np.ndarray]:

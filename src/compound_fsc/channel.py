@@ -86,6 +86,8 @@ class FscSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FscSpec":
+        if not isinstance(d, dict):
+            raise ValidationError("channel JSON must be an object")
         try:
             return cls(
                 states=tuple(d["states"]),
@@ -186,6 +188,8 @@ class FeedbackMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeedbackMap":
+        if not isinstance(d, dict):
+            raise ValidationError("feedback JSON must be an object")
         try:
             return cls(z_alphabet=tuple(d["z_alphabet"]), table=np.asarray(d["map"]))
         except KeyError as e:

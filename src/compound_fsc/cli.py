@@ -188,6 +188,8 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValidationError("simulate config JSON must be an object")
     if "family" in file_cfg:
         family = CompoundFamily.from_list(file_cfg["family"])
         fam_cfg = {"family": "inline"}

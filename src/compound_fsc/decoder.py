@@ -25,19 +25,18 @@ def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=N
     y = np.asarray(list(y), dtype=np.int64)
     if y.size != tree.depth:
         raise ValidationError("output length must match the tree depth")
-    z = feedback.table[y[:-1]][None, :]
-    x = paths_rows(tree, z)
-    return float(causal_log_prob_rows(fsc, x, y[None, :], s0_prior)[0])
+    return float(batch_tree_log_likelihood(fsc, tree, y[None, :], feedback, s0_prior)[0])
 
 
 def tree_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
-    ll = tree_log_likelihood(fsc, tree, y, feedback, s0_prior)
-    return math.exp(ll) if ll > -math.inf else 0.0
+    return math.exp(tree_log_likelihood(fsc, tree, y, feedback, s0_prior))
 
 
 def batch_tree_log_likelihood(
     fsc: FscSpec, tree, y_rows: np.ndarray, feedback: FeedbackMap, s0_prior=None
 ) -> np.ndarray:
+    """tree_log_likelihood for each row of a (T, depth) output matrix: the one
+    code-tree scorer, read by the decoders and by exact error enumeration."""
     y_rows = np.asarray(y_rows, dtype=np.int64)
     z_rows = feedback_paths(feedback, y_rows[:, :-1])
     x_rows = paths_rows(tree, z_rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import _as_prior, causal_prob_rows, feedback_paths, uniform_policy
+from .causal import _as_prior, uniform_policy
 from .channel import (
     CompoundFamily,
     FeedbackMap,
@@ -22,8 +22,8 @@ from .channel import (
     identity_feedback,
     make_gilbert_elliot,
 )
-from .codetree import Codebook, node_columns, paths_rows, sample_codebook
-from .decoder import MLDecoder, UniversalDecoder
+from .codetree import Codebook, node_columns, sample_codebook
+from .decoder import MLDecoder, UniversalDecoder, batch_tree_log_likelihood
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, enumerate_paths, wilson_interval, worker_count
 
@@ -51,7 +51,7 @@ class TrialConfig:
             raise ValidationError("decoder must be 'ml' or 'universal'")
         fsc = self.family.member(self.true_label)
         if self.s0 is not None:
-            if not isinstance(self.s0, (int, np.integer)) or not 0 <= self.s0 < fsc.n_states:
+            if not np.issubdtype(type(self.s0), np.integer) or not 0 <= self.s0 < fsc.n_states:
                 raise ValidationError(f"s0 = {self.s0} outside 0..{fsc.n_states - 1}")
         _as_prior(fsc, self.s0_prior)
         _as_prior(fsc, self.decoder_s0_prior)
@@ -169,12 +169,10 @@ def exact_error_probability(cb: Codebook, fsc: FscSpec, s0: int, feedback: Feedb
         raise CapExceededError(f"output enumeration needs {n_y} paths (cap {EXACT_OUTPUT_PATHS})")
     y_all = enumerate_paths(fsc.n_outputs, n)
     w_hat = decoder.decode_rows(cb, y_all)
-    z_all = feedback_paths(feedback, y_all[:, :-1])
     total = 0.0
     for w, tree in enumerate(cb.trees):
-        x_rows = paths_rows(tree, z_all)
-        probs = causal_prob_rows(fsc, x_rows, y_all, int(s0))
-        total += float(probs[w_hat != w].sum())
+        ll = batch_tree_log_likelihood(fsc, tree, y_all[w_hat != w], feedback, int(s0))
+        total += float(np.exp(ll).sum())
     return total / cb.m_count
 
 

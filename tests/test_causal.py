@@ -13,10 +13,8 @@ from compound_fsc import (
     bsc,
     causal_channel_prob,
     causal_log_prob_rows,
-    causal_prob_rows,
     channel_prob_table,
     feedback_paths,
-    forward_pass,
     history_index,
     identity_feedback,
     iid_policy,
@@ -98,16 +96,15 @@ def test_causal_prob_normalizes_over_outputs():
                 assert tot == pytest.approx(1.0, abs=1e-12)
 
 
-def test_forward_pass_prefix_weights():
+def test_causal_channel_prob_prefixes_and_validation():
     fsc = ge(0.5, 0.5, 0.0, 0.5)
-    states = forward_pass(fsc, (0, 0), (0, 1), s0=0)
-    assert states[0].prefix_prob == 1.0
-    assert states[1].prefix_prob == pytest.approx(1.0)  # first output certain
-    assert states[2].prefix_prob == pytest.approx(0.25)
+    assert causal_channel_prob(fsc, (), (), s0=0) == 1.0
+    assert causal_channel_prob(fsc, (0,), (0,), s0=0) == pytest.approx(1.0)  # first output certain
+    assert causal_channel_prob(fsc, (0, 0), (0, 1), s0=0) == pytest.approx(0.25)
     with pytest.raises(ValidationError):
-        forward_pass(fsc, (0, 0), (0,), s0=0)
+        causal_channel_prob(fsc, (0, 0), (0,), s0=0)
     with pytest.raises(ValidationError):
-        forward_pass(fsc, (0,), (0,), s0=5)
+        causal_channel_prob(fsc, (0,), (0,), s0=5)
 
 
 def test_history_index_mixed_radix():
@@ -198,6 +195,10 @@ def test_policy_adjoint_matches_multilinear_difference():
         for n in (1, 2, 3):
             conds = list(random_policy(n, x_card, fb.z_card, rng).conditionals)
             codes = list(history_tables(x_card, fb, n))
+            for i, code in enumerate(codes):
+                # x_0..x_i, then y_0..y_{i-1} only when feedback carries them
+                y_axes = (y_card if fb.z_card > 1 else 1,) * i
+                assert code.shape == (x_card,) * (i + 1) + (1,) * (n - 1 - i) + y_axes + (1,) * (n - i)
             d = rng.standard_normal((x_card ** n, y_card ** n))
             prods, w = policy_products(conds, codes, y_card)
             grads = policy_adjoint(conds, codes, prods, d)
@@ -241,11 +242,11 @@ def test_causal_prob_rows_matches_scalar():
     fsc = random_fsc(rng, 2, 2, 3)
     x_rows = rng.integers(0, 2, size=(40, 4))
     y_rows = rng.integers(0, 3, size=(40, 4))
-    got = causal_prob_rows(fsc, x_rows, y_rows, 1)
-    want = [causal_channel_prob(fsc, x, y, 1) for x, y in zip(x_rows, y_rows)]
-    assert np.abs(got - np.array(want)).max() < 1e-14
-    logs = causal_log_prob_rows(fsc, x_rows, y_rows, 1)
-    assert np.abs(np.exp(logs) - got).max() < 1e-12
+    got = np.exp(causal_log_prob_rows(fsc, x_rows, y_rows, 1))
+    scalar = [causal_channel_prob(fsc, x, y, 1) for x, y in zip(x_rows, y_rows)]
+    naive = [naive_causal_channel_prob(fsc, x, y, 1) for x, y in zip(x_rows, y_rows)]
+    assert np.abs(got - np.array(scalar)).max() < 1e-14
+    assert np.abs(got - np.array(naive)).max() < 1e-14
 
 
 def test_causal_log_prob_rows_impossible_path():
@@ -271,6 +272,13 @@ def test_policy_round_trip(tmp_path):
     assert back.horizon == 3
     for a, b in zip(back.conditionals, q.conditionals):
         assert np.abs(a - b).max() == 0.0
+
+
+def test_load_policy_rejects_non_object(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text("[1]")
+    with pytest.raises(ValidationError):
+        load_policy(path)
 
 
 def test_policy_validation():

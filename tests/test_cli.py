@@ -90,6 +90,24 @@ class TestCapacity:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_feedback_table_not_an_object(self, tmp_path, capsys):
+        fam = write_pair_family(tmp_path)
+        fb_path = tmp_path / "fb.json"
+        fb_path.write_text(json.dumps([0, 1]))
+        rc = main(
+            ["capacity", "--family", str(fam), "--feedback", f"table:{fb_path}", "--n", "1",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_family_member_not_an_object(self, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps([1, 2]))
+        rc = main(["capacity", "--family", str(fam_path), "--n", "1", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_table_cap_exit_code(self, tmp_path, capsys):
         fam = write_pair_family(tmp_path)
         rc = main(
@@ -226,6 +244,17 @@ class TestSimulate:
     def test_out_of_range_initial_state_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"s0": 7}))
+        rc = main(
+            ["simulate", "--preset", "ge-gap", "--config", str(cfg_path), "--n", "2",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [[1], {"s0": True}], ids=["array", "bool-s0"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, body):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(body))
         rc = main(
             ["simulate", "--preset", "ge-gap", "--config", str(cfg_path), "--n", "2",
              "--out", str(tmp_path / "run")]

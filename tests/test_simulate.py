@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from compound_fsc import (
     CodeTree,
     Codebook,
     CompoundFamily,
+    FscSpec,
     GilbertElliotParams,
     MLDecoder,
     TrialConfig,
@@ -20,7 +22,10 @@ from compound_fsc import (
     identity_feedback,
     make_gilbert_elliot,
     make_memoryless,
+    ml_decode,
+    naive_causal_channel_prob,
     no_feedback,
+    path,
     paths_rows,
     random_coding_bound,
     run_trials,
@@ -101,7 +106,29 @@ def test_exact_error_enumeration_cap():
         exact_error_probability(cb, fsc, 0, fb, MLDecoder(fsc, fb))
 
 
-@pytest.mark.parametrize("s0", [-1, 2])
+@pytest.mark.parametrize(
+    "feedback", [identity_feedback((0, 1)), no_feedback((0, 1))], ids=["identity", "none"]
+)
+def test_exact_error_matches_brute_force_oracle(feedback):
+    # every output path, every message the scalar decoder does not pick,
+    # weighted by the state-path sum along that message's tree path
+    rng = np.random.default_rng(43)
+    rows = rng.dirichlet(np.ones(4), size=4)
+    fsc = FscSpec(states=(0, 1), inputs=(0, 1), outputs=(0, 1), kernel=rows.reshape(2, 2, 2, 2))
+    n, s0 = 3, 1
+    cb = sample_codebook(uniform_policy(n, 2, feedback.z_card), 4, rng)
+    want = 0.0
+    for y in itertools.product(range(2), repeat=n):
+        w_hat = ml_decode(cb, y, fsc, feedback)
+        z = [feedback.table[v] for v in y[:-1]]
+        for w, tree in enumerate(cb.trees):
+            if w != w_hat:
+                want += naive_causal_channel_prob(fsc, path(tree, z), y, s0)
+    got = exact_error_probability(cb, fsc, s0, feedback, MLDecoder(fsc, feedback))
+    assert got == pytest.approx(want / cb.m_count, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s0", [-1, 2, True])
 def test_trial_config_rejects_out_of_range_state(s0):
     fam = CompoundFamily(
         members=(make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45)),),
