@@ -24,6 +24,7 @@ from .causal import (
     policy_adjoint,
     policy_products,
     policy_weight_table,
+    product_policy,
     uniform_policy,
     random_policy,
 )
@@ -276,23 +277,6 @@ def compute_Cn_markovian(
     return _solve(family, pairs, feedback, n, cfg, extra_starts)
 
 
-def product_policy(q_head: CausalConditioning, q_tail: CausalConditioning) -> CausalConditioning:
-    """Concatenate two input laws; the tail conditions only on its own block."""
-    if q_head.x_card != q_tail.x_card or q_head.z_card != q_tail.z_card:
-        raise ValidationError("policies must share alphabets")
-    base = q_head.x_card * q_head.z_card
-    conds = [np.array(c) for c in q_head.conditionals]
-    reps = base ** q_head.horizon
-    for local in range(q_tail.horizon):
-        conds.append(np.tile(q_tail.conditionals[local], (reps, 1)))
-    return CausalConditioning(
-        horizon=q_head.horizon + q_tail.horizon,
-        x_card=q_head.x_card,
-        z_card=q_head.z_card,
-        conditionals=tuple(conds),
-    )
-
-
 @dataclass(frozen=True)
 class SuperadditivityResult:
     k: int
@@ -374,36 +358,6 @@ def memoryless_compound_fb_capacity(family: CompoundFamily, tol: float = 1e-8) -
             raise ValidationError("members must be memoryless (single state)")
         values.append(blahut_arimoto(m.kernel[0, :, :, 0], tol=tol)[0])
     return min(values)
-
-
-def mixture_policy(q1: CausalConditioning, q2: CausalConditioning, lam: float) -> CausalConditioning:
-    """Convex combination in path space, re-factorized into conditionals.
-
-    Histories never reached by the mixture get uniform rows.
-    """
-    if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
-        raise ValidationError("policies must share horizon and alphabets")
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("lam must lie in [0, 1]")
-    n, x_card, z_card = q1.horizon, q1.x_card, q1.z_card
-    base = x_card * z_card
-    conds = []
-    # prefix[h] = q(x^i, applied to the (x, z) prefix encoded by h)
-    pref1 = np.ones(1)
-    pref2 = np.ones(1)
-    for i in range(n):
-        # extend prefixes by one (x, z) pair: shape (hist, x, z)
-        t1 = pref1[:, None] * q1.conditionals[i]  # (hist, x)
-        t2 = pref2[:, None] * q2.conditionals[i]
-        num = lam * t1 + (1 - lam) * t2
-        den = (lam * pref1 + (1 - lam) * pref2)[:, None]
-        row = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / x_card)
-        row /= row.sum(axis=1, keepdims=True)
-        conds.append(row)
-        if i < n - 1:
-            pref1 = np.repeat(t1.reshape(-1), z_card)
-            pref2 = np.repeat(t2.reshape(-1), z_card)
-    return CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
 
 
 def _is_gilbert_elliot_shaped(m: FscSpec) -> bool:

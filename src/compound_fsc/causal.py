@@ -28,7 +28,7 @@ class CausalConditioning:
 
     conditionals[i] has shape ((x_card*z_card)**i, x_card): one row per joint
     history (x^i, z^i), encoded earliest-pair-most-significant with pair code
-    x*z_card + z.
+    x*z_card + z. child_histories is the one step of that code.
     """
 
     horizon: int
@@ -56,9 +56,6 @@ class CausalConditioning:
         for c in conds:
             c.setflags(write=False)
         object.__setattr__(self, "conditionals", conds)
-
-    def history_count(self, step: int) -> int:
-        return (self.x_card * self.z_card) ** step
 
     def to_dict(self) -> dict:
         flat = []
@@ -93,14 +90,11 @@ class CausalConditioning:
         return cls(horizon=horizon, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
 
 
-def history_index(xs, zs, x_card: int, z_card: int) -> int:
-    """Mixed-radix code of a joint history, earliest (x, z) pair most significant."""
-    if len(xs) != len(zs):
-        raise ValidationError("history parts must have equal length")
-    h = 0
-    for x, z in zip(xs, zs):
-        h = h * (x_card * z_card) + int(x) * z_card + int(z)
-    return h
+def child_histories(hist, x, x_card: int, z_card: int) -> np.ndarray:
+    """The one step of the encoder-history code: the rows of the histories
+    (h, x, z) for every feedback symbol z, (hist * |X| + x) * |Z| + z, on a
+    new last axis. hist and x broadcast against each other."""
+    return ((np.asarray(hist) * x_card + x) * z_card)[..., None] + np.arange(z_card)
 
 
 def uniform_policy(n: int, x_card: int, z_card: int) -> CausalConditioning:
@@ -140,12 +134,59 @@ def input_prob(q: CausalConditioning, xs, zs) -> float:
         raise ValidationError("feedback path must cover steps 1..n-1")
     p = 1.0
     h = 0
-    base = q.x_card * q.z_card
     for i, x in enumerate(xs):
         p *= q.conditionals[i][h, x]
         if i < q.horizon - 1:
-            h = h * base + x * q.z_card + zs[i]
+            h = child_histories(h, x, q.x_card, q.z_card)[zs[i]]
     return p
+
+
+def product_policy(q_head: CausalConditioning, q_tail: CausalConditioning) -> CausalConditioning:
+    """Concatenate two input laws; the tail conditions only on its own block.
+
+    A history of the product is the head's history followed by the tail's,
+    so each tail conditional repeats once per head history."""
+    if q_head.x_card != q_tail.x_card or q_head.z_card != q_tail.z_card:
+        raise ValidationError("policies must share alphabets")
+    reps = (q_head.x_card * q_head.z_card) ** q_head.horizon
+    conds = q_head.conditionals + tuple(np.tile(c, (reps, 1)) for c in q_tail.conditionals)
+    return CausalConditioning(
+        horizon=q_head.horizon + q_tail.horizon,
+        x_card=q_head.x_card,
+        z_card=q_head.z_card,
+        conditionals=conds,
+    )
+
+
+def sequence_reach(q: CausalConditioning) -> list[np.ndarray]:
+    """Sequence form of q: reach[i][h, x] is the product of q's conditionals
+    along history h and then x, the weight q gives the input prefix of
+    (h, x) given its feedback prefix. The child rows (h, x, z) of step i + 1
+    all inherit reach[i][h, x]."""
+    reach = []
+    for c in q.conditionals:
+        prefix = np.repeat(reach[-1].reshape(-1), q.z_card) if reach else np.ones(1)
+        reach.append(prefix[:, None] * c)
+    return reach
+
+
+def mixture_policy(q1: CausalConditioning, q2: CausalConditioning, lam: float) -> CausalConditioning:
+    """Convex combination in path space, re-factorized into conditionals: the
+    row-normalised lam * reach1 + (1 - lam) * reach2 of sequence_reach, so
+    its weight table is lam * W1 + (1 - lam) * W2 under any feedback map.
+
+    Histories never reached by the mixture get uniform rows.
+    """
+    if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
+        raise ValidationError("policies must share horizon and alphabets")
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError("lam must lie in [0, 1]")
+    conds = []
+    for r1, r2 in zip(sequence_reach(q1), sequence_reach(q2)):
+        num = lam * r1 + (1 - lam) * r2
+        den = num.sum(axis=1, keepdims=True)
+        conds.append(np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / q1.x_card))
+    return CausalConditioning(horizon=q1.horizon, x_card=q1.x_card, z_card=q1.z_card, conditionals=tuple(conds))
 
 
 def causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
@@ -203,11 +244,6 @@ def _as_prior(fsc: FscSpec, s0_prior) -> np.ndarray:
     if p.shape != (fsc.n_states,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError("s0 prior must be a distribution over the states")
     return p
-
-
-def feedback_paths(feedback: FeedbackMap, y_rows: np.ndarray) -> np.ndarray:
-    """Apply the feedback map elementwise to a matrix of output paths."""
-    return feedback.table[np.asarray(y_rows, dtype=np.int64)]
 
 
 def check_table_bytes(entries: int, arrays: int, what: str) -> None:

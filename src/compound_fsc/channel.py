@@ -89,14 +89,13 @@ class FscSpec:
         if not isinstance(d, dict):
             raise ValidationError("channel JSON must be an object")
         try:
-            return cls(
-                states=tuple(d["states"]),
-                inputs=tuple(d["inputs"]),
-                outputs=tuple(d["outputs"]),
-                kernel=np.asarray(d["kernel"], dtype=float),
-            )
+            states, inputs, outputs = (tuple(d[k]) for k in ("states", "inputs", "outputs"))
+            kernel = np.asarray(d["kernel"], dtype=float)
         except KeyError as e:
             raise ValidationError(f"channel dict missing key {e}") from e
+        except (TypeError, ValueError) as e:  # a malformed field, e.g. "states": 5
+            raise ValidationError(f"channel dict has a malformed field: {e}") from e
+        return cls(states=states, inputs=inputs, outputs=outputs, kernel=kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +190,12 @@ class FeedbackMap:
         if not isinstance(d, dict):
             raise ValidationError("feedback JSON must be an object")
         try:
-            return cls(z_alphabet=tuple(d["z_alphabet"]), table=np.asarray(d["map"]))
+            z_alphabet, table = tuple(d["z_alphabet"]), np.asarray(d["map"], dtype=np.int64)
         except KeyError as e:
             raise ValidationError(f"feedback dict missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"feedback dict has a malformed field: {e}") from e
+        return cls(z_alphabet=z_alphabet, table=table)
 
 
 def identity_feedback(outputs) -> FeedbackMap:

@@ -134,7 +134,7 @@ def _resolve_feedback(spec: str, outputs) -> FeedbackMap:
         return identity_feedback(outputs)
     if spec == "none":
         return no_feedback(outputs)
-    if spec.startswith("table:"):
+    if isinstance(spec, str) and spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
             return FeedbackMap.from_dict(json.load(fh))
@@ -206,6 +206,9 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     fb_spec = args.feedback if args.feedback is not None else file_cfg.get("feedback", "identity")
     fb = _resolve_feedback(fb_spec, family.members[0].outputs)
     m_count = file_cfg.get("messages", 2)
+    for name, value in (("n", n), ("trials", trials), ("messages", m_count)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"simulate {name!r} must be an integer, got {value!r}")
     decoder = file_cfg.get("decoder", "ml")
     true_label = file_cfg.get("true_label", family.labels[0])
     cb_spec = file_cfg.get("codebook", "constant")

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import CausalConditioning
+from .causal import CausalConditioning, child_histories
 from .errors import CapExceededError, ValidationError
+from .util import sample_rows
 
 TYPE_SPACE_CAP = 1024  # most distinct block trees the type operations enumerate
 
@@ -171,22 +172,16 @@ def paths_rows(tree, z_rows: np.ndarray) -> np.ndarray:
 def sample_codetree(q: CausalConditioning, rng: np.random.Generator) -> CodeTree:
     """Draw a tree node by node: each node's symbol from the conditional for
     the (input, feedback) history spelled by its root path."""
-    z = q.z_card
-    base = q.x_card * z
-    size = tree_size(q.horizon, z)
-    symbols = np.empty(size, dtype=np.int64)
+    symbols = np.empty(tree_size(q.horizon, q.z_card), dtype=np.int64)
     hist = np.zeros(1, dtype=np.int64)
     offset = 0
     for i in range(q.horizon):
-        probs = q.conditionals[i][hist]
-        u = rng.random(hist.size)
-        x = np.minimum((probs.cumsum(axis=1) < u[:, None]).sum(axis=1), q.x_card - 1)
+        x = sample_rows(q.conditionals[i][hist], rng.random(hist.size))
         symbols[offset : offset + hist.size] = x
         offset += hist.size
         if i < q.horizon - 1:
-            child = (hist * base + x * z)[:, None] + np.arange(z)[None, :]
-            hist = child.reshape(-1)
-    return CodeTree(depth=q.horizon, x_card=q.x_card, z_card=z, symbols=symbols)
+            hist = child_histories(hist, x, q.x_card, q.z_card).reshape(-1)
+    return CodeTree(depth=q.horizon, x_card=q.x_card, z_card=q.z_card, symbols=symbols)
 
 
 def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
@@ -194,8 +189,6 @@ def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
     node conditionals over every node of the tree."""
     if (tree.depth, tree.x_card, tree.z_card) != (q.horizon, q.x_card, q.z_card):
         raise ValidationError("tree and policy shapes disagree")
-    z = tree.z_card
-    base = q.x_card * z
     hist = np.zeros(1, dtype=np.int64)
     offset = 0
     p = 1.0
@@ -204,8 +197,7 @@ def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
         p *= float(np.prod(q.conditionals[i][hist, x]))
         offset += hist.size
         if i < q.horizon - 1:
-            child = (hist * base + x * z)[:, None] + np.arange(z)[None, :]
-            hist = child.reshape(-1)
+            hist = child_histories(hist, x, q.x_card, q.z_card).reshape(-1)
     return p
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import causal_log_prob_rows, feedback_paths
+from .causal import causal_log_prob_rows, channel_prob_table
 from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, paths_rows
 from .errors import ValidationError
@@ -28,17 +28,13 @@ def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=N
     return float(batch_tree_log_likelihood(fsc, tree, y[None, :], feedback, s0_prior)[0])
 
 
-def tree_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
-    return math.exp(tree_log_likelihood(fsc, tree, y, feedback, s0_prior))
-
-
 def batch_tree_log_likelihood(
     fsc: FscSpec, tree, y_rows: np.ndarray, feedback: FeedbackMap, s0_prior=None
 ) -> np.ndarray:
     """tree_log_likelihood for each row of a (T, depth) output matrix: the one
     code-tree scorer, read by the decoders and by exact error enumeration."""
     y_rows = np.asarray(y_rows, dtype=np.int64)
-    z_rows = feedback_paths(feedback, y_rows[:, :-1])
+    z_rows = feedback.table[y_rows[:, :-1]]
     x_rows = paths_rows(tree, z_rows)
     return causal_log_prob_rows(fsc, x_rows, y_rows, s0_prior)
 
@@ -224,8 +220,6 @@ def separability_check(
     a violation is a path pair above the threshold exp(-n(mu + ln|Y|)) whose
     log-likelihood ratio leaves [-n*eps, n*eps] on the required side.
     """
-    from .causal import channel_prob_table
-
     first = family.members[0]
     if mu_nats is None:
         mu_nats = 1.0 + math.log(first.n_outputs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import blahut_arimoto
+from .capacity import blahut_arimoto, memoryless_compound_fb_capacity
 from .channel import CompoundFamily, FscSpec
 from .errors import ValidationError
 from .util import xlogy
@@ -105,6 +105,8 @@ def two_phase_scheme(
         raise ValidationError("two-phase scheme targets memoryless families")
     if not 1 <= m_train < n_total:
         raise ValidationError("need 1 <= m_train < n_total")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     m_per = m_train // fsc.n_inputs
     if m_per < 1:
         raise ValidationError("m_train must cover every input symbol")
@@ -113,8 +115,6 @@ def two_phase_scheme(
     optimal = [blahut_arimoto(c)[1] for c in conds]
     fraction = 1.0 - m_train / n_total
     target = fraction * blahut_arimoto(true_cond)[0]
-    from .capacity import memoryless_compound_fb_capacity
-
     benchmark = fraction * memoryless_compound_fb_capacity(family)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rates = np.empty(trials)

@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .causal import (
-    CausalConditioning,
-    channel_prob_table,
-    policy_weight_table,
-)
+from .causal import CausalConditioning, channel_prob_table, policy_weight_table, product_policy
 from .channel import FeedbackMap, FscSpec
 from .directed_info import information_functional
 from .errors import ValidationError
@@ -123,8 +119,6 @@ def fn_superadditivity_check(
     feedback: FeedbackMap,
 ) -> FnSuperadditivityResult:
     """n F_n(product law) >= k F_k(head) + m F_m(tail) for n = k + m."""
-    from .capacity import product_policy
-
     k, m = q_head.horizon, q_tail.horizon
     q_n = product_policy(q_head, q_tail)
     lhs = (k + m) * f_n_exponent(rho, q_n, fsc, feedback)

@@ -25,7 +25,7 @@ from .channel import (
 from .codetree import Codebook, node_columns, sample_codebook
 from .decoder import MLDecoder, UniversalDecoder, batch_tree_log_likelihood
 from .errors import CapExceededError, ValidationError
-from .util import LN2, binary_entropy_nats, enumerate_paths, wilson_interval, worker_count
+from .util import LN2, binary_entropy_nats, enumerate_paths, sample_rows, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
 EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
@@ -76,11 +76,6 @@ def _uniform_rows(seed: int, trials: int, cols: int) -> np.ndarray:
     return gen.random((trials, cols))
 
 
-def _sample_categorical_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = rows.cumsum(axis=1)
-    return np.minimum((cum < u[:, None]).sum(axis=1), rows.shape[1] - 1)
-
-
 def simulate_batch(
     fsc: FscSpec,
     cb: Codebook,
@@ -101,7 +96,7 @@ def simulate_batch(
     for i in range(n):
         x = symbols[w, col]
         rows = fsc.kernel[s_cur, x].reshape(t, -1)
-        pick = _sample_categorical_rows(rows, u_steps[:, i])
+        pick = sample_rows(rows, u_steps[:, i])
         y = pick // fsc.n_states
         s_cur = pick % fsc.n_states
         xs[:, i], ys[:, i], states[:, i] = x, y, s_cur
@@ -126,7 +121,7 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     if cfg.s0 is not None:
         s0 = np.full(cfg.trials, cfg.s0, dtype=np.int64)
     else:
-        s0 = _sample_categorical_rows(np.tile(_as_prior(fsc, cfg.s0_prior), (cfg.trials, 1)), u[:, 1])
+        s0 = sample_rows(np.tile(_as_prior(fsc, cfg.s0_prior), (cfg.trials, 1)), u[:, 1])
     decoder = _make_decoder(cfg)
 
     def chunk(lo: int, hi: int):

@@ -61,6 +61,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def sample_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from each row of a row-stochastic matrix, one uniform per row."""
+    return np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), rows.shape[1] - 1)
+
+
 def enumerate_paths(card: int, length: int) -> np.ndarray:
     """All sequences of given length over {0..card-1} as an int matrix.
 

@@ -14,8 +14,6 @@ from compound_fsc import (
     causal_channel_prob,
     causal_log_prob_rows,
     channel_prob_table,
-    feedback_paths,
-    history_index,
     identity_feedback,
     iid_policy,
     input_prob,
@@ -23,6 +21,7 @@ from compound_fsc import (
     load_policy,
     make_gilbert_elliot,
     make_memoryless,
+    mixture_policy,
     naive_causal_channel_prob,
     no_feedback,
     policy_weight_table,
@@ -107,16 +106,6 @@ def test_causal_channel_prob_prefixes_and_validation():
         causal_channel_prob(fsc, (0,), (0,), s0=5)
 
 
-def test_history_index_mixed_radix():
-    # pair code x*z_card + z, earliest pair most significant
-    assert history_index([], [], 2, 2) == 0
-    assert history_index([1], [0], 2, 2) == 2
-    assert history_index([0, 1], [1, 1], 2, 2) == 1 * 4 + 3
-    assert history_index([2], [1], 3, 2) == 5
-    with pytest.raises(ValidationError):
-        history_index([0, 1], [0], 2, 2)
-
-
 def test_input_prob_uniform_and_deterministic():
     q = uniform_policy(3, 2, 2)
     assert input_prob(q, (0, 1, 1), (0, 1)) == pytest.approx(1 / 8)
@@ -131,9 +120,11 @@ def test_input_prob_matches_naive_product():
     for xs in itertools.product(range(2), repeat=3):
         for zs in itertools.product(range(2), repeat=2):
             want = 1.0
+            h = 0  # row of (x^i, z^i): pairs x*|Z| + z, earliest most significant
             for i in range(3):
-                h = history_index(xs[:i], zs[:i], 2, 2)
                 want *= q.conditionals[i][h, xs[i]]
+                if i < 2:
+                    h = h * 4 + xs[i] * 2 + zs[i]
             assert input_prob(q, xs, zs) == pytest.approx(want, abs=1e-15)
 
 
@@ -212,6 +203,20 @@ def test_policy_adjoint_matches_multilinear_difference():
                     assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
 
 
+def test_mixture_policy_mixes_weight_tables():
+    # the mixture's conditionals re-factorize lam * W1 + (1 - lam) * W2
+    rng = np.random.default_rng(37)
+    for x_card, fb in (FEEDBACK_CASES[0], FEEDBACK_CASES[3]):
+        y_card = fb.table.size
+        q1 = random_policy(3, x_card, fb.z_card, rng)
+        q2 = random_policy(3, x_card, fb.z_card, rng)
+        w1 = policy_weight_table(q1, y_card, fb)
+        w2 = policy_weight_table(q2, y_card, fb)
+        for lam in (0.0, 0.3, 1.0):
+            w = policy_weight_table(mixture_policy(q1, q2, lam), y_card, fb)
+            assert np.abs(w - (lam * w1 + (1 - lam) * w2)).max() < 1e-12
+
+
 def test_joint_table_mixes_over_state_prior():
     rng = np.random.default_rng(19)
     fsc = random_fsc(rng, 2, 2, 2)
@@ -253,14 +258,6 @@ def test_causal_log_prob_rows_impossible_path():
     fsc = make_memoryless(np.eye(2))
     logs = causal_log_prob_rows(fsc, np.array([[0, 1]]), np.array([[0, 0]]), 0)
     assert logs[0] == -np.inf
-
-
-def test_feedback_paths_elementwise():
-    fb = no_feedback((0, 1, 2))
-    y = np.array([[0, 2], [1, 1]])
-    assert np.all(feedback_paths(fb, y) == 0)
-    ident = identity_feedback((0, 1, 2))
-    assert np.all(feedback_paths(ident, y) == y)
 
 
 def test_policy_round_trip(tmp_path):

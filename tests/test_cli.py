@@ -108,6 +108,25 @@ class TestCapacity:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_family_field_of_wrong_type(self, tmp_path, capsys):
+        member = dict(bsc(0.1).to_dict(), states=5)
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps([member]))
+        rc = main(["capacity", "--family", str(fam_path), "--n", "1", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_feedback_field_of_wrong_type(self, tmp_path, capsys):
+        fam = write_pair_family(tmp_path)
+        fb_path = tmp_path / "fb.json"
+        fb_path.write_text(json.dumps({"z_alphabet": 3, "map": [0, 1]}))
+        rc = main(
+            ["capacity", "--family", str(fam), "--feedback", f"table:{fb_path}", "--n", "1",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_table_cap_exit_code(self, tmp_path, capsys):
         fam = write_pair_family(tmp_path)
         rc = main(
@@ -251,12 +270,18 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", [[1], {"s0": True}], ids=["array", "bool-s0"])
+    @pytest.mark.parametrize(
+        "body",
+        [[1], {"s0": True}, {"n": "3"}, {"trials": "10"}, {"messages": "2"}, {"feedback": 3}],
+        ids=["array", "bool-s0", "str-n", "str-trials", "str-messages", "int-feedback"],
+    )
     def test_malformed_config_exit_code(self, tmp_path, capsys, body):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(body))
+        # --n is given only when the config does not set it
+        n_flag = [] if isinstance(body, dict) and "n" in body else ["--n", "2"]
         rc = main(
-            ["simulate", "--preset", "ge-gap", "--config", str(cfg_path), "--n", "2",
+            ["simulate", "--preset", "ge-gap", "--config", str(cfg_path), *n_flag,
              "--out", str(tmp_path / "run")]
         )
         assert rc == 2
@@ -297,6 +322,14 @@ class TestEstimate:
         save_family(ge_gap_family(), fam_path)
         rc = main(
             ["estimate", "--family", str(fam_path), "--n", "1000", "--out", str(tmp_path / "r")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_zero_trials_exit_code(self, tmp_path, capsys):
+        fam = write_pair_family(tmp_path)
+        rc = main(
+            ["estimate", "--family", str(fam), "--n", "1000", "--trials", "0", "--out", str(tmp_path / "r")]
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err

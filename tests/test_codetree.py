@@ -160,6 +160,23 @@ def test_sample_codetree_frequencies():
         assert abs(counts[k] / draws - 0.125) <= 3 * sigma + 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, x_card, z_card, seed, want",
+    [
+        (3, 2, 1, 41, [[0, 0, 1], [0, 0, 0], [0, 0, 1]]),
+        (2, 3, 2, 43, [[2, 2, 0], [0, 1, 0], [0, 0, 1]]),
+        (3, 2, 2, 47, [[0, 0, 0, 1, 1, 0, 1], [0, 0, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1, 1]]),
+    ],
+    ids=["no-feedback", "x3", "identity"],
+)
+def test_sample_codetree_stream_is_pinned(n, x_card, z_card, seed, want):
+    # seeded codebooks (and so recorded simulations) depend on this exact
+    # draw order: one uniform per node, level by level
+    rng = np.random.default_rng(seed)
+    q = random_policy(n, x_card, z_card, rng)
+    assert [sample_codetree(q, rng).symbols.tolist() for _ in range(3)] == want
+
+
 def test_sampled_paths_have_positive_input_prob():
     rng = np.random.default_rng(139)
     q = random_policy(3, 2, 2, rng)

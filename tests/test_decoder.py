@@ -21,7 +21,6 @@ from compound_fsc import (
     no_feedback,
     sample_codebook,
     separability_check,
-    tree_likelihood,
     tree_log_likelihood,
     uniform_policy,
     universal_decode,
@@ -42,8 +41,8 @@ def test_tree_likelihood_noiseless():
     fb = identity_feedback((0, 1))
     tree = leaf_tree([1, 0, 1], 2)
     # feedback after y1=1 steers to the right child, which emits 1
-    assert tree_likelihood(fsc, tree, [1, 1], fb) == pytest.approx(1.0)
-    assert tree_likelihood(fsc, tree, [1, 0], fb) == 0.0
+    assert math.exp(tree_log_likelihood(fsc, tree, [1, 1], fb)) == pytest.approx(1.0)
+    assert math.exp(tree_log_likelihood(fsc, tree, [1, 0], fb)) == 0.0
     assert tree_log_likelihood(fsc, tree, [1, 0], fb) == -math.inf
 
 
@@ -52,9 +51,9 @@ def test_tree_likelihood_memoryless_product():
     fb = identity_feedback((0, 1))
     tree = leaf_tree([0, 1, 0], 2)
     # y = (0, 0): path is (0, 1), so the second symbol flips
-    assert tree_likelihood(fsc, tree, [0, 0], fb) == pytest.approx(0.8 * 0.2)
+    assert math.exp(tree_log_likelihood(fsc, tree, [0, 0], fb)) == pytest.approx(0.8 * 0.2)
     # y = (1, 1): path is (0, 0): flip then flip
-    assert tree_likelihood(fsc, tree, [1, 1], fb) == pytest.approx(0.2 * 0.2)
+    assert math.exp(tree_log_likelihood(fsc, tree, [1, 1], fb)) == pytest.approx(0.2 * 0.2)
 
 
 def test_tree_likelihood_state_enumeration_oracle():
@@ -71,7 +70,7 @@ def test_tree_likelihood_state_enumeration_oracle():
                 for s2 in range(2):
                     acc += fsc.kernel[s0, xs[0], y[0], s1] * fsc.kernel[s1, xs[1], y[1], s2]
             want += 0.5 * acc
-        got = tree_likelihood(fsc, tree, y, fb)  # uniform prior by default
+        got = math.exp(tree_log_likelihood(fsc, tree, y, fb))  # uniform prior by default
         assert got == pytest.approx(want, abs=1e-13)
 
 

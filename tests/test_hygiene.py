@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, every `__all__` entry
-resolves and no function takes a size-cap knob, checked on the syntax tree of
-each package module."""
+resolves, no function takes a size-cap knob and no function re-imports a
+sibling module the file already imports at the top, checked on the syntax
+tree of each package module."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,19 @@ def test_no_cap_parameters(path):
                 if p.arg == "cap" or p.arg.endswith("_cap")
             ]
     assert not knobs, f"{path.name} has size-cap parameters: {', '.join(knobs)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_function_level_imports(path):
+    """A function-level import is only for breaking an import cycle, so it must
+    not name a sibling module that the file already imports at module level."""
+    tree = ast.parse(path.read_text())
+    top = {(n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    late = sorted(
+        f".{node.module} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level and (node.level, node.module) in top
+    )
+    assert not late, f"{path.name} re-imports inside functions: {', '.join(late)}"
