@@ -24,6 +24,15 @@ STATIONARY_TOL = 1e-10
 QUANTIZE_MEMBER_CAP = 200_000  # most members quantize_family enumerates
 
 
+def _json_alphabet(d: dict, key: str) -> tuple:
+    """An alphabet field of a JSON object; it must be an array, since a string
+    would otherwise be split into one symbol per character."""
+    value = d[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"{key!r} must be a JSON array, not {type(value).__name__}")
+    return tuple(value)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -89,11 +98,11 @@ class FscSpec:
         if not isinstance(d, dict):
             raise ValidationError("channel JSON must be an object")
         try:
-            states, inputs, outputs = (tuple(d[k]) for k in ("states", "inputs", "outputs"))
+            states, inputs, outputs = (_json_alphabet(d, k) for k in ("states", "inputs", "outputs"))
             kernel = np.asarray(d["kernel"], dtype=float)
         except KeyError as e:
             raise ValidationError(f"channel dict missing key {e}") from e
-        except (TypeError, ValueError) as e:  # a malformed field, e.g. "states": 5
+        except (TypeError, ValueError) as e:  # a malformed field, e.g. a ragged kernel
             raise ValidationError(f"channel dict has a malformed field: {e}") from e
         return cls(states=states, inputs=inputs, outputs=outputs, kernel=kernel)
 
@@ -168,12 +177,14 @@ class FeedbackMap:
         z_alphabet = tuple(self.z_alphabet)
         if not z_alphabet:
             raise ValidationError("feedback alphabet must be non-empty")
-        table = np.asarray(self.table, dtype=np.int64)
+        table = np.asarray(self.table)
         if table.ndim != 1 or table.size == 0:
             raise ValidationError("feedback table must be a non-empty vector")
+        if table.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
+            raise ValidationError(f"feedback table entries must be integers, not {table.dtype}")
+        table = table.astype(np.int64)
         if table.min() < 0 or table.max() >= len(z_alphabet):
             raise ValidationError("feedback table entries outside z alphabet")
-        table = np.ascontiguousarray(table)
         table.setflags(write=False)
         object.__setattr__(self, "z_alphabet", z_alphabet)
         object.__setattr__(self, "table", table)
@@ -190,7 +201,7 @@ class FeedbackMap:
         if not isinstance(d, dict):
             raise ValidationError("feedback JSON must be an object")
         try:
-            z_alphabet, table = tuple(d["z_alphabet"]), np.asarray(d["map"], dtype=np.int64)
+            z_alphabet, table = _json_alphabet(d, "z_alphabet"), np.asarray(d["map"])
         except KeyError as e:
             raise ValidationError(f"feedback dict missing key {e}") from e
         except (TypeError, ValueError) as e:

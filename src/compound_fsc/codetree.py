@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class CodeTree:
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
 
-    @property
+    @cached_property
     def key(self) -> int:
         return tree_code(self)
 
@@ -92,7 +93,7 @@ class ConcatTree:
 
     @property
     def key(self) -> tuple:
-        return tuple(tree_code(b) for b in self.blocks)
+        return tuple(b.key for b in self.blocks)
 
     @property
     def symbols(self) -> np.ndarray:
@@ -235,7 +236,7 @@ class TreeType:
 
 def tree_type(tree: ConcatTree) -> TreeType:
     _guard_type_space(tree.x_card, tree.block_depth, tree.z_card)
-    counts = Counter(tree_code(b) for b in tree.blocks)
+    counts = Counter(b.key for b in tree.blocks)
     return TreeType(
         block_depth=tree.block_depth,
         x_card=tree.x_card,

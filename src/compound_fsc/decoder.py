@@ -166,19 +166,33 @@ class UniversalDecoder:
         return universal_decode(cb, y, self.family, self.feedback, self.s0_prior)
 
 
+def _distinct_rows(rows: np.ndarray):
+    """(distinct rows, inverse) with rows == distinct[inverse]: one lexsort
+    over the columns, then a new-row mask and its running count."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(rows.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
-    """Row-wise message with the best (likelihood, key, index) tree."""
+    """Row-wise message with the best (likelihood, key, index) tree. The
+    decision is a function of the row alone, so each distinct row is scored
+    once and its decision copied to every row equal to it."""
     keys, trees, owner = _codebook_key_table(cb)
-    y_rows = np.asarray(y_rows, dtype=np.int64)
-    t = y_rows.shape[0]
+    distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    t = distinct.shape[0]
     best_ll = np.full(t, -np.inf)
     best_msg = np.full(t, owner[keys[0]], dtype=np.int64)
     for k, tree in zip(keys, trees):  # ascending keys: strict > keeps the smaller key on ties
-        ll = batch_tree_log_likelihood(fsc, tree, y_rows, feedback, s0_prior)
+        ll = batch_tree_log_likelihood(fsc, tree, distinct, feedback, s0_prior)
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
         best_msg = np.where(better, owner[k], best_msg)
-    return best_msg
+    return best_msg[inverse]
 
 
 @dataclass(frozen=True)

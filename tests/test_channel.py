@@ -135,6 +135,25 @@ def test_feedback_maps():
     assert list(none.table) == [0, 0]
     with pytest.raises(ValidationError):
         FeedbackMap(z_alphabet=("a", "b"), table=np.array([0, 2]))
+    with pytest.raises(ValidationError):  # must not truncate to [0, 1]
+        FeedbackMap.from_dict({"z_alphabet": [0, 1], "map": [0.5, 1]})
+    with pytest.raises(ValidationError):
+        FeedbackMap.from_dict({"z_alphabet": "ab", "map": [0, 1]})
+    with pytest.raises(ValidationError):
+        FeedbackMap(z_alphabet=(0, 1), table=np.array([0.0, 1.0]))
+    with pytest.raises(ValidationError):
+        FeedbackMap(z_alphabet=(0, 1), table=np.array([False, True]))
+    fb = FeedbackMap.from_dict({"z_alphabet": [0, 1], "map": [1, 0]})
+    assert fb.table.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("field", ["states", "inputs", "outputs"])
+def test_channel_json_alphabet_must_be_array(field):
+    d = bsc(0.1).to_dict()
+    for bad in ("ab", "a", 2):
+        with pytest.raises(ValidationError):
+            FscSpec.from_dict(dict(d, **{field: bad}))
+    assert FscSpec.from_dict(d).n_states == 1
 
 
 def test_quantize_channel_snaps_bsc():

@@ -109,23 +109,30 @@ class TestCapacity:
         assert "error:" in capsys.readouterr().err
 
     def test_family_field_of_wrong_type(self, tmp_path, capsys):
-        member = dict(bsc(0.1).to_dict(), states=5)
-        fam_path = tmp_path / "fam.json"
-        fam_path.write_text(json.dumps([member]))
-        rc = main(["capacity", "--family", str(fam_path), "--n", "1", "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        # a string alphabet must not be split into one state per character
+        for states in (5, "ab", "a"):
+            member = dict(bsc(0.1).to_dict(), states=states)
+            fam_path = tmp_path / "fam.json"
+            fam_path.write_text(json.dumps([member]))
+            rc = main(["capacity", "--family", str(fam_path), "--n", "1", "--out", str(tmp_path / "run")])
+            assert rc == 2, states
+            assert "error:" in capsys.readouterr().err
 
     def test_feedback_field_of_wrong_type(self, tmp_path, capsys):
         fam = write_pair_family(tmp_path)
         fb_path = tmp_path / "fb.json"
-        fb_path.write_text(json.dumps({"z_alphabet": 3, "map": [0, 1]}))
-        rc = main(
-            ["capacity", "--family", str(fam), "--feedback", f"table:{fb_path}", "--n", "1",
-             "--out", str(tmp_path / "run")]
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for table in (
+            {"z_alphabet": 3, "map": [0, 1]},
+            {"z_alphabet": "ab", "map": [0, 1]},
+            {"z_alphabet": [0, 1], "map": [0.5, 1]},  # must not truncate to [0, 1]
+        ):
+            fb_path.write_text(json.dumps(table))
+            rc = main(
+                ["capacity", "--family", str(fam), "--feedback", f"table:{fb_path}", "--n", "1",
+                 "--out", str(tmp_path / "run")]
+            )
+            assert rc == 2, table
+            assert "error:" in capsys.readouterr().err
 
     def test_table_cap_exit_code(self, tmp_path, capsys):
         fam = write_pair_family(tmp_path)

@@ -20,11 +20,13 @@ from compound_fsc import (
     ml_decode,
     no_feedback,
     sample_codebook,
+    sample_concat_codebook,
     separability_check,
     tree_log_likelihood,
     uniform_policy,
     universal_decode,
 )
+from compound_fsc.util import enumerate_paths
 from compound_fsc.verify import random_family, random_fsc
 
 
@@ -206,6 +208,49 @@ def test_batch_decoders_match_scalar_paths():
     got_m = ml.decode_rows(cb, y_rows)
     want_m = [ml.decode(cb, y) for y in y_rows]
     assert got_m.tolist() == want_m
+
+
+@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
+def test_decode_rows_on_repeated_shuffled_rows_equals_row_by_row(concat):
+    rng = np.random.default_rng(199)
+    fam = random_family(rng, 2, n_states=2)
+    fb = identity_feedback((0, 1))
+    if concat:
+        cb = sample_concat_codebook(uniform_policy(2, 2, 2), 2, 5, rng)
+    else:
+        cb = sample_codebook(uniform_policy(4, 2, 2), 5, rng)
+    # message k >= 5 repeats the tree of message 9 - k, so it never wins
+    cb = Codebook(trees=cb.trees + cb.trees[::-1])
+    y_rows = rng.permutation(np.repeat(enumerate_paths(2, 4), 3, axis=0))
+    for dec in (MLDecoder(fam.members[1], fb), UniversalDecoder(fam, fb)):
+        got = dec.decode_rows(cb, y_rows)
+        want = [int(dec.decode_rows(cb, y[None, :])[0]) for y in y_rows]
+        assert got.tolist() == want
+        assert got.max() < 5
+
+
+def test_decode_rows_scores_each_distinct_row_once(monkeypatch):
+    import compound_fsc.decoder as decoder_mod
+
+    scored = []
+    real = decoder_mod.causal_log_prob_rows
+
+    def spy(fsc, x_rows, y_rows, s0_prior):
+        scored.append(np.array(y_rows))
+        return real(fsc, x_rows, y_rows, s0_prior)
+
+    monkeypatch.setattr(decoder_mod, "causal_log_prob_rows", spy)
+    rng = np.random.default_rng(211)
+    fsc = random_fsc(rng, 2, 2, 2)
+    fb = identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(3, 2, 2), 4, rng)
+    y_rows = rng.integers(0, 2, size=(200, 3))
+    distinct = {tuple(r) for r in y_rows.tolist()}
+    MLDecoder(fsc, fb).decode_rows(cb, y_rows)
+    assert len(scored) == len({t.key for t in cb.trees})
+    for rows in scored:
+        assert {tuple(r) for r in rows.tolist()} == distinct
+        assert rows.shape[0] == len(distinct)
 
 
 def test_separability_family_covers_itself():

@@ -233,6 +233,36 @@ def test_results_invariant_to_thread_count(monkeypatch):
     assert single.errors == multi.errors
 
 
+def test_run_trials_decisions_pinned():
+    # decisions recorded when every trial row was scored on its own; scoring
+    # each distinct output row once must not move any of them
+    fam = CompoundFamily(
+        members=tuple(
+            make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=p_b)) for p_b in (0.4, 0.3)
+        ),
+        labels=("a", "b"),
+    )
+    cb = sample_codebook(uniform_policy(4, 2, 2), 4, np.random.default_rng(11))
+    want = {
+        ("ml", "a"): [0, 3, 2, 0, 1, 3, 3, 0, 2, 2, 0, 0, 3, 1, 3, 0, 0, 3, 2, 3,
+                      0, 2, 1, 0, 0, 0, 2, 1, 0, 3, 2, 3, 2, 3, 3, 2, 0, 2, 3, 0],
+        ("universal", "b"): [2, 3, 2, 0, 1, 3, 1, 0, 2, 2, 1, 0, 3, 1, 3, 0, 3, 3, 3, 3,
+                             0, 2, 1, 0, 0, 0, 0, 1, 0, 3, 2, 3, 2, 3, 3, 2, 0, 2, 3, 0],
+    }
+    for (decoder, label), decisions in want.items():
+        cfg = TrialConfig(
+            family=fam, true_label=label, codebook=cb, feedback=identity_feedback((0, 1)),
+            decoder=decoder, trials=40, seed=5,
+        )
+        res = run_trials(cfg)
+        assert res.messages.tolist() == [
+            2, 2, 0, 3, 1, 3, 1, 3, 1, 2, 1, 0, 3, 1, 3, 0, 3, 3, 1, 3,
+            0, 2, 1, 0, 2, 0, 0, 1, 2, 3, 2, 3, 1, 3, 3, 2, 0, 2, 0, 1,
+        ]
+        assert res.decisions.tolist() == decisions
+        assert len({tuple(y) for y in res.outputs.tolist()}) < cfg.trials  # rows repeat
+
+
 @pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
 def test_simulated_inputs_follow_tree_paths(concat):
     # the simulator and the decoder must read trees through the same layout
