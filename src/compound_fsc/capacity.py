@@ -20,13 +20,14 @@ from .causal import (
     CausalConditioning,
     channel_prob_table,
     check_table_bytes,
-    history_tables,
+    history_code,
     policy_adjoint,
-    policy_products,
     policy_weight_table,
     product_policy,
     uniform_policy,
     random_policy,
+    sequence_reach,
+    weight_table,
 )
 from .channel import (
     CompoundFamily,
@@ -49,12 +50,12 @@ AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate cov
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
 # Path-sized tables alive at the solver's peak besides one per pair: the
-# weights, the policy copies, the history codes and the value's and the
-# supergradient's temporaries. On ge-gap (6 pairs) with 3 iterations and no
-# restarts, tracemalloc measured 10.3, 8.8 and 8.8 of them at n = 8, 9 and
-# 10 (at n = 8, 1.4 of the 10.3 are one-time import allocations of a fresh
-# process); one table of headroom on top, rounded up.
-SOLVER_TEMP_TABLES = 12
+# weights, the policy, its sequence-form reach, the history code and the
+# value's and the supergradient's temporaries. On ge-gap (6 pairs) with 3
+# iterations and no restarts, tracemalloc measured 9.6, 7.8 and 7.6 of them
+# at n = 8, 9 and 10 (at n = 8, 1.4 of the 9.6 are one-time import
+# allocations of a fresh process); one table of headroom on top, rounded up.
+SOLVER_TEMP_TABLES = 11
 
 
 @dataclass(frozen=True)
@@ -117,33 +118,30 @@ def _pair_didw(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (np.log(p, out=np.zeros_like(p), where=p > 0) - np.log(np.maximum(p_y, _TINY)) - 1.0)
 
 
-def _conds_copy(q: CausalConditioning) -> list[np.ndarray]:
-    return [np.array(c) for c in q.conditionals]
-
-
 def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, extra_starts) -> CapacityReport:
     """Shared max-min ascent and its report. pairs: list of (label_tuple, P table)."""
     cfg = cfg or SolverConfig()
     first = family.members[0]
     x_card, z_card = first.n_inputs, feedback.z_card
-    codes = list(history_tables(x_card, feedback, n))
+    code = history_code(x_card, feedback, n)
     probs = [p for _, p in pairs]
 
     def value(conds):
-        prods, w = policy_products(conds, codes, first.n_outputs)
+        reach = sequence_reach(conds)
+        w = weight_table(reach, code, first.n_outputs)
         vals = [information_functional(w, p) / n for p in probs]
-        return min(vals), vals, w, prods
+        return min(vals), vals, w, reach
 
     def active_gradient(conds):
-        j, vals, w, prods = value(conds)
+        j, vals, w, reach = value(conds)
         active = min(
             (i for i, v in enumerate(vals) if v <= j + ACTIVE_TOL),
             default=int(np.argmin(vals)),
         )
-        return j, active, policy_adjoint(conds, codes, prods, _pair_didw(w, probs[active]))
+        return j, active, policy_adjoint(conds, reach, code, _pair_didw(w, probs[active]))
 
     def ascent_step(conds, step):
-        # the weights and products die before the projection and the
+        # the weights and reach die before the projection and the
         # supergradient on return, so the next evaluation starts without them
         j, _, grads = active_gradient(conds)
         return j, [project_rows_to_simplex(c + (step / n) * g) for c, g in zip(conds, grads)]
@@ -155,7 +153,7 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
 
     global_best = (-math.inf, None, None, -1, "best")  # value, conds, history, start idx, src
     for start_idx, q0 in enumerate(starts):
-        conds = _conds_copy(q0)
+        conds = list(q0.conditionals)  # iterates are never written in place
         avg = [np.zeros_like(c) for c in conds]
         avg_count = 0
         avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - AVG_FRACTION))))

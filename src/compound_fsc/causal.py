@@ -49,8 +49,8 @@ class CausalConditioning:
             want = (base ** i, self.x_card)
             if c.shape != want:
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
-            if np.any(c < -1e-15):
-                raise ValidationError("conditionals must be non-negative")
+            if not np.all(np.isfinite(c)) or np.any(c < -1e-15):
+                raise ValidationError("conditionals must be finite and non-negative")
             if np.max(np.abs(c.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
                 raise ValidationError("conditional rows must sum to 1")
         for c in conds:
@@ -158,15 +158,14 @@ def product_policy(q_head: CausalConditioning, q_tail: CausalConditioning) -> Ca
     )
 
 
-def sequence_reach(q: CausalConditioning) -> list[np.ndarray]:
-    """Sequence form of q: reach[i][h, x] is the product of q's conditionals
-    along history h and then x, the weight q gives the input prefix of
-    (h, x) given its feedback prefix. The child rows (h, x, z) of step i + 1
-    all inherit reach[i][h, x]."""
-    reach = []
-    for c in q.conditionals:
-        prefix = np.repeat(reach[-1].reshape(-1), q.z_card) if reach else np.ones(1)
-        reach.append(prefix[:, None] * c)
+def sequence_reach(conds) -> list[np.ndarray]:
+    """Sequence form of a policy's conditionals, the one prefix-product walk:
+    reach[i][h, x] is the product of the conditionals along history h and
+    then x, the weight of the input prefix of (h, x) given its feedback
+    prefix. The |Z| child rows (h, x, z) of step i + 1 inherit it."""
+    reach = [conds[0]]
+    for c in conds[1:]:
+        reach.append((reach[-1].reshape(-1, 1) * c.reshape(reach[-1].size, -1)).reshape(c.shape))
     return reach
 
 
@@ -182,7 +181,7 @@ def mixture_policy(q1: CausalConditioning, q2: CausalConditioning, lam: float) -
     if not 0.0 <= lam <= 1.0:
         raise ValidationError("lam must lie in [0, 1]")
     conds = []
-    for r1, r2 in zip(sequence_reach(q1), sequence_reach(q2)):
+    for r1, r2 in zip(sequence_reach(q1.conditionals), sequence_reach(q2.conditionals)):
         num = lam * r1 + (1 - lam) * r2
         den = num.sum(axis=1, keepdims=True)
         conds.append(np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / q1.x_card))
@@ -233,15 +232,14 @@ def causal_log_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s
 def _as_prior(fsc: FscSpec, s0_prior) -> np.ndarray:
     if s0_prior is None:
         return np.full(fsc.n_states, 1.0 / fsc.n_states)
-    if np.isscalar(s0_prior) or isinstance(s0_prior, (int, np.integer)):
-        s0 = int(s0_prior)
-        if not 0 <= s0 < fsc.n_states:
-            raise ValidationError(f"initial state {s0} outside 0..{fsc.n_states - 1}")
+    if np.isscalar(s0_prior):
+        if s0_prior not in range(fsc.n_states):  # also rejects nan, inf and non-integers
+            raise ValidationError(f"initial state {s0_prior} outside 0..{fsc.n_states - 1}")
         p = np.zeros(fsc.n_states)
-        p[s0] = 1.0
+        p[int(s0_prior)] = 1.0
         return p
     p = np.asarray(s0_prior, dtype=float)
-    if p.shape != (fsc.n_states,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.shape != (fsc.n_states,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValidationError("s0 prior must be a distribution over the states")
     return p
 
@@ -273,53 +271,48 @@ def channel_prob_table(fsc: FscSpec, n: int, s0_prior) -> np.ndarray:
     return alpha.sum(axis=2)
 
 
-def history_tables(x_card: int, feedback: FeedbackMap, n: int):
-    """Yield, for steps i = 0..n-1, the int64 code of (x^i, f(y)^i, x_i) into
-    CausalConditioning.conditionals[i].ravel(): code_i = (code_{i-1} * |Z| +
-    f(y_{i-1})) * |X| + x_i.
+def history_code(x_card: int, feedback: FeedbackMap, n: int) -> np.ndarray:
+    """The int64 code of (x^{n-1}, f(y)^{n-1}, x_{n-1}) into
+    CausalConditioning.conditionals[n - 1].ravel(), built step by step as
+    code_i = (code_{i-1} * |Z| + f(y_{i-1})) * |X| + x_i.
 
-    Code i broadcasts against the (X,)*n + (Y,)*n path tensor (axis k holds
-    x_k, axis n + k holds y_k) and spans only the axes of x_0..x_i and
-    y_0..y_{i-1}, so it lives on the (|X||Y|)^i-prefix tree, not on the full
-    path-pair table. With |Z| = 1 the feedback term is always 0 and the
-    codes span no output axis.
+    The code broadcasts against the (X,)*n + (Y,)*n path tensor (axis k
+    holds x_k, axis n + k holds y_k) and spans only the axes of x_0..x_{n-1}
+    and y_0..y_{n-2}, not y_{n-1}. With |Z| = 1 the feedback term is always
+    0 and the code spans no output axis.
     """
     code = np.zeros((), dtype=np.int64)
     for i in range(n):
         if i and feedback.z_card > 1:
             code = code * feedback.z_card + feedback.table.reshape((-1,) + (1,) * (n - i))
         code = code * x_card + np.arange(x_card).reshape((-1,) + (1,) * (2 * n - 1 - i))
-        yield code
+    return code
 
 
-def policy_products(conds, codes, y_card: int):
-    """Running products prods[i] = prod_{k <= i} conds[k].ravel()[codes[k]]
-    over the prefix tree, multiplied earliest step first, and the weight
-    table W[xcode, ycode] = q(x^n || f(y)^{n-1}) that prods[-1] spreads over
-    every output axis it does not span (the last one, or all n without
-    feedback)."""
-    prods = []
-    for c, code in zip(conds, codes):
-        f = c.reshape(-1)[code]
-        prods.append(prods[-1] * f if prods else f)
-    last, n = prods[-1], len(prods)
+def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
+    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}): the last step's
+    sequence-form weights read through the history code and spread over
+    every output axis the code does not span (the last one, or all n
+    without feedback)."""
+    last, n = reach[-1].reshape(-1)[code], len(reach)
     full = np.broadcast_to(last, last.shape[:n] + (y_card,) * n)
-    return prods, full.reshape(last.shape[0] ** n, -1)
+    return full.reshape(last.shape[0] ** n, -1)
 
 
-def policy_adjoint(conds, codes, prods, didw: np.ndarray) -> list[np.ndarray]:
-    """d/d conds[i] of sum(W * didw) for the W of policy_products, stepping
-    back one tree level at a time: U_{n-1} = sum_{y_{n-1}} didw, U_{i-1} =
-    sum_{x_i, y_{i-1}} f_i U_i, and step i's gradient is prods[i-1] U_i
-    folded into conditionals[i]'s entries by its codes."""
-    n = len(codes)
-    u = didw.reshape(codes[-1].shape[:-1] + (-1,)).sum(axis=-1, keepdims=True)
-    grads = [None] * n
-    for i in range(n - 1, -1, -1):
-        g = prods[i - 1] * u if i else u
-        grads[i] = np.bincount(codes[i].ravel(), g.ravel(), conds[i].size).reshape(conds[i].shape)
-        if i:
-            u = (conds[i].reshape(-1)[codes[i]] * u).sum(axis=(i, n + i - 1), keepdims=True)
+def policy_adjoint(conds, reach, code: np.ndarray, didw: np.ndarray) -> list[np.ndarray]:
+    """d/d conds[i] of sum(W * didw) for the W of weight_table, on the
+    conditionals' own history rows: U_{n-1} folds sum_{y_{n-1}} didw into the
+    entries of conds[-1] by the code, step i's gradient is U_i times the
+    reach[i - 1] entry its row extends, and U_{i-1} = sum_{z_{i-1}, x_i}
+    conds[i] U_i."""
+    u = didw.reshape(code.shape[:-1] + (-1,)).sum(axis=-1)
+    u = np.bincount(code.ravel(), u.ravel(), conds[-1].size).reshape(conds[-1].shape)
+    grads = [None] * len(conds)
+    for i in range(len(conds) - 1, 0, -1):
+        # the rows of step i group by the (h, x) entry of step i - 1 they extend
+        grads[i] = (reach[i - 1][..., None] * u.reshape(reach[i - 1].shape + (-1,))).reshape(u.shape)
+        u = (conds[i] * u).reshape(reach[i - 1].shape + (-1,)).sum(axis=-1)
+    grads[0] = u
     return grads
 
 
@@ -329,11 +322,12 @@ def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMa
         raise ValidationError("policy and feedback map disagree on |Z|")
     if feedback.table.size != y_card:
         raise ValidationError("feedback table does not cover the output alphabet")
-    # measured peak 2.7 tables: the last code, factor and product (half a
-    # table each at |Y| = 2), the shorter ones and the weights
+    # measured peak 2.7 tables: the code, the last reach and its gather
+    # through the code (half a table each at |Y| = 2), the shorter reach
+    # and the weights
     check_table_bytes(q.x_card ** q.horizon * y_card ** q.horizon, 3, "policy weight table")
-    codes = history_tables(q.x_card, feedback, q.horizon)
-    return policy_products(q.conditionals, codes, y_card)[1]
+    code = history_code(q.x_card, feedback, q.horizon)
+    return weight_table(sequence_reach(q.conditionals), code, y_card)
 
 
 def joint_and_output_probs(

@@ -62,8 +62,8 @@ class FscSpec:
         want = (len(states), len(inputs), len(outputs), len(states))
         if kernel.shape != want:
             raise ValidationError(f"kernel shape {kernel.shape} != {want}")
-        if np.any(kernel < -1e-15):
-            raise ValidationError("kernel has negative entries")
+        if not np.all(np.isfinite(kernel)) or np.any(kernel < -1e-15):
+            raise ValidationError("kernel entries must be finite and non-negative")
         kernel = np.clip(kernel, 0.0, None)
         sums = kernel.sum(axis=(2, 3))
         if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:

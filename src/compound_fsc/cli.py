@@ -68,15 +68,22 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            subcommand=d["subcommand"],
-            argv=list(d["argv"]),
-            config=dict(d["config"]),
-            seed=int(d["seed"]),
-            out_dir=d["out_dir"],
-            version=d["version"],
-            metrics=dict(d.get("metrics", {})),
-        )
+        try:
+            m = cls(
+                subcommand=d["subcommand"],
+                argv=list(d["argv"]),
+                config=dict(d["config"]),
+                seed=int(d["seed"]),
+                out_dir=d["out_dir"],
+                version=d["version"],
+                metrics=dict(d.get("metrics", {})),
+            )
+        except (KeyError, TypeError) as e:  # TypeError also when the manifest is not an object
+            raise ValidationError(f"malformed manifest: {e!r}") from e
+        if m.subcommand == "rerun" or m.argv[:1] != [m.subcommand] or not all(isinstance(a, str) for a in m.argv):
+            # a rerun writes no manifest, so one that names rerun would only call itself
+            raise ValidationError("manifest argv must be strings starting with its subcommand, other than 'rerun'")
+        return m
 
 
 def _write_manifest(out: Path, subcommand: str, argv, config: dict, seed: int, metrics: dict) -> None:

@@ -10,6 +10,8 @@ from compound_fsc import (
     CapExceededError,
     CapacityReport,
     CompoundFamily,
+    FeedbackMap,
+    FscSpec,
     GilbertElliotParams,
     SolverConfig,
     ValidationError,
@@ -376,6 +378,39 @@ def test_state_penalty_applied():
     assert rep.hatC_n_nats == pytest.approx(rep.C_n_nats - LN2 / 2, abs=1e-12)
     assert len(rep.worst_case) == 2
     assert rep.diagnostics.value_history
+
+
+def _two_state_three_output(emit, trans):
+    emit, trans = np.asarray(emit), np.asarray(trans)
+    return FscSpec(
+        states=(0, 1), inputs=(0, 1), outputs=(0, 1, 2), kernel=emit[:, :, :, None] * trans[:, None, None, :]
+    )
+
+
+def test_solver_values_pinned():
+    # C_n recorded from the solver at its default budget, to catch any drift
+    # in the weight table, the supergradient or the ascent
+    cfg = SolverConfig(seed=0)
+    fam = ge_gap_family()
+    fb = identity_feedback(fam.members[0].outputs)
+    for n, want in ((1, 0.005008366846356839), (2, 0.011584283450981595), (3, 0.017256326193651143)):
+        rep = compute_Cn(fam, fb, n, cfg)
+        assert rep.C_n_nats == pytest.approx(want, rel=0, abs=1e-12)
+        assert rep.worst_case == ("B", "ge-c")
+    rep = compute_Cn_nofeedback(fam, 2, cfg)
+    assert rep.C_n_nats == pytest.approx(0.011584283450981673, rel=0, abs=1e-12)
+    m0 = _two_state_three_output(
+        [[[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], [[0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]],
+        [[0.8, 0.2], [0.3, 0.7]],
+    )
+    m1 = _two_state_three_output(
+        [[[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]], [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]],
+        [[0.9, 0.1], [0.4, 0.6]],
+    )
+    coarse = FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1]))
+    rep = compute_Cn(CompoundFamily(members=(m0, m1), labels=("m0", "m1")), coarse, 2, cfg)
+    assert rep.C_n_nats == pytest.approx(0.04067062093392041, rel=0, abs=1e-12)
+    assert rep.worst_case == ("1", "m0")
 
 
 def test_solver_config_validation():

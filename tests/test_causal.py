@@ -29,7 +29,7 @@ from compound_fsc import (
     save_policy,
     uniform_policy,
 )
-from compound_fsc.causal import history_tables, policy_adjoint, policy_products
+from compound_fsc.causal import history_code, policy_adjoint, sequence_reach, weight_table
 from compound_fsc.util import enumerate_paths
 
 
@@ -185,21 +185,21 @@ def test_policy_adjoint_matches_multilinear_difference():
         y_card = fb.table.size
         for n in (1, 2, 3):
             conds = list(random_policy(n, x_card, fb.z_card, rng).conditionals)
-            codes = list(history_tables(x_card, fb, n))
-            for i, code in enumerate(codes):
-                # x_0..x_i, then y_0..y_{i-1} only when feedback carries them
-                y_axes = (y_card if fb.z_card > 1 else 1,) * i
-                assert code.shape == (x_card,) * (i + 1) + (1,) * (n - 1 - i) + y_axes + (1,) * (n - i)
+            code = history_code(x_card, fb, n)
+            # x_0..x_{n-1}, then y_0..y_{n-2} only when feedback carries them
+            y_axes = (y_card if fb.z_card > 1 else 1,) * (n - 1)
+            assert code.shape == (x_card,) * n + y_axes + (1,)
             d = rng.standard_normal((x_card ** n, y_card ** n))
-            prods, w = policy_products(conds, codes, y_card)
-            grads = policy_adjoint(conds, codes, prods, d)
+            reach = sequence_reach(conds)
+            w = weight_table(reach, code, y_card)
+            grads = policy_adjoint(conds, reach, code, d)
             for i, c in enumerate(conds):
                 assert grads[i].shape == c.shape
                 for h, x in itertools.product(range(c.shape[0]), range(x_card)):
                     bumped = list(conds)
                     bumped[i] = c.copy()
                     bumped[i][h, x] += 1.0
-                    diff = ((policy_products(bumped, codes, y_card)[1] - w) * d).sum()
+                    diff = ((weight_table(sequence_reach(bumped), code, y_card) - w) * d).sum()
                     assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
 
 
@@ -287,6 +287,11 @@ def test_policy_validation():
         CausalConditioning(
             horizon=1, x_card=2, z_card=2, conditionals=(np.array([[1.3, -0.3]]),)
         )
+    for bad in (math.nan, math.inf):  # NaN fails every comparison, so no tolerance check sees it
+        d = uniform_policy(2, 2, 2).to_dict()
+        d["conditionals"][3] = bad
+        with pytest.raises(ValidationError):
+            CausalConditioning.from_dict(d)
 
 
 def test_table_cap_refusal():
@@ -312,7 +317,9 @@ def test_channel_table_non_square_alphabets():
         assert mixed[i, j] == pytest.approx(float(np.dot(prior, per_state)), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("s0", [-1, 2, 5])
+@pytest.mark.parametrize(
+    "s0", [-1, 2, 5, math.nan, math.inf, pytest.param([math.nan, math.nan], id="nan-prior")]
+)
 def test_channel_table_rejects_out_of_range_state(s0):
     fsc = ge(0.3, 0.4, 0.05, 0.45)
     with pytest.raises(ValidationError):

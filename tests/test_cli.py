@@ -118,6 +118,18 @@ class TestCapacity:
             assert rc == 2, states
             assert "error:" in capsys.readouterr().err
 
+    def test_family_non_finite_kernel(self, tmp_path, capsys):
+        # NaN > tol is False, so a NaN entry must be rejected on its own
+        for bad in (math.nan, math.inf):
+            member = bsc(0.1).to_dict()
+            member["kernel"][0][0][0][0] = bad
+            fam_path = tmp_path / "fam.json"
+            fam_path.write_text(json.dumps([member]))
+            rc = main(["capacity", "--family", str(fam_path), "--n", "1", "--out", str(tmp_path / "run")])
+            assert rc == 2, bad
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_feedback_field_of_wrong_type(self, tmp_path, capsys):
         fam = write_pair_family(tmp_path)
         fb_path = tmp_path / "fb.json"
@@ -383,6 +395,26 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m, path: [],
+            lambda m, path: {k: v for k, v in m.items() if k != "subcommand"},
+            lambda m, path: dict(m, argv=["rerun", str(path)]),
+            lambda m, path: dict(m, argv=["verify", "--suite", 5]),
+        ],
+        ids=["not-an-object", "without-subcommand", "reruns-itself", "argv-not-strings"],
+    )
+    def test_rerun_rejects_malformed_manifest(self, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert main(["verify", "--suite", "kim-identity", "--out", str(out)]) == 0
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()), path)))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "replay")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
 
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"

@@ -150,7 +150,9 @@ def _refuse_to_simulate(*args, **kwargs):
 
 @pytest.mark.parametrize("field", ["s0_prior", "decoder_s0_prior"])
 @pytest.mark.parametrize(
-    "prior", [(0.2, 0.3, 0.5), (1.5, -0.5), (0.3, 0.3)], ids=["three-states", "negative", "unnormalised"]
+    "prior",
+    [(0.2, 0.3, 0.5), (1.5, -0.5), (0.3, 0.3), (math.nan, math.nan), (math.inf, 0.0)],
+    ids=["three-states", "negative", "unnormalised", "nan", "inf"],
 )
 def test_trial_config_rejects_bad_state_prior(monkeypatch, field, prior):
     monkeypatch.setattr("compound_fsc.simulate.simulate_batch", _refuse_to_simulate)
