@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .channel import (
     stationary_distribution,
     uniform_ergodicity_horizon,
 )
-from .directed_info import information_functional
 from .errors import ValidationError
 from .util import project_rows_to_simplex
 
@@ -49,11 +49,12 @@ STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
-# Path-sized tables alive at the solver's peak besides one per pair: the
-# weights, the policy, its sequence-form reach, the history code and the
-# value's and the supergradient's temporaries. On ge-gap (6 pairs) with 3
-# iterations and no restarts, tracemalloc measured 9.6, 7.8 and 7.6 of them
-# at n = 8, 9 and 10 (at n = 8, 1.4 of the 9.6 are one-time import
+# Path-sized tables alive at the solver's peak besides two per pair (the
+# stacked channel tables and their p log p): the policy, its sequence-form
+# reach, the history code, the averaged and best iterates, the weights, the
+# supergradient and the projection's temporaries. On ge-gap (6 pairs) with 3
+# iterations and no restarts, tracemalloc measured 9.4, 8.3 and 8.0 of them
+# at n = 8, 9 and 10 (at n = 8, 1.4 of the 9.4 are one-time import
 # allocations of a fresh process); one table of headroom on top, rounded up.
 SOLVER_TEMP_TABLES = 11
 
@@ -113,73 +114,106 @@ class CapacityReport:
         }
 
 
-def _pair_didw(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    p_y = (w * p).sum(axis=0)
-    return p * (np.log(p, out=np.zeros_like(p), where=p > 0) - np.log(np.maximum(p_y, _TINY)) - 1.0)
+class _PairTables(NamedTuple):
+    """The channel tables of a solve's (initial state, member) pairs, stacked
+    as [pair, xcode, ycode], with p log p (0 where p = 0) of the same shape."""
+
+    labels: list
+    probs: np.ndarray
+    plogp: np.ndarray
 
 
-def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, extra_starts) -> CapacityReport:
-    """Shared max-min ascent and its report. pairs: list of (label_tuple, P table)."""
+def _pair_values(w: np.ndarray, tables: _PairTables):
+    """Every pair's information functional at the weight table w, by two
+    contractions over the stacked tables: f_j = sum w plogp_j - sum_y p_jy
+    log p_jy with p_jy = sum_x w p_j. Also returns log max(p_jy, tiny), which
+    the supergradient reuses."""
+    p_y = np.einsum("xy,kxy->ky", w, tables.probs)
+    log_py = np.log(np.maximum(p_y, _TINY))
+    return np.einsum("xy,kxy->k", w, tables.plogp) - (p_y * log_py).sum(axis=1), log_py
+
+
+def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.ndarray:
+    """d f_j / dw = plogp_j - p_j (log p_jy + 1), from _pair_values' log p_y."""
+    didw = tables.probs[j] * (log_py[j] + 1.0)
+    return np.subtract(tables.plogp[j], didw, out=didw)
+
+
+def _flat_step(flat: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
+    """Every step's conditionals moved by scale * supergradient, both stacked
+    row-wise, and projected back onto the simplex in one call (rows are
+    independent). Overwrites grad."""
+    grad *= scale
+    grad += flat
+    return project_rows_to_simplex(grad)
+
+
+def _solve(
+    family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg, extra_starts
+) -> CapacityReport:
+    """Shared max-min ascent and its report over the stacked pair tables."""
     cfg = cfg or SolverConfig()
     first = family.members[0]
     x_card, z_card = first.n_inputs, feedback.z_card
     code = history_code(x_card, feedback, n)
-    probs = [p for _, p in pairs]
+    # an iterate is every step's conditionals stacked row-wise in one array
+    bounds = np.cumsum([0] + [(x_card * z_card) ** i for i in range(n)])
+
+    def steps(flat):
+        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def value(conds):
+        # the weights die here: the supergradient needs only log p_y
         reach = sequence_reach(conds)
-        w = weight_table(reach, code, first.n_outputs)
-        vals = [information_functional(w, p) / n for p in probs]
-        return min(vals), vals, w, reach
+        f, log_py = _pair_values(weight_table(reach, code, first.n_outputs), tables)
+        vals = f / n
+        return float(vals.min()), vals, reach, log_py
 
-    def active_gradient(conds):
-        j, vals, w, reach = value(conds)
-        active = min(
-            (i for i, v in enumerate(vals) if v <= j + ACTIVE_TOL),
-            default=int(np.argmin(vals)),
-        )
-        return j, active, policy_adjoint(conds, reach, code, _pair_didw(w, probs[active]))
+    def active_gradient(flat):
+        conds = steps(flat)
+        j, vals, reach, log_py = value(conds)
+        active = int(np.argmax(vals <= j + ACTIVE_TOL))
+        didw = _pair_supergradient(tables, active, log_py)
+        return j, active, np.concatenate(policy_adjoint(conds, reach, code, didw))
 
-    def ascent_step(conds, step):
-        # the weights and reach die before the projection and the
-        # supergradient on return, so the next evaluation starts without them
-        j, _, grads = active_gradient(conds)
-        return j, [project_rows_to_simplex(c + (step / n) * g) for c, g in zip(conds, grads)]
+    def ascent_step(flat, step):
+        # the weights, the reach and the per-step supergradients die before
+        # the projection, so the next evaluation starts without them
+        j, _, grad = active_gradient(flat)
+        return j, _flat_step(flat, grad, step / n)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [uniform_policy(n, x_card, z_card)]
     starts.extend(extra_starts)
     starts.extend(random_policy(n, x_card, z_card, rng) for _ in range(cfg.restarts))
 
-    global_best = (-math.inf, None, None, -1, "best")  # value, conds, history, start idx, src
+    global_best = (-math.inf, None, None, -1, "best")  # value, iterate, history, start idx, src
     for start_idx, q0 in enumerate(starts):
-        conds = list(q0.conditionals)  # iterates are never written in place
-        avg = [np.zeros_like(c) for c in conds]
+        flat = np.concatenate(q0.conditionals)  # iterates are never written in place
+        avg = np.zeros_like(flat)
         avg_count = 0
         avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - AVG_FRACTION))))
-        best_v, best_conds = -math.inf, None
+        best_v, best_flat = -math.inf, None
         history = []
         for t in range(1, cfg.max_iters + 1):
-            j, stepped = ascent_step(conds, STEP_INIT / (t ** STEP_POWER))
+            j, stepped = ascent_step(flat, STEP_INIT / (t ** STEP_POWER))
             history.append(j)
             if j > best_v:
-                best_v, best_conds = j, conds
-            conds = stepped
+                best_v, best_flat = j, flat
+            flat = stepped
             if t >= avg_from:
-                for i in range(n):
-                    avg[i] += conds[i]
+                avg += flat
                 avg_count += 1
-        avg_conds = [a / avg_count for a in avg]
-        j_avg = value(avg_conds)[0]
-        for cand_v, cand_c, src in ((j_avg, avg_conds, "averaged"), (best_v, best_conds, "best")):
+        avg_flat = avg / avg_count
+        j_avg = value(steps(avg_flat))[0]
+        for cand_v, cand_f, src in ((j_avg, avg_flat, "averaged"), (best_v, best_flat, "best")):
             if cand_v > global_best[0]:
-                global_best = (cand_v, cand_c, history, start_idx, src)
+                global_best = (cand_v, cand_f, history, start_idx, src)
 
-    c_n, conds, history, start_idx, source = global_best
-    _, active, grads = active_gradient(conds)
+    c_n, flat, history, start_idx, source = global_best
+    _, active, grad = active_gradient(flat)
     probe = 1e-3
-    moved = [project_rows_to_simplex(conds[i] + probe * grads[i] / n) - conds[i] for i in range(n)]
-    stationarity = max(float(np.abs(m).max()) for m in moved) / probe
+    stationarity = float(np.abs(_flat_step(flat, grad, probe / n) - flat).max()) / probe
     # converged when the running best stopped improving over the last quarter
     running = np.maximum.accumulate(history)
     window = max(10, cfg.max_iters // 4)
@@ -199,23 +233,31 @@ def _solve(family: CompoundFamily, pairs, feedback: FeedbackMap, n: int, cfg, ex
         state_count=first.n_states,
         C_n_nats=c_n,
         hatC_n_nats=c_n - math.log(first.n_states) / n,
-        worst_case=pairs[active][0],
-        policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(conds)),
+        worst_case=tables.labels[active],
+        policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(steps(flat))),
         diagnostics=diag,
     )
 
 
-def _pair_tables(family: CompoundFamily, n: int, starts):
-    """[(pair label, channel table)] for (pair label, member, s0 prior) triples,
+def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
+    """The stacked channel tables of (pair label, member, s0 prior) triples,
     once the solver's whole working set fits the table budget."""
     starts = list(starts)
-    entries = family.members[0].n_inputs ** n * family.members[0].n_outputs ** n
-    check_table_bytes(entries, len(starts) + SOLVER_TEMP_TABLES, "capacity solver")
-    return [(label, channel_prob_table(m, n, s0)) for label, m, s0 in starts]
+    first = family.members[0]
+    x_paths, y_paths = first.n_inputs ** n, first.n_outputs ** n
+    check_table_bytes(x_paths * y_paths, 2 * len(starts) + SOLVER_TEMP_TABLES, "capacity solver")
+    probs = np.empty((len(starts), x_paths, y_paths))
+    plogp = np.zeros_like(probs)
+    for k, (_, m, s0) in enumerate(starts):
+        probs[k] = channel_prob_table(m, n, s0)
+        np.log(probs[k], out=plogp[k], where=probs[k] > 0)
+        plogp[k] *= probs[k]
+    return _PairTables([label for label, _, _ in starts], probs, plogp)
 
 
 def _state_pairs(family: CompoundFamily, n: int):
-    """(state label, member label) pairs in lexicographic evaluation order."""
+    """The stacked tables of the (state label, member label) pairs in
+    lexicographic evaluation order."""
     states = family.members[0].states
     starts = (
         ((str(s_label), label), m, s_idx)
@@ -269,10 +311,10 @@ def compute_Cn_markovian(
         raise ValidationError(
             f"family is not uniformly ergodic within {ergodicity_max_n} steps at eps={ergodicity_eps}"
         )
-    pairs = _pair_tables(
+    tables = _pair_tables(
         family, n, ((("stationary", label), m, stationary_distribution(m)) for label, m in family)
     )
-    return _solve(family, pairs, feedback, n, cfg, extra_starts)
+    return _solve(family, tables, feedback, n, cfg, extra_starts)
 
 
 @dataclass(frozen=True)
@@ -390,7 +432,7 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     For these channels a uniform open-loop input attains every per-member
     maximum (additive noise), so the min-max side needs no inner solve. The
     channel tables do not depend on the feedback map, so both solves and the
-    uniform value share one set.
+    uniform value share one stacked set and its p log p.
     """
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
@@ -398,11 +440,10 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     first = family.members[0]
     q_u = uniform_policy(n, first.n_inputs, 1)
     nofb = no_feedback(first.outputs)
-    pairs = _state_pairs(family, n)
-    w = policy_weight_table(q_u, first.n_outputs, nofb)
-    uniform_value = min(information_functional(w, p) / n for _, p in pairs)
-    rep_fb = _solve(family, pairs, identity_feedback(first.outputs), n, cfg, ())
-    rep_nfb = _solve(family, pairs, nofb, n, cfg, ())
+    tables = _state_pairs(family, n)
+    uniform_value = float(_pair_values(policy_weight_table(q_u, first.n_outputs, nofb), tables)[0].min()) / n
+    rep_fb = _solve(family, tables, identity_feedback(first.outputs), n, cfg, ())
+    rep_nfb = _solve(family, tables, nofb, n, cfg, ())
     if rep_nfb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("no-feedback solve fell below the feasible uniform value")
     if rep_fb.C_n_nats < uniform_value - 1e-9:

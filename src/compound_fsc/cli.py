@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -99,6 +100,13 @@ def _write_manifest(out: Path, subcommand: str, argv, config: dict, seed: int, m
     (out / MANIFEST_NAME).write_text(json.dumps(m.to_dict(), indent=2) + "\n")
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB (ru_maxrss is in
+    KiB on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2 ** (20 if sys.platform == "darwin" else 10)
+
+
 def _write_json(out: Path, name: str, payload: dict) -> None:
     body = {"manifest": MANIFEST_NAME}
     body.update(payload)
@@ -153,15 +161,11 @@ def cmd_capacity(args) -> int:
     family, fam_cfg = _resolve_family(args)
     fb = _resolve_feedback(args.feedback, family.members[0].outputs)
     cfg = SolverConfig(seed=args.seed)
+    t_solve = time.monotonic()
     report = compute_Cn(family, fb, args.n, cfg)
+    solve_s = time.monotonic() - t_solve
     out = _out_dir(args)
-    config = dict(fam_cfg, n=args.n, feedback=args.feedback, seed=args.seed)
-    metrics = {
-        "wall_clock_s": time.monotonic() - t0,
-        "iterations": report.diagnostics.iterations,
-        "restarts": report.diagnostics.restarts,
-    }
-    _write_manifest(out, "capacity", args.effective_argv, config, args.seed, metrics)
+    t_write = time.monotonic()
     _write_json(out, "capacity_report.json", report.to_dict())
     _write_csv(
         out,
@@ -169,6 +173,16 @@ def cmd_capacity(args) -> int:
         ["iteration", "value_nats_per_symbol"],
         list(enumerate(report.diagnostics.value_history, start=1)),
     )
+    config = dict(fam_cfg, n=args.n, feedback=args.feedback, seed=args.seed)
+    metrics = {
+        "wall_clock_s": time.monotonic() - t0,
+        "solve_s": solve_s,
+        "write_s": time.monotonic() - t_write,
+        "peak_rss_mb": _peak_rss_mb(),
+        "iterations": report.diagnostics.iterations,
+        "restarts": report.diagnostics.restarts,
+    }
+    _write_manifest(out, "capacity", args.effective_argv, config, args.seed, metrics)
     c, hat = report.C_n_nats, report.hatC_n_nats
     print(f"C_{args.n}    = {c:.9f} nats/symbol = {c / LN2:.9f} bits/symbol")
     print(f"hatC_{args.n} = {hat:.9f} nats/symbol = {hat / LN2:.9f} bits/symbol")

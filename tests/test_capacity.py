@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from compound_fsc import (
     ValidationError,
     blahut_arimoto,
     bsc,
+    channel_prob_table,
     compute_Cn,
     compute_Cn_markovian,
     compute_Cn_nofeedback,
@@ -24,17 +26,21 @@ from compound_fsc import (
     ge_feedback_gap,
     ge_gap_family,
     identity_feedback,
+    information_functional,
     input_prob,
     make_gilbert_elliot,
     make_memoryless,
     memoryless_compound_fb_capacity,
     mixture_policy,
     no_feedback,
+    policy_weight_table,
     product_policy,
     random_policy,
+    stationary_distribution,
     superadditivity_check,
     uniform_policy,
 )
+from compound_fsc.util import project_rows_to_simplex
 
 LN2 = math.log(2.0)
 
@@ -329,6 +335,78 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
         tracemalloc.stop()
     assert len(charged) == 1
     assert peak <= charged[0]
+
+
+def _per_pair_didw(w, p):
+    # the per-pair supergradient formula the stacked evaluator replaced
+    p_y = (w * p).sum(axis=0)
+    return p * (np.log(p, out=np.zeros_like(p), where=p > 0) - np.log(np.maximum(p_y, 1e-300)) - 1.0)
+
+
+def _zero_entry_family():
+    # m0 never emits y = 2 (so p_y = 0 columns); both have p = 0 entries
+    m0 = _two_state_three_output(
+        [[[0.7, 0.3, 0.0], [0.0, 1.0, 0.0]], [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]],
+        [[0.8, 0.2], [0.3, 0.7]],
+    )
+    m1 = _two_state_three_output(
+        [[[0.6, 0.0, 0.4], [0.0, 0.3, 0.7]], [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5]]],
+        [[0.9, 0.1], [0.4, 0.6]],
+    )
+    return CompoundFamily(members=(m0, m1), labels=("m0", "m1"))
+
+
+@pytest.mark.parametrize("fb_table", [(0, 1, 2), (0, 1, 1), (0, 0, 0)], ids=["identity", "coarse", "none"])
+@pytest.mark.parametrize("prior", ["states", "stationary"])
+def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
+    fam = _zero_entry_family()
+    fb = FeedbackMap(z_alphabet=tuple(sorted(set(fb_table))), table=np.array(fb_table))
+    n = 3
+    if prior == "states":
+        starts = [((s, label), m, s) for s in range(2) for label, m in fam]
+    else:  # the pairs of compute_Cn_markovian
+        starts = [(("stationary", label), m, stationary_distribution(m)) for label, m in fam]
+    tables = capmod._pair_tables(fam, n, starts)
+    rng = np.random.default_rng(11)
+    q = random_policy(n, 2, fb.z_card, rng)
+    # a deterministic first step leaves half the input paths with weight 0
+    onehot = (np.array([[1.0, 0.0]]),) + q.conditionals[1:]
+    for conds in (q.conditionals, onehot):
+        w = policy_weight_table(replace(q, conditionals=conds), 3, fb)
+        f, log_py = capmod._pair_values(w, tables)
+        for k, (_, m, s0) in enumerate(starts):
+            p = channel_prob_table(m, n, s0)
+            assert f[k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
+            got = capmod._pair_supergradient(tables, k, log_py)
+            assert np.max(np.abs(got - _per_pair_didw(w, p))) <= 1e-12
+    assert np.any(tables.probs == 0) and np.any(tables.probs.sum(axis=1) == 0)
+
+
+def test_flat_projection_matches_per_step_projections_bitwise():
+    rng = np.random.default_rng(5)
+    q = random_policy(4, 3, 2, rng)
+    for scale in (0.01, 0.5, 40.0):  # the largest pushes rows onto the boundary
+        grads = [rng.normal(size=c.shape) for c in q.conditionals]
+        want = np.concatenate([project_rows_to_simplex(c + scale * g) for c, g in zip(q.conditionals, grads)])
+        got = capmod._flat_step(np.concatenate(q.conditionals), np.concatenate(grads), scale)
+        assert np.array_equal(got, want)
+
+
+def test_solver_projects_once_per_ascent_step(monkeypatch):
+    calls = []
+    project = capmod.project_rows_to_simplex
+
+    def counting(v):
+        calls.append(v.shape)
+        return project(v)
+
+    monkeypatch.setattr(capmod, "project_rows_to_simplex", counting)
+    assert not hasattr(capmod, "information_functional")
+    fam = ge_gap_family()
+    compute_Cn(fam, identity_feedback(fam.members[0].outputs), 3, SolverConfig(max_iters=7, restarts=1))
+    # 7 steps from each of 2 starts, then the stationarity probe; each call
+    # covers the rows of all 3 steps
+    assert calls == [(1 + 4 + 16, 2)] * 15
 
 
 def test_ge_feedback_gap_state_degenerate():

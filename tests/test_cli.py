@@ -51,6 +51,21 @@ class TestCapacity:
         assert manifest["subcommand"] == "capacity"
         assert "--family" in manifest["argv"]
 
+    def test_manifest_timings_and_rerun_reproduces_report(self, tmp_path):
+        fam = write_pair_family(tmp_path)
+        out = tmp_path / "run"
+        rc = main(["capacity", "--family", str(fam), "--n", "2", "--seed", "3", "--out", str(out)])
+        assert rc in (0, 4)
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["peak_rss_mb"] > 0
+        assert 0 <= metrics["solve_s"] and 0 <= metrics["write_s"]
+        assert metrics["solve_s"] + metrics["write_s"] <= metrics["wall_clock_s"]
+        # the timings stay out of what rerun must reproduce
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == rc
+        for name in ("capacity_report.json", "convergence.csv"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+
     def test_feedback_none_matches_identity_for_n1(self, tmp_path):
         # one-shot capacity cannot use feedback, so the two runs agree
         fam = write_pair_family(tmp_path)
