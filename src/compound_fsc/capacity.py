@@ -7,6 +7,12 @@ conditionals, with the supergradient taken at an active minimizer, iterate
 averaging over the tail, and multiple starts. The certified value is the
 objective evaluated at the better of the averaged and best visited iterate,
 so reported values are always achievable.
+
+An iteration never builds the full weight table: it contracts the pairs'
+stacked channel tables with the policy's code weights (causal.code_weights,
+1/|Y| of the table), against p log p kept folded over the outputs the history
+code does not span, and hands the folded supergradient to
+causal.policy_adjoint.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ from .causal import (
     CausalConditioning,
     channel_prob_table,
     check_table_bytes,
+    code_weights,
     history_code,
     policy_adjoint,
-    policy_weight_table,
     product_policy,
     uniform_policy,
     random_policy,
     sequence_reach,
-    weight_table,
 )
 from .channel import (
     CompoundFamily,
@@ -49,14 +54,16 @@ STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
-# Path-sized tables alive at the solver's peak besides two per pair (the
-# stacked channel tables and their p log p): the policy, its sequence-form
-# reach, the history code, the averaged and best iterates, the weights, the
-# supergradient and the projection's temporaries. On ge-gap (6 pairs) with 3
-# iterations and no restarts, tracemalloc measured 9.4, 8.3 and 8.0 of them
-# at n = 8, 9 and 10 (at n = 8, 1.4 of the 9.4 are one-time import
-# allocations of a fresh process); one table of headroom on top, rounded up.
-SOLVER_TEMP_TABLES = 11
+# Path-sized tables alive at the solver's peak besides the pairs' own (each
+# pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables):
+# the iterate, the best and averaged iterates, the start iterate, the best
+# earlier start's candidate, the history code, the supergradient and the
+# projection's temporaries. On ge-gap (6 pairs) with 3 iterations,
+# tracemalloc measured 6.8, 5.6 and 5.3 of them at n = 8, 9 and 10 without
+# restarts, and 8.1, 6.9 and 6.6 with the default 3 (at n = 8, 1.4 of them
+# are one-time import allocations of a fresh process); one table of headroom
+# over the n = 9 and 10 figures, rounded up.
+SOLVER_TEMP_TABLES = 8
 
 
 @dataclass(frozen=True)
@@ -116,27 +123,44 @@ class CapacityReport:
 
 class _PairTables(NamedTuple):
     """The channel tables of a solve's (initial state, member) pairs, stacked
-    as [pair, xcode, ycode], with p log p (0 where p = 0) of the same shape."""
+    as [pair, xcode, ycode], and their p log p (0 where p = 0) folded over the
+    outputs the history code does not span: [pair, xcode, a], with a the code
+    of y_{<n-1} (of nothing, one column, without feedback)."""
 
     labels: list
     probs: np.ndarray
-    plogp: np.ndarray
+    folded: np.ndarray
 
 
-def _pair_values(w: np.ndarray, tables: _PairTables):
-    """Every pair's information functional at the weight table w, by two
-    contractions over the stacked tables: f_j = sum w plogp_j - sum_y p_jy
-    log p_jy with p_jy = sum_x w p_j. Also returns log max(p_jy, tiny), which
-    the supergradient reuses."""
-    p_y = np.einsum("xy,kxy->ky", w, tables.probs)
+def _fold_for(tables: _PairTables, feedback: FeedbackMap) -> _PairTables:
+    """The tables for a solve under `feedback`: without feedback the code
+    spans no output axis, so p log p is summed over y_{<n-1} as well."""
+    if feedback.z_card > 1 or tables.folded.shape[2] == 1:
+        return tables
+    return tables._replace(folded=tables.folded.sum(axis=2, keepdims=True))
+
+
+def _pair_values(g: np.ndarray, tables: _PairTables):
+    """Every pair's information functional at the code weights g[xcode, a]
+    (causal.code_weights), by two contractions over the stacked tables:
+    f_j = sum g folded_j - sum_y p_jy log p_jy with p_jy = sum_x W p_j, the
+    weight table W never built. Also returns log max(p_jy, tiny), shaped
+    [pair, a, rest of y], which the supergradient reuses."""
+    k = len(tables.folded)
+    probs = tables.probs.reshape(tables.folded.shape + (-1,))
+    p_y = np.einsum("xa,kxal->kal", g, probs)
     log_py = np.log(np.maximum(p_y, _TINY))
-    return np.einsum("xy,kxy->k", w, tables.plogp) - (p_y * log_py).sum(axis=1), log_py
+    plogp_y = (p_y * log_py).reshape(k, -1).sum(axis=1)
+    return tables.folded.reshape(k, -1) @ g.reshape(-1) - plogp_y, log_py
 
 
 def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.ndarray:
-    """d f_j / dw = plogp_j - p_j (log p_jy + 1), from _pair_values' log p_y."""
-    didw = tables.probs[j] * (log_py[j] + 1.0)
-    return np.subtract(tables.plogp[j], didw, out=didw)
+    """d f_j / dg = folded_j - sum_{rest of y} p_j (log p_jy + 1), from
+    _pair_values' log p_y: d f_j / dW summed over the outputs the code does
+    not span, the size of the code."""
+    probs = tables.probs[j].reshape(tables.folded.shape[1:] + (-1,))
+    u = np.einsum("xal,al->xa", probs, log_py[j] + 1.0)
+    return np.subtract(tables.folded[j], u, out=u)
 
 
 def _flat_step(flat: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
@@ -153,9 +177,11 @@ def _solve(
 ) -> CapacityReport:
     """Shared max-min ascent and its report over the stacked pair tables."""
     cfg = cfg or SolverConfig()
+    extra_starts = tuple(extra_starts)
     first = family.members[0]
     x_card, z_card = first.n_inputs, feedback.z_card
     code = history_code(x_card, feedback, n)
+    tables = _fold_for(tables, feedback)
     # an iterate is every step's conditionals stacked row-wise in one array
     bounds = np.cumsum([0] + [(x_card * z_card) ** i for i in range(n)])
 
@@ -165,7 +191,7 @@ def _solve(
     def value(conds):
         # the weights die here: the supergradient needs only log p_y
         reach = sequence_reach(conds)
-        f, log_py = _pair_values(weight_table(reach, code, first.n_outputs), tables)
+        f, log_py = _pair_values(code_weights(reach, code), tables)
         vals = f / n
         return float(vals.min()), vals, reach, log_py
 
@@ -173,8 +199,9 @@ def _solve(
         conds = steps(flat)
         j, vals, reach, log_py = value(conds)
         active = int(np.argmax(vals <= j + ACTIVE_TOL))
-        didw = _pair_supergradient(tables, active, log_py)
-        return j, active, np.concatenate(policy_adjoint(conds, reach, code, didw))
+        # passed straight in, so the adjoint frees it once it is binned
+        grads = policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py))
+        return j, active, np.concatenate(grads)
 
     def ascent_step(flat, step):
         # the weights, the reach and the per-step supergradients die before
@@ -183,13 +210,19 @@ def _solve(
         return j, _flat_step(flat, grad, step / n)
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [uniform_policy(n, x_card, z_card)]
-    starts.extend(extra_starts)
-    starts.extend(random_policy(n, x_card, z_card, rng) for _ in range(cfg.restarts))
 
-    global_best = (-math.inf, None, None, -1, "best")  # value, iterate, history, start idx, src
-    for start_idx, q0 in enumerate(starts):
-        flat = np.concatenate(q0.conditionals)  # iterates are never written in place
+    def start_iterates():
+        # each start is drawn when its turn comes, so one is alive at a time
+        yield np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
+        for q0 in extra_starts:
+            yield np.concatenate(q0.conditionals)
+        for _ in range(cfg.restarts):
+            yield np.concatenate(random_policy(n, x_card, z_card, rng).conditionals)
+
+    def ascend(flat):
+        # one start's run: its better candidate (the averaged iterate on a
+        # tie) as (value, iterate, value history, source); iterates are never
+        # written in place, and only the candidate outlives the call
         avg = np.zeros_like(flat)
         avg_count = 0
         avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - AVG_FRACTION))))
@@ -204,16 +237,21 @@ def _solve(
             if t >= avg_from:
                 avg += flat
                 avg_count += 1
-        avg_flat = avg / avg_count
-        j_avg = value(steps(avg_flat))[0]
-        for cand_v, cand_f, src in ((j_avg, avg_flat, "averaged"), (best_v, best_flat, "best")):
-            if cand_v > global_best[0]:
-                global_best = (cand_v, cand_f, history, start_idx, src)
+        avg /= avg_count
+        j_avg = value(steps(avg))[0]
+        if j_avg >= best_v:
+            return j_avg, avg, history, "averaged"
+        return best_v, best_flat, history, "best"
 
-    c_n, flat, history, start_idx, source = global_best
+    # the first best start wins; max frees every other run before the next
+    start_idx, (c_n, flat, history, source) = max(
+        enumerate(map(ascend, start_iterates())), key=lambda run: run[1][0]
+    )
     _, active, grad = active_gradient(flat)
     probe = 1e-3
-    stationarity = float(np.abs(_flat_step(flat, grad, probe / n) - flat).max()) / probe
+    moved = _flat_step(flat, grad, probe / n)
+    moved -= flat
+    stationarity = float(np.abs(moved, out=moved).max()) / probe
     # converged when the running best stopped improving over the last quarter
     running = np.maximum.accumulate(history)
     window = max(10, cfg.max_iters // 4)
@@ -221,7 +259,7 @@ def _solve(
     diag = SolverDiagnostics(
         converged=bool(converged),
         iterations=cfg.max_iters,
-        restarts=len(starts),
+        restarts=1 + len(extra_starts) + cfg.restarts,
         best_start=start_idx,
         source=source,
         final_step=STEP_INIT / (cfg.max_iters ** STEP_POWER),
@@ -244,15 +282,24 @@ def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
     once the solver's whole working set fits the table budget."""
     starts = list(starts)
     first = family.members[0]
-    x_paths, y_paths = first.n_inputs ** n, first.n_outputs ** n
-    check_table_bytes(x_paths * y_paths, 2 * len(starts) + SOLVER_TEMP_TABLES, "capacity solver")
+    y_card = first.n_outputs
+    x_paths, y_paths = first.n_inputs ** n, y_card ** n
+    # charged in 1/|Y| tables: |Y| + 1 per pair, |Y| per temporary table
+    check_table_bytes(
+        x_paths * y_paths // y_card,
+        (y_card + 1) * len(starts) + y_card * SOLVER_TEMP_TABLES,
+        "capacity solver",
+    )
     probs = np.empty((len(starts), x_paths, y_paths))
-    plogp = np.zeros_like(probs)
+    folded = np.empty((len(starts), x_paths, y_paths // y_card))
+    plogp = np.empty((x_paths, y_paths))  # one pair's, reused
     for k, (_, m, s0) in enumerate(starts):
         probs[k] = channel_prob_table(m, n, s0)
-        np.log(probs[k], out=plogp[k], where=probs[k] > 0)
-        plogp[k] *= probs[k]
-    return _PairTables([label for label, _, _ in starts], probs, plogp)
+        plogp.fill(0.0)
+        np.log(probs[k], out=plogp, where=probs[k] > 0)
+        plogp *= probs[k]
+        plogp.reshape(-1, y_card).sum(axis=1, out=folded[k].reshape(-1))
+    return _PairTables([label for label, _, _ in starts], probs, folded)
 
 
 def _state_pairs(family: CompoundFamily, n: int):
@@ -267,6 +314,12 @@ def _state_pairs(family: CompoundFamily, n: int):
     return _pair_tables(family, n, starts)
 
 
+def _check_horizon(n: int) -> None:
+    """Refuses a horizon below 1 before any table is built."""
+    if n < 1:
+        raise ValidationError(f"horizon n must be >= 1, got {n}")
+
+
 def compute_Cn(
     family: CompoundFamily,
     feedback: FeedbackMap,
@@ -276,6 +329,7 @@ def compute_Cn(
 ) -> CapacityReport:
     """Max over input laws of the min per-symbol directed information, together
     with the same value shifted down by ln|S|/n."""
+    _check_horizon(n)
     if feedback.table.size != family.members[0].n_outputs:
         raise ValidationError("feedback map does not cover the output alphabet")
     return _solve(family, _state_pairs(family, n), feedback, n, cfg, extra_starts)
@@ -305,6 +359,7 @@ def compute_Cn_markovian(
     Requires an input-independent state marginal and uniform ergodicity at
     the configured tolerance.
     """
+    _check_horizon(n)
     for label, m in family:
         state_transition_matrix(m)
     if uniform_ergodicity_horizon(family, ergodicity_eps, ergodicity_max_n) is None:
@@ -432,18 +487,22 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     For these channels a uniform open-loop input attains every per-member
     maximum (additive noise), so the min-max side needs no inner solve. The
     channel tables do not depend on the feedback map, so both solves and the
-    uniform value share one stacked set and its p log p.
+    uniform value share one stacked set and its folded p log p (summed once
+    more for the open-loop side).
     """
+    _check_horizon(n)
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
             raise ValidationError(f"member {label!r} is not Gilbert-Elliot shaped")
     first = family.members[0]
-    q_u = uniform_policy(n, first.n_inputs, 1)
     nofb = no_feedback(first.outputs)
     tables = _state_pairs(family, n)
-    uniform_value = float(_pair_values(policy_weight_table(q_u, first.n_outputs, nofb), tables)[0].min()) / n
+    nofb_tables = _fold_for(tables, nofb)
+    reach_u = sequence_reach(uniform_policy(n, first.n_inputs, 1).conditionals)
+    g_u = code_weights(reach_u, history_code(first.n_inputs, nofb, n))
+    uniform_value = float(_pair_values(g_u, nofb_tables)[0].min()) / n
     rep_fb = _solve(family, tables, identity_feedback(first.outputs), n, cfg, ())
-    rep_nfb = _solve(family, tables, nofb, n, cfg, ())
+    rep_nfb = _solve(family, nofb_tables, nofb, n, cfg, ())
     if rep_nfb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("no-feedback solve fell below the feasible uniform value")
     if rep_fb.C_n_nats < uniform_value - 1e-9:

@@ -4,6 +4,11 @@ An input law over horizon n is a collection of conditionals
 q_i(x_i | x^{i-1}, z^{i-1}); its product gives the weight the encoder assigns
 an input path given a feedback path. The channel side is the causal law
 P(y^n || x^n, s_0), obtained by summing state paths with a forward recursion.
+
+The weights depend on the outputs only through the feedback prefix, so
+code_weights holds them on the history code's own axes, 1/|Y| of the full
+weight table or less; weight_table repeats them over the remaining output
+axes, and policy_adjoint takes gradients already summed over those axes.
 """
 
 from __future__ import annotations
@@ -289,23 +294,32 @@ def history_code(x_card: int, feedback: FeedbackMap, n: int) -> np.ndarray:
     return code
 
 
+def code_weights(reach, code: np.ndarray) -> np.ndarray:
+    """Table G[xcode, a] = q(x^n || f(y)^{n-1}) on the axes the history code
+    spans: the last step's sequence-form weights read through the code, with
+    a the code of the output prefix y_{<n-1} (one column without feedback).
+    The weight table repeats each column over the output axes the code does
+    not span, so G is 1/|Y| of it with feedback and 1/|Y|^n without."""
+    last = reach[-1]
+    return last.reshape(-1)[code].reshape(last.shape[1] ** len(reach), -1)
+
+
 def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
-    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}): the last step's
-    sequence-form weights read through the history code and spread over
-    every output axis the code does not span (the last one, or all n
+    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}): code_weights spread
+    over every output axis the code does not span (the last one, or all n
     without feedback)."""
-    last, n = reach[-1].reshape(-1)[code], len(reach)
-    full = np.broadcast_to(last, last.shape[:n] + (y_card,) * n)
-    return full.reshape(last.shape[0] ** n, -1)
+    g = code_weights(reach, code)
+    rest = y_card ** len(reach) // g.shape[1]
+    return np.broadcast_to(g[:, :, None], g.shape + (rest,)).reshape(g.shape[0], -1)
 
 
-def policy_adjoint(conds, reach, code: np.ndarray, didw: np.ndarray) -> list[np.ndarray]:
-    """d/d conds[i] of sum(W * didw) for the W of weight_table, on the
-    conditionals' own history rows: U_{n-1} folds sum_{y_{n-1}} didw into the
-    entries of conds[-1] by the code, step i's gradient is U_i times the
-    reach[i - 1] entry its row extends, and U_{i-1} = sum_{z_{i-1}, x_i}
-    conds[i] U_i."""
-    u = didw.reshape(code.shape[:-1] + (-1,)).sum(axis=-1)
+def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+    """d/d conds[i] of sum(G * u) for the G of code_weights, on the
+    conditionals' own history rows; u = d/dW summed over the output axes the
+    code does not span, so u has the code's size. U_{n-1} sums u into the
+    entries of conds[-1] by the code (a many-to-one feedback map merges
+    entries), step i's gradient is U_i times the reach[i - 1] entry its row
+    extends, and U_{i-1} = sum_{z_{i-1}, x_i} conds[i] U_i."""
     u = np.bincount(code.ravel(), u.ravel(), conds[-1].size).reshape(conds[-1].shape)
     grads = [None] * len(conds)
     for i in range(len(conds) - 1, 0, -1):

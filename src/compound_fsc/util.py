@@ -35,10 +35,26 @@ def binary_entropy_nats(p: float) -> float:
 def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of v onto the probability simplex.
 
-    Sort-based algorithm; exact up to float rounding.
+    Sort-based algorithm; exact up to float rounding. Two-entry rows take the
+    same arithmetic without the sort: with css = (a + b) - 1, theta is css / 2
+    unless that leaves the smaller entry non-positive (then max(a, b) - 1),
+    bitwise equal to the general path.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     n = v.shape[1]
+    if n == 2:
+        a, b = v[:, 0], v[:, 1]
+        top = np.maximum(a, b)
+        top_less = top - 1.0
+        half = a + b
+        half -= 1.0
+        half /= 2
+        # the sort path's rho is 2 when the smaller entry stays positive, and
+        # also when even the larger one fails (|top| too large for top - 1);
+        # x - y > 0 is x > y in floats (gradual underflow), so no subtraction
+        rho2 = (np.minimum(a, b) > half) | (top_less >= top)
+        w = v - np.where(rho2, half, top_less)[:, None]
+        return np.maximum(w, 0.0, out=w)
     u = np.sort(v, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
     ind = np.arange(1, n + 1)

@@ -40,6 +40,7 @@ from compound_fsc import (
     superadditivity_check,
     uniform_policy,
 )
+from compound_fsc.causal import code_weights, history_code, sequence_reach
 from compound_fsc.util import project_rows_to_simplex
 
 LN2 = math.log(2.0)
@@ -366,19 +367,23 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
         starts = [((s, label), m, s) for s in range(2) for label, m in fam]
     else:  # the pairs of compute_Cn_markovian
         starts = [(("stationary", label), m, stationary_distribution(m)) for label, m in fam]
-    tables = capmod._pair_tables(fam, n, starts)
+    tables = capmod._fold_for(capmod._pair_tables(fam, n, starts), fb)
+    code = history_code(2, fb, n)
     rng = np.random.default_rng(11)
     q = random_policy(n, 2, fb.z_card, rng)
     # a deterministic first step leaves half the input paths with weight 0
     onehot = (np.array([[1.0, 0.0]]),) + q.conditionals[1:]
     for conds in (q.conditionals, onehot):
         w = policy_weight_table(replace(q, conditionals=conds), 3, fb)
-        f, log_py = capmod._pair_values(w, tables)
+        f, log_py = capmod._pair_values(code_weights(sequence_reach(conds), code), tables)
         for k, (_, m, s0) in enumerate(starts):
             p = channel_prob_table(m, n, s0)
             assert f[k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
             got = capmod._pair_supergradient(tables, k, log_py)
-            assert np.max(np.abs(got - _per_pair_didw(w, p))) <= 1e-12
+            # the oracle folded over the output axes the code does not span
+            want = _per_pair_didw(w, p).reshape(got.shape + (-1,)).sum(axis=-1)
+            assert got.size == code.size
+            assert np.max(np.abs(got - want)) <= 1e-12
     assert np.any(tables.probs == 0) and np.any(tables.probs.sum(axis=1) == 0)
 
 
@@ -390,6 +395,66 @@ def test_flat_projection_matches_per_step_projections_bitwise():
         want = np.concatenate([project_rows_to_simplex(c + scale * g) for c, g in zip(q.conditionals, grads)])
         got = capmod._flat_step(np.concatenate(q.conditionals), np.concatenate(grads), scale)
         assert np.array_equal(got, want)
+
+
+def _sort_projection(v):
+    # the sort-based simplex projection, inline, as the two-column oracle
+    n = v.shape[1]
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, n + 1) > 0
+    rho = n - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(v.shape[0]), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def test_two_column_projection_matches_sort_path_bitwise():
+    rng = np.random.default_rng(41)
+    # past 2**53 the larger entry minus 1 rounds back to itself, the case
+    # where the sort path falls back to rho = 2
+    cases = [rng.normal(size=(4000, 2)) * scale for scale in (1e-300, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e17, 1e300)]
+    base = rng.normal(size=4000)
+    gap = 1.0 + rng.exponential(size=4000)
+    cases.append(np.stack([base + gap, base], axis=1))  # a - b >= 1
+    cases.append(np.stack([base, base + gap], axis=1))  # b - a >= 1
+    cases.append(np.stack([base, base + 1.0], axis=1))  # |a - b| = 1 up to rounding
+    cases.append(np.stack([base, base], axis=1))  # a = b
+    cases.append(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [0.5, 0.5], [-0.0, 0.0]]))
+    for v in cases:
+        assert np.array_equal(project_rows_to_simplex(v), _sort_projection(v))
+
+
+@pytest.mark.parametrize("fb_table", [(0, 1, 2), (0, 1, 1), (0, 0, 0)], ids=["identity", "coarse", "none"])
+@pytest.mark.parametrize("markovian", [False, True], ids=["states", "stationary"])
+def test_reported_value_is_min_directed_information_of_its_policy(fb_table, markovian):
+    # the folded contractions agree with the full weight table of directed_information
+    fam = _zero_entry_family()
+    fb = FeedbackMap(z_alphabet=tuple(sorted(set(fb_table))), table=np.array(fb_table))
+    n = 3
+    if markovian:
+        rep = compute_Cn_markovian(fam, fb, n, LEAN)
+        pairs = {("stationary", label): (m, stationary_distribution(m)) for label, m in fam}
+    else:
+        rep = compute_Cn_nofeedback(fam, n, LEAN) if fb.z_card == 1 else compute_Cn(fam, fb, n, LEAN)
+        pairs = {(str(s), label): (m, s) for s in range(2) for label, m in fam}
+    values = {key: directed_information(rep.policy, m, s0, fb).value_nats / n for key, (m, s0) in pairs.items()}
+    assert rep.C_n_nats == pytest.approx(min(values.values()), rel=0, abs=1e-12)
+    assert values[rep.worst_case] == pytest.approx(rep.C_n_nats, rel=0, abs=1e-12)
+
+
+def test_solvers_reject_horizon_below_one_before_any_table(monkeypatch):
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    fam = ge_gap_family()
+    fb = identity_feedback(fam.members[0].outputs)
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="horizon"):
+            compute_Cn(fam, fb, n)
+        with pytest.raises(ValidationError, match="horizon"):
+            compute_Cn_nofeedback(fam, n)
+        with pytest.raises(ValidationError, match="horizon"):
+            compute_Cn_markovian(fam, fb, n)
+        with pytest.raises(ValidationError, match="horizon"):
+            ge_feedback_gap(fam, n)
 
 
 def test_solver_projects_once_per_ascent_step(monkeypatch):

@@ -192,7 +192,9 @@ def test_policy_adjoint_matches_multilinear_difference():
             d = rng.standard_normal((x_card ** n, y_card ** n))
             reach = sequence_reach(conds)
             w = weight_table(reach, code, y_card)
-            grads = policy_adjoint(conds, reach, code, d)
+            # the adjoint takes d summed over the output axes the code does not span
+            u = d.reshape(x_card ** n, code.size // x_card ** n, -1).sum(axis=-1)
+            grads = policy_adjoint(conds, reach, code, u)
             for i, c in enumerate(conds):
                 assert grads[i].shape == c.shape
                 for h, x in itertools.product(range(c.shape[0]), range(x_card)):

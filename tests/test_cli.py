@@ -169,6 +169,16 @@ class TestCapacity:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_horizon_below_one_exit_code(self, tmp_path, capsys):
+        for n in ("0", "-1"):
+            rc = main(
+                ["capacity", "--preset", "ge-gap", "--feedback", "identity", "--n", n,
+                 "--out", str(tmp_path / "run")]
+            )
+            assert rc == 2, n
+            assert "horizon" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
         import compound_fsc.cli as climod
         from compound_fsc.capacity import SolverConfig, compute_Cn
