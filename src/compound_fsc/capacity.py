@@ -54,6 +54,10 @@ STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
 VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
+ERGODICITY_EPS = 0.05  # compute_Cn_markovian: state-law distance to stationarity
+ERGODICITY_MAX_N = 500  # compute_Cn_markovian: steps within which it must hold
+BA_GAP_TOL = 1e-10  # blahut_arimoto stops once its capacity bounds are this close
+BA_MAX_ITERS = 200_000  # blahut_arimoto gives up after this many iterations
 # Path-sized tables alive at the solver's peak besides the pairs' own (each
 # pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables):
 # the iterate, the best and averaged iterates, the start iterate, the best
@@ -84,7 +88,6 @@ class SolverDiagnostics:
     restarts: int
     best_start: int
     source: str
-    final_step: float
     stationarity_norm: float
     value_history: tuple
 
@@ -262,7 +265,6 @@ def _solve(
         restarts=1 + len(extra_starts) + cfg.restarts,
         best_start=start_idx,
         source=source,
-        final_step=STEP_INIT / (cfg.max_iters ** STEP_POWER),
         stationarity_norm=stationarity,
         value_history=tuple(history),
     )
@@ -335,14 +337,9 @@ def compute_Cn(
     return _solve(family, _state_pairs(family, n), feedback, n, cfg, extra_starts)
 
 
-def compute_Cn_nofeedback(
-    family: CompoundFamily,
-    n: int,
-    cfg: SolverConfig | None = None,
-    extra_starts=(),
-) -> CapacityReport:
+def compute_Cn_nofeedback(family: CompoundFamily, n: int, cfg: SolverConfig | None = None) -> CapacityReport:
     """Same program restricted to open-loop inputs (singleton feedback alphabet)."""
-    return compute_Cn(family, no_feedback(family.members[0].outputs), n, cfg, extra_starts)
+    return compute_Cn(family, no_feedback(family.members[0].outputs), n, cfg)
 
 
 def compute_Cn_markovian(
@@ -350,26 +347,24 @@ def compute_Cn_markovian(
     feedback: FeedbackMap,
     n: int,
     cfg: SolverConfig | None = None,
-    ergodicity_eps: float = 0.05,
-    ergodicity_max_n: int = 500,
-    extra_starts=(),
 ) -> CapacityReport:
     """Worst case over members only, each started from its stationary state law.
 
-    Requires an input-independent state marginal and uniform ergodicity at
-    the configured tolerance.
+    Requires an input-independent state marginal and uniform ergodicity: every
+    member's state law within ERGODICITY_EPS of stationarity after at most
+    ERGODICITY_MAX_N steps.
     """
     _check_horizon(n)
     for label, m in family:
         state_transition_matrix(m)
-    if uniform_ergodicity_horizon(family, ergodicity_eps, ergodicity_max_n) is None:
+    if uniform_ergodicity_horizon(family, ERGODICITY_EPS, ERGODICITY_MAX_N) is None:
         raise ValidationError(
-            f"family is not uniformly ergodic within {ergodicity_max_n} steps at eps={ergodicity_eps}"
+            f"family is not uniformly ergodic within {ERGODICITY_MAX_N} steps at eps={ERGODICITY_EPS}"
         )
     tables = _pair_tables(
         family, n, ((("stationary", label), m, stationary_distribution(m)) for label, m in family)
     )
-    return _solve(family, tables, feedback, n, cfg, extra_starts)
+    return _solve(family, tables, feedback, n, cfg, ())
 
 
 @dataclass(frozen=True)
@@ -418,40 +413,41 @@ def superadditivity_check(
     )
 
 
-def blahut_arimoto(cond: np.ndarray, tol: float = 1e-8, max_iters: int = 200_000):
+def blahut_arimoto(cond: np.ndarray):
     """Single-letter capacity of a memoryless conditional P(y|x), in nats.
 
-    Alternating maximization with the standard upper/lower capacity bounds as
-    the stopping rule; returns (capacity, optimal input distribution).
+    Alternating maximization, stopped once the standard upper and lower
+    capacity bounds are within BA_GAP_TOL (RuntimeError after BA_MAX_ITERS
+    iterations); returns (their midpoint, the optimal input distribution).
     """
     p = np.asarray(cond, dtype=float)
     if p.ndim != 2 or np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1)) > 1e-9:
         raise ValidationError("conditional table must be row-stochastic")
     nx = p.shape[0]
     q = np.full(nx, 1.0 / nx)
-    gap_tol = min(tol, 1e-10)
-    for _ in range(max_iters):
+    for _ in range(BA_MAX_ITERS):
         p_y = q @ p
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ratio = np.where(p > 0, np.log(np.maximum(p, _TINY)) - np.log(np.maximum(p_y, _TINY))[None, :], 0.0)
         d = (p * log_ratio).sum(axis=1)
         upper = float(d.max())
         lower = float(np.log(np.dot(q, np.exp(d - d.max()))) + d.max())
-        if upper - lower <= gap_tol:
+        if upper - lower <= BA_GAP_TOL:
             return 0.5 * (upper + lower), q
         q = q * np.exp(d - d.max())
         q /= q.sum()
     raise RuntimeError("alternating maximization did not converge")
 
 
-def memoryless_compound_fb_capacity(family: CompoundFamily, tol: float = 1e-8) -> float:
-    """Worst-member single-letter capacity; feedback cannot improve it for a
-    known-order memoryless family, so this is the compound feedback value."""
+def memoryless_compound_fb_capacity(family: CompoundFamily) -> float:
+    """Worst-member single-letter capacity (blahut_arimoto, to BA_GAP_TOL);
+    feedback cannot improve it for a known-order memoryless family, so this
+    is the compound feedback value."""
     values = []
     for label, m in family:
         if m.n_states != 1:
             raise ValidationError("members must be memoryless (single state)")
-        values.append(blahut_arimoto(m.kernel[0, :, :, 0], tol=tol)[0])
+        values.append(blahut_arimoto(m.kernel[0, :, :, 0])[0])
     return min(values)
 
 

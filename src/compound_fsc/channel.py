@@ -252,16 +252,15 @@ def make_gilbert_elliot(params: GilbertElliotParams) -> FscSpec:
     return FscSpec(states=GE_STATES, inputs=(0, 1), outputs=(0, 1), kernel=kernel)
 
 
-def make_memoryless(cond, inputs=None, outputs=None) -> FscSpec:
-    """Single-state channel from a conditional table P(y|x) of shape (|X|, |Y|)."""
+def make_memoryless(cond) -> FscSpec:
+    """Single-state channel from a conditional table P(y|x) of shape (|X|, |Y|),
+    with alphabets 0..|X|-1 and 0..|Y|-1."""
     cond = np.asarray(cond, dtype=float)
     if cond.ndim != 2:
         raise ValidationError("conditional table must be 2-D")
     nx, ny = cond.shape
-    inputs = tuple(inputs) if inputs is not None else tuple(range(nx))
-    outputs = tuple(outputs) if outputs is not None else tuple(range(ny))
     kernel = cond[None, :, :, None]
-    return FscSpec(states=("s",), inputs=inputs, outputs=outputs, kernel=kernel)
+    return FscSpec(states=("s",), inputs=tuple(range(nx)), outputs=tuple(range(ny)), kernel=kernel)
 
 
 def bsc(p: float) -> FscSpec:
@@ -344,22 +343,24 @@ def nearest_member(family: CompoundFamily, fsc: FscSpec) -> tuple[int, float]:
     return best_i, best_d
 
 
-def state_transition_matrix(fsc: FscSpec, tol: float = STATE_MARGINAL_TOL) -> np.ndarray:
-    """Input-independent state marginal T[s_prev, s_next], or NotMarkovianError."""
+def state_transition_matrix(fsc: FscSpec) -> np.ndarray:
+    """Input-independent state marginal T[s_prev, s_next], or NotMarkovianError
+    when it varies with the input by more than STATE_MARGINAL_TOL."""
     per_input = fsc.kernel.sum(axis=2)  # [s_prev, x, s_next]
     spread = np.abs(per_input - per_input[:, :1, :]).max()
-    if spread > tol:
+    if spread > STATE_MARGINAL_TOL:
         raise NotMarkovianError(
-            f"state marginal varies with the input by {spread:.3g} (> {tol:g})"
+            f"state marginal varies with the input by {spread:.3g} (> {STATE_MARGINAL_TOL:g})"
         )
     return per_input.mean(axis=1)
 
 
-def stationary_distribution(fsc: FscSpec, tol: float = STATIONARY_TOL) -> np.ndarray:
+def stationary_distribution(fsc: FscSpec) -> np.ndarray:
     """Unique stationary distribution of the state chain.
 
     Raises NoStationaryError for reducible or periodic chains, where the
-    limiting state distribution is absent or non-unique.
+    limiting state distribution is absent or non-unique, and when the solved
+    law misses stationarity by more than STATIONARY_TOL in L1.
     """
     trans = state_transition_matrix(fsc)
     n = trans.shape[0]
@@ -378,7 +379,7 @@ def stationary_distribution(fsc: FscSpec, tol: float = STATIONARY_TOL) -> np.nda
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    if np.abs(pi @ trans - pi).sum() > tol:
+    if np.abs(pi @ trans - pi).sum() > STATIONARY_TOL:
         raise NoStationaryError("stationary solve failed to meet tolerance")
     return pi
 

@@ -227,7 +227,7 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     fb_spec = args.feedback if args.feedback is not None else file_cfg.get("feedback", "identity")
     fb = _resolve_feedback(fb_spec, family.members[0].outputs)
     m_count = file_cfg.get("messages", 2)
-    for name, value in (("n", n), ("trials", trials), ("messages", m_count)):
+    for name, value in (("n", n), ("trials", trials), ("seed", seed), ("messages", m_count)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"simulate {name!r} must be an integer, got {value!r}")
     decoder = file_cfg.get("decoder", "ml")

@@ -19,6 +19,8 @@ from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, paths_rows
 from .errors import ValidationError
 
+SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
+
 
 def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
     """log sum_s0 prior(s0) P(y || x(tree, f(y)), s0); -inf when impossible."""
@@ -224,28 +226,25 @@ def separability_check(
     representatives: CompoundFamily,
     n: int,
     eps_nats: float,
-    mu_nats: float | None = None,
-    s0_prior=None,
-    max_examples: int = 10,
 ) -> SeparabilityReport:
     """Exhaustive two-sided likelihood-ratio check of representative coverage.
 
     For each member, the representative with the fewest violations is chosen;
-    a violation is a path pair above the threshold exp(-n(mu + ln|Y|)) whose
-    log-likelihood ratio leaves [-n*eps, n*eps] on the required side.
+    a violation is a path pair above the threshold exp(-n(mu + ln|Y|)), with
+    mu = 1 + ln|Y|, whose log-likelihood ratio leaves [-n*eps, n*eps] on the
+    required side. Both laws start from a uniform initial state; the report
+    keeps the first SEPARABILITY_EXAMPLES violations of each member, and of
+    all members.
     """
     first = family.members[0]
-    if mu_nats is None:
-        mu_nats = 1.0 + math.log(first.n_outputs)
+    mu_nats = 1.0 + math.log(first.n_outputs)
     threshold = math.exp(-n * (mu_nats + math.log(first.n_outputs)))
-    rep_tables = [
-        (label, channel_prob_table(m, n, s0_prior)) for label, m in representatives
-    ]
+    rep_tables = [(label, channel_prob_table(m, n, None)) for label, m in representatives]
     best_rep: dict = {}
     all_violations: list = []
     total = 0
     for label, m in family:
-        p = channel_prob_table(m, n, s0_prior)
+        p = channel_prob_table(m, n, None)
         best = None
         for rep_label, p_rep in rep_tables:
             viols = []
@@ -274,7 +273,7 @@ def separability_check(
                 best = (score, rep_label, viols)
         best_rep[label] = best[1]
         total += len(best[2])
-        all_violations.extend(best[2][:max_examples])
+        all_violations.extend(best[2][:SEPARABILITY_EXAMPLES])
     return SeparabilityReport(
         n=n,
         eps_nats=eps_nats,
@@ -282,5 +281,5 @@ def separability_check(
         threshold=threshold,
         best_rep=best_rep,
         violation_count=total,
-        violations=tuple(all_violations[:max_examples]),
+        violations=tuple(all_violations[:SEPARABILITY_EXAMPLES]),
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import SolverConfig, compute_Cn
 from .causal import (
     CausalConditioning,
     channel_prob_table,
@@ -24,6 +25,8 @@ from .errors import ValidationError
 from .util import xlogy
 
 AGREEMENT_TOL = 1e-10
+# zero_capacity_witness: the solve that confirms no law beats the uniform one
+WITNESS_SOLVER = SolverConfig(max_iters=80, restarts=1)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,6 @@ def exchange_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list[
         h_xprev_yprev = _marginal_entropy(t, n, i - 1, i - 1)
         terms.append(h_xi_yprev + h_xprev_yn - h_xi_yn - h_xprev_yprev)
     return terms
-
-
-def directed_info_from_joint(joint: np.ndarray, n: int, x_card: int, y_card: int) -> float:
-    return math.fsum(per_step_terms(joint, n, x_card, y_card))
 
 
 def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> DirectedInfoResult:
@@ -204,17 +203,17 @@ def zero_capacity_witness(
     fsc: FscSpec,
     feedback: FeedbackMap,
     n: int,
-    s0_prior=None,
-    solver_cfg=None,
 ) -> ZeroCapacityWitness:
-    """Certify a useless channel: zero info under a uniform open-loop input
-    forces the output law to ignore the input, and then no causally
-    conditioned law can do better, with or without feedback.
+    """Certify a useless channel: zero info under a uniform open-loop input,
+    from a uniform initial state, forces the output law to ignore the input,
+    and then no causally conditioned law can do better, with or without
+    feedback; compute_Cn at WITNESS_SOLVER confirms it over every initial
+    state.
     """
     q_u = uniform_policy(n, fsc.n_inputs, 1)
     nofb = no_feedback(fsc.outputs)
     w = policy_weight_table(q_u, fsc.n_outputs, nofb)
-    p = channel_prob_table(fsc, n, s0_prior)
+    p = channel_prob_table(fsc, n, None)
     uniform_value = information_functional(w, p)
     if uniform_value > 1e-10:
         return ZeroCapacityWitness(
@@ -225,11 +224,8 @@ def zero_capacity_witness(
         )
     p_out = (w * p).sum(axis=0)
     output_independent = bool(np.max(np.abs(p - p_out[None, :])) <= 1e-9)
-    from .capacity import SolverConfig, compute_Cn
-
-    cfg = solver_cfg if solver_cfg is not None else SolverConfig(max_iters=80, restarts=1)
     family = CompoundFamily(members=(fsc,), labels=("witness",))
-    report = compute_Cn(family, feedback, n, cfg)
+    report = compute_Cn(family, feedback, n, WITNESS_SOLVER)
     solver_value = report.C_n_nats
     confirmed = output_independent and solver_value <= 1e-6
     return ZeroCapacityWitness(

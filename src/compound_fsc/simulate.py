@@ -183,7 +183,6 @@ class Example1Row:
     error_floor: float
     error_sigma: float
     one_minus_n_2n: float
-    half: float
     rate_floor_bits: float
     rate_floor_nats: float
 
@@ -231,7 +230,6 @@ def example1_row(res: TrialResult, theta: int, n: int) -> Example1Row:
         error_floor=err_floor,
         error_sigma=math.sqrt(err_floor * (1.0 - err_floor) / trials),
         one_minus_n_2n=1.0 - n * 2.0 ** (-n),
-        half=0.5,
         rate_floor_bits=1.0 - binary_entropy_nats(0.25) / LN2,
         rate_floor_nats=LN2 - binary_entropy_nats(0.25),
     )

@@ -316,8 +316,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "body",
-        [[1], {"s0": True}, {"n": "3"}, {"trials": "10"}, {"messages": "2"}, {"feedback": 3}],
-        ids=["array", "bool-s0", "str-n", "str-trials", "str-messages", "int-feedback"],
+        [[1], {"s0": True}, {"n": "3"}, {"trials": "10"}, {"messages": "2"}, {"feedback": 3},
+         {"seed": 1.5}, {"seed": True}],
+        ids=["array", "bool-s0", "str-n", "str-trials", "str-messages", "int-feedback",
+             "float-seed", "bool-seed"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, body):
         cfg_path = tmp_path / "sim.json"

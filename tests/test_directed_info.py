@@ -8,7 +8,6 @@ from compound_fsc import (
     GilbertElliotParams,
     bsc,
     continuity_bound_check,
-    directed_info_from_joint,
     directed_information,
     directed_information_kim,
     exchange_terms,
@@ -84,7 +83,7 @@ def test_three_evaluations_agree():
         fb = identity_feedback(fsc.outputs)
         res = directed_information(q, fsc, s0, fb)
         joint, _ = joint_and_output_probs(q, fsc, s0, fb)
-        per_step = directed_info_from_joint(joint, n, 2, 2)
+        per_step = math.fsum(per_step_terms(joint, n, 2, 2))
         kim = directed_information_kim(q, fsc, s0, fb)
         assert abs(res.value_nats - per_step) < 1e-10
         assert abs(res.value_nats - kim) < 1e-10

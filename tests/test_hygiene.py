@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, every `__all__` entry
-resolves, no function takes a size-cap knob and no function re-imports a
-sibling module the file already imports at the top, checked on the syntax
-tree of each package module."""
+resolves, no function takes a size-cap knob, no function re-imports a
+sibling module the file already imports at the top and a function imports a
+sibling only to break an import cycle, checked on the syntax tree of each
+package module."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,39 @@ def test_no_redundant_function_level_imports(path):
         if isinstance(node, ast.ImportFrom) and node.level and (node.level, node.module) in top
     )
     assert not late, f"{path.name} re-imports inside functions: {', '.join(late)}"
+
+
+def _sibling(node) -> str | None:
+    """The package module a relative import statement names, if any."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+        return node.module.split(".")[0]
+    return None
+
+
+def _reaches(start: str, goal: str) -> bool:
+    """Whether importing `start` imports `goal` through module-level sibling imports."""
+    graph = {p.stem: {_sibling(n) for n in ast.parse(p.read_text()).body} - {None} for p in MODULES}
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name == goal:
+            return True
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_level_imports_break_cycles(path):
+    """A function may import a sibling module only when that module imports
+    this one back at module level, so the import could not move to the top."""
+    tree = ast.parse(path.read_text())
+    late = sorted(
+        f".{_sibling(node)} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if _sibling(node) and not _reaches(_sibling(node), path.stem)
+    )
+    assert not late, f"{path.name} imports inside functions with no cycle to break: {', '.join(late)}"
