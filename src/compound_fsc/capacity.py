@@ -2,11 +2,18 @@
 
 The objective is the min over (initial state, family member) of directed
 information per symbol, a concave function of the input law in path space.
-It is maximized by projected supergradient ascent on the per-history
-conditionals, with the supergradient taken at an active minimizer, iterate
-averaging over the tail, and multiple starts. The certified value is the
-objective evaluated at the better of the averaged and best visited iterate,
-so reported values are always achievable.
+A solve certifies before it ascends. Each pair's value f_j is concave in the
+policy's sequence-form weights g, whose polytope has the deterministic
+code-trees as vertices, so n C_n <= f_j(g) + max_v <u_j, v> - <u_j, g> for
+any feasible g and u_j the supergradient of f_j at g (a Frank-Wolfe duality
+gap; the max is causal.policy_best_response). At the uniform start that
+bound, taken over the pairs near the minimum, often closes the gap to
+GAP_TOL and the solve returns at once. Otherwise projected supergradient
+ascent on the per-history conditionals runs, with the supergradient taken at
+an active minimizer, iterate averaging over the tail, and multiple starts,
+and the bound is taken over every pair at the returned policy. The reported
+C_n is the objective at the better of the averaged and best visited iterate,
+so it is always achievable; the upper bound comes with it.
 
 An iteration never builds the full weight table: it contracts the pairs'
 stacked channel tables with the policy's code weights (causal.code_weights,
@@ -30,6 +37,7 @@ from .causal import (
     code_weights,
     history_code,
     policy_adjoint,
+    policy_best_response,
     product_policy,
     uniform_policy,
     random_policy,
@@ -52,8 +60,8 @@ _TINY = 1e-300
 STEP_INIT = 0.5  # iteration t moves by STEP_INIT / t**STEP_POWER
 STEP_POWER = 0.5
 AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
-VALUE_TOL = 1e-6  # converged: the running best gained at most this over the last quarter
 ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
+GAP_TOL = 1e-12  # nats/symbol: converged once upper - lower is at most this
 ERGODICITY_EPS = 0.05  # compute_Cn_markovian: state-law distance to stationarity
 ERGODICITY_MAX_N = 500  # compute_Cn_markovian: steps within which it must hold
 BA_GAP_TOL = 1e-10  # blahut_arimoto stops once its capacity bounds are this close
@@ -62,11 +70,15 @@ BA_MAX_ITERS = 200_000  # blahut_arimoto gives up after this many iterations
 # pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables):
 # the iterate, the best and averaged iterates, the start iterate, the best
 # earlier start's candidate, the history code, the supergradient and the
-# projection's temporaries. On ge-gap (6 pairs) with 3 iterations,
-# tracemalloc measured 6.8, 5.6 and 5.3 of them at n = 8, 9 and 10 without
-# restarts, and 8.1, 6.9 and 6.6 with the default 3 (at n = 8, 1.4 of them
-# are one-time import allocations of a fresh process); one table of headroom
-# over the n = 9 and 10 figures, rounded up.
+# projection's temporaries; the certificate's code weights, supergradient and
+# best-response rows fit in fewer. With 3 ascent iterations, tracemalloc
+# measured on ge-gap (6 pairs, before the certificate ended its solves) 6.8,
+# 5.6 and 5.3 of them at n = 8, 9 and 10 without restarts, and 8.1, 6.9 and
+# 6.6 with the default 3 (at n = 8, 1.4 of them are one-time import
+# allocations of a fresh process); on verify.random_family(default_rng(1),
+# 2, 2) (4 pairs, not certified at its start) 6.0, 5.9, 5.9 and 7.4, 7.3,
+# 7.2, the same with and without the certificate. One table of headroom over
+# the ge-gap n = 9 and 10 figures, rounded up.
 SOLVER_TEMP_TABLES = 8
 
 
@@ -88,7 +100,6 @@ class SolverDiagnostics:
     restarts: int
     best_start: int
     source: str
-    stationarity_norm: float
     value_history: tuple
 
     def to_dict(self) -> dict:
@@ -99,9 +110,15 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class CapacityReport:
+    """C_n_nats is the worst-pair value of `policy`, an achievable lower
+    bound on C_n; upper_nats is a certified upper bound on it. Rounding can
+    put a computed bound a few 1e-17 below the lower one, so upper_nats is
+    clamped to at least C_n_nats."""
+
     n: int
     state_count: int
     C_n_nats: float
+    upper_nats: float
     hatC_n_nats: float
     worst_case: tuple
     policy: CausalConditioning
@@ -111,12 +128,14 @@ class CapacityReport:
         want = self.C_n_nats - math.log(self.state_count) / self.n
         if abs(self.hatC_n_nats - want) > 1e-12:
             raise ValidationError("hatC_n must equal C_n - ln|S|/n")
+        object.__setattr__(self, "upper_nats", max(self.upper_nats, self.C_n_nats))
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "state_count": self.state_count,
             "C_n_nats_per_symbol": self.C_n_nats,
+            "C_n_upper_nats_per_symbol": self.upper_nats,
             "hatC_n_nats_per_symbol": self.hatC_n_nats,
             "worst_case": list(self.worst_case),
             "policy": self.policy.to_dict(),
@@ -175,10 +194,25 @@ def _flat_step(flat: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
     return project_rows_to_simplex(grad)
 
 
+def _certificate(tables: _PairTables, code: np.ndarray, reach, f: np.ndarray, log_py: np.ndarray, pairs) -> float:
+    """The least over `pairs` of the one-hot Frank-Wolfe bound on n C_n at
+    the sequence form `reach`: f_j + max_v <u_j, v> - <u_j, g>, with g its
+    code weights and u_j pair j's folded supergradient, one u_j alive at a
+    time."""
+    g = code_weights(reach, code).reshape(-1)
+    shapes = [r.shape for r in reach]
+    bound = math.inf
+    for j in pairs:
+        u = _pair_supergradient(tables, j, log_py)
+        bound = min(bound, float(f[j]) + policy_best_response(shapes, code, u) - float(u.reshape(-1) @ g))
+    return bound
+
+
 def _solve(
     family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg, extra_starts
 ) -> CapacityReport:
-    """Shared max-min ascent and its report over the stacked pair tables."""
+    """Shared certify-then-ascend max-min solve and its report over the
+    stacked pair tables."""
     cfg = cfg or SolverConfig()
     extra_starts = tuple(extra_starts)
     first = family.members[0]
@@ -195,21 +229,47 @@ def _solve(
         # the weights die here: the supergradient needs only log p_y
         reach = sequence_reach(conds)
         f, log_py = _pair_values(code_weights(reach, code), tables)
-        vals = f / n
-        return float(vals.min()), vals, reach, log_py
+        return float(f.min()) / n, f, reach, log_py
+
+    def active_pair(f, j):
+        return int(np.argmax(f / n <= j + ACTIVE_TOL))
+
+    def report(c_n, upper, flat, active, diag):
+        return CapacityReport(
+            n=n,
+            state_count=first.n_states,
+            C_n_nats=c_n,
+            upper_nats=upper,
+            hatC_n_nats=c_n - math.log(first.n_states) / n,
+            worst_case=tables.labels[active],
+            policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(steps(flat))),
+            diagnostics=diag,
+        )
+
+    # only pairs within n GAP_TOL of the minimum can close the gap, since
+    # each pair's bound is at least its own value
+    flat = np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
+    lower, f, reach, log_py = value(steps(flat))
+    upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f <= f.min() + n * GAP_TOL)) / n
+    if upper - lower <= GAP_TOL:
+        diag = SolverDiagnostics(
+            converged=True, iterations=0, restarts=1, best_start=0, source="uniform", value_history=(lower,)
+        )
+        return report(lower, upper, flat, active_pair(f, lower), diag)
+    del flat, f, reach, log_py  # the start's arrays die before the ascent
 
     def active_gradient(flat):
         conds = steps(flat)
-        j, vals, reach, log_py = value(conds)
-        active = int(np.argmax(vals <= j + ACTIVE_TOL))
+        j, f, reach, log_py = value(conds)
+        active = active_pair(f, j)
         # passed straight in, so the adjoint frees it once it is binned
         grads = policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py))
-        return j, active, np.concatenate(grads)
+        return j, np.concatenate(grads)
 
     def ascent_step(flat, step):
         # the weights, the reach and the per-step supergradients die before
         # the projection, so the next evaluation starts without them
-        j, _, grad = active_gradient(flat)
+        j, grad = active_gradient(flat)
         return j, _flat_step(flat, grad, step / n)
 
     rng = np.random.default_rng(cfg.seed)
@@ -250,33 +310,17 @@ def _solve(
     start_idx, (c_n, flat, history, source) = max(
         enumerate(map(ascend, start_iterates())), key=lambda run: run[1][0]
     )
-    _, active, grad = active_gradient(flat)
-    probe = 1e-3
-    moved = _flat_step(flat, grad, probe / n)
-    moved -= flat
-    stationarity = float(np.abs(moved, out=moved).max()) / probe
-    # converged when the running best stopped improving over the last quarter
-    running = np.maximum.accumulate(history)
-    window = max(10, cfg.max_iters // 4)
-    converged = (running[-1] - running[max(0, len(running) - window)]) <= VALUE_TOL
+    _, f, reach, log_py = value(steps(flat))
+    upper = min(upper, _certificate(tables, code, reach, f, log_py, range(len(f))) / n)
     diag = SolverDiagnostics(
-        converged=bool(converged),
+        converged=upper - c_n <= GAP_TOL,
         iterations=cfg.max_iters,
         restarts=1 + len(extra_starts) + cfg.restarts,
         best_start=start_idx,
         source=source,
-        stationarity_norm=stationarity,
         value_history=tuple(history),
     )
-    return CapacityReport(
-        n=n,
-        state_count=first.n_states,
-        C_n_nats=c_n,
-        hatC_n_nats=c_n - math.log(first.n_states) / n,
-        worst_case=tables.labels[active],
-        policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(steps(flat))),
-        diagnostics=diag,
-    )
+    return report(c_n, upper, flat, active_pair(f, c_n), diag)
 
 
 def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
@@ -468,10 +512,15 @@ def _is_gilbert_elliot_shaped(m: FscSpec) -> bool:
 
 @dataclass(frozen=True)
 class FeedbackGapResult:
+    """gap compares the two lower bounds; [gap_lower, gap_upper] is the
+    certified bracket on C_fb - C_nfb from both reports' bounds."""
+
     n: int
     C_fb: float
     C_nfb: float
     gap: float
+    gap_lower: float
+    gap_upper: float
     uniform_value: float
     report_fb: CapacityReport
     report_nfb: CapacityReport
@@ -510,6 +559,8 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
         C_fb=rep_fb.C_n_nats,
         C_nfb=rep_nfb.C_n_nats,
         gap=rep_fb.C_n_nats - rep_nfb.C_n_nats,
+        gap_lower=rep_fb.C_n_nats - rep_nfb.upper_nats,
+        gap_upper=rep_fb.upper_nats - rep_nfb.C_n_nats,
         uniform_value=uniform_value,
         report_fb=rep_fb,
         report_nfb=rep_nfb,

@@ -330,6 +330,19 @@ def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.nda
     return grads
 
 
+def policy_best_response(shapes, code: np.ndarray, u: np.ndarray) -> float:
+    """max of sum(G * u) over every policy whose conditionals have these
+    shapes, G its code_weights: policy_adjoint's backward walk with a max
+    over x in place of the conditionals' weights. A linear function of the
+    sequence form peaks at a vertex, a deterministic code-tree, so each
+    history keeps its best input and its |Z| child rows' values add up into
+    the (h, x) entry of the step before."""
+    u = np.bincount(code.ravel(), u.ravel(), math.prod(shapes[-1])).reshape(shapes[-1])
+    for i in range(len(shapes) - 1, 0, -1):
+        u = u.max(axis=-1).reshape(shapes[i - 1] + (-1,)).sum(axis=-1)
+    return float(u.max())
+
+
 def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap) -> np.ndarray:
     """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}) over all path pairs."""
     if feedback.z_card != q.z_card:

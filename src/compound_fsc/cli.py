@@ -9,7 +9,8 @@ Conventions
 * `rerun <manifest>` reproduces the result files byte for byte (only the
   timing fields of the manifest itself differ);
 * exit codes: 0 ok, 1 failed verification, 2 malformed input, 3 enumeration
-  cap exceeded, 4 solver did not converge (report still written).
+  cap exceeded, 4 capacity not certified: the gap between the reported C_n
+  and its upper bound exceeds capacity.GAP_TOL (report still written).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import SolverConfig, compute_Cn
+from .capacity import GAP_TOL, SolverConfig, compute_Cn
 from .causal import uniform_policy
 from .channel import (
     CompoundFamily,
@@ -183,12 +184,13 @@ def cmd_capacity(args) -> int:
         "restarts": report.diagnostics.restarts,
     }
     _write_manifest(out, "capacity", args.effective_argv, config, args.seed, metrics)
-    c, hat = report.C_n_nats, report.hatC_n_nats
-    print(f"C_{args.n}    = {c:.9f} nats/symbol = {c / LN2:.9f} bits/symbol")
+    c, up, hat = report.C_n_nats, report.upper_nats, report.hatC_n_nats
+    print(f"C_{args.n}    in [{c:.9f}, {up:.9f}] nats/symbol = [{c / LN2:.9f}, {up / LN2:.9f}] bits/symbol")
     print(f"hatC_{args.n} = {hat:.9f} nats/symbol = {hat / LN2:.9f} bits/symbol")
     print(f"worst case (initial state, member) = {report.worst_case}")
     if not report.diagnostics.converged:
-        print("solver did not reach the convergence tolerance", file=sys.stderr)
+        gap = f"certified gap {up - c:.3e} nats/symbol > GAP_TOL {GAP_TOL:.0e}"
+        print(f"solver did not converge: {gap}", file=sys.stderr)
         return 4
     return 0
 

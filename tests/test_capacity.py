@@ -42,6 +42,7 @@ from compound_fsc import (
 )
 from compound_fsc.causal import code_weights, history_code, sequence_reach
 from compound_fsc.util import project_rows_to_simplex
+from compound_fsc.verify import random_family
 
 LN2 = math.log(2.0)
 
@@ -325,21 +326,23 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
         guard(entries, arrays, what)
 
     monkeypatch.setattr(capmod, "check_table_bytes", recording)
-    fam = ge_gap_family()
-    # without restarts, and with the default ones that every CLI solve runs
-    for restarts in (0, SolverConfig().restarts):
-        charged.clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            cfg = SolverConfig(max_iters=2, restarts=restarts)
-            compute_Cn(fam, identity_feedback(fam.members[0].outputs), 8, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(charged) == 1
-        assert peak <= charged[0], f"restarts={restarts}: peak {peak / charged[0]:.3f} of the charge"
+    # ge-gap is certified at the uniform start; the random family runs the
+    # ascent and then the certificate over every pair
+    for fam in (ge_gap_family(), random_family(np.random.default_rng(1), 2, 2)):
+        # without restarts, and with the default ones that every CLI solve runs
+        for restarts in (0, SolverConfig().restarts):
+            charged.clear()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cfg = SolverConfig(max_iters=2, restarts=restarts)
+                compute_Cn(fam, identity_feedback(fam.members[0].outputs), 8, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(charged) == 1
+            assert peak <= charged[0], f"restarts={restarts}: peak {peak / charged[0]:.3f} of the charge"
 
 
 def _per_pair_didw(w, p):
@@ -471,11 +474,68 @@ def test_solver_projects_once_per_ascent_step(monkeypatch):
 
     monkeypatch.setattr(capmod, "project_rows_to_simplex", counting)
     assert not hasattr(capmod, "information_functional")
+    cfg = SolverConfig(max_iters=7, restarts=1)
     fam = ge_gap_family()
-    compute_Cn(fam, identity_feedback(fam.members[0].outputs), 3, SolverConfig(max_iters=7, restarts=1))
-    # 7 steps from each of 2 starts, then the stationarity probe; each call
-    # covers the rows of all 3 steps
-    assert calls == [(1 + 4 + 16, 2)] * 15
+    compute_Cn(fam, identity_feedback(fam.members[0].outputs), 3, cfg)
+    assert calls == []  # certified at the uniform start: no ascent
+    fam = random_family(np.random.default_rng(1), 2, 2)
+    rep = compute_Cn(fam, identity_feedback(fam.members[0].outputs), 3, cfg)
+    assert not rep.diagnostics.converged
+    # 7 steps from each of 2 starts; each call covers the rows of all 3 steps
+    assert calls == [(1 + 4 + 16, 2)] * 14
+
+
+def _bound_at(fam, fb, q):
+    # the one-hot certificate over every pair, evaluated at any policy q
+    n = q.horizon
+    tables = capmod._fold_for(capmod._state_pairs(fam, n), fb)
+    code = history_code(q.x_card, fb, n)
+    reach = sequence_reach(q.conditionals)
+    f, log_py = capmod._pair_values(code_weights(reach, code), tables)
+    return capmod._certificate(tables, code, reach, f, log_py, range(len(f))) / n
+
+
+def test_certificate_brackets_n1_grid_oracle():
+    fam = random_family(np.random.default_rng(2), 2, 2)
+    fb = identity_feedback((0, 1))
+    rep = compute_Cn(fam, fb, 1)
+    assert not rep.diagnostics.converged  # the bound comes from the returned policy
+    grid = [
+        min(directed_information(q, m, s0, fb).value_nats for s0 in range(2) for _, m in fam)
+        for q in (replace(uniform_policy(1, 2, 2), conditionals=([[p, 1 - p]],)) for p in np.linspace(0, 1, 1001))
+    ]
+    assert rep.C_n_nats <= max(grid) <= rep.upper_nats
+
+
+def test_certificate_at_any_policy_bounds_the_ascent():
+    fam = random_family(np.random.default_rng(1), 2, 2)
+    fb = identity_feedback((0, 1))
+    rep = compute_Cn(fam, fb, 2)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        assert _bound_at(fam, fb, random_policy(2, 2, 2, rng)) >= rep.C_n_nats
+    assert _bound_at(fam, fb, rep.policy) >= rep.upper_nats >= rep.C_n_nats
+
+
+def test_ge_gap_certified_at_uniform_start():
+    fam = ge_gap_family()
+    for fb in (identity_feedback(fam.members[0].outputs), no_feedback(fam.members[0].outputs)):
+        for n in range(1, 7):
+            rep = compute_Cn(fam, fb, n)
+            diag = rep.diagnostics
+            assert rep.upper_nats - rep.C_n_nats <= capmod.GAP_TOL and diag.converged
+            assert (diag.iterations, diag.restarts, diag.best_start, diag.source) == (0, 1, 0, "uniform")
+            assert diag.value_history == (rep.C_n_nats,)
+
+
+def test_ge_feedback_gap_bracket_contains_zero():
+    # feedback does not raise compound GE capacity; the bracket is certified
+    # up to the rounding that GAP_TOL allows
+    fam = ge_gap_family()
+    for n in range(1, 5):
+        res = ge_feedback_gap(fam, n)
+        assert res.gap_lower <= capmod.GAP_TOL and res.gap_upper >= -capmod.GAP_TOL
+        assert res.gap_lower <= res.gap_upper <= res.gap_lower + 1e-9
 
 
 def test_ge_feedback_gap_state_degenerate():
@@ -512,11 +572,14 @@ def test_capacity_report_invariant():
             n=rep.n,
             state_count=rep.state_count,
             C_n_nats=rep.C_n_nats,
+            upper_nats=rep.upper_nats,
             hatC_n_nats=rep.C_n_nats - 0.5,
             worst_case=rep.worst_case,
             policy=rep.policy,
             diagnostics=rep.diagnostics,
         )
+    # a bound that rounding put below the achieved value is clamped up to it
+    assert replace(rep, upper_nats=rep.C_n_nats - 5.6e-17).upper_nats == rep.C_n_nats
 
 
 def test_state_penalty_applied():

@@ -29,7 +29,14 @@ from compound_fsc import (
     save_policy,
     uniform_policy,
 )
-from compound_fsc.causal import history_code, policy_adjoint, sequence_reach, weight_table
+from compound_fsc.causal import (
+    code_weights,
+    history_code,
+    policy_adjoint,
+    policy_best_response,
+    sequence_reach,
+    weight_table,
+)
 from compound_fsc.util import enumerate_paths
 
 
@@ -203,6 +210,33 @@ def test_policy_adjoint_matches_multilinear_difference():
                     bumped[i][h, x] += 1.0
                     diff = ((weight_table(sequence_reach(bumped), code, y_card) - w) * d).sum()
                     assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fb, horizons",
+    [
+        (identity_feedback((0, 1)), (1, 2)),
+        (FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1])), (1, 2)),
+        (no_feedback((0, 1)), (1, 2, 3)),
+    ],
+    ids=["identity", "coarse", "none"],
+)
+def test_policy_best_response_matches_every_code_tree(fb, horizons):
+    # the max over the sequence form is attained at a deterministic
+    # code-tree: one input per history row of every step
+    rng = np.random.default_rng(43)
+    for n in horizons:
+        code = history_code(2, fb, n)
+        shapes = [(2 * fb.z_card) ** i for i in range(n)]
+        for _ in range(3):
+            u = rng.standard_normal((2 ** n, code.size // 2 ** n))
+            best = -math.inf
+            for picks in itertools.product(range(2), repeat=sum(shapes)):
+                picks = iter(picks)
+                conds = [np.eye(2)[[next(picks) for _ in range(rows)]] for rows in shapes]
+                best = max(best, float((code_weights(sequence_reach(conds), code) * u).sum()))
+            got = policy_best_response([(rows, 2) for rows in shapes], code, u)
+            assert got == pytest.approx(best, rel=0, abs=1e-12)
 
 
 def test_mixture_policy_mixes_weight_tables():

@@ -5,10 +5,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from compound_fsc import CompoundFamily, bsc, ge_gap_family, save_family
+from compound_fsc.capacity import GAP_TOL
 from compound_fsc.cli import main
+from compound_fsc.verify import random_family
 from compound_fsc.util import binary_entropy_nats
 
 
@@ -63,6 +66,30 @@ class TestCapacity:
         # the timings stay out of what rerun must reproduce
         replay = tmp_path / "replay"
         assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == rc
+        for name in ("capacity_report.json", "convergence.csv"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+    def test_ge_gap_certified_exits_zero(self, tmp_path, capsys):
+        for n in range(1, 7):
+            out = tmp_path / f"n{n}"
+            argv = ["capacity", "--preset", "ge-gap", "--n", str(n), "--feedback", "identity", "--out", str(out)]
+            assert main(argv) == 0
+            assert f"C_{n}    in [" in capsys.readouterr().out
+            body = json.loads((out / "capacity_report.json").read_text())
+            assert body["C_n_upper_nats_per_symbol"] - body["C_n_nats_per_symbol"] <= GAP_TOL
+
+    def test_uncertified_solve_exits_four_and_reruns(self, tmp_path, capsys):
+        # the uniform start does not certify this family, so the ascent runs
+        fam = tmp_path / "fam.json"
+        save_family(random_family(np.random.default_rng(1), 2, 2), fam)
+        out = tmp_path / "run"
+        rc = main(["capacity", "--family", str(fam), "--n", "2", "--out", str(out)])
+        assert rc == 4
+        assert "GAP_TOL" in capsys.readouterr().err
+        body = json.loads((out / "capacity_report.json").read_text())
+        assert body["C_n_upper_nats_per_symbol"] > body["C_n_nats_per_symbol"] + GAP_TOL
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == 4
         for name in ("capacity_report.json", "convergence.csv"):
             assert (replay / name).read_bytes() == (out / name).read_bytes()
 
