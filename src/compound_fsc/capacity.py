@@ -10,10 +10,9 @@ gap; the max is causal.policy_best_response). At the uniform start that
 bound, taken over the pairs near the minimum, often closes the gap to
 GAP_TOL and the solve returns at once. Otherwise projected supergradient
 ascent on the per-history conditionals runs, with the supergradient taken at
-an active minimizer, iterate averaging over the tail, and multiple starts,
-and the bound is taken over every pair at the returned policy. The reported
-C_n is the objective at the better of the averaged and best visited iterate,
-so it is always achievable; the upper bound comes with it.
+an active minimizer and multiple starts, and the bound is taken over every
+pair at the returned policy. The reported C_n is the objective at the best
+visited iterate, so it is always achievable; the upper bound comes with it.
 
 An iteration never builds the full weight table: it contracts the pairs'
 stacked channel tables with the policy's code weights (causal.code_weights,
@@ -59,26 +58,25 @@ from .util import project_rows_to_simplex
 _TINY = 1e-300
 STEP_INIT = 0.5  # iteration t moves by STEP_INIT / t**STEP_POWER
 STEP_POWER = 0.5
-AVG_FRACTION = 0.5  # share of the last iterations that the averaged iterate covers
-ACTIVE_TOL = 1e-12  # pairs this close to the minimum count as active
-GAP_TOL = 1e-12  # nats/symbol: converged once upper - lower is at most this
+# nats/symbol: converged once upper - lower is at most this, and pairs this
+# close to the minimum count as active
+GAP_TOL = 1e-12
 ERGODICITY_EPS = 0.05  # compute_Cn_markovian: state-law distance to stationarity
 ERGODICITY_MAX_N = 500  # compute_Cn_markovian: steps within which it must hold
 BA_GAP_TOL = 1e-10  # blahut_arimoto stops once its capacity bounds are this close
 BA_MAX_ITERS = 200_000  # blahut_arimoto gives up after this many iterations
 # Path-sized tables alive at the solver's peak besides the pairs' own (each
 # pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables):
-# the iterate, the best and averaged iterates, the start iterate, the best
-# earlier start's candidate, the history code, the supergradient and the
-# projection's temporaries; the certificate's code weights, supergradient and
-# best-response rows fit in fewer. With 3 ascent iterations, tracemalloc
-# measured on ge-gap (6 pairs, before the certificate ended its solves) 6.8,
-# 5.6 and 5.3 of them at n = 8, 9 and 10 without restarts, and 8.1, 6.9 and
-# 6.6 with the default 3 (at n = 8, 1.4 of them are one-time import
-# allocations of a fresh process); on verify.random_family(default_rng(1),
-# 2, 2) (4 pairs, not certified at its start) 6.0, 5.9, 5.9 and 7.4, 7.3,
-# 7.2, the same with and without the certificate. One table of headroom over
-# the ge-gap n = 9 and 10 figures, rounded up.
+# the iterate, the best iterate, the start iterate, the best earlier start's
+# candidate, the history code, the supergradient and the projection's
+# temporaries; the certificate's code weights, supergradient and best-response
+# rows fit in fewer. With 3 ascent iterations, after a warm-up solve in the
+# same process, tracemalloc measured on verify.random_family(default_rng(1),
+# 2, 2) (4 pairs, not certified at its start) 5.4, 5.2 and 5.2 of them at
+# n = 8, 9 and 10 without restarts, and 6.7, 6.6 and 6.6 with the default 3;
+# on ge-gap (6 pairs) 4.0 when certified at the uniform start, and 5.4, 4.6,
+# 4.6 and 6.0, 5.9, 5.9 when made to ascend. At least one table of headroom
+# over every figure, rounded up.
 SOLVER_TEMP_TABLES = 8
 
 
@@ -99,7 +97,6 @@ class SolverDiagnostics:
     iterations: int
     restarts: int
     best_start: int
-    source: str
     value_history: tuple
 
     def to_dict(self) -> dict:
@@ -119,16 +116,17 @@ class CapacityReport:
     state_count: int
     C_n_nats: float
     upper_nats: float
-    hatC_n_nats: float
     worst_case: tuple
     policy: CausalConditioning
     diagnostics: SolverDiagnostics
 
     def __post_init__(self):
-        want = self.C_n_nats - math.log(self.state_count) / self.n
-        if abs(self.hatC_n_nats - want) > 1e-12:
-            raise ValidationError("hatC_n must equal C_n - ln|S|/n")
         object.__setattr__(self, "upper_nats", max(self.upper_nats, self.C_n_nats))
+
+    @property
+    def hatC_n_nats(self) -> float:
+        """C_n shifted down by ln|S|/n."""
+        return self.C_n_nats - math.log(self.state_count) / self.n
 
     def to_dict(self) -> dict:
         return {
@@ -232,7 +230,7 @@ def _solve(
         return float(f.min()) / n, f, reach, log_py
 
     def active_pair(f, j):
-        return int(np.argmax(f / n <= j + ACTIVE_TOL))
+        return int(np.argmax(f / n <= j + GAP_TOL))
 
     def report(c_n, upper, flat, active, diag):
         return CapacityReport(
@@ -240,7 +238,6 @@ def _solve(
             state_count=first.n_states,
             C_n_nats=c_n,
             upper_nats=upper,
-            hatC_n_nats=c_n - math.log(first.n_states) / n,
             worst_case=tables.labels[active],
             policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(steps(flat))),
             diagnostics=diag,
@@ -252,9 +249,7 @@ def _solve(
     lower, f, reach, log_py = value(steps(flat))
     upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f <= f.min() + n * GAP_TOL)) / n
     if upper - lower <= GAP_TOL:
-        diag = SolverDiagnostics(
-            converged=True, iterations=0, restarts=1, best_start=0, source="uniform", value_history=(lower,)
-        )
+        diag = SolverDiagnostics(converged=True, iterations=0, restarts=1, best_start=0, value_history=(lower,))
         return report(lower, upper, flat, active_pair(f, lower), diag)
     del flat, f, reach, log_py  # the start's arrays die before the ascent
 
@@ -283,12 +278,9 @@ def _solve(
             yield np.concatenate(random_policy(n, x_card, z_card, rng).conditionals)
 
     def ascend(flat):
-        # one start's run: its better candidate (the averaged iterate on a
-        # tie) as (value, iterate, value history, source); iterates are never
-        # written in place, and only the candidate outlives the call
-        avg = np.zeros_like(flat)
-        avg_count = 0
-        avg_from = max(1, int(math.ceil(cfg.max_iters * (1.0 - AVG_FRACTION))))
+        # one start's run: its first best visited iterate as (value, iterate,
+        # value history); iterates are never written in place, and only the
+        # best one outlives the call
         best_v, best_flat = -math.inf, None
         history = []
         for t in range(1, cfg.max_iters + 1):
@@ -297,17 +289,10 @@ def _solve(
             if j > best_v:
                 best_v, best_flat = j, flat
             flat = stepped
-            if t >= avg_from:
-                avg += flat
-                avg_count += 1
-        avg /= avg_count
-        j_avg = value(steps(avg))[0]
-        if j_avg >= best_v:
-            return j_avg, avg, history, "averaged"
-        return best_v, best_flat, history, "best"
+        return best_v, best_flat, history
 
     # the first best start wins; max frees every other run before the next
-    start_idx, (c_n, flat, history, source) = max(
+    start_idx, (c_n, flat, history) = max(
         enumerate(map(ascend, start_iterates())), key=lambda run: run[1][0]
     )
     _, f, reach, log_py = value(steps(flat))
@@ -317,7 +302,6 @@ def _solve(
         iterations=cfg.max_iters,
         restarts=1 + len(extra_starts) + cfg.restarts,
         best_start=start_idx,
-        source=source,
         value_history=tuple(history),
     )
     return report(c_n, upper, flat, active_pair(f, c_n), diag)
@@ -436,10 +420,11 @@ def superadditivity_check(
 
     The n-horizon solve is warm-started from the product of the shorter
     optimal laws, which is exactly the construction behind the inequality.
+    A solve is deterministic in cfg.seed, so k == m solves that horizon once.
     """
     cfg = cfg or SolverConfig()
     rk = compute_Cn(family, feedback, k, cfg)
-    rm = compute_Cn(family, feedback, m, cfg)
+    rm = rk if m == k else compute_Cn(family, feedback, m, cfg)
     warm = product_policy(rk.policy, rm.policy)
     rn = compute_Cn(family, feedback, k + m, cfg, extra_starts=(warm,))
     lhs = (k + m) * rn.hatC_n_nats
@@ -513,7 +498,9 @@ def _is_gilbert_elliot_shaped(m: FscSpec) -> bool:
 @dataclass(frozen=True)
 class FeedbackGapResult:
     """gap compares the two lower bounds; [gap_lower, gap_upper] is the
-    certified bracket on C_fb - C_nfb from both reports' bounds."""
+    certified bracket on C_fb - C_nfb from both reports' bounds, up to
+    rounding: a bound that should be 0 can land a few 1e-17 on the wrong
+    side of it, so compare with GAP_TOL."""
 
     n: int
     C_fb: float

@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used, every `__all__` entry
 resolves, no function takes a size-cap knob, no function re-imports a
-sibling module the file already imports at the top and a function imports a
-sibling only to break an import cycle, checked on the syntax tree of each
-package module."""
+sibling module the file already imports at the top, a function imports a
+sibling only to break an import cycle and every module constant is read,
+checked on the syntax tree of each package module."""
 
 import ast
 from pathlib import Path
@@ -136,3 +136,27 @@ def test_function_level_imports_break_cycles(path):
         if _sibling(node) and not _reaches(_sibling(node), path.stem)
     )
     assert not late, f"{path.name} imports inside functions with no cycle to break: {', '.join(late)}"
+
+
+def test_module_constants_are_read():
+    """Every module-level UPPER_CASE constant is read somewhere in the
+    package: by name in its own module, by name in a module that imports it
+    from there, or as an attribute. Re-exporting it does not count."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    attrs = {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    read = set()
+    for stem, tree in trees.items():
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {(stem, name) for name in loaded}
+        for node in ast.walk(tree):
+            if _sibling(node):
+                read |= {(_sibling(node), a.name) for a in node.names if (a.asname or a.name) in loaded}
+    unread = sorted(
+        f"{stem}.{t.id} (line {node.lineno})"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name) and t.id.isupper() and (stem, t.id) not in read and t.id not in attrs
+    )
+    assert not unread, f"module constants never read: {', '.join(unread)}"
