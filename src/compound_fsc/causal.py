@@ -56,7 +56,10 @@ class CausalConditioning:
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
             if not np.all(np.isfinite(c)) or np.any(c < -1e-15):
                 raise ValidationError("conditionals must be finite and non-negative")
-            if np.max(np.abs(c.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+            dev = c.sum(axis=1)
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            if np.max(dev) > ROW_SUM_TOL:
                 raise ValidationError("conditional rows must sum to 1")
         for c in conds:
             c.setflags(write=False)
@@ -216,22 +219,50 @@ def naive_causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
 def causal_log_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s0_prior) -> np.ndarray:
     """Vector of log sum_s0 prior(s0) P(y || x, s0) for row-aligned path
     matrices, by the forward recursion rescaled at every step; -inf for
-    impossible rows. The one recursion along given path rows."""
+    impossible rows. The recursion along given path rows, one forward_step
+    per column."""
     x_rows = np.asarray(x_rows, dtype=np.int64)
     y_rows = np.asarray(y_rows, dtype=np.int64)
     if x_rows.shape != y_rows.shape:
         raise ValidationError("path matrices must share shape")
     t, n = x_rows.shape
-    alpha = np.broadcast_to(_as_prior(fsc, s0_prior), (t, fsc.n_states)).copy()
+    table = step_table(fsc)
+    alpha = np.broadcast_to(_as_prior(fsc, s0_prior)[:, None], (fsc.n_states, t))
     log_acc = np.zeros(t)
     for i in range(n):
-        step = fsc.kernel[:, x_rows[:, i], y_rows[:, i], :]
-        alpha = np.einsum("ts,str->tr", alpha, step)
-        scale = alpha.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_acc += np.log(scale)  # -inf once a row is impossible
-        alpha /= np.where(scale > 0.0, scale, 1.0)[:, None]  # a dead row stays zero
+        alpha = forward_step(alpha, log_acc, table, x_rows[:, i] * fsc.n_outputs + y_rows[:, i])
     return log_acc
+
+
+def step_table(fsc: FscSpec) -> np.ndarray:
+    """The kernel as forward_step reads it: table[s, r, x * |Y| + y] =
+    kernel[s, x, y, r]."""
+    s_card = fsc.n_states
+    return np.ascontiguousarray(fsc.kernel.transpose(0, 3, 1, 2)).reshape(s_card, s_card, -1)
+
+
+def forward_step(alpha: np.ndarray, log_acc: np.ndarray, table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """One rescaled step of the forward recursion, the only one in the package.
+
+    alpha is state-major, (S, ...), and idx (...) holds each column's flat
+    input-output index x * |Y| + y into step_table. Returns the next alpha,
+    each column normalised to sum 1 (a dead column stays zero), and adds the
+    log of each column's mass to log_acc in place (-inf once a column is
+    impossible). Every sum runs over the states in ascending order, so two
+    callers that reach the same column agree bitwise."""
+    s_card = alpha.shape[0]
+    nxt = np.empty((s_card,) + idx.shape)
+    for r in range(s_card):
+        np.multiply(alpha[0], table[0, r][idx], out=nxt[r])
+        for s in range(1, s_card):
+            nxt[r] += alpha[s] * table[s, r][idx]
+    scale = nxt[0].copy()
+    for r in range(1, s_card):
+        scale += nxt[r]
+    with np.errstate(divide="ignore"):
+        log_acc += np.log(scale)
+    nxt /= np.where(scale > 0.0, scale, 1.0)
+    return nxt
 
 
 def _as_prior(fsc: FscSpec, s0_prior) -> np.ndarray:

@@ -5,6 +5,15 @@ received sequence; merging the per-candidate rankings round-robin yields a
 single decoder whose rank of any tree is within a factor of the candidate
 count of each individual rank. Likelihoods are handled in the log domain
 here; ties break on the canonical tree encoding so decisions are total.
+
+There is one code-tree scorer, _codebook_log_likelihoods. A tree's input at
+step i depends on the outputs only through the feedback prefix, so the
+forward recursion factors over the distinct output prefixes: the scorer
+runs it once per (tree, distinct prefix) for a block of trees at once, and
+decoding costs about (distinct output prefixes) x (distinct trees) steps,
+not depth x rows x trees. Trees go through it in blocks whose level arrays
+fit SCORER_BYTES, so a large codebook decodes in pieces, never in one
+trees x rows table.
 """
 
 from __future__ import annotations
@@ -14,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import causal_log_prob_rows, channel_prob_table
+from .causal import _as_prior, channel_prob_table, forward_step, step_table
 from .channel import CompoundFamily, FeedbackMap, FscSpec
-from .codetree import Codebook, paths_rows
+from .codetree import Codebook, node_columns
 from .errors import ValidationError
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
+SCORER_BYTES = 32 * 2 ** 20  # budget for the level arrays of one block of trees in the scorer
 
 
 def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
@@ -27,18 +37,52 @@ def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=N
     y = np.asarray(list(y), dtype=np.int64)
     if y.size != tree.depth:
         raise ValidationError("output length must match the tree depth")
-    return float(batch_tree_log_likelihood(fsc, tree, y[None, :], feedback, s0_prior)[0])
+    return float(_log_likelihood_table(fsc, [tree], y[None, :], feedback, s0_prior)[0, 0])
 
 
-def batch_tree_log_likelihood(
-    fsc: FscSpec, tree, y_rows: np.ndarray, feedback: FeedbackMap, s0_prior=None
-) -> np.ndarray:
-    """tree_log_likelihood for each row of a (T, depth) output matrix: the one
-    code-tree scorer, read by the decoders and by exact error enumeration."""
-    y_rows = np.asarray(y_rows, dtype=np.int64)
-    z_rows = feedback.table[y_rows[:, :-1]]
-    x_rows = paths_rows(tree, z_rows)
-    return causal_log_prob_rows(fsc, x_rows, y_rows, s0_prior)
+def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0_prior) -> np.ndarray:
+    """(trees, T) table of tree_log_likelihood for every tree and row of a
+    (T, depth) output matrix: each distinct row scored once, block by block."""
+    distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    blocks = [
+        _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
+        for lo, hi in _tree_blocks(fsc, len(trees), distinct.shape[0])
+    ]
+    return np.concatenate(blocks)[:, inverse]
+
+
+def _codebook_log_likelihoods(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap, s0_prior) -> np.ndarray:
+    """(trees, rows) table of tree_log_likelihood, the one code-tree scorer.
+
+    rows are distinct and sorted lexicographically, column 0 most
+    significant, as _distinct_rows returns them, so the rows sharing an
+    output prefix y^i form one run. A tree's input at step i depends on y^i
+    only through the feedback prefix, so the forward recursion runs once per
+    (tree, run): at step i, alpha and log_acc hold one column per tree and
+    length-i prefix, and each column extends its parent prefix's. Trees are
+    walked in lockstep by node_columns, so they must share one shape.
+    """
+    t, n = rows.shape
+    symbols = np.stack([tree.symbols for tree in trees])
+    table = step_table(fsc)
+    # new[r, i]: row r opens a new run of length-(i + 1) prefixes
+    new = np.ones((t, n), dtype=bool)
+    np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    prefix = np.zeros(t, dtype=np.int64)  # each row's length-i prefix, numbered in run order
+    alpha = np.broadcast_to(_as_prior(fsc, s0_prior)[:, None, None], (fsc.n_states, len(trees), 1))
+    log_acc = np.zeros((len(trees), 1))
+    cols = node_columns(trees[0], t)
+    col = next(cols)
+    for i in range(n):
+        first = np.flatnonzero(new[:, i])  # first row of each length-(i + 1) prefix
+        parent = prefix[first]
+        log_acc = log_acc[:, parent]
+        idx = symbols[:, col[first]] * fsc.n_outputs + rows[first, i]
+        alpha = forward_step(alpha[:, :, parent], log_acc, table, idx)
+        if i < n - 1:
+            prefix = np.cumsum(new[:, i]) - 1
+            col = cols.send(feedback.table[rows[:, i]])
+    return log_acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +114,14 @@ def build_ranking(fsc: FscSpec, trees, y, feedback: FeedbackMap, s0_prior=None) 
     keys = [t.key for t in trees]
     if len(set(keys)) != len(keys):
         raise ValidationError("tree set contains duplicates")
-    scored = sorted(
-        zip(keys, trees),
-        key=lambda kt: (-tree_log_likelihood(fsc, kt[1], y, feedback, s0_prior), kt[0]),
-    )
-    return RankingFunction(ordered_keys=tuple(k for k, _ in scored))
+    if not trees:
+        raise ValidationError("ranking needs distinct, non-empty keys")
+    y = np.asarray(list(y), dtype=np.int64)
+    if y.size != trees[0].depth:
+        raise ValidationError("output length must match the tree depth")
+    ll = _log_likelihood_table(fsc, trees, y[None, :], feedback, s0_prior)[:, 0].tolist()
+    order = sorted(range(len(keys)), key=lambda j: (-ll[j], keys[j]))
+    return RankingFunction(ordered_keys=tuple(keys[j] for j in order))
 
 
 def merge_rankings(rankings) -> RankingFunction:
@@ -169,9 +216,17 @@ class UniversalDecoder:
 
 
 def _distinct_rows(rows: np.ndarray):
-    """(distinct rows, inverse) with rows == distinct[inverse]: one lexsort
-    over the columns, then a new-row mask and its running count."""
-    order = np.lexsort(rows.T)
+    """(distinct rows, inverse) with rows == distinct[inverse], distinct
+    sorted lexicographically with column 0 most significant: one lexsort
+    over the columns packed mixed-radix into as few int64 keys as hold them,
+    then a new-row mask and its running count."""
+    card = int(rows.max(initial=0)) + 1
+    width = int(62 // math.log2(card)) if card > 1 else rows.shape[1]
+    keys = [
+        rows[:, j : j + width] @ card ** np.arange(min(width, rows.shape[1] - j) - 1, -1, -1)
+        for j in range(0, rows.shape[1], width)
+    ]
+    order = np.lexsort(keys[::-1])
     ranked = rows[order]
     new = np.ones(rows.shape[0], dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
@@ -180,21 +235,35 @@ def _distinct_rows(rows: np.ndarray):
     return ranked[new], inverse
 
 
+def _tree_blocks(fsc: FscSpec, n_trees: int, rows: int) -> list:
+    """(lo, hi) bounds of consecutive tree blocks, each small enough that the
+    scorer's level arrays over `rows` distinct rows fit in SCORER_BYTES."""
+    # measured peak: about 2.5 |S| + 6 arrays of 8-byte (tree, row) cells at
+    # |Y| = 2, the previous level's alpha and log_acc included
+    per_tree = 8 * rows * (3 * fsc.n_states + 8)
+    size = max(1, SCORER_BYTES // max(per_tree, 1))
+    return [(lo, min(lo + size, n_trees)) for lo in range(0, n_trees, size)]
+
+
 def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
     """Row-wise message with the best (likelihood, key, index) tree. The
     decision is a function of the row alone, so each distinct row is scored
-    once and its decision copied to every row equal to it."""
+    once, against a block of trees at a time, and its decision copied to
+    every row equal to it."""
     keys, trees, owner = _codebook_key_table(cb)
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
     t = distinct.shape[0]
     best_ll = np.full(t, -np.inf)
-    best_msg = np.full(t, owner[keys[0]], dtype=np.int64)
-    for k, tree in zip(keys, trees):  # ascending keys: strict > keeps the smaller key on ties
-        ll = batch_tree_log_likelihood(fsc, tree, distinct, feedback, s0_prior)
-        better = ll > best_ll
-        best_ll = np.where(better, ll, best_ll)
-        best_msg = np.where(better, owner[k], best_msg)
-    return best_msg[inverse]
+    best = np.zeros(t, dtype=np.int64)
+    for lo, hi in _tree_blocks(fsc, len(trees), t):
+        ll = _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
+        top = ll.argmax(axis=0)  # the first maximum: the smallest key on ties
+        top_ll = ll[top, np.arange(t)]
+        better = top_ll > best_ll  # strict: an earlier block keeps its smaller keys
+        best_ll[better] = top_ll[better]
+        best[better] = lo + top[better]
+    messages = np.array([owner[k] for k in keys], dtype=np.int64)
+    return messages[best][inverse]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .channel import (
     make_gilbert_elliot,
 )
 from .codetree import Codebook, node_columns, sample_codebook
-from .decoder import MLDecoder, UniversalDecoder, batch_tree_log_likelihood
+from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _log_likelihood_table
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, enumerate_paths, sample_rows, wilson_interval, worker_count
 
@@ -164,10 +164,12 @@ def exact_error_probability(cb: Codebook, fsc: FscSpec, s0: int, feedback: Feedb
         raise CapExceededError(f"output enumeration needs {n_y} paths (cap {EXACT_OUTPUT_PATHS})")
     y_all = enumerate_paths(fsc.n_outputs, n)
     w_hat = decoder.decode_rows(cb, y_all)
+    keys, trees, _ = _codebook_key_table(cb)
+    ll = _log_likelihood_table(fsc, trees, y_all, feedback, int(s0))
+    row = {k: j for j, k in enumerate(keys)}
     total = 0.0
     for w, tree in enumerate(cb.trees):
-        ll = batch_tree_log_likelihood(fsc, tree, y_all[w_hat != w], feedback, int(s0))
-        total += float(np.exp(ll).sum())
+        total += float(np.exp(ll[row[tree.key]][w_hat != w]).sum())
     return total / cb.m_count
 
 

@@ -44,6 +44,7 @@ from compound_fsc import (
     zero_capacity_family,
     zero_capacity_witness,
 )
+from compound_fsc.capacity import GAP_TOL
 from compound_fsc.util import binary_entropy_nats
 from compound_fsc.verify import (
     random_fsc,
@@ -272,8 +273,8 @@ def test_criterion_08_zero_capacity():
         8,
         "zero-capacity",
         ok,
-        f"max solver value {res.worst:.2e} <= 1e-6 for n<=3, with and without "
-        f"feedback; witness confirmed={witness.confirmed}",
+        f"max certified upper bound {res.worst:.2e} <= GAP_TOL = {GAP_TOL:.0e} for n<=3, "
+        f"with and without feedback; witness confirmed={witness.confirmed}",
     )
 
 

@@ -1,24 +1,30 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import compound_fsc.decoder as decoder_mod
 from compound_fsc import (
     CodeTree,
     Codebook,
     CompoundFamily,
+    FeedbackMap,
+    FscSpec,
     MLDecoder,
     RankingFunction,
     UniversalDecoder,
     ValidationError,
     bsc,
     build_ranking,
+    causal_log_prob_rows,
     identity_feedback,
     make_memoryless,
     merge_rankings,
     ml_decode,
     no_feedback,
+    paths_rows,
     sample_codebook,
     sample_concat_codebook,
     separability_check,
@@ -230,27 +236,137 @@ def test_decode_rows_on_repeated_shuffled_rows_equals_row_by_row(concat):
 
 
 def test_decode_rows_scores_each_distinct_row_once(monkeypatch):
-    import compound_fsc.decoder as decoder_mod
-
     scored = []
-    real = decoder_mod.causal_log_prob_rows
+    real = decoder_mod._codebook_log_likelihoods
 
-    def spy(fsc, x_rows, y_rows, s0_prior):
-        scored.append(np.array(y_rows))
-        return real(fsc, x_rows, y_rows, s0_prior)
+    def spy(fsc, trees, rows, feedback, s0_prior):
+        scored.append((len(trees), np.array(rows)))
+        return real(fsc, trees, rows, feedback, s0_prior)
 
-    monkeypatch.setattr(decoder_mod, "causal_log_prob_rows", spy)
+    monkeypatch.setattr(decoder_mod, "_codebook_log_likelihoods", spy)
     rng = np.random.default_rng(211)
     fsc = random_fsc(rng, 2, 2, 2)
     fb = identity_feedback((0, 1))
     cb = sample_codebook(uniform_policy(3, 2, 2), 4, rng)
     y_rows = rng.integers(0, 2, size=(200, 3))
     distinct = {tuple(r) for r in y_rows.tolist()}
-    MLDecoder(fsc, fb).decode_rows(cb, y_rows)
-    assert len(scored) == len({t.key for t in cb.trees})
-    for rows in scored:
-        assert {tuple(r) for r in rows.tolist()} == distinct
-        assert rows.shape[0] == len(distinct)
+    tree_count = len({t.key for t in cb.trees})
+    # one call per tree block: one block by default, one tree per block at a 1-byte budget
+    for budget, calls in ((decoder_mod.SCORER_BYTES, 1), (1, tree_count)):
+        monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
+        scored.clear()
+        MLDecoder(fsc, fb).decode_rows(cb, y_rows)
+        assert len(scored) == calls
+        assert sum(count for count, _ in scored) == tree_count
+        for _, rows in scored:
+            assert {tuple(r) for r in rows.tolist()} == distinct
+            assert rows.shape[0] == len(distinct)
+            assert rows.tolist() == sorted(rows.tolist())  # each output prefix is one run
+
+
+def _oracle_table(fsc, trees, rows, fb, s0):
+    z_rows = fb.table[rows[:, :-1]]
+    return np.stack([causal_log_prob_rows(fsc, paths_rows(t, z_rows), rows, s0) for t in trees])
+
+
+def _zero_some_transitions(fsc, rng):
+    """fsc with a random quarter of its (s, x, y) transitions removed, so that
+    some (tree, row) pairs, and some rows for every tree, are impossible."""
+    kernel = fsc.kernel.copy()
+    kernel[rng.random(kernel.shape[:3]) < 0.25] = 0.0
+    kernel[:, :, 0] += 1e-3 * (kernel.sum(axis=(2, 3)) == 0)[..., None]  # keep rows stochastic
+    kernel /= kernel.sum(axis=(2, 3), keepdims=True)
+    return FscSpec(states=fsc.states, inputs=fsc.inputs, outputs=fsc.outputs, kernel=kernel)
+
+
+FEEDBACKS = {
+    "identity": (2, identity_feedback((0, 1))),
+    "coarse": (3, FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1]))),
+    "none": (3, no_feedback((0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
+@pytest.mark.parametrize("fb_name", sorted(FEEDBACKS))
+def test_codebook_scorer_equals_per_tree_oracle(fb_name, concat):
+    rng = np.random.default_rng(223)
+    y_card, fb = FEEDBACKS[fb_name]
+    impossible = dead_rows = 0
+    for n_states in range(2, 6):
+        fsc = _zero_some_transitions(random_fsc(rng, n_states, 2, y_card), rng)
+        if concat:
+            cb = sample_concat_codebook(uniform_policy(2, 2, fb.z_card), 2, 6, rng)
+        else:
+            cb = sample_codebook(uniform_policy(4, 2, fb.z_card), 6, rng)
+        keys, trees, owner = decoder_mod._codebook_key_table(cb)
+        rows, _ = decoder_mod._distinct_rows(rng.integers(0, y_card, size=(60, 4)))
+        for s0 in (n_states - 1, rng.dirichlet(np.ones(n_states)), None):
+            got = decoder_mod._codebook_log_likelihoods(fsc, trees, rows, fb, s0)
+            assert np.array_equal(got, _oracle_table(fsc, trees, rows, fb, s0))
+            impossible += int(np.isneginf(got).sum())
+            dead = np.isneginf(got).all(axis=0)
+            decided = MLDecoder(fsc, fb, s0).decode_rows(cb, rows[dead])
+            assert (decided == owner[keys[0]]).all()
+            dead_rows += int(dead.sum())
+    assert impossible > dead_rows > 0
+
+
+def test_all_impossible_row_decodes_to_smallest_key_owner():
+    fsc = make_memoryless(np.eye(2))
+    fb = identity_feedback((0, 1))
+    t_low = leaf_tree([0, 0, 0], 2)  # key 0
+    t_high = leaf_tree([0, 1, 1], 2)  # key 3
+    cb = Codebook(trees=(t_high, t_low, t_high, t_low))
+    y_rows = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    rows, _ = decoder_mod._distinct_rows(y_rows)
+    ll = decoder_mod._codebook_log_likelihoods(fsc, trees, rows, fb, None)
+    assert np.isneginf(ll[:, 2:]).all()  # no tree emits 1 at the first step
+    got = MLDecoder(fsc, fb).decode_rows(cb, y_rows)
+    assert got.tolist() == [1, 1, 0, 1]  # message 1 owns key 0; (0, 1) is t_high's path
+    assert got.tolist() == [ml_decode(cb, y, fsc, fb) for y in y_rows]
+
+
+@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
+def test_decoding_in_tree_blocks_matches_one_block(monkeypatch, concat):
+    rng = np.random.default_rng(227)
+    fsc = _zero_some_transitions(random_fsc(rng, 3, 2, 2), rng)
+    fb = identity_feedback((0, 1))
+    if concat:
+        cb = sample_concat_codebook(uniform_policy(2, 2, 2), 2, 7, rng)
+    else:
+        cb = sample_codebook(uniform_policy(4, 2, 2), 7, rng)
+    cb = Codebook(trees=cb.trees + cb.trees[::-1])  # duplicates tie across blocks
+    y_rows = rng.integers(0, 2, size=(300, 4))
+    dec = MLDecoder(fsc, fb, 0)
+    one_block = dec.decode_rows(cb, y_rows)
+    distinct = decoder_mod._distinct_rows(y_rows)[0].shape[0]
+    per_tree = 8 * distinct * (3 * fsc.n_states + 8)
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 * per_tree)  # two trees per block
+    assert len(decoder_mod._tree_blocks(fsc, 7, distinct)) == 4
+    blocks = dec.decode_rows(cb, y_rows)
+    assert blocks.tolist() == one_block.tolist()
+    assert blocks.tolist() == [ml_decode(cb, y, fsc, fb, 0) for y in y_rows]
+
+
+def test_scorer_level_arrays_stay_within_budget(monkeypatch):
+    rng = np.random.default_rng(229)
+    fsc = random_fsc(rng, 3, 2, 2)
+    fb = identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(10, 2, 2), 40, rng)
+    budget = 2 ** 20
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    rows = enumerate_paths(2, 10)
+    bounds = decoder_mod._tree_blocks(fsc, len(trees), rows.shape[0])
+    assert len(bounds) > 1 and bounds[0][1] - bounds[0][0] > 1
+    decoder_mod._codebook_log_likelihoods(fsc, trees[:1], rows, fb, None)  # warm-up
+    for lo, hi in bounds:
+        tracemalloc.start()
+        decoder_mod._codebook_log_likelihoods(fsc, trees[lo:hi], rows, fb, None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= budget
 
 
 def test_separability_family_covers_itself():
