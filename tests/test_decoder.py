@@ -336,7 +336,7 @@ def test_decoding_in_tree_blocks_matches_one_block(monkeypatch, concat):
         cb = sample_concat_codebook(uniform_policy(2, 2, 2), 2, 7, rng)
     else:
         cb = sample_codebook(uniform_policy(4, 2, 2), 7, rng)
-    cb = Codebook(trees=cb.trees + cb.trees[::-1])  # duplicates tie across blocks
+    cb = Codebook(trees=cb.trees + cb.trees[::-1])  # each tree twice: the smaller index owns it
     y_rows = rng.integers(0, 2, size=(300, 4))
     dec = MLDecoder(fsc, fb, 0)
     one_block = dec.decode_rows(cb, y_rows)
