@@ -27,6 +27,7 @@ from .causal import _as_prior, channel_prob_table, forward_step, step_table
 from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, node_columns
 from .errors import ValidationError
+from .util import chunk_digits
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
 SCORER_BYTES = 32 * 2 ** 20  # budget for the level arrays of one block of trees in the scorer
@@ -221,7 +222,7 @@ def _distinct_rows(rows: np.ndarray):
     over the columns packed mixed-radix into as few int64 keys as hold them,
     then a new-row mask and its running count."""
     card = int(rows.max(initial=0)) + 1
-    width = int(62 // math.log2(card)) if card > 1 else rows.shape[1]
+    width = chunk_digits(card)
     keys = [
         rows[:, j : j + width] @ card ** np.arange(min(width, rows.shape[1] - j) - 1, -1, -1)
         for j in range(0, rows.shape[1], width)

@@ -2,7 +2,10 @@
 
 Per-trial randomness comes from one row of a counter-based (Philox) uniform
 matrix keyed by the seed, so results do not depend on how trials are split
-across worker threads.
+across worker threads. Each batch builds one CDF table per channel, the
+kernel's cumulative sums over (y, s') for every (s, x), and samples it
+step-major: all trials take step i together, each drawing by
+`util.cdf_draw` from its own row of the table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .channel import (
 from .codetree import Codebook, node_columns, sample_codebook
 from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _log_likelihood_table
 from .errors import CapExceededError, ValidationError
-from .util import LN2, binary_entropy_nats, enumerate_paths, sample_rows, wilson_interval, worker_count
+from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
 EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
@@ -84,25 +87,30 @@ def simulate_batch(
     s0: np.ndarray,
     u_steps: np.ndarray,
 ):
-    """Drive the channel for every trial at once; returns (x, y, states)."""
+    """Drive the channel for every trial at once; returns (x, y, states),
+    each (trials, n). Step i gathers every trial's input and its CDF row
+    s * |X| + x, then draws the next (y, s') with the step's uniforms."""
     symbols = np.stack([tree.symbols for tree in cb.trees])
     t, n = u_steps.shape[0], cb.depth
-    s_cur = s0.copy()
-    xs = np.empty((t, n), dtype=np.int64)
-    ys = np.empty((t, n), dtype=np.int64)
-    states = np.empty((t, n), dtype=np.int64)
+    n_s, n_x = fsc.n_states, fsc.n_inputs
+    cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
+    flat = symbols.ravel()
+    base = w * symbols.shape[1]
+    u_steps = u_steps.T.copy()
+    s_cur = s0
+    xs = np.empty((n, t), dtype=np.int64)
+    ys = np.empty((n, t), dtype=np.int64)
+    states = np.empty((n, t), dtype=np.int64)
     cols = node_columns(cb.trees[0], t)
     col = next(cols)
     for i in range(n):
-        x = symbols[w, col]
-        rows = fsc.kernel[s_cur, x].reshape(t, -1)
-        pick = sample_rows(rows, u_steps[:, i])
-        y = pick // fsc.n_states
-        s_cur = pick % fsc.n_states
-        xs[:, i], ys[:, i], states[:, i] = x, y, s_cur
+        x = flat[base + col]
+        r = s_cur * n_x + x
+        y, s_cur = np.divmod(cdf_draw((c[r] for c in cdf), u_steps[i]), n_s)
+        xs[i], ys[i], states[i] = x, y, s_cur
         if i < n - 1:
             col = cols.send(feedback.table[y])
-    return xs, ys, states
+    return xs.T, ys.T, states.T
 
 
 def _make_decoder(cfg: TrialConfig):
@@ -121,7 +129,7 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     if cfg.s0 is not None:
         s0 = np.full(cfg.trials, cfg.s0, dtype=np.int64)
     else:
-        s0 = sample_rows(np.tile(_as_prior(fsc, cfg.s0_prior), (cfg.trials, 1)), u[:, 1])
+        s0 = cdf_draw(np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1], u[:, 1])
     decoder = _make_decoder(cfg)
 
     def chunk(lo: int, hi: int):

@@ -77,9 +77,30 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def chunk_digits(card: int) -> int:
+    """Most base-`card` digits packed into one int64 chunk: 62 // log2(card),
+    so card ** width never overflows; 62 for card 1."""
+    return int(62 // math.log2(card)) if card > 1 else 62
+
+
+def cdf_draw(cdf_cols, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw, one uniform per row, from precomputed CDF columns.
+
+    cdf_cols[j] holds entry j of every row's CDF for all entries but the
+    last, which the draw never reads. A CDF never decreases (cumulative sums
+    of non-negative floats), so the count of entries below u among the first
+    K - 1 is min(#{j : cdf_j < u}, K - 1): a u above a last entry that rounds
+    below 1 still picks K - 1.
+    """
+    pick = np.zeros(np.shape(u), dtype=np.int64)
+    for col in cdf_cols:
+        pick += col < u
+    return pick
+
+
 def sample_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw from each row of a row-stochastic matrix, one uniform per row."""
-    return np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), rows.shape[1] - 1)
+    return cdf_draw(rows.cumsum(axis=1)[:, :-1].T, u)
 
 
 def enumerate_paths(card: int, length: int) -> np.ndarray:

@@ -68,6 +68,35 @@ def test_tree_code_round_trip():
         tree_from_code(8, 2, 2, 2)
 
 
+def horner_code(symbols, x_card):
+    code = 0
+    for s in np.asarray(symbols).tolist():
+        code = code * x_card + s
+    return code
+
+
+@pytest.mark.parametrize("x_card", [1, 2, 3, 5, 7, 16, 255])
+def test_tree_code_matches_horner_oracle(x_card):
+    # sizes 1..129 run below, at and across whole multiples of every chunk
+    # width here (62 // log2|X| <= 62 digits); the all-top-digit vectors
+    # fill each int64 chunk to its largest value
+    rng = np.random.default_rng(x_card)
+    for size in range(1, 130):
+        for symbols in (rng.integers(x_card, size=size), np.full(size, x_card - 1)):
+            tree = CodeTree(depth=size, x_card=x_card, z_card=1, symbols=symbols)
+            assert tree_code(tree) == horner_code(symbols, x_card)
+
+
+def test_tree_code_n12_binary_round_trip_and_concat_key():
+    rng = np.random.default_rng(12)
+    tree = sample_codetree(uniform_policy(12, 2, 2), rng)
+    code = tree_code(tree)
+    assert code == horner_code(tree.symbols, 2) == tree.key
+    assert np.array_equal(tree_from_code(code, 12, 2, 2).symbols, tree.symbols)
+    blocks = tuple(sample_codetree(uniform_policy(6, 3, 2), rng) for _ in range(3))
+    assert ConcatTree(blocks=blocks).key == tuple(horner_code(b.symbols, 3) for b in blocks)
+
+
 def test_tree_code_orders_trees_canonically():
     codes = set()
     for sym in itertools.product(range(2), repeat=3):

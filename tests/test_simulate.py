@@ -9,6 +9,7 @@ from compound_fsc import (
     CodeTree,
     Codebook,
     CompoundFamily,
+    FeedbackMap,
     FscSpec,
     GilbertElliotParams,
     MLDecoder,
@@ -34,6 +35,7 @@ from compound_fsc import (
     simulate_batch,
     uniform_policy,
 )
+from compound_fsc.verify import random_fsc
 
 LN2 = math.log(2.0)
 
@@ -263,6 +265,92 @@ def test_run_trials_decisions_pinned():
         ]
         assert res.decisions.tolist() == decisions
         assert len({tuple(y) for y in res.outputs.tolist()}) < cfg.trials  # rows repeat
+
+
+def test_run_trials_sampled_paths_pinned():
+    # recorded before the step-major draw: initial states from the prior's CDF,
+    # then every (y, s') from the kernel's, over coarse feedback
+    fsc = random_fsc(np.random.default_rng(3), 3, 2, 3)
+    fb = FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1]))
+    cb = sample_codebook(uniform_policy(4, 2, fb.z_card), 5, np.random.default_rng(8))
+    cfg = TrialConfig(
+        family=CompoundFamily(members=(fsc,), labels=("m",)), true_label="m", codebook=cb,
+        feedback=fb, trials=16, seed=6, s0_prior=(0.5, 0.2, 0.3),
+    )
+    res = run_trials(cfg)
+    assert res.messages.tolist() == [3, 2, 4, 2, 2, 1, 0, 3, 1, 3, 0, 4, 0, 3, 2, 4]
+    assert res.initial_states.tolist() == [0, 0, 0, 0, 0, 2, 1, 0, 2, 1, 2, 0, 0, 0, 2, 0]
+    assert res.outputs.tolist() == [
+        [0, 0, 0, 0], [1, 1, 1, 1], [0, 2, 2, 2], [2, 0, 2, 1], [1, 0, 1, 1], [1, 2, 2, 1],
+        [1, 1, 0, 2], [2, 1, 0, 0], [1, 2, 1, 1], [2, 0, 0, 1], [0, 1, 1, 0], [1, 0, 2, 2],
+        [0, 0, 1, 2], [2, 2, 0, 2], [0, 1, 2, 0], [1, 1, 2, 0],
+    ]
+    assert res.state_paths.tolist() == [
+        [1, 2, 1, 0], [1, 0, 0, 0], [2, 1, 1, 0], [0, 1, 0, 2], [0, 1, 0, 1], [2, 1, 2, 1],
+        [1, 2, 2, 1], [0, 1, 2, 0], [0, 0, 0, 0], [0, 2, 1, 2], [2, 0, 2, 1], [0, 2, 1, 0],
+        [2, 1, 2, 2], [2, 0, 2, 1], [1, 2, 1, 2], [0, 0, 0, 2],
+    ]
+
+
+def scalar_simulation(fsc, cb, feedback, w, s0, u_steps):
+    """One trial at a time: walk the tree by the feedback so far, then draw
+    (y, s') by inverse CDF from the cumsum of kernel[s, x]."""
+    t, n = u_steps.shape
+    xs, ys, states = (np.empty((t, n), dtype=np.int64) for _ in range(3))
+    for k in range(t):
+        s, z = int(s0[k]), []
+        for i in range(n):
+            x = int(path(cb.trees[w[k]], z + [0] * (n - 1 - len(z)))[i])
+            cdf = np.cumsum(fsc.kernel[s, x].ravel())
+            pick = min(int(np.searchsorted(cdf, u_steps[k, i], side="left")), cdf.size - 1)
+            y, s = divmod(pick, fsc.n_states)
+            xs[k, i], ys[k, i], states[k, i] = x, y, s
+            z.append(int(feedback.table[y]))
+    return xs, ys, states
+
+
+@pytest.mark.parametrize("feedback", ["identity", "coarse", "none"])
+@pytest.mark.parametrize("n_states", [1, 2, 3, 4])
+def test_simulate_batch_matches_scalar_oracle(n_states, feedback):
+    rng = np.random.default_rng(10 * n_states + len(feedback))
+    for x_card, y_card, concat in itertools.product((2, 3), (2, 3), (False, True)):
+        if feedback == "coarse" and y_card != 3:
+            continue
+        outputs = tuple(range(y_card))
+        fb = {
+            "identity": identity_feedback(outputs),
+            "coarse": FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1])),
+            "none": no_feedback(outputs),
+        }[feedback]
+        # state 0 emits from one row whose CDF ends below 1, whatever the input
+        k = y_card * n_states
+        row = rng.dirichlet(np.ones(k))
+        while np.cumsum(row)[-1] >= 1.0:
+            row = rng.dirichlet(np.ones(k))
+        kernel = rng.dirichlet(np.ones(k), size=(n_states, x_card))
+        kernel[0] = row
+        fsc = FscSpec(
+            states=tuple(range(n_states)), inputs=tuple(range(x_card)), outputs=outputs,
+            kernel=kernel.reshape(n_states, x_card, y_card, n_states),
+        )
+        if concat:
+            cb = sample_concat_codebook(uniform_policy(2, x_card, fb.z_card), 2, 5, rng)
+        else:
+            cb = sample_codebook(uniform_policy(4, x_card, fb.z_card), 5, rng)
+        trials = 30
+        w = rng.integers(cb.m_count, size=trials)
+        s0 = rng.integers(n_states, size=trials)
+        s0[:2] = 0
+        u = rng.random((trials, cb.depth))
+        cdf = np.cumsum(fsc.kernel[0, 0].ravel())
+        u[0, 0] = cdf[-2]  # exactly a CDF entry: picks that entry, not the next
+        u[1, 0] = np.nextafter(cdf[-1], 1.0)  # above the last entry: clamps to K - 1
+        got = simulate_batch(fsc, cb, fb, w, s0, u)
+        want = scalar_simulation(fsc, cb, fb, w, s0, u)
+        assert want[1][0, 0] * n_states + want[2][0, 0] == k - 2
+        assert want[1][1, 0] * n_states + want[2][1, 0] == k - 1
+        for g, e in zip(got, want):
+            assert np.array_equal(g, e)
 
 
 @pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
