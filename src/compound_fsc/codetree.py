@@ -104,20 +104,18 @@ class ConcatTree:
 def tree_code(tree: CodeTree) -> int:
     """Canonical integer encoding: mixed-radix over the flat symbol vector.
 
-    A vector of at least one chunk is first packed, by one matmul, into int64
-    chunks of `util.chunk_digits` digits, so the big-int Horner loop runs once
-    per chunk instead of once per symbol.
+    The symbols are first packed, by one matmul, into int64 chunks of
+    `util.chunk_digits` digits (zero digits in front of a partial first
+    chunk), so the big-int Horner loop runs once per chunk instead of once
+    per symbol.
     """
     x_card, symbols = tree.x_card, tree.symbols
     width = chunk_digits(x_card)
-    if width < 2 or symbols.size < width:
-        digits, base = symbols.tolist(), x_card
-    else:
-        padded = np.concatenate([np.zeros(-symbols.size % width, dtype=np.int64), symbols])
-        place = x_card ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        digits, base = (padded.reshape(-1, width) @ place).tolist(), x_card**width
+    padded = np.concatenate([np.zeros(-symbols.size % width, dtype=np.int64), symbols])
+    place = x_card ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    base = x_card**width
     code = 0
-    for d in digits:
+    for d in (padded.reshape(-1, width) @ place).tolist():
         code = code * base + d
     return code
 
