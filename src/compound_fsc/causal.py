@@ -34,6 +34,12 @@ class CausalConditioning:
     conditionals[i] has shape ((x_card*z_card)**i, x_card): one row per joint
     history (x^i, z^i), encoded earliest-pair-most-significant with pair code
     x*z_card + z. child_histories is the one step of that code.
+
+    Every table is read-only. A step whose rows are all one law may be a
+    zero-stride view of that row (np.broadcast_to, as uniform_policy and
+    iid_policy build it), kept as it is and validated on its one distinct
+    row; every other table is made contiguous. Consumers must not assume
+    contiguity.
     """
 
     horizon: int
@@ -46,7 +52,11 @@ class CausalConditioning:
             raise ValidationError("horizon must be >= 1")
         if self.x_card < 1 or self.z_card < 1:
             raise ValidationError("alphabet cardinalities must be >= 1")
-        conds = tuple(np.ascontiguousarray(c, dtype=float) for c in self.conditionals)
+        conds = tuple(
+            c if isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype == float and c.strides[0] == 0
+            else np.ascontiguousarray(c, dtype=float)
+            for c in self.conditionals
+        )
         if len(conds) != self.horizon:
             raise ValidationError("need one conditional table per step")
         base = self.x_card * self.z_card
@@ -54,6 +64,8 @@ class CausalConditioning:
             want = (base ** i, self.x_card)
             if c.shape != want:
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
+            if c.strides[0] == 0:
+                c = c[:1]  # every row is this one
             if not np.all(np.isfinite(c)) or np.any(c < -1e-15):
                 raise ValidationError("conditionals must be finite and non-negative")
             dev = c.sum(axis=1)
@@ -106,9 +118,8 @@ def child_histories(hist, x, x_card: int, z_card: int) -> np.ndarray:
 
 
 def uniform_policy(n: int, x_card: int, z_card: int) -> CausalConditioning:
-    base = x_card * z_card
-    conds = tuple(np.full((base ** i, x_card), 1.0 / x_card) for i in range(n))
-    return CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=conds)
+    """Uniform inputs at every step: n zero-stride views of one row."""
+    return iid_policy(n, np.full(x_card, 1.0 / x_card), z_card)
 
 
 def random_policy(n: int, x_card: int, z_card: int, rng: np.random.Generator) -> CausalConditioning:
@@ -121,11 +132,12 @@ def random_policy(n: int, x_card: int, z_card: int, rng: np.random.Generator) ->
 
 
 def iid_policy(n: int, marginal, z_card: int) -> CausalConditioning:
-    """Same single-letter input marginal at every step, ignoring the history."""
-    marginal = np.asarray(marginal, dtype=float)
+    """Same single-letter input marginal at every step, ignoring the history:
+    each table is a zero-stride view of one private copy of the marginal."""
+    marginal = np.array(marginal, dtype=float)
     x_card = marginal.size
     base = x_card * z_card
-    conds = tuple(np.tile(marginal, (base ** i, 1)) for i in range(n))
+    conds = tuple(np.broadcast_to(marginal, (base ** i, x_card)) for i in range(n))
     return CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=conds)
 
 

@@ -121,14 +121,20 @@ def tree_code(tree: CodeTree) -> int:
 
 
 def tree_from_code(code: int, depth: int, x_card: int, z_card: int) -> CodeTree:
+    """Inverse of tree_code: peel the int64 chunks off the big int, last
+    chunk first, then split every chunk into its digits at once."""
     size = tree_size(depth, z_card)
-    digits = np.empty(size, dtype=np.int64)
-    for k in range(size - 1, -1, -1):
-        digits[k] = code % x_card
-        code //= x_card
-    if code:
+    width = chunk_digits(x_card)
+    base = x_card**width
+    chunks = np.empty(-(-size // width), dtype=np.int64)
+    for k in range(chunks.size - 1, -1, -1):
+        code, chunks[k] = divmod(code, base)
+    place = x_card ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (chunks[:, None] // place % x_card).reshape(-1)
+    pad = digits.size - size
+    if code or digits[:pad].any():
         raise ValidationError("code out of range for this tree shape")
-    return CodeTree(depth=depth, x_card=x_card, z_card=z_card, symbols=digits)
+    return CodeTree(depth=depth, x_card=x_card, z_card=z_card, symbols=digits[pad:])
 
 
 def _blocks(tree) -> tuple:
@@ -181,19 +187,30 @@ def paths_rows(tree, z_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_codetree(q: CausalConditioning, rng: np.random.Generator) -> CodeTree:
-    """Draw a tree node by node: each node's symbol from the conditional for
-    the (input, feedback) history spelled by its root path."""
-    symbols = np.empty(tree_size(q.horizon, q.z_card), dtype=np.int64)
-    hist = np.zeros(1, dtype=np.int64)
+def sample_symbols(q: CausalConditioning, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` trees level by level, (count, D) symbols for D nodes a
+    tree: each node's symbol from the conditional for the (input, feedback)
+    history spelled by its root path. The uniforms are one rng.random(count
+    * D) call, tree t reading t*D..(t+1)*D - 1 level by level, so the trees
+    are those of `count` successive one-tree draws."""
+    size = tree_size(q.horizon, q.z_card)
+    u = rng.random(count * size).reshape(count, size)
+    symbols = np.empty((count, size), dtype=np.int64)
+    hist = np.zeros((count, 1), dtype=np.int64)
     offset = 0
     for i in range(q.horizon):
-        x = sample_rows(q.conditionals[i][hist], rng.random(hist.size))
-        symbols[offset : offset + hist.size] = x
-        offset += hist.size
+        level = slice(offset, offset + hist.shape[1])
+        x = sample_rows(q.conditionals[i][hist.ravel()], u[:, level].ravel()).reshape(hist.shape)
+        symbols[:, level] = x
+        offset = level.stop
         if i < q.horizon - 1:
-            hist = child_histories(hist, x, q.x_card, q.z_card).reshape(-1)
-    return CodeTree(depth=q.horizon, x_card=q.x_card, z_card=q.z_card, symbols=symbols)
+            hist = child_histories(hist, x, q.x_card, q.z_card).reshape(count, -1)
+    return symbols
+
+
+def sample_codetree(q: CausalConditioning, rng: np.random.Generator) -> CodeTree:
+    """Draw one tree: sample_symbols with count 1."""
+    return CodeTree(depth=q.horizon, x_card=q.x_card, z_card=q.z_card, symbols=sample_symbols(q, 1, rng)[0])
 
 
 def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
@@ -313,18 +330,21 @@ class Codebook:
 def sample_codebook(q: CausalConditioning, m_count: int, rng: np.random.Generator, rate_nats=None) -> Codebook:
     if m_count < 1:
         raise ValidationError("m_count must be >= 1")
-    return Codebook(trees=tuple(sample_codetree(q, rng) for _ in range(m_count)), rate_nats=rate_nats)
+    trees = tuple(CodeTree(q.horizon, q.x_card, q.z_card, s) for s in sample_symbols(q, m_count, rng))
+    return Codebook(trees=trees, rate_nats=rate_nats)
 
 
 def sample_concat_codebook(
     q_block: CausalConditioning, n_blocks: int, m_count: int, rng: np.random.Generator, rate_nats=None
 ) -> Codebook:
-    """Independent blocks, each drawn from the same depth-m law."""
+    """Independent blocks, each drawn from the same depth-m law, message
+    after message and block after block."""
     if n_blocks < 1 or m_count < 1:
         raise ValidationError("n_blocks and m_count must be >= 1")
+    symbols = sample_symbols(q_block, m_count * n_blocks, rng).reshape(m_count, n_blocks, -1)
     trees = tuple(
-        ConcatTree(blocks=tuple(sample_codetree(q_block, rng) for _ in range(n_blocks)))
-        for _ in range(m_count)
+        ConcatTree(blocks=tuple(CodeTree(q_block.horizon, q_block.x_card, q_block.z_card, s) for s in row))
+        for row in symbols
     )
     return Codebook(trees=trees, rate_nats=rate_nats)
 

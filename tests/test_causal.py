@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from compound_fsc import (
     naive_causal_channel_prob,
     no_feedback,
     policy_weight_table,
+    product_policy,
     random_policy,
+    sample_codetree,
     save_policy,
+    tree_prob,
     uniform_policy,
 )
 from compound_fsc.causal import (
@@ -329,6 +333,95 @@ def test_policy_validation():
         with pytest.raises(ValidationError):
             CausalConditioning.from_dict(d)
 
+
+
+def test_uniform_policy_is_one_row_per_step():
+    tracemalloc.start()
+    try:
+        q = uniform_policy(12, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for i, c in enumerate(q.conditionals):
+        assert c.shape == (4**i, 2) and c.strides[0] == 0 and not c.flags.writeable
+
+
+def test_iid_policy_tables_are_views_of_a_private_marginal():
+    marginal = np.array([0.25, 0.75])
+    q = iid_policy(3, marginal, 2)
+    marginal[0] = 9.0
+    for c in q.conditionals:
+        assert c.strides[0] == 0 and not c.flags.writeable
+        assert c.tolist() == [[0.25, 0.75]] * c.shape[0]
+    back = CausalConditioning.from_dict(q.to_dict())
+    assert all(c.flags.c_contiguous for c in back.conditionals)
+
+
+@pytest.mark.parametrize(
+    "row", [[math.nan, 1.0], [1.5, -0.5], [0.5, 0.4]], ids=["nan", "negative", "row-sum"]
+)
+def test_zero_stride_tables_are_validated(row):
+    conds = (np.full((1, 2), 0.5), np.broadcast_to(np.array(row), (4, 2)))
+    with pytest.raises(ValidationError):
+        CausalConditioning(horizon=2, x_card=2, z_card=2, conditionals=conds)
+
+
+def materialised(q):
+    conds = tuple(np.array(c) for c in q.conditionals)
+    return CausalConditioning(horizon=q.horizon, x_card=q.x_card, z_card=q.z_card, conditionals=conds)
+
+
+def same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fb",
+    [
+        identity_feedback((0, 1, 2)),
+        FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1])),
+        no_feedback((0, 1, 2)),
+    ],
+    ids=["identity", "coarse", "none"],
+)
+def test_zero_stride_policies_match_materialised_copies_bitwise(fb):
+    # every consumer reads a zero-stride table exactly as its contiguous copy
+    rng = np.random.default_rng(53)
+    y_card = fb.table.size
+    for n in (1, 2, 3, 4):
+        other = random_policy(n, 2, fb.z_card, rng)
+        code = history_code(2, fb, n)
+        u = rng.standard_normal((2**n, code.size // 2**n))
+        for q in (uniform_policy(n, 2, fb.z_card), iid_policy(n, [0.3, 0.7], fb.z_card)):
+            assert all(c.strides[0] == 0 for c in q.conditionals)
+            m = materialised(q)
+            assert not any(c.strides[0] == 0 and c.shape[0] > 1 for c in m.conditionals)
+            for a, b in zip(sequence_reach(q.conditionals), sequence_reach(m.conditionals)):
+                assert same(a, b)
+            assert same(policy_weight_table(q, y_card, fb), policy_weight_table(m, y_card, fb))
+            reach = sequence_reach(q.conditionals)
+            for a, b in zip(
+                policy_adjoint(q.conditionals, reach, code, u),
+                policy_adjoint(m.conditionals, sequence_reach(m.conditionals), code, u),
+            ):
+                assert same(a, b)
+            shapes = [c.shape for c in q.conditionals]
+            assert policy_best_response(shapes, code, u) == policy_best_response(
+                [c.shape for c in m.conditionals], code, u
+            )
+            for (l1, r1), (l2, r2) in (((q, other), (m, other)), ((other, q), (other, m)), ((q, q), (m, m))):
+                for a, b in zip(product_policy(l1, r1).conditionals, product_policy(l2, r2).conditionals):
+                    assert same(a, b)
+                for a, b in zip(mixture_policy(l1, r1, 0.3).conditionals, mixture_policy(l2, r2, 0.3).conditionals):
+                    assert same(a, b)
+            assert q.to_dict() == m.to_dict()
+            for _ in range(3):
+                tree = sample_codetree(other, rng)
+                assert tree_prob(q, tree) == tree_prob(m, tree)
+                xs = rng.integers(2, size=n)
+                zs = rng.integers(fb.z_card, size=n - 1)
+                assert input_prob(q, xs, zs) == input_prob(m, xs, zs)
 
 def test_table_cap_refusal():
     fsc = bsc(0.1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from compound_fsc import (
     sample_codebook,
     sample_codetree,
     sample_concat_codebook,
+    sample_symbols,
     sample_uniform_from_type,
     tree_code,
     tree_from_code,
@@ -29,6 +31,7 @@ from compound_fsc import (
     type_count_bound,
     uniform_policy,
 )
+from compound_fsc.util import chunk_digits
 
 
 def leaf_tree(symbols, depth, z_card=2):
@@ -96,6 +99,24 @@ def test_tree_code_n12_binary_round_trip_and_concat_key():
     blocks = tuple(sample_codetree(uniform_policy(6, 3, 2), rng) for _ in range(3))
     assert ConcatTree(blocks=blocks).key == tuple(horner_code(b.symbols, 3) for b in blocks)
 
+
+
+@pytest.mark.parametrize("x_card", [2, 3])
+def test_tree_from_code_inverts_tree_code(x_card):
+    # symbol counts around one chunk width, where the padded first chunk
+    # is empty, one digit short or spills into a second chunk
+    rng = np.random.default_rng(x_card)
+    width = chunk_digits(x_card)
+    shapes = [(size, 1) for size in (1, width - 1, width, width + 1)] + [(12, 2)]
+    for depth, z_card in shapes:
+        size = tree_size(depth, z_card)
+        for symbols in (rng.integers(x_card, size=size), np.full(size, x_card - 1), np.zeros(size, int)):
+            tree = CodeTree(depth=depth, x_card=x_card, z_card=z_card, symbols=symbols)
+            back = tree_from_code(tree_code(tree), depth, x_card, z_card)
+            assert np.array_equal(back.symbols, tree.symbols)
+        for bad in (x_card**size, -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                tree_from_code(bad, depth, x_card, z_card)
 
 def test_tree_code_orders_trees_canonically():
     codes = set()
@@ -205,6 +226,32 @@ def test_sample_codetree_stream_is_pinned(n, x_card, z_card, seed, want):
     q = random_policy(n, x_card, z_card, rng)
     assert [sample_codetree(q, rng).symbols.tolist() for _ in range(3)] == want
 
+
+
+@pytest.mark.parametrize("n, x_card, z_card", [(3, 2, 1), (2, 3, 2), (3, 2, 2)])
+def test_sample_symbols_is_the_stream_of_successive_trees(n, x_card, z_card):
+    q = random_policy(n, x_card, z_card, np.random.default_rng(59))
+    one, many = np.random.default_rng(61), np.random.default_rng(61)
+    want = [sample_codetree(q, one).symbols for _ in range(6)]
+    assert np.array_equal(sample_symbols(q, 6, many), np.stack(want))
+    assert one.random() == many.random()
+    one, many = np.random.default_rng(67), np.random.default_rng(67)
+    blocks = [[sample_codetree(q, one).symbols for _ in range(3)] for _ in range(2)]
+    cb = sample_concat_codebook(q, n_blocks=3, m_count=2, rng=many)
+    assert [[b.symbols.tolist() for b in t.blocks] for t in cb.trees] == [[b.tolist() for b in r] for r in blocks]
+
+
+def test_uniform_codebook_peak_memory():
+    # the uniform policy is n zero-stride rows, so the peak is the draw's
+    # own arrays (about 12.4 MiB for 64 trees of 4095 nodes)
+    tracemalloc.start()
+    try:
+        cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cb.m_count == 64
+    assert peak < 16 * 2**20
 
 def test_sampled_paths_have_positive_input_prob():
     rng = np.random.default_rng(139)
