@@ -182,10 +182,13 @@ def sequence_reach(conds) -> list[np.ndarray]:
     """Sequence form of a policy's conditionals, the one prefix-product walk:
     reach[i][h, x] is the product of the conditionals along history h and
     then x, the weight of the input prefix of (h, x) given its feedback
-    prefix. The |Z| child rows (h, x, z) of step i + 1 inherit it."""
+    prefix. The |Z| child rows (h, x, z) of step i + 1 inherit it. Each
+    step's table is read as (reach size, |Z|, |X|), which keeps its last
+    axis, so a zero-stride step stays a view and is never copied."""
     reach = [conds[0]]
     for c in conds[1:]:
-        reach.append((reach[-1].reshape(-1, 1) * c.reshape(reach[-1].size, -1)).reshape(c.shape))
+        child = c.reshape(reach[-1].size, -1, c.shape[-1])
+        reach.append((reach[-1].reshape(-1, 1, 1) * child).reshape(c.shape))
     return reach
 
 

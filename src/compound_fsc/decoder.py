@@ -30,7 +30,13 @@ from .errors import ValidationError
 from .util import chunk_digits
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
-SCORER_BYTES = 32 * 2 ** 20  # budget for the level arrays of one block of trees in the scorer
+# Budget for the level arrays of one block of trees in one worker thread:
+# run_trials decodes one chunk per thread, so a run's scorer peak is
+# worker_count() x SCORER_BYTES. On simulate-ml (64 trees, n = 12, two
+# threads) peak RSS was 120 / 98 / 86 / 81 / 81 MB at 32 / 16 / 8 / 4 / 2 MiB,
+# and the median run time stayed flat down to 8 MiB, then rose (7 % at 4 MiB,
+# 47 % at 2).
+SCORER_BYTES = 8 * 2 ** 20
 
 
 def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
@@ -219,8 +225,9 @@ class UniversalDecoder:
 def _distinct_rows(rows: np.ndarray):
     """(distinct rows, inverse) with rows == distinct[inverse], distinct
     sorted lexicographically with column 0 most significant: one lexsort
-    over the columns packed mixed-radix into as few int64 keys as hold them,
-    then a new-row mask and its running count."""
+    over the columns packed mixed-radix into as few int64 keys as hold them;
+    a row opens a new run where any key differs from the one sorted before
+    it, and only each run's first row is gathered."""
     card = int(rows.max(initial=0)) + 1
     width = chunk_digits(card)
     keys = [
@@ -228,19 +235,25 @@ def _distinct_rows(rows: np.ndarray):
         for j in range(0, rows.shape[1], width)
     ]
     order = np.lexsort(keys[::-1])
-    ranked = rows[order]
-    new = np.ones(rows.shape[0], dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    new = np.zeros(rows.shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
     inverse = np.empty(rows.shape[0], dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
+    return rows[order[new]], inverse
 
 
 def _tree_blocks(fsc: FscSpec, n_trees: int, rows: int) -> list:
     """(lo, hi) bounds of consecutive tree blocks, each small enough that the
     scorer's level arrays over `rows` distinct rows fit in SCORER_BYTES."""
-    # measured peak: about 2.5 |S| + 6 arrays of 8-byte (tree, row) cells at
-    # |Y| = 2, the previous level's alpha and log_acc included
+    # measured tracemalloc peak per 8-byte (tree, row) cell, the previous
+    # level's alpha and log_acc included: 2.5 |S| + 5.6 at |Y| = 2 and
+    # 2.3 |S| + 4.8 at |Y| = 3 in 40-tree blocks (|S| = 1..6). The per-row
+    # arrays a block shares (run mask, prefix numbers, node columns) add
+    # more per tree in small blocks: 2.5 |S| + 9 in 4-tree blocks at |Y| = 2.
+    # The charge covers that from 4 trees on, except at |S| = 1 (11.5 > 11).
     per_tree = 8 * rows * (3 * fsc.n_states + 8)
     size = max(1, SCORER_BYTES // max(per_tree, 1))
     return [(lo, min(lo + size, n_trees)) for lo in range(0, n_trees, size)]

@@ -5,7 +5,10 @@ matrix keyed by the seed, so results do not depend on how trials are split
 across worker threads. Each batch builds one CDF table per channel, the
 kernel's cumulative sums over (y, s') for every (s, x), and samples it
 step-major: all trials take step i together, each drawing by
-`util.cdf_draw` from its own row of the table.
+`util.cdf_draw` from its own row of the table. run_trials allocates its
+result tables once, step-major (n, trials), and each worker thread fills its
+own column slice in place; a result's outputs and state_paths are transposed
+(trials, n) views of those tables.
 """
 
 from __future__ import annotations
@@ -88,29 +91,34 @@ def simulate_batch(
     u_steps: np.ndarray,
 ):
     """Drive the channel for every trial at once; returns (x, y, states),
-    each (trials, n). Step i gathers every trial's input and its CDF row
-    s * |X| + x, then draws the next (y, s') with the step's uniforms."""
-    symbols = np.stack([tree.symbols for tree in cb.trees])
+    each (trials, n), transposed views of step-major (n, trials) tables."""
     t, n = u_steps.shape[0], cb.depth
+    xs, ys, states = (np.empty((n, t), dtype=np.int64) for _ in range(3))
+    _drive(fsc, cb, feedback, w, s0, u_steps, ys, states, xs)
+    return xs.T, ys.T, states.T
+
+
+def _drive(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap, w, s0, u, ys, states, xs=None) -> None:
+    """The closed loop, written in place: step i gathers every trial's input
+    and its CDF row s * |X| + x, draws the next (y, s') with column i of the
+    (trials, n) uniforms u, and stores them in row i of the step-major
+    (n, trials) tables ys and states, and the input in xs[i] when xs is given."""
+    symbols = np.stack([tree.symbols for tree in cb.trees])
     n_s, n_x = fsc.n_states, fsc.n_inputs
     cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
     flat = symbols.ravel()
     base = w * symbols.shape[1]
-    u_steps = u_steps.T.copy()
     s_cur = s0
-    xs = np.empty((n, t), dtype=np.int64)
-    ys = np.empty((n, t), dtype=np.int64)
-    states = np.empty((n, t), dtype=np.int64)
-    cols = node_columns(cb.trees[0], t)
+    cols = node_columns(cb.trees[0], u.shape[0])
     col = next(cols)
-    for i in range(n):
+    for i in range(cb.depth):
         x = flat[base + col]
         r = s_cur * n_x + x
-        y, s_cur = np.divmod(cdf_draw((c[r] for c in cdf), u_steps[i]), n_s)
-        xs[i], ys[i], states[i] = x, y, s_cur
-        if i < n - 1:
-            col = cols.send(feedback.table[y])
-    return xs.T, ys.T, states.T
+        s_cur = np.divmod(cdf_draw((c[r] for c in cdf), u[:, i]), n_s, out=(ys[i], states[i]))[1]
+        if xs is not None:
+            xs[i] = x
+        if i < cb.depth - 1:
+            col = cols.send(feedback.table[ys[i]])
 
 
 def _make_decoder(cfg: TrialConfig):
@@ -131,21 +139,21 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     else:
         s0 = cdf_draw(np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1], u[:, 1])
     decoder = _make_decoder(cfg)
+    ys = np.empty((n, cfg.trials), dtype=np.int64)
+    states = np.empty_like(ys)
+    w_hat = np.empty(cfg.trials, dtype=np.int64)
 
-    def chunk(lo: int, hi: int):
-        xs, ys, states = simulate_batch(fsc, cb, cfg.feedback, w[lo:hi], s0[lo:hi], u[lo:hi, 2:])
-        return ys, states, decoder.decode_rows(cb, ys)
+    def chunk(lo: int, hi: int) -> None:
+        _drive(fsc, cb, cfg.feedback, w[lo:hi], s0[lo:hi], u[lo:hi, 2:], ys[:, lo:hi], states[:, lo:hi])
+        w_hat[lo:hi] = decoder.decode_rows(cb, ys[:, lo:hi].T)
 
     workers = worker_count()
     if workers > 1 and cfg.trials >= 2 * _THREAD_MIN_CHUNK:
         bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: chunk(*ab), zip(bounds[:-1], bounds[1:])))
-        ys = np.concatenate([p[0] for p in parts])
-        states = np.concatenate([p[1] for p in parts])
-        w_hat = np.concatenate([p[2] for p in parts])
+            list(pool.map(lambda ab: chunk(*ab), zip(bounds[:-1], bounds[1:])))  # re-raises a chunk's error
     else:
-        ys, states, w_hat = chunk(0, cfg.trials)
+        chunk(0, cfg.trials)
     flags = w_hat != w
     errors = int(flags.sum())
     return TrialResult(
@@ -157,8 +165,8 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
         decisions=w_hat,
         error_flags=flags,
         initial_states=s0,
-        state_paths=states,
-        outputs=ys,
+        state_paths=states.T,
+        outputs=ys.T,
     )
 
 

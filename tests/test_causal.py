@@ -347,6 +347,19 @@ def test_uniform_policy_is_one_row_per_step():
         assert c.shape == (4**i, 2) and c.strides[0] == 0 and not c.flags.writeable
 
 
+def test_sequence_reach_of_zero_stride_steps_allocates_only_its_output():
+    q = uniform_policy(10, 2, 2)
+    tracemalloc.start()
+    try:
+        reach = sequence_reach(q.conditionals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(r.nbytes for r in reach) + 2**20
+    for i, r in enumerate(reach):
+        assert np.array_equal(r, np.full((4**i, 2), 0.5 ** (i + 1)))
+
+
 def test_iid_policy_tables_are_views_of_a_private_marginal():
     marginal = np.array([0.25, 0.75])
     q = iid_policy(3, marginal, 2)

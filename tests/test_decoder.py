@@ -264,6 +264,33 @@ def test_decode_rows_scores_each_distinct_row_once(monkeypatch):
             assert rows.tolist() == sorted(rows.tolist())  # each output prefix is one run
 
 
+def _distinct_rows_cases():
+    rng = np.random.default_rng(233)
+    wide = rng.integers(0, 3, size=(400, 50))  # 39 base-3 digits per int64 key: two keys
+    wide[200:] = wide[:200]
+    tail = np.repeat(wide[:1], 6, axis=0)
+    tail[:, -1] = [2, 0, 1, 0, 2, 1]  # rows equal in their first key
+    narrow = rng.integers(0, 2, size=(7, 300))
+    return {
+        "two-keys": wide,
+        "second-key-differs": tail,
+        "no-rows": np.zeros((0, 4), dtype=np.int64),
+        "one-row": np.array([[1, 0, 2]]),
+        "all-equal": np.full((9, 5), 2),
+        "f-ordered": narrow.T,  # a transposed view, as run_trials passes its step-major table
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_distinct_rows_cases()))
+def test_distinct_rows_matches_unique_oracle(name):
+    rows = _distinct_rows_cases()[name]
+    distinct, inverse = decoder_mod._distinct_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.shape == want.shape and np.array_equal(distinct, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(distinct[inverse], rows)
+
+
 def _oracle_table(fsc, trees, rows, fb, s0):
     z_rows = fb.table[rows[:, :-1]]
     return np.stack([causal_log_prob_rows(fsc, paths_rows(t, z_rows), rows, s0) for t in trees])

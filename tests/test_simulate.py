@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import compound_fsc.decoder as decoder_mod
 from compound_fsc import (
     CapExceededError,
     CodeTree,
@@ -35,6 +37,7 @@ from compound_fsc import (
     simulate_batch,
     uniform_policy,
 )
+from compound_fsc.util import worker_count
 from compound_fsc.verify import random_fsc
 
 LN2 = math.log(2.0)
@@ -235,6 +238,35 @@ def test_results_invariant_to_thread_count(monkeypatch):
     assert np.array_equal(single.decisions, multi.decisions)
     assert np.array_equal(single.outputs, multi.outputs)
     assert single.errors == multi.errors
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads):
+    """A run holds its step-major result tables and the uniform matrix once;
+    beyond them it may use one scorer block per worker thread and a slack of
+    16 int64 values per trial (the per-trial messages, initial states and
+    decisions, and the O(trials) temporaries of one step of the loop or of
+    the decoder's sort) plus 1 MiB (stacked tree symbols, CDF and key tables)."""
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    n, trials = 12, 40_000  # the smallest run that splits into two threads
+    cb = sample_codebook(uniform_policy(n, 2, 2), 8, np.random.default_rng(43))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
+                      trials=trials, seed=47, s0=0)
+    run_trials(TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=cfg.feedback, trials=10))
+    tracemalloc.start()
+    try:
+        res = run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = res.outputs.nbytes + res.state_paths.nbytes
+    uniforms = 8 * trials * (n + 2)
+    slack = 8 * 16 * trials + 2 ** 20
+    assert peak <= tables + uniforms + worker_count() * decoder_mod.SCORER_BYTES + slack
+    assert res.outputs.T.flags.c_contiguous and res.state_paths.T.flags.c_contiguous
 
 
 def test_run_trials_decisions_pinned():
