@@ -31,11 +31,11 @@ from .util import chunk_digits
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
 # Budget for the level arrays of one block of trees in one worker thread:
-# run_trials decodes one chunk per thread, so a run's scorer peak is
-# worker_count() x SCORER_BYTES. On simulate-ml (64 trees, n = 12, two
-# threads) peak RSS was 120 / 98 / 86 / 81 / 81 MB at 32 / 16 / 8 / 4 / 2 MiB,
-# and the median run time stayed flat down to 8 MiB, then rose (7 % at 4 MiB,
-# 47 % at 2).
+# run_trials decodes one range of the run's distinct output rows per thread,
+# so a run's scorer peak is worker_count() x SCORER_BYTES. On simulate-ml
+# (64 trees, n = 12, two threads of about 4100 distinct rows each) peak RSS
+# was 90 / 90 / 80 / 80 / 80 MB at 32 / 16 / 8 / 4 / 2 MiB; run time held
+# from 32 down to 8 MiB and rose by about 40 % at 4 MiB and 60 % at 2 MiB.
 SCORER_BYTES = 8 * 2 ** 20
 
 
@@ -53,7 +53,7 @@ def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
     blocks = [
         _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
-        for lo, hi in _tree_blocks(fsc, len(trees), distinct.shape[0])
+        for lo, hi in _tree_blocks(fsc, len(trees), *distinct.shape)
     ]
     return np.concatenate(blocks)[:, inverse]
 
@@ -225,7 +225,8 @@ class UniversalDecoder:
 def _distinct_rows(rows: np.ndarray):
     """(distinct rows, inverse) with rows == distinct[inverse], distinct
     sorted lexicographically with column 0 most significant: one lexsort
-    over the columns packed mixed-radix into as few int64 keys as hold them;
+    over the columns packed mixed-radix into as few int64 keys as hold them
+    (an unstable argsort when one key holds them: equal keys are equal rows);
     a row opens a new run where any key differs from the one sorted before
     it, and only each run's first row is gathered."""
     card = int(rows.max(initial=0)) + 1
@@ -234,7 +235,7 @@ def _distinct_rows(rows: np.ndarray):
         rows[:, j : j + width] @ card ** np.arange(min(width, rows.shape[1] - j) - 1, -1, -1)
         for j in range(0, rows.shape[1], width)
     ]
-    order = np.lexsort(keys[::-1])
+    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
     new = np.zeros(rows.shape[0], dtype=bool)
     new[:1] = True
     for key in keys:
@@ -245,17 +246,22 @@ def _distinct_rows(rows: np.ndarray):
     return rows[order[new]], inverse
 
 
-def _tree_blocks(fsc: FscSpec, n_trees: int, rows: int) -> list:
+def _tree_blocks(fsc: FscSpec, n_trees: int, rows: int, depth: int) -> list:
     """(lo, hi) bounds of consecutive tree blocks, each small enough that the
-    scorer's level arrays over `rows` distinct rows fit in SCORER_BYTES."""
-    # measured tracemalloc peak per 8-byte (tree, row) cell, the previous
-    # level's alpha and log_acc included: 2.5 |S| + 5.6 at |Y| = 2 and
-    # 2.3 |S| + 4.8 at |Y| = 3 in 40-tree blocks (|S| = 1..6). The per-row
-    # arrays a block shares (run mask, prefix numbers, node columns) add
-    # more per tree in small blocks: 2.5 |S| + 9 in 4-tree blocks at |Y| = 2.
-    # The charge covers that from 4 trees on, except at |S| = 1 (11.5 > 11).
+    scorer's level arrays over `rows` distinct rows of length `depth` fit in
+    SCORER_BYTES (a block of one tree when even that does not fit)."""
+    # measured tracemalloc peak, in 8-byte cells: 2.5 |S| + 5.2 per (tree,
+    # row) at |Y| = 2 and 2.3 |S| + 4.9 at |Y| = 3 (|S| = 1..4, 4- to 40-tree
+    # blocks), the previous level's alpha and log_acc included, plus about
+    # 15 per row at depth 10 for the arrays a block shares (two run masks of
+    # depth / 8 cells, prefix numbers, node columns and their step
+    # temporaries). The charge, 3 |S| + 8 per (tree, row) and depth / 4 + 13
+    # per row, held every peak to at most 0.89 of it from 1000 rows up
+    # (|Y| = 2, 3, depth 6..40, |S| = 1..6, 1 to 40 trees); below a few
+    # hundred rows the scorer's fixed few KiB dominate.
     per_tree = 8 * rows * (3 * fsc.n_states + 8)
-    size = max(1, SCORER_BYTES // max(per_tree, 1))
+    shared = 8 * rows * (depth // 4 + 13)
+    size = max(1, (SCORER_BYTES - shared) // max(per_tree, 1))
     return [(lo, min(lo + size, n_trees)) for lo in range(0, n_trees, size)]
 
 
@@ -269,7 +275,7 @@ def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
     t = distinct.shape[0]
     best_ll = np.full(t, -np.inf)
     best = np.zeros(t, dtype=np.int64)
-    for lo, hi in _tree_blocks(fsc, len(trees), t):
+    for lo, hi in _tree_blocks(fsc, len(trees), *distinct.shape):
         ll = _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
         top = ll.argmax(axis=0)  # the first maximum: the smallest key on ties
         top_ll = ll[top, np.arange(t)]

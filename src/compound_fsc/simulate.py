@@ -1,14 +1,18 @@
 """Closed-loop Monte Carlo over a compound channel, plus exact error sums.
 
 Per-trial randomness comes from one row of a counter-based (Philox) uniform
-matrix keyed by the seed, so results do not depend on how trials are split
-across worker threads. Each batch builds one CDF table per channel, the
-kernel's cumulative sums over (y, s') for every (s, x), and samples it
-step-major: all trials take step i together, each drawing by
+matrix keyed by the seed. Each worker chunk draws only its own rows, by
+advancing the counter to its first row, and stores them step-major, so
+results do not depend on how trials are split across worker threads and each
+step reads its uniforms contiguously. Each batch builds one CDF table per
+channel, the kernel's cumulative sums over (y, s') for every (s, x), and
+samples it step-major: all trials take step i together, each drawing by
 `util.cdf_draw` from its own row of the table. run_trials allocates its
 result tables once, step-major (n, trials), and each worker thread fills its
 own column slice in place; a result's outputs and state_paths are transposed
-(trials, n) views of those tables.
+(trials, n) views of those tables. A decision is a function of the output
+row alone, so run_trials decodes each distinct output of the run once, the
+sorted distinct rows split into one range per worker thread.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from .channel import (
     make_gilbert_elliot,
 )
 from .codetree import Codebook, node_columns, sample_codebook
-from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _log_likelihood_table
+from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_rows, _log_likelihood_table
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
+_DRAW_ROWS = 1024  # trial rows a chunk draws per call, transposed while in cache
 EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
 
 
@@ -77,11 +82,6 @@ class TrialResult:
     outputs: np.ndarray
 
 
-def _uniform_rows(seed: int, trials: int, cols: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((trials, cols))
-
-
 def simulate_batch(
     fsc: FscSpec,
     cb: Codebook,
@@ -94,31 +94,41 @@ def simulate_batch(
     each (trials, n), transposed views of step-major (n, trials) tables."""
     t, n = u_steps.shape[0], cb.depth
     xs, ys, states = (np.empty((n, t), dtype=np.int64) for _ in range(3))
-    _drive(fsc, cb, feedback, w, s0, u_steps, ys, states, xs)
+    _drive(fsc, cb, feedback, w, s0, u_steps.T, ys, states, xs)
     return xs.T, ys.T, states.T
 
 
 def _drive(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap, w, s0, u, ys, states, xs=None) -> None:
     """The closed loop, written in place: step i gathers every trial's input
-    and its CDF row s * |X| + x, draws the next (y, s') with column i of the
-    (trials, n) uniforms u, and stores them in row i of the step-major
-    (n, trials) tables ys and states, and the input in xs[i] when xs is given."""
-    symbols = np.stack([tree.symbols for tree in cb.trees])
+    and its CDF row s * |X| + x, draws the next (y, s') with row i of the
+    step-major (n, trials) uniforms u, and stores them in row i of the
+    step-major (n, trials) tables ys and states, and the input in xs[i] when
+    xs is given."""
     n_s, n_x = fsc.n_states, fsc.n_inputs
+    symbols = np.stack([tree.symbols for tree in cb.trees], dtype=np.min_scalar_type(n_x - 1), casting="unsafe")
     cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
+    y_of, s_of = np.divmod(np.arange(cdf.shape[0] + 1), n_s)
     flat = symbols.ravel()
+    t = u.shape[1]
     base = w * symbols.shape[1]
+    node, row, z = (np.empty(t, dtype=np.int64) for _ in range(3))
+    x = np.empty(t, dtype=symbols.dtype)
+    level = np.empty(t)
     s_cur = s0
-    cols = node_columns(cb.trees[0], u.shape[0])
+    cols = node_columns(cb.trees[0], t)
     col = next(cols)
+    # every index is in range by construction; mode="wrap" writes straight
+    # into `out`, where the default mode="raise" stages a buffered copy
     for i in range(cb.depth):
-        x = flat[base + col]
-        r = s_cur * n_x + x
-        s_cur = np.divmod(cdf_draw((c[r] for c in cdf), u[:, i]), n_s, out=(ys[i], states[i]))[1]
+        np.take(flat, np.add(base, col, out=node), out=x, mode="wrap")
+        np.add(np.multiply(s_cur, n_x, out=row), x, out=row)
+        pick = cdf_draw((np.take(c, row, out=level, mode="wrap") for c in cdf), u[i])
+        np.take(y_of, pick, out=ys[i], mode="wrap")
+        s_cur = np.take(s_of, pick, out=states[i], mode="wrap")
         if xs is not None:
             xs[i] = x
         if i < cb.depth - 1:
-            col = cols.send(feedback.table[ys[i]])
+            col = cols.send(np.take(feedback.table, ys[i], out=z, mode="wrap"))
 
 
 def _make_decoder(cfg: TrialConfig):
@@ -132,28 +142,43 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     fsc = cfg.family.member(cfg.true_label)
     cb = cfg.codebook
     n = cb.depth
-    u = _uniform_rows(cfg.seed, cfg.trials, n + 2)
-    w = np.minimum((u[:, 0] * cb.m_count).astype(np.int64), cb.m_count - 1)
-    if cfg.s0 is not None:
-        s0 = np.full(cfg.trials, cfg.s0, dtype=np.int64)
-    else:
-        s0 = cdf_draw(np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1], u[:, 1])
+    prior_cdf = np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1]
     decoder = _make_decoder(cfg)
+    w, s0 = (np.empty(cfg.trials, dtype=np.int64) for _ in range(2))
     ys = np.empty((n, cfg.trials), dtype=np.int64)
     states = np.empty_like(ys)
-    w_hat = np.empty(cfg.trials, dtype=np.int64)
 
-    def chunk(lo: int, hi: int) -> None:
-        _drive(fsc, cb, cfg.feedback, w[lo:hi], s0[lo:hi], u[lo:hi, 2:], ys[:, lo:hi], states[:, lo:hi])
-        w_hat[lo:hi] = decoder.decode_rows(cb, ys[:, lo:hi].T)
+    def drive(lo: int, hi: int):
+        # Philox yields 4 doubles a counter step and lo is a multiple of 4,
+        # so this chunk reads rows lo..hi-1 of the run's one uniform matrix,
+        # stored step-major: u[j] holds column j of those rows
+        gen = np.random.Generator(np.random.Philox(key=cfg.seed).advance(lo * (n + 2) // 4))
+        u = np.empty((n + 2, hi - lo))
+        block = np.empty((_DRAW_ROWS, n + 2))
+        for a in range(0, hi - lo, _DRAW_ROWS):
+            rows = gen.random(out=block[: hi - lo - a])
+            u[:, a : a + rows.shape[0]] = rows.T
+        np.minimum((u[0] * cb.m_count).astype(np.int64), cb.m_count - 1, out=w[lo:hi])
+        s0[lo:hi] = cfg.s0 if cfg.s0 is not None else cdf_draw(prior_cdf, u[1])
+        _drive(fsc, cb, cfg.feedback, w[lo:hi], s0[lo:hi], u[2:], ys[:, lo:hi], states[:, lo:hi])
+        del u
+        return _distinct_rows(ys[:, lo:hi].T)
 
-    workers = worker_count()
-    if workers > 1 and cfg.trials >= 2 * _THREAD_MIN_CHUNK:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: chunk(*ab), zip(bounds[:-1], bounds[1:])))  # re-raises a chunk's error
-    else:
-        chunk(0, cfg.trials)
+    workers = worker_count() if cfg.trials >= 2 * _THREAD_MIN_CHUNK else 1
+    bounds = [int(b) // 4 * 4 for b in np.linspace(0, cfg.trials, workers + 1)[:-1]] + [cfg.trials]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # phase 1: each chunk draws and drives its own trials, and returns its
+        # distinct output rows with the inverse that rebuilds its rows
+        parts = list(pool.map(drive, bounds[:-1], bounds[1:]))  # re-raises a chunk's error
+        # phase 2: decode each distinct output of the run once, the sorted
+        # distinct rows split into one range per worker
+        distinct, where = _distinct_rows(np.concatenate([d for d, _ in parts]))
+        cuts = np.linspace(0, distinct.shape[0], workers + 1, dtype=int)
+        decided = np.concatenate(
+            list(pool.map(lambda a, b: decoder.decode_rows(cb, distinct[a:b]), cuts[:-1], cuts[1:]))
+        )
+    at = np.split(where, np.cumsum([len(d) for d, _ in parts])[:-1])  # each chunk's rows of `distinct`
+    w_hat = np.concatenate([decided[a][inverse] for a, (_, inverse) in zip(at, parts)])
     flags = w_hat != w
     errors = int(flags.sum())
     return TrialResult(

@@ -369,11 +369,25 @@ def test_decoding_in_tree_blocks_matches_one_block(monkeypatch, concat):
     one_block = dec.decode_rows(cb, y_rows)
     distinct = decoder_mod._distinct_rows(y_rows)[0].shape[0]
     per_tree = 8 * distinct * (3 * fsc.n_states + 8)
-    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 * per_tree)  # two trees per block
-    assert len(decoder_mod._tree_blocks(fsc, 7, distinct)) == 4
+    shared = 8 * distinct * (4 // 4 + 13)
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", shared + 2 * per_tree)  # two trees per block
+    assert len(decoder_mod._tree_blocks(fsc, 7, distinct, 4)) == 4
     blocks = dec.decode_rows(cb, y_rows)
     assert blocks.tolist() == one_block.tolist()
     assert blocks.tolist() == [ml_decode(cb, y, fsc, fb, 0) for y in y_rows]
+
+
+def _scorer_peaks(fsc, trees, rows, fb):
+    """tracemalloc peak of the scorer over each block _tree_blocks makes."""
+    bounds = decoder_mod._tree_blocks(fsc, len(trees), *rows.shape)
+    decoder_mod._codebook_log_likelihoods(fsc, trees[:1], rows, fb, None)  # warm-up
+    peaks = []
+    for lo, hi in bounds:
+        tracemalloc.start()
+        decoder_mod._codebook_log_likelihoods(fsc, trees[lo:hi], rows, fb, None)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return bounds, peaks
 
 
 def test_scorer_level_arrays_stay_within_budget(monkeypatch):
@@ -385,15 +399,25 @@ def test_scorer_level_arrays_stay_within_budget(monkeypatch):
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     rows = enumerate_paths(2, 10)
-    bounds = decoder_mod._tree_blocks(fsc, len(trees), rows.shape[0])
+    bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert len(bounds) > 1 and bounds[0][1] - bounds[0][0] > 1
-    decoder_mod._codebook_log_likelihoods(fsc, trees[:1], rows, fb, None)  # warm-up
-    for lo, hi in bounds:
-        tracemalloc.start()
-        decoder_mod._codebook_log_likelihoods(fsc, trees[lo:hi], rows, fb, None)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= budget
+    assert max(peaks) <= budget
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_small_scorer_blocks_stay_within_budget_at_one_state(monkeypatch, size):
+    # at |S| = 1 the arrays a block shares weigh most against its per-tree ones
+    rng = np.random.default_rng(239)
+    fsc = random_fsc(rng, 1, 2, 2)
+    fb = identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(10, 2, 2), 8, rng)
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    rows = enumerate_paths(2, 10)
+    budget = 8 * rows.shape[0] * ((10 // 4 + 13) + size * (3 * fsc.n_states + 8))
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
+    bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
+    assert bounds[0] == (0, size)
+    assert max(peaks) <= budget
 
 
 def test_separability_family_covers_itself():

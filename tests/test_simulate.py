@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -160,7 +161,7 @@ def _refuse_to_simulate(*args, **kwargs):
     ids=["three-states", "negative", "unnormalised", "nan", "inf"],
 )
 def test_trial_config_rejects_bad_state_prior(monkeypatch, field, prior):
-    monkeypatch.setattr("compound_fsc.simulate.simulate_batch", _refuse_to_simulate)
+    monkeypatch.setattr("compound_fsc.simulate._drive", _refuse_to_simulate)
     fam = CompoundFamily(
         members=(make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45)),),
         labels=("ge",),
@@ -238,6 +239,39 @@ def test_results_invariant_to_thread_count(monkeypatch):
     assert np.array_equal(single.decisions, multi.decisions)
     assert np.array_equal(single.outputs, multi.outputs)
     assert single.errors == multi.errors
+
+
+@pytest.mark.parametrize("trials", [40_001, 40_003])
+def test_chunk_streams_are_rows_of_one_uniform_matrix(monkeypatch, trials):
+    # n + 2 = 5 uniforms a trial, an odd count, and trial counts that split
+    # into chunks off the 4-draw Philox block: every chunk must still read
+    # its rows of the one (trials, n + 2) matrix
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=0.4))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    cb = sample_codebook(uniform_policy(3, 2, 2), 3, np.random.default_rng(53))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
+                      trials=trials, seed=59)
+    fields = ("messages", "initial_states", "outputs", "state_paths", "decisions")
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside each chunk's slices
+    try:
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+            runs[threads] = run_trials(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for threads, res in runs.items():
+        for field in fields:
+            assert np.array_equal(getattr(res, field), getattr(runs["1"], field)), (threads, field)
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((trials, cb.depth + 2))
+    res = runs["1"]
+    assert np.array_equal(res.messages, np.minimum((u[:, 0] * cb.m_count).astype(np.int64), cb.m_count - 1))
+    assert np.array_equal(res.initial_states, (u[:, 1] > 0.5).astype(np.int64))  # uniform prior, two states
+    want = simulate_batch(fsc, cb, cfg.feedback, res.messages, res.initial_states, u[:, 2:])
+    assert np.array_equal(res.outputs, want[1])
+    assert np.array_equal(res.state_paths, want[2])
+    assert np.array_equal(res.decisions, MLDecoder(fsc, cfg.feedback).decode_rows(cb, want[1]))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
