@@ -10,18 +10,14 @@ paths_rows or node_columns.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .causal import CausalConditioning, child_histories
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .util import chunk_digits, sample_rows
-
-TYPE_SPACE_CAP = 1024  # most distinct block trees the type operations enumerate
 
 
 def tree_size(depth: int, z_card: int) -> int:
@@ -43,7 +39,10 @@ class CodeTree:
     def __post_init__(self):
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
-        symbols = np.ascontiguousarray(self.symbols, dtype=np.int64)
+        symbols = np.asarray(self.symbols)
+        if symbols.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
+            raise ValidationError(f"tree symbols must be integers, not {symbols.dtype}")
+        symbols = np.ascontiguousarray(symbols, dtype=np.int64)
         want = tree_size(self.depth, self.z_card)
         if symbols.shape != (want,):
             raise ValidationError(f"symbol vector must have length {want}")
@@ -118,23 +117,6 @@ def tree_code(tree: CodeTree) -> int:
     for d in (padded.reshape(-1, width) @ place).tolist():
         code = code * base + d
     return code
-
-
-def tree_from_code(code: int, depth: int, x_card: int, z_card: int) -> CodeTree:
-    """Inverse of tree_code: peel the int64 chunks off the big int, last
-    chunk first, then split every chunk into its digits at once."""
-    size = tree_size(depth, z_card)
-    width = chunk_digits(x_card)
-    base = x_card**width
-    chunks = np.empty(-(-size // width), dtype=np.int64)
-    for k in range(chunks.size - 1, -1, -1):
-        code, chunks[k] = divmod(code, base)
-    place = x_card ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits = (chunks[:, None] // place % x_card).reshape(-1)
-    pad = digits.size - size
-    if code or digits[:pad].any():
-        raise ValidationError("code out of range for this tree shape")
-    return CodeTree(depth=depth, x_card=x_card, z_card=z_card, symbols=digits[pad:])
 
 
 def _blocks(tree) -> tuple:
@@ -230,86 +212,19 @@ def tree_prob(q: CausalConditioning, tree: CodeTree) -> float:
     return p
 
 
-def _guard_type_space(x_card: int, m: int, z_card: int) -> int:
-    space = x_card ** tree_size(m, z_card)
-    if space > TYPE_SPACE_CAP:
-        raise CapExceededError(
-            f"type operations need |X|^D(m) = {space} distinct block trees (cap {TYPE_SPACE_CAP})"
-        )
-    return space
-
-
-@dataclass(frozen=True, eq=False)
-class TreeType:
-    """Empirical distribution of block trees inside a concatenated tree."""
-
-    block_depth: int
-    x_card: int
-    z_card: int
-    n_blocks: int
-    entries: tuple  # ((block code, count), ...) sorted by code
-
-    def __post_init__(self):
-        entries = tuple(sorted((int(c), int(k)) for c, k in self.entries))
-        if sum(k for _, k in entries) != self.n_blocks:
-            raise ValidationError("type counts must sum to the block count")
-        if any(k <= 0 for _, k in entries):
-            raise ValidationError("type counts must be positive")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def key(self) -> tuple:
-        return self.entries
-
-
-def tree_type(tree: ConcatTree) -> TreeType:
-    _guard_type_space(tree.x_card, tree.block_depth, tree.z_card)
-    counts = Counter(b.key for b in tree.blocks)
-    return TreeType(
-        block_depth=tree.block_depth,
-        x_card=tree.x_card,
-        z_card=tree.z_card,
-        n_blocks=tree.n_blocks,
-        entries=tuple(counts.items()),
-    )
-
-
-def type_count_bound(n_blocks: int, m: int, x_card: int, z_card: int) -> int:
-    """(N+1)^(|X|^D(m)): crude count of possible block-tree types."""
-    return (n_blocks + 1) ** (x_card ** tree_size(m, z_card))
-
-
-def sample_uniform_from_type(tt: TreeType, rng: np.random.Generator) -> ConcatTree:
-    """Uniform draw from the type class: shuffle the block multiset."""
-    _guard_type_space(tt.x_card, tt.block_depth, tt.z_card)
-    blocks = []
-    for code, count in tt.entries:
-        block = tree_from_code(code, tt.block_depth, tt.x_card, tt.z_card)
-        blocks.extend([block] * count)
-    order = rng.permutation(len(blocks))
-    return ConcatTree(blocks=tuple(blocks[i] for i in order))
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Ordered message-to-tree table; duplicates allowed and kept."""
 
     trees: tuple
-    rate_nats: float | None = None
 
     def __post_init__(self):
         trees = tuple(self.trees)
         if not trees:
             raise ValidationError("codebook must be non-empty")
-        first = trees[0]
-        for t in trees:
-            if (type(t), t.depth, t.x_card, t.z_card) != (
-                type(first),
-                first.depth,
-                first.x_card,
-                first.z_card,
-            ):
-                raise ValidationError("codebook trees must share shape")
+        shapes = {(type(t), t.depth, _blocks(t)[0].depth, t.x_card, t.z_card) for t in trees}
+        if len(shapes) > 1:
+            raise ValidationError("codebook trees must share shape")
         object.__setattr__(self, "trees", trees)
 
     @property
@@ -320,22 +235,16 @@ class Codebook:
     def depth(self) -> int:
         return self.trees[0].depth
 
-    def rate_consistent(self) -> bool | None:
-        """Whether m_count equals ceil(exp(depth * rate)); None without a rate."""
-        if self.rate_nats is None:
-            return None
-        return self.m_count == math.ceil(math.exp(self.depth * self.rate_nats) - 1e-12)
 
-
-def sample_codebook(q: CausalConditioning, m_count: int, rng: np.random.Generator, rate_nats=None) -> Codebook:
+def sample_codebook(q: CausalConditioning, m_count: int, rng: np.random.Generator) -> Codebook:
     if m_count < 1:
         raise ValidationError("m_count must be >= 1")
     trees = tuple(CodeTree(q.horizon, q.x_card, q.z_card, s) for s in sample_symbols(q, m_count, rng))
-    return Codebook(trees=trees, rate_nats=rate_nats)
+    return Codebook(trees=trees)
 
 
 def sample_concat_codebook(
-    q_block: CausalConditioning, n_blocks: int, m_count: int, rng: np.random.Generator, rate_nats=None
+    q_block: CausalConditioning, n_blocks: int, m_count: int, rng: np.random.Generator
 ) -> Codebook:
     """Independent blocks, each drawn from the same depth-m law, message
     after message and block after block."""
@@ -346,48 +255,5 @@ def sample_concat_codebook(
         ConcatTree(blocks=tuple(CodeTree(q_block.horizon, q_block.x_card, q_block.z_card, s) for s in row))
         for row in symbols
     )
-    return Codebook(trees=trees, rate_nats=rate_nats)
+    return Codebook(trees=trees)
 
-
-def delta_rate_penalty(n_blocks: int, m: int, x_card: int, z_card: int) -> float:
-    """Rate lost when thinning to a dominant type: |X|^D(m) ln(N+1) / (N m)."""
-    return x_card ** tree_size(m, z_card) * math.log(n_blocks + 1) / (n_blocks * m)
-
-
-@dataclass(frozen=True, eq=False)
-class DominantTypeResult:
-    subcode: Codebook
-    tree_type: TreeType
-    delta_nats: float
-    target_size: int
-
-
-def dominant_type_subcode(cb: Codebook) -> DominantTypeResult:
-    """Thin a concatenated-tree codebook to its most frequent block type.
-
-    Keeps the first ceil(M / (N+1)^(|X|^D(m))) trees of that type in message
-    order; the pigeonhole argument guarantees that many exist. Ties between
-    equally frequent types break toward the smaller type encoding.
-    """
-    first = cb.trees[0]
-    if not isinstance(first, ConcatTree):
-        raise ValidationError("dominant-type thinning needs concatenated trees")
-    _guard_type_space(first.x_card, first.block_depth, first.z_card)
-    by_type: dict = {}
-    types: dict = {}
-    for idx, tree in enumerate(cb.trees):
-        tt = tree_type(tree)
-        by_type.setdefault(tt.key, []).append(idx)
-        types[tt.key] = tt
-    top = max(len(v) for v in by_type.values())
-    best_key = min(k for k, v in by_type.items() if len(v) == top)
-    denom = type_count_bound(first.n_blocks, first.block_depth, first.x_card, first.z_card)
-    target = max(1, -(-cb.m_count // denom))
-    picked = by_type[best_key][:target]
-    if len(picked) < target:
-        raise RuntimeError("pigeonhole violated; dominant type smaller than target")
-    subcode = Codebook(trees=tuple(cb.trees[i] for i in picked), rate_nats=None)
-    delta = delta_rate_penalty(first.n_blocks, first.block_depth, first.x_card, first.z_card)
-    return DominantTypeResult(
-        subcode=subcode, tree_type=types[best_key], delta_nats=delta, target_size=target
-    )

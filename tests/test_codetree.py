@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from compound_fsc import (
-    CapExceededError,
     CodeTree,
     Codebook,
     ConcatTree,
     ValidationError,
-    delta_rate_penalty,
-    dominant_type_subcode,
     input_prob,
     iid_policy,
     path,
@@ -22,16 +19,11 @@ from compound_fsc import (
     sample_codetree,
     sample_concat_codebook,
     sample_symbols,
-    sample_uniform_from_type,
     tree_code,
-    tree_from_code,
     tree_prob,
     tree_size,
-    tree_type,
-    type_count_bound,
     uniform_policy,
 )
-from compound_fsc.util import chunk_digits
 
 
 def leaf_tree(symbols, depth, z_card=2):
@@ -59,16 +51,13 @@ def test_codetree_validation():
         leaf_tree([0, 1], depth=2)  # needs 3 symbols
     with pytest.raises(ValidationError):
         leaf_tree([0, 2, 1], depth=2)  # symbol outside alphabet
+    with pytest.raises(ValidationError, match="integers"):
+        leaf_tree([0.5, 1.7, 0.0], depth=2)  # a cast would truncate to [0, 1, 0]
 
 
 def test_tree_code_round_trip():
     tree = leaf_tree([1, 0, 1], depth=2)
-    code = tree_code(tree)
-    assert code == 5  # binary digits in level order
-    back = tree_from_code(code, 2, 2, 2)
-    assert np.all(back.symbols == tree.symbols)
-    with pytest.raises(ValidationError):
-        tree_from_code(8, 2, 2, 2)
+    assert tree_code(tree) == 5  # binary digits in level order
 
 
 def horner_code(symbols, x_card):
@@ -95,28 +84,9 @@ def test_tree_code_n12_binary_round_trip_and_concat_key():
     tree = sample_codetree(uniform_policy(12, 2, 2), rng)
     code = tree_code(tree)
     assert code == horner_code(tree.symbols, 2) == tree.key
-    assert np.array_equal(tree_from_code(code, 12, 2, 2).symbols, tree.symbols)
     blocks = tuple(sample_codetree(uniform_policy(6, 3, 2), rng) for _ in range(3))
     assert ConcatTree(blocks=blocks).key == tuple(horner_code(b.symbols, 3) for b in blocks)
 
-
-
-@pytest.mark.parametrize("x_card", [2, 3])
-def test_tree_from_code_inverts_tree_code(x_card):
-    # symbol counts around one chunk width, where the padded first chunk
-    # is empty, one digit short or spills into a second chunk
-    rng = np.random.default_rng(x_card)
-    width = chunk_digits(x_card)
-    shapes = [(size, 1) for size in (1, width - 1, width, width + 1)] + [(12, 2)]
-    for depth, z_card in shapes:
-        size = tree_size(depth, z_card)
-        for symbols in (rng.integers(x_card, size=size), np.full(size, x_card - 1), np.zeros(size, int)):
-            tree = CodeTree(depth=depth, x_card=x_card, z_card=z_card, symbols=symbols)
-            back = tree_from_code(tree_code(tree), depth, x_card, z_card)
-            assert np.array_equal(back.symbols, tree.symbols)
-        for bad in (x_card**size, -1):
-            with pytest.raises(ValidationError, match="out of range"):
-                tree_from_code(bad, depth, x_card, z_card)
 
 def test_tree_code_orders_trees_canonically():
     codes = set()
@@ -263,123 +233,19 @@ def test_sampled_paths_have_positive_input_prob():
             assert input_prob(q, xs, zs) > 0.0
 
 
-def test_tree_type_counts_and_permutation_invariance():
-    a = leaf_tree([0], depth=1)
-    b = leaf_tree([1], depth=1)
-    t1 = tree_type(ConcatTree(blocks=(a, a, b)))
-    t2 = tree_type(ConcatTree(blocks=(b, a, a)))
-    assert t1.key == t2.key == ((0, 2), (1, 1))
-    same = tree_type(ConcatTree(blocks=(a, a, a)))
-    assert same.key == ((0, 3),)
-
-
-def test_type_count_bound_formula():
-    assert type_count_bound(2, 1, 2, 2) == 9  # (N+1)^(|X|^D(1)) = 3^2
-    assert type_count_bound(3, 2, 2, 2) == 4 ** (2**3)
-
-
-def test_sample_uniform_from_type_preserves_type():
-    rng = np.random.default_rng(149)
-    a, b = leaf_tree([0], depth=1), leaf_tree([1], depth=1)
-    tt = tree_type(ConcatTree(blocks=(a, b, a)))
-    for _ in range(10):
-        drawn = sample_uniform_from_type(tt, rng)
-        assert tree_type(drawn).key == tt.key
-
-
-def test_sample_uniform_from_type_is_uniform():
-    rng = np.random.default_rng(151)
-    a, b = leaf_tree([0], depth=1), leaf_tree([1], depth=1)
-
-    def freqs(tt, n_arr, draws):
-        counts = {}
-        for _ in range(draws):
-            key = tuple(tree_code(blk) for blk in sample_uniform_from_type(tt, rng).blocks)
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == n_arr
-        return {k: v / draws for k, v in counts.items()}
-
-    f2 = freqs(tree_type(ConcatTree(blocks=(a, b))), 2, 2000)
-    sigma2 = math.sqrt(0.25 / 2000)
-    for v in f2.values():
-        assert abs(v - 0.5) <= 3 * sigma2
-
-    f3 = freqs(tree_type(ConcatTree(blocks=(a, a, b))), 3, 3000)
-    sigma3 = math.sqrt((1 / 3) * (2 / 3) / 3000)
-    for v in f3.values():
-        assert abs(v - 1 / 3) <= 3 * sigma3
-
-
-def test_type_space_guard():
-    blocks = tuple(
-        CodeTree(depth=4, x_card=2, z_card=2, symbols=np.zeros(15, dtype=int)) for _ in range(2)
-    )
-    big = ConcatTree(blocks=blocks)
-    with pytest.raises(CapExceededError):
-        tree_type(big)
-
-
-def test_delta_rate_penalty_formula():
-    assert delta_rate_penalty(4, 1, 2, 2) == pytest.approx(2 * math.log(5) / 4)
-    assert delta_rate_penalty(10, 2, 2, 2) == pytest.approx(8 * math.log(11) / 20)
-
-
-def test_dominant_type_subcode_picks_most_frequent():
-    a, b = leaf_tree([0], depth=1), leaf_tree([1], depth=1)
-    trees = (
-        ConcatTree(blocks=(a, a)),
-        ConcatTree(blocks=(a, b)),
-        ConcatTree(blocks=(b, a)),
-        ConcatTree(blocks=(a, a)),
-        ConcatTree(blocks=(b, b)),
-        ConcatTree(blocks=(a, a)),
-    )
-    res = dominant_type_subcode(Codebook(trees=trees))
-    assert res.tree_type.key == ((0, 2),)
-    assert res.target_size == 1  # ceil(6 / 3^2)
-    assert res.subcode.m_count == 1
-    assert res.subcode.trees[0] is trees[0]  # earliest message kept
-    assert res.delta_nats == pytest.approx(delta_rate_penalty(2, 1, 2, 2))
-
-
-def test_dominant_type_tie_breaks_to_smaller_encoding():
-    a, b = leaf_tree([0], depth=1), leaf_tree([1], depth=1)
-    trees = (ConcatTree(blocks=(b, b)), ConcatTree(blocks=(a, a)))
-    res = dominant_type_subcode(Codebook(trees=trees))
-    assert res.tree_type.key == ((0, 2),)
-
-
-def test_dominant_type_pigeonhole_on_random_codebook():
-    rng = np.random.default_rng(157)
-    q = uniform_policy(1, 2, 2)
-    cb = sample_concat_codebook(q, n_blocks=3, m_count=40, rng=rng)
-    res = dominant_type_subcode(cb)
-    denom = type_count_bound(3, 1, 2, 2)
-    assert res.target_size == -(-40 // denom)
-    assert res.subcode.m_count == res.target_size
-    keys = {tree_type(t).key for t in res.subcode.trees}
-    assert keys == {res.tree_type.key}
-
-
-def test_dominant_type_needs_concat_trees():
-    rng = np.random.default_rng(163)
-    cb = sample_codebook(uniform_policy(2, 2, 2), 4, rng)
-    with pytest.raises(ValidationError):
-        dominant_type_subcode(cb)
-
-
 def test_codebook_shapes_and_rate():
     rng = np.random.default_rng(167)
     q = uniform_policy(2, 2, 2)
-    cb = sample_codebook(q, 4, rng, rate_nats=math.log(2.0))
+    cb = sample_codebook(q, 4, rng)
     assert cb.m_count == 4
     assert cb.depth == 2
-    assert cb.rate_consistent() is True
-    off = Codebook(trees=cb.trees[:3], rate_nats=math.log(2.0))
-    assert off.rate_consistent() is False
-    assert Codebook(trees=cb.trees).rate_consistent() is None
     with pytest.raises(ValidationError):
         Codebook(trees=())
+    # total depth 6 both times, but blocks of depth 2 x 3 against 3 x 2
+    twos = sample_concat_codebook(uniform_policy(2, 2, 2), n_blocks=3, m_count=1, rng=rng)
+    threes = sample_concat_codebook(uniform_policy(3, 2, 2), n_blocks=2, m_count=1, rng=rng)
+    with pytest.raises(ValidationError, match="share shape"):
+        Codebook(trees=twos.trees + threes.trees)
 
 
 def test_concat_codebook_block_shape():

@@ -2,15 +2,19 @@
 resolves, no function takes a size-cap knob, no function re-imports a
 sibling module the file already imports at the top, a function imports a
 sibling only to break an import cycle and every module constant is read,
-checked on the syntax tree of each package module."""
+checked on the syntax tree of each package module; and every `module.name`
+that README.md cites names an attribute of that package module."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "compound_fsc"
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -160,3 +164,15 @@ def test_module_constants_are_read():
         if isinstance(t, ast.Name) and t.id.isupper() and (stem, t.id) not in read and t.id not in attrs
     )
     assert not unread, f"module constants never read: {', '.join(unread)}"
+
+
+def test_readme_module_references_resolve():
+    """A backticked `module.name` in README.md whose module is a package
+    module must name an attribute of it, so a deletion cannot leave the
+    docs citing a name that is gone."""
+    stems = {p.stem for p in MODULES}
+    refs = set(re.findall(r"`(\w+)\.(\w+)`", README.read_text()))
+    cited = sorted((m, name) for m, name in refs if m in stems)
+    assert cited, "README.md cites no package module names"
+    stale = [f"{m}.{name}" for m, name in cited if not hasattr(importlib.import_module(f"compound_fsc.{m}"), name)]
+    assert not stale, f"README.md cites names that do not exist: {', '.join(stale)}"
