@@ -228,13 +228,18 @@ def _distinct_rows(rows: np.ndarray):
     over the columns packed mixed-radix into as few int64 keys as hold them
     (an unstable argsort when one key holds them: equal keys are equal rows);
     a row opens a new run where any key differs from the one sorted before
-    it, and only each run's first row is gathered."""
+    it, and only each run's first row is gathered. Keys are packed a column
+    at a time, so narrow rows are never copied whole into int64, and the
+    step-major (n, T) tables run_trials passes as .T read contiguously."""
     card = int(rows.max(initial=0)) + 1
     width = chunk_digits(card)
-    keys = [
-        rows[:, j : j + width] @ card ** np.arange(min(width, rows.shape[1] - j) - 1, -1, -1)
-        for j in range(0, rows.shape[1], width)
-    ]
+    keys = []
+    for j in range(0, rows.shape[1], width):
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        for col in rows.T[j : j + width]:
+            key *= card
+            key += col
+        keys.append(key)
     order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
     new = np.zeros(rows.shape[0], dtype=bool)
     new[:1] = True

@@ -2,17 +2,21 @@
 
 Per-trial randomness comes from one row of a counter-based (Philox) uniform
 matrix keyed by the seed. Each worker chunk draws only its own rows, by
-advancing the counter to its first row, and stores them step-major, so
-results do not depend on how trials are split across worker threads and each
-step reads its uniforms contiguously. Each batch builds one CDF table per
-channel, the kernel's cumulative sums over (y, s') for every (s, x), and
-samples it step-major: all trials take step i together, each drawing by
-`util.cdf_draw` from its own row of the table. run_trials allocates its
-result tables once, step-major (n, trials), and each worker thread fills its
-own column slice in place; a result's outputs and state_paths are transposed
-(trials, n) views of those tables. A decision is a function of the output
-row alone, so run_trials decodes each distinct output of the run once, the
-sorted distinct rows split into one range per worker thread.
+advancing the counter to its first row, and continues the one generator slab
+by slab: it draws and drives _SLAB_ROWS trials at a time, their uniforms
+stored step-major in one reused buffer, so results do not depend on how
+trials are split across worker threads or slabs, and each step reads its
+uniforms contiguously. The loop's tables, the stacked tree symbols and one
+CDF table per channel (the kernel's cumulative sums over (y, s') for every
+(s, x)), are built once per run; all trials of a slab take step i together,
+each drawing by `util.cdf_draw` from its own row of the table. run_trials
+allocates its result tables once, step-major (n, trials), and each slab
+fills its own column slice in place; a result's outputs and state_paths are
+transposed (trials, n) views of those tables. Every table of symbols, inputs,
+outputs or states, takes the narrowest dtype that holds its alphabet
+(`_symbol_dtype`: uint8 up to 256 symbols). A decision is a function of the
+output row alone, so run_trials decodes each distinct output of the run once,
+the sorted distinct rows split into one range per worker thread.
 """
 
 from __future__ import annotations
@@ -32,13 +36,23 @@ from .channel import (
     identity_feedback,
     make_gilbert_elliot,
 )
-from .codetree import Codebook, node_columns, sample_codebook
+from .codetree import Codebook, CodeTree, node_columns, sample_codebook
 from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_rows, _log_likelihood_table
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
 _DRAW_ROWS = 1024  # trial rows a chunk draws per call, transposed while in cache
+# Trial rows a chunk draws and drives at a time, in one reused (n + 2, rows)
+# uniform buffer. Sweep on simulate-ml, two threads on 2 CPUs, at 1 / 4 / 8 /
+# 16 / 32 / 64 Ki rows: the drive phase's tracemalloc peak was 7.4 / 8.6 /
+# 8.2 / 10.3 / 16.1 / 22.2 MiB, against about 18 MiB for decoding; with the
+# decoder stubbed a warm run took 131 / 61 / 43 / 38 / 29 / 27 ms (32 ms with
+# one slab a chunk), as the two threads contend once per numpy call, and on
+# one thread 4 Ki rows were not slower. Cold runs of the whole workload did
+# not tell 16 from 32 Ki apart; peak RSS was 60.2 / 60.1 / 62.9 MB at 8 / 16 /
+# 32 Ki (80.2 MB with one slab a chunk).
+_SLAB_ROWS = 16 * _DRAW_ROWS
 EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
 
 
@@ -70,6 +84,10 @@ class TrialConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
+    """One run's trials. messages, decisions and initial_states are int64;
+    outputs and state_paths, (trials, n), are in `_symbol_dtype` of |Y| and
+    |S|, the narrowest dtype that holds the alphabet (uint8 up to 256)."""
+
     trials: int
     errors: int
     error_rate: float
@@ -91,44 +109,75 @@ def simulate_batch(
     u_steps: np.ndarray,
 ):
     """Drive the channel for every trial at once; returns (x, y, states),
-    each (trials, n), transposed views of step-major (n, trials) tables."""
+    each (trials, n), transposed views of step-major (n, trials) tables.
+    Each table is in `_symbol_dtype` of its alphabet's size (|X|, |Y|, |S|),
+    the narrowest dtype that holds it (uint8 up to 256 symbols), the rule
+    run_trials' result tables follow."""
     t, n = u_steps.shape[0], cb.depth
-    xs, ys, states = (np.empty((n, t), dtype=np.int64) for _ in range(3))
-    _drive(fsc, cb, feedback, w, s0, u_steps.T, ys, states, xs)
+    loop = _loop_tables(fsc, cb, feedback)
+    xs, ys, states = (np.empty((n, t), dtype=table.dtype) for table in (loop.flat, loop.y_of, loop.s_of))
+    _drive(loop, w, s0, u_steps.T, ys, states, xs)
     return xs.T, ys.T, states.T
 
 
-def _drive(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap, w, s0, u, ys, states, xs=None) -> None:
+def _symbol_dtype(card: int) -> np.dtype:
+    """The one dtype of a table of symbols 0..card-1: the narrowest that holds them."""
+    return np.min_scalar_type(card - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _LoopTables:
+    """The closed loop's per-run tables, built once however many calls of
+    _drive share them."""
+
+    tree: CodeTree  # the shape node_columns walks
+    flat: np.ndarray  # every tree's symbols end to end, in _symbol_dtype(|X|)
+    n_x: int
+    cdf: np.ndarray  # CDF column j: entry j of row s * |X| + x's CDF over (y, s')
+    y_of: np.ndarray  # y and s' of each draw, in _symbol_dtype(|Y|) and (|S|)
+    s_of: np.ndarray
+    z_of: np.ndarray  # feedback symbol of each y
+
+
+def _loop_tables(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap) -> _LoopTables:
+    n_s, n_x = fsc.n_states, fsc.n_inputs
+    symbols = np.stack([tree.symbols for tree in cb.trees], dtype=_symbol_dtype(n_x), casting="unsafe")
+    cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
+    y_of, s_of = np.divmod(np.arange(cdf.shape[0] + 1), n_s)
+    return _LoopTables(
+        cb.trees[0], symbols.ravel(), n_x, cdf,
+        y_of.astype(_symbol_dtype(fsc.n_outputs)), s_of.astype(_symbol_dtype(n_s)), feedback.table,
+    )
+
+
+def _drive(loop: _LoopTables, w, s0, u, ys, states, xs=None) -> None:
     """The closed loop, written in place: step i gathers every trial's input
     and its CDF row s * |X| + x, draws the next (y, s') with row i of the
     step-major (n, trials) uniforms u, and stores them in row i of the
     step-major (n, trials) tables ys and states, and the input in xs[i] when
     xs is given."""
-    n_s, n_x = fsc.n_states, fsc.n_inputs
-    symbols = np.stack([tree.symbols for tree in cb.trees], dtype=np.min_scalar_type(n_x - 1), casting="unsafe")
-    cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
-    y_of, s_of = np.divmod(np.arange(cdf.shape[0] + 1), n_s)
-    flat = symbols.ravel()
-    t = u.shape[1]
-    base = w * symbols.shape[1]
+    t, depth = u.shape[1], ys.shape[0]
+    base = w * loop.tree.symbols.size
     node, row, z = (np.empty(t, dtype=np.int64) for _ in range(3))
-    x = np.empty(t, dtype=symbols.dtype)
+    x = np.empty(t, dtype=loop.flat.dtype)
     level = np.empty(t)
     s_cur = s0
-    cols = node_columns(cb.trees[0], t)
+    cols = node_columns(loop.tree, t)
     col = next(cols)
     # every index is in range by construction; mode="wrap" writes straight
     # into `out`, where the default mode="raise" stages a buffered copy
-    for i in range(cb.depth):
-        np.take(flat, np.add(base, col, out=node), out=x, mode="wrap")
-        np.add(np.multiply(s_cur, n_x, out=row), x, out=row)
-        pick = cdf_draw((np.take(c, row, out=level, mode="wrap") for c in cdf), u[i])
-        np.take(y_of, pick, out=ys[i], mode="wrap")
-        s_cur = np.take(s_of, pick, out=states[i], mode="wrap")
+    for i in range(depth):
+        np.take(loop.flat, np.add(base, col, out=node), out=x, mode="wrap")
+        # int64 loop: numpy picks the loop from the inputs, not from `out`,
+        # so s * |X| in the states' narrow dtype would wrap past its range
+        np.add(np.multiply(s_cur, loop.n_x, out=row, dtype=np.int64), x, out=row)
+        pick = cdf_draw((np.take(c, row, out=level, mode="wrap") for c in loop.cdf), u[i])
+        np.take(loop.y_of, pick, out=ys[i], mode="wrap")
+        s_cur = np.take(loop.s_of, pick, out=states[i], mode="wrap")
         if xs is not None:
             xs[i] = x
-        if i < cb.depth - 1:
-            col = cols.send(np.take(feedback.table, ys[i], out=z, mode="wrap"))
+        if i < depth - 1:
+            col = cols.send(np.take(loop.z_of, ys[i], out=z, mode="wrap"))
 
 
 def _make_decoder(cfg: TrialConfig):
@@ -145,23 +194,28 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     prior_cdf = np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1]
     decoder = _make_decoder(cfg)
     w, s0 = (np.empty(cfg.trials, dtype=np.int64) for _ in range(2))
-    ys = np.empty((n, cfg.trials), dtype=np.int64)
-    states = np.empty_like(ys)
+    loop = _loop_tables(fsc, cb, cfg.feedback)
+    ys = np.empty((n, cfg.trials), dtype=loop.y_of.dtype)
+    states = np.empty((n, cfg.trials), dtype=loop.s_of.dtype)
 
     def drive(lo: int, hi: int):
         # Philox yields 4 doubles a counter step and lo is a multiple of 4,
         # so this chunk reads rows lo..hi-1 of the run's one uniform matrix,
-        # stored step-major: u[j] holds column j of those rows
+        # slab by slab from the one generator, stored step-major: u[j] holds
+        # column j of the slab's rows
         gen = np.random.Generator(np.random.Philox(key=cfg.seed).advance(lo * (n + 2) // 4))
-        u = np.empty((n + 2, hi - lo))
+        slab = np.empty((n + 2, min(_SLAB_ROWS, hi - lo)))
         block = np.empty((_DRAW_ROWS, n + 2))
-        for a in range(0, hi - lo, _DRAW_ROWS):
-            rows = gen.random(out=block[: hi - lo - a])
-            u[:, a : a + rows.shape[0]] = rows.T
-        np.minimum((u[0] * cb.m_count).astype(np.int64), cb.m_count - 1, out=w[lo:hi])
-        s0[lo:hi] = cfg.s0 if cfg.s0 is not None else cdf_draw(prior_cdf, u[1])
-        _drive(fsc, cb, cfg.feedback, w[lo:hi], s0[lo:hi], u[2:], ys[:, lo:hi], states[:, lo:hi])
-        del u
+        for a in range(lo, hi, _SLAB_ROWS):
+            b = min(a + _SLAB_ROWS, hi)
+            u = slab[:, : b - a]
+            for c in range(0, b - a, _DRAW_ROWS):
+                rows = gen.random(out=block[: b - a - c])
+                u[:, c : c + rows.shape[0]] = rows.T
+            np.minimum((u[0] * cb.m_count).astype(np.int64), cb.m_count - 1, out=w[a:b])
+            s0[a:b] = cfg.s0 if cfg.s0 is not None else cdf_draw(prior_cdf, u[1])
+            _drive(loop, w[a:b], s0[a:b], u[2:], ys[:, a:b], states[:, a:b])
+        del slab, u
         return _distinct_rows(ys[:, lo:hi].T)
 
     workers = worker_count() if cfg.trials >= 2 * _THREAD_MIN_CHUNK else 1

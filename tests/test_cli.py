@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -282,6 +283,9 @@ class TestSimulate:
         csv_a = (out / "simulate_results.csv").read_bytes()
         log_a = (out / "trials.jsonl").read_bytes()
         assert csv_a and log_a
+        # the trial log recorded when the result tables were int64: narrow
+        # tables must not change a byte of it
+        assert hashlib.sha256(log_a).hexdigest() == "d903d3885d00298ed54ed765f8a4857a0385e447b958dd344b65e80a1f9d6f3a"
 
         # byte-identical when rerun from the recorded manifest
         out2 = tmp_path / "b"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import compound_fsc.decoder as decoder_mod
+import compound_fsc.simulate as simulate_mod
 from compound_fsc import (
     CapExceededError,
     CodeTree,
@@ -245,7 +246,20 @@ def test_results_invariant_to_thread_count(monkeypatch):
 def test_chunk_streams_are_rows_of_one_uniform_matrix(monkeypatch, trials):
     # n + 2 = 5 uniforms a trial, an odd count, and trial counts that split
     # into chunks off the 4-draw Philox block: every chunk must still read
-    # its rows of the one (trials, n + 2) matrix
+    # its rows of the one (trials, n + 2) matrix, also across the slabs it
+    # draws them in, here 3 draw blocks a slab so that every chunk (about
+    # 10 000 rows at 4 threads) crosses at least three slab boundaries and
+    # ends with a partial slab
+    slab = 3 * simulate_mod._DRAW_ROWS
+    monkeypatch.setattr(simulate_mod, "_SLAB_ROWS", slab)
+    widths = []
+    drive = simulate_mod._drive
+
+    def counted_drive(loop, w, *rest):
+        widths.append(w.size)
+        drive(loop, w, *rest)
+
+    monkeypatch.setattr(simulate_mod, "_drive", counted_drive)
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=0.4))
     fam = CompoundFamily(members=(fsc,), labels=("ge",))
     cb = sample_codebook(uniform_policy(3, 2, 2), 3, np.random.default_rng(53))
@@ -258,7 +272,12 @@ def test_chunk_streams_are_rows_of_one_uniform_matrix(monkeypatch, trials):
     try:
         for threads in ("1", "2", "3", "4"):
             monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+            widths.clear()
             runs[threads] = run_trials(cfg)
+            # one partial slab a chunk, behind at least three full ones
+            partial = [k for k in widths if k != slab]
+            assert len(partial) == int(threads) and 0 < max(partial) < slab, threads
+            assert len(widths) >= 4 * int(threads) and sum(widths) == trials, threads
     finally:
         sys.setswitchinterval(interval)
     for threads, res in runs.items():
@@ -274,13 +293,39 @@ def test_chunk_streams_are_rows_of_one_uniform_matrix(monkeypatch, trials):
     assert np.array_equal(res.decisions, MLDecoder(fsc, cfg.feedback).decode_rows(cb, want[1]))
 
 
+def test_state_row_index_is_computed_past_the_state_dtype():
+    # |S| = 129 holds states in uint8, and state 128 with |X| = 2 has CDF
+    # rows 256 and 257: the row index s * |X| + x must not wrap at 256
+    rng = np.random.default_rng(61)
+    n_s = 129
+    kernel = rng.dirichlet(np.ones(2 * n_s), size=(n_s, 2)).reshape(n_s, 2, 2, n_s)
+    fsc = FscSpec(states=tuple(range(n_s)), inputs=(0, 1), outputs=(0, 1), kernel=kernel)
+    fb = identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(3, 2, 2), 4, rng)
+    cfg = TrialConfig(family=CompoundFamily(members=(fsc,), labels=("m",)), true_label="m", codebook=cb,
+                      feedback=fb, trials=2000, seed=67)
+    res = run_trials(cfg)
+    assert res.state_paths.dtype == np.uint8 and res.outputs.dtype == np.uint8
+    assert (res.state_paths[:, :-1] == n_s - 1).sum() >= 10  # state 128 is left from, often
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, cb.depth + 2))
+    want = scalar_simulation(fsc, cb, fb, res.messages, res.initial_states, u[:, 2:])
+    assert np.array_equal(res.outputs, want[1])
+    assert np.array_equal(res.state_paths, want[2])
+    w = rng.integers(cb.m_count, size=500)
+    s0 = np.full(500, n_s - 1)  # every trial's first row index is 256 or 257
+    u = rng.random((500, cb.depth))
+    for got, expected in zip(simulate_batch(fsc, cb, fb, w, s0, u), scalar_simulation(fsc, cb, fb, w, s0, u)):
+        assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads):
-    """A run holds its step-major result tables and the uniform matrix once;
-    beyond them it may use one scorer block per worker thread and a slack of
-    16 int64 values per trial (the per-trial messages, initial states and
-    decisions, and the O(trials) temporaries of one step of the loop or of
-    the decoder's sort) plus 1 MiB (stacked tree symbols, CDF and key tables)."""
+    """A run holds its step-major result tables once, and each worker thread
+    one uniform slab and one draw block; beyond them it may use one scorer
+    block per worker thread and a slack of 16 int64 values per trial (the
+    per-trial messages, initial states and decisions, and the O(trials)
+    temporaries of one step of the loop or of the decoder's sort) plus 1 MiB
+    (stacked tree symbols, CDF and key tables)."""
     monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
@@ -297,7 +342,7 @@ def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads)
     finally:
         tracemalloc.stop()
     tables = res.outputs.nbytes + res.state_paths.nbytes
-    uniforms = 8 * trials * (n + 2)
+    uniforms = worker_count() * 8 * (n + 2) * (simulate_mod._SLAB_ROWS + simulate_mod._DRAW_ROWS)
     slack = 8 * 16 * trials + 2 ** 20
     assert peak <= tables + uniforms + worker_count() * decoder_mod.SCORER_BYTES + slack
     assert res.outputs.T.flags.c_contiguous and res.state_paths.T.flags.c_contiguous
