@@ -13,7 +13,6 @@ axes, and policy_adjoint takes gradients already summed over those axes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .channel import FeedbackMap, FscSpec
 from .errors import CapExceededError, ValidationError
-from .util import enumerate_paths
 
 ROW_SUM_TOL = 1e-9
 TABLE_BYTES = 2 ** 30  # budget for the float64/int64 path tables alive at once
@@ -209,26 +207,6 @@ def mixture_policy(q1: CausalConditioning, q2: CausalConditioning, lam: float) -
         den = num.sum(axis=1, keepdims=True)
         conds.append(np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / q1.x_card))
     return CausalConditioning(horizon=q1.horizon, x_card=q1.x_card, z_card=q1.z_card, conditionals=tuple(conds))
-
-
-def causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
-    """P(y^n || x^n, s_0): causal_log_prob_rows on one row."""
-    return float(np.exp(causal_log_prob_rows(fsc, [list(xs)], [list(ys)], s0)[0]))
-
-
-def naive_causal_channel_prob(fsc: FscSpec, xs, ys, s0: int) -> float:
-    """Brute-force state-path enumeration; oracle for the forward recursion."""
-    xs, ys = list(xs), list(ys)
-    n = len(xs)
-    total = []
-    for path in enumerate_paths(fsc.n_states, n):
-        p = 1.0
-        prev = s0
-        for i in range(n):
-            p *= fsc.kernel[prev, xs[i], ys[i], path[i]]
-            prev = path[i]
-        total.append(p)
-    return math.fsum(total)
 
 
 def causal_log_prob_rows(fsc: FscSpec, x_rows: np.ndarray, y_rows: np.ndarray, s0_prior) -> np.ndarray:
@@ -419,18 +397,3 @@ def joint_and_output_probs(
     p = channel_prob_table(fsc, q.horizon, s0)
     joint = w * p
     return joint, joint.sum(axis=0)
-
-
-def save_policy(q: CausalConditioning, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(q.to_dict(), fh)
-        fh.write("\n")
-
-
-def load_policy(path) -> CausalConditioning:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid policy JSON: {e}") from e
-    return CausalConditioning.from_dict(d)

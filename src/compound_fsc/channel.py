@@ -277,23 +277,6 @@ def kernel_distance(a: FscSpec, b: FscSpec) -> float:
     return float(np.abs(a.kernel - b.kernel).sum(axis=(2, 3)).max())
 
 
-def quantize_channel(fsc: FscSpec, k_grid: int) -> FscSpec:
-    """Snap kernel entries to a uniform grid of k_grid levels, renormalize rows.
-
-    Rows that snap to all zeros become uniform.
-    """
-    if k_grid < 2:
-        raise ValidationError("k_grid must be >= 2")
-    grid = np.round(np.asarray(fsc.kernel) * (k_grid - 1)) / (k_grid - 1)
-    flat = grid.reshape(fsc.n_states * fsc.n_inputs, -1)
-    sums = flat.sum(axis=1)
-    zero = sums <= 0
-    flat[zero] = 1.0 / flat.shape[1]
-    flat[~zero] /= sums[~zero, None]
-    kernel = flat.reshape(fsc.kernel.shape)
-    return FscSpec(states=fsc.states, inputs=fsc.inputs, outputs=fsc.outputs, kernel=kernel)
-
-
 def quantize_family(k_grid: int, states, inputs, outputs) -> CompoundFamily:
     """Enumerate every kernel whose rows lie on the renormalized k_grid lattice.
 

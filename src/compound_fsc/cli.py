@@ -206,6 +206,11 @@ def _constant_codebook(n: int, x_card: int, z_card: int, m_count: int) -> Codebo
     return Codebook(trees=trees)
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"simulate {name!r} must be an integer, got {value!r}")
+
+
 def _simulate_config(args) -> tuple[TrialConfig, dict]:
     file_cfg = {}
     if args.config:
@@ -217,6 +222,8 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
         family = CompoundFamily.from_list(file_cfg["family"])
         fam_cfg = {"family": "inline"}
     elif "family_path" in file_cfg:
+        if not isinstance(file_cfg["family_path"], str):  # open() takes an int as a file descriptor
+            raise ValidationError(f"simulate 'family_path' must be a string, got {file_cfg['family_path']!r}")
         family = load_family(file_cfg["family_path"])
         fam_cfg = {"family_path": file_cfg["family_path"]}
     else:
@@ -230,8 +237,7 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     fb = _resolve_feedback(fb_spec, family.members[0].outputs)
     m_count = file_cfg.get("messages", 2)
     for name, value in (("n", n), ("trials", trials), ("seed", seed), ("messages", m_count)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"simulate {name!r} must be an integer, got {value!r}")
+        _require_int(name, value)
     decoder = file_cfg.get("decoder", "ml")
     true_label = file_cfg.get("true_label", family.labels[0])
     cb_spec = file_cfg.get("codebook", "constant")
@@ -239,7 +245,8 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     if cb_spec == "constant":
         cb = _constant_codebook(n, first.n_inputs, fb.z_card, m_count)
     elif isinstance(cb_spec, dict) and "sample_seed" in cb_spec:
-        rng = np.random.default_rng(int(cb_spec["sample_seed"]))
+        _require_int("sample_seed", cb_spec["sample_seed"])
+        rng = np.random.default_rng(cb_spec["sample_seed"])
         cb = sample_codebook(uniform_policy(n, first.n_inputs, fb.z_card), m_count, rng)
     else:
         raise ValidationError("codebook must be 'constant' or {'sample_seed': int}")

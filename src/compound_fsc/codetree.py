@@ -2,10 +2,8 @@
 
 A depth-n tree over feedback alphabet Z holds one input symbol per node,
 levels concatenated, nodes within a level ordered by the mixed-radix code of
-their feedback history. Concatenated trees chain N blocks of depth m, each
-block consulting only the feedback received inside the block. This module
-alone knows that layout: everything else reads a tree's symbols through
-paths_rows or node_columns.
+their feedback history. This module alone knows that layout: everything
+else reads a tree's symbols through paths_rows or node_columns.
 """
 
 from __future__ import annotations
@@ -56,50 +54,6 @@ class CodeTree:
         return tree_code(self)
 
 
-@dataclass(frozen=True, eq=False)
-class ConcatTree:
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValidationError("need at least one block")
-        first = blocks[0]
-        for b in blocks:
-            if (b.depth, b.x_card, b.z_card) != (first.depth, first.x_card, first.z_card):
-                raise ValidationError("blocks must share depth and alphabets")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def depth(self) -> int:
-        return self.blocks[0].depth * len(self.blocks)
-
-    @property
-    def block_depth(self) -> int:
-        return self.blocks[0].depth
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def x_card(self) -> int:
-        return self.blocks[0].x_card
-
-    @property
-    def z_card(self) -> int:
-        return self.blocks[0].z_card
-
-    @property
-    def key(self) -> tuple:
-        return tuple(b.key for b in self.blocks)
-
-    @property
-    def symbols(self) -> np.ndarray:
-        """Block symbol vectors end to end: the flat layout node_columns walks."""
-        return np.concatenate([b.symbols for b in self.blocks])
-
-
 def tree_code(tree: CodeTree) -> int:
     """Canonical integer encoding: mixed-radix over the flat symbol vector.
 
@@ -119,13 +73,7 @@ def tree_code(tree: CodeTree) -> int:
     return code
 
 
-def _blocks(tree) -> tuple:
-    if isinstance(tree, ConcatTree):
-        return tree.blocks
-    return (tree,)
-
-
-def path(tree, z_hist) -> np.ndarray:
+def path(tree: CodeTree, z_hist) -> np.ndarray:
     """Input path selected by a feedback history z_1..z_{depth-1}."""
     z_hist = np.asarray(list(z_hist), dtype=np.int64)
     if z_hist.size < tree.depth - 1:
@@ -133,28 +81,21 @@ def path(tree, z_hist) -> np.ndarray:
     return paths_rows(tree, z_hist[: tree.depth - 1][None, :])[0]
 
 
-def node_columns(tree, rows: int):
+def node_columns(tree: CodeTree, rows: int):
     """Walk `rows` feedback paths down trees shaped like `tree` in lockstep.
 
-    A generator over positions in `tree.symbols` (blocks end to end, each
-    block's levels in order): next() gives every row's step-1 node, and
-    send(z) with the step's feedback symbols, one per row, gives the next
-    step's node. After a block's last level the walk restarts at the next
-    block's root, so the feedback sent there is not used.
+    A generator over positions in `tree.symbols` (levels in order): next()
+    gives every row's step-1 node, and send(z) with the step's feedback
+    symbols, one per row, gives the next step's node, depth - 1 times.
     """
-    blocks = _blocks(tree)
-    m, z = blocks[0].depth, blocks[0].z_card
-    size = tree_size(m, z)
-    level_off = [tree_size(j, z) for j in range(m)]
-    for b in range(len(blocks)):
-        node = np.zeros(rows, dtype=np.int64)
-        for j in range(m):
-            fb = yield b * size + level_off[j] + node
-            if j < m - 1:
-                node = node * z + fb
+    z = tree.z_card
+    node = np.zeros(rows, dtype=np.int64)
+    for j in range(tree.depth):
+        fb = yield tree_size(j, z) + node
+        node = node * z + fb
 
 
-def paths_rows(tree, z_rows: np.ndarray) -> np.ndarray:
+def paths_rows(tree: CodeTree, z_rows: np.ndarray) -> np.ndarray:
     """Row-wise tree paths for a matrix of feedback histories (T, depth-1)."""
     z_rows = np.asarray(z_rows, dtype=np.int64)
     t = z_rows.shape[0]
@@ -222,7 +163,7 @@ class Codebook:
         trees = tuple(self.trees)
         if not trees:
             raise ValidationError("codebook must be non-empty")
-        shapes = {(type(t), t.depth, _blocks(t)[0].depth, t.x_card, t.z_card) for t in trees}
+        shapes = {(t.depth, t.x_card, t.z_card) for t in trees}
         if len(shapes) > 1:
             raise ValidationError("codebook trees must share shape")
         object.__setattr__(self, "trees", trees)
@@ -241,19 +182,3 @@ def sample_codebook(q: CausalConditioning, m_count: int, rng: np.random.Generato
         raise ValidationError("m_count must be >= 1")
     trees = tuple(CodeTree(q.horizon, q.x_card, q.z_card, s) for s in sample_symbols(q, m_count, rng))
     return Codebook(trees=trees)
-
-
-def sample_concat_codebook(
-    q_block: CausalConditioning, n_blocks: int, m_count: int, rng: np.random.Generator
-) -> Codebook:
-    """Independent blocks, each drawn from the same depth-m law, message
-    after message and block after block."""
-    if n_blocks < 1 or m_count < 1:
-        raise ValidationError("n_blocks and m_count must be >= 1")
-    symbols = sample_symbols(q_block, m_count * n_blocks, rng).reshape(m_count, n_blocks, -1)
-    trees = tuple(
-        ConcatTree(blocks=tuple(CodeTree(q_block.horizon, q_block.x_card, q_block.z_card, s) for s in row))
-        for row in symbols
-    )
-    return Codebook(trees=trees)
-

@@ -71,12 +71,6 @@ def mutual_info_continuity_bound(delta: float, y_card: int) -> float:
     return 2.0 * entropy_continuity_bound(delta, y_card)
 
 
-def mismatch_loss_bound(delta: float, y_card: int) -> float:
-    """eta(delta) = 2 tau(delta): capacity lost by optimizing the input for a
-    channel that is delta away in L1."""
-    return 2.0 * mutual_info_continuity_bound(delta, y_card)
-
-
 @dataclass(frozen=True, eq=False)
 class TwoPhaseResult:
     m_train: int

@@ -309,6 +309,9 @@ def example1_config(theta: int, n: int, trials: int, seed: int = 0) -> TrialConf
 
 
 def example1_row(res: TrialResult, theta: int, n: int) -> Example1Row:
+    """Summarise run_trials(example1_config(...)): from the all-bad start the
+    state chain rarely leaves the noisy state, so short blocks carry almost
+    no information and two messages collide a quarter of the time."""
     bad = 1
     g = 2.0 ** (-theta)
     all_bad = (res.state_paths == bad).all(axis=1)
@@ -330,11 +333,3 @@ def example1_row(res: TrialResult, theta: int, n: int) -> Example1Row:
         rate_floor_bits=1.0 - binary_entropy_nats(0.25) / LN2,
         rate_floor_nats=LN2 - binary_entropy_nats(0.25),
     )
-
-
-def example1_demo(theta: int, n: int, trials: int, seed: int = 0) -> Example1Row:
-    """Run the burst-noise truncation demo end to end: from the all-bad start
-    the state chain rarely leaves the noisy state, so short blocks carry
-    almost no information and two messages collide a quarter of the time."""
-    res = run_trials(example1_config(theta, n, trials, seed))
-    return example1_row(res, theta, n)

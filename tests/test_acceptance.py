@@ -21,12 +21,12 @@ from compound_fsc import (
     TrialConfig,
     UniversalDecoder,
     bsc,
-    causal_channel_prob,
     compute_Cn,
     compute_Cn_nofeedback,
     empirical_violation_rate,
     exact_error_probability,
-    example1_demo,
+    example1_config,
+    example1_row,
     ge_feedback_gap,
     ge_gap_family,
     identity_feedback,
@@ -55,6 +55,7 @@ from compound_fsc.verify import (
     suite_superadditivity,
     suite_zero_capacity,
 )
+from oracles import causal_channel_prob
 
 LN2 = math.log(2.0)
 
@@ -243,7 +244,7 @@ def test_criterion_06_merge_bounds():
 
 def test_criterion_07_burst_truncation_demo():
     t0 = time.perf_counter()
-    row = example1_demo(theta=8, n=8, trials=100_000, seed=4)
+    row = example1_row(run_trials(example1_config(8, 8, 100_000, seed=4)), 8, 8)
     dt = time.perf_counter() - t0
     expected = (1.0 - 2.0 ** -8) ** 8
     ok = (

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,26 +11,24 @@ from compound_fsc import (
     CausalConditioning,
     FeedbackMap,
     GilbertElliotParams,
+    SolverConfig,
     ValidationError,
     bsc,
-    causal_channel_prob,
     causal_log_prob_rows,
     channel_prob_table,
+    compute_Cn,
     identity_feedback,
     iid_policy,
     input_prob,
     joint_and_output_probs,
-    load_policy,
     make_gilbert_elliot,
     make_memoryless,
     mixture_policy,
-    naive_causal_channel_prob,
     no_feedback,
     policy_weight_table,
     product_policy,
     random_policy,
     sample_codetree,
-    save_policy,
     tree_prob,
     uniform_policy,
 )
@@ -42,6 +41,8 @@ from compound_fsc.causal import (
     weight_table,
 )
 from compound_fsc.util import enumerate_paths
+from compound_fsc.verify import random_family
+from oracles import causal_channel_prob, naive_causal_channel_prob
 
 
 def ge(g, b, p_g, p_b):
@@ -300,22 +301,18 @@ def test_causal_log_prob_rows_impossible_path():
     assert logs[0] == -np.inf
 
 
-def test_policy_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    q = random_policy(3, 2, 2, rng)
-    path = tmp_path / "policy.json"
-    save_policy(q, path)
-    back = load_policy(path)
+def test_policy_round_trip():
+    # the policy a capacity report carries reads back through JSON bitwise
+    rep = compute_Cn(random_family(np.random.default_rng(31), 2), identity_feedback((0, 1)), 3, SolverConfig(max_iters=20))
+    back = CausalConditioning.from_dict(json.loads(json.dumps(rep.to_dict()["policy"])))
     assert back.horizon == 3
-    for a, b in zip(back.conditionals, q.conditionals):
-        assert np.abs(a - b).max() == 0.0
+    for a, b in zip(back.conditionals, rep.policy.conditionals):
+        assert np.array_equal(a, b)
 
 
-def test_load_policy_rejects_non_object(tmp_path):
-    path = tmp_path / "policy.json"
-    path.write_text("[1]")
-    with pytest.raises(ValidationError):
-        load_policy(path)
+def test_load_policy_rejects_non_object():
+    with pytest.raises(ValidationError, match="must be an object"):
+        CausalConditioning.from_dict([])
 
 
 def test_policy_validation():

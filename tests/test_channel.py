@@ -21,7 +21,6 @@ from compound_fsc import (
     make_memoryless,
     nearest_member,
     no_feedback,
-    quantize_channel,
     quantize_family,
     save_family,
     state_transition_matrix,
@@ -156,15 +155,9 @@ def test_channel_json_alphabet_must_be_array(field):
     assert FscSpec.from_dict(d).n_states == 1
 
 
-def test_quantize_channel_snaps_bsc():
-    rep = quantize_channel(bsc(0.237), 11)
-    assert np.allclose(rep.kernel[0, 0, :, 0], [0.8, 0.2])
-    assert np.allclose(rep.kernel[0, 1, :, 0], [0.2, 0.8])
-
-
 def test_quantize_family_contains_snap_representative():
     fam = quantize_family(11, ("s",), ("0", "1"), ("0", "1"))
-    rep = quantize_channel(bsc(0.237), 11)
+    rep = bsc(0.2)  # bsc(0.237) snapped to the 11-level grid
     idx, dist = nearest_member(fam, rep)
     assert dist == 0.0
 

@@ -348,9 +348,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "body",
         [[1], {"s0": True}, {"n": "3"}, {"trials": "10"}, {"messages": "2"}, {"feedback": 3},
-         {"seed": 1.5}, {"seed": True}],
+         {"seed": 1.5}, {"seed": True}, {"codebook": {"sample_seed": None}},
+         {"codebook": {"sample_seed": True}}, {"codebook": {"sample_seed": 1.5}}],
         ids=["array", "bool-s0", "str-n", "str-trials", "str-messages", "int-feedback",
-             "float-seed", "bool-seed"],
+             "float-seed", "bool-seed", "null-sample-seed", "bool-sample-seed", "float-sample-seed"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, body):
         cfg_path = tmp_path / "sim.json"
@@ -363,6 +364,15 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_string_family_path_exit_code(self, tmp_path, capsys):
+        # open() would take an int as a file descriptor; this one is not open,
+        # so only the message tells the check from the failed read
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"family_path": 2**30}))
+        rc = main(["simulate", "--config", str(cfg_path), "--n", "2", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "'family_path' must be a string" in capsys.readouterr().err
 
     def test_simulate_without_inputs(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "run")])

@@ -8,7 +8,6 @@ import pytest
 from compound_fsc import (
     CodeTree,
     Codebook,
-    ConcatTree,
     ValidationError,
     input_prob,
     iid_policy,
@@ -17,7 +16,6 @@ from compound_fsc import (
     random_policy,
     sample_codebook,
     sample_codetree,
-    sample_concat_codebook,
     sample_symbols,
     tree_code,
     tree_prob,
@@ -79,13 +77,11 @@ def test_tree_code_matches_horner_oracle(x_card):
             assert tree_code(tree) == horner_code(symbols, x_card)
 
 
-def test_tree_code_n12_binary_round_trip_and_concat_key():
+def test_tree_code_n12_binary_round_trip():
     rng = np.random.default_rng(12)
     tree = sample_codetree(uniform_policy(12, 2, 2), rng)
     code = tree_code(tree)
     assert code == horner_code(tree.symbols, 2) == tree.key
-    blocks = tuple(sample_codetree(uniform_policy(6, 3, 2), rng) for _ in range(3))
-    assert ConcatTree(blocks=blocks).key == tuple(horner_code(b.symbols, 3) for b in blocks)
 
 
 def test_tree_code_orders_trees_canonically():
@@ -111,27 +107,6 @@ def test_paths_rows_matches_scalar_path():
     rows = paths_rows(tree, z_rows)
     for z, row in zip(z_rows, rows):
         assert row.tolist() == path(tree, z).tolist()
-
-
-def test_concat_tree_uses_block_local_feedback():
-    b1 = leaf_tree([0, 1, 0], depth=2)
-    b2 = leaf_tree([1, 0, 1], depth=2)
-    tree = ConcatTree(blocks=(b1, b2))
-    assert tree.depth == 4
-    # z_2 crosses the block boundary and must not matter
-    base = path(tree, [1, 0, 0]).tolist()
-    assert path(tree, [1, 1, 0]).tolist() == base
-    assert base == [0, 0, 1, 0]
-    assert path(tree, [1, 1, 1]).tolist() == [0, 0, 1, 1]
-
-
-def test_concat_tree_validation():
-    b1 = leaf_tree([0, 1, 0], depth=2)
-    short = leaf_tree([1], depth=1)
-    with pytest.raises(ValidationError):
-        ConcatTree(blocks=(b1, short))
-    with pytest.raises(ValidationError):
-        ConcatTree(blocks=())
 
 
 def test_deterministic_policy_gives_unique_tree():
@@ -205,10 +180,6 @@ def test_sample_symbols_is_the_stream_of_successive_trees(n, x_card, z_card):
     want = [sample_codetree(q, one).symbols for _ in range(6)]
     assert np.array_equal(sample_symbols(q, 6, many), np.stack(want))
     assert one.random() == many.random()
-    one, many = np.random.default_rng(67), np.random.default_rng(67)
-    blocks = [[sample_codetree(q, one).symbols for _ in range(3)] for _ in range(2)]
-    cb = sample_concat_codebook(q, n_blocks=3, m_count=2, rng=many)
-    assert [[b.symbols.tolist() for b in t.blocks] for t in cb.trees] == [[b.tolist() for b in r] for r in blocks]
 
 
 def test_uniform_codebook_peak_memory():
@@ -241,15 +212,7 @@ def test_codebook_shapes_and_rate():
     assert cb.depth == 2
     with pytest.raises(ValidationError):
         Codebook(trees=())
-    # total depth 6 both times, but blocks of depth 2 x 3 against 3 x 2
-    twos = sample_concat_codebook(uniform_policy(2, 2, 2), n_blocks=3, m_count=1, rng=rng)
-    threes = sample_concat_codebook(uniform_policy(3, 2, 2), n_blocks=2, m_count=1, rng=rng)
+    twos = sample_codebook(uniform_policy(2, 2, 2), 1, rng)
+    threes = sample_codebook(uniform_policy(3, 2, 2), 1, rng)
     with pytest.raises(ValidationError, match="share shape"):
         Codebook(trees=twos.trees + threes.trees)
-
-
-def test_concat_codebook_block_shape():
-    rng = np.random.default_rng(173)
-    cb = sample_concat_codebook(uniform_policy(2, 2, 2), n_blocks=3, m_count=5, rng=rng)
-    assert cb.depth == 6
-    assert all(t.n_blocks == 3 for t in cb.trees)

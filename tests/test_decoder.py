@@ -26,7 +26,6 @@ from compound_fsc import (
     no_feedback,
     paths_rows,
     sample_codebook,
-    sample_concat_codebook,
     separability_check,
     tree_log_likelihood,
     uniform_policy,
@@ -216,15 +215,11 @@ def test_batch_decoders_match_scalar_paths():
     assert got_m.tolist() == want_m
 
 
-@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
-def test_decode_rows_on_repeated_shuffled_rows_equals_row_by_row(concat):
+def test_decode_rows_on_repeated_shuffled_rows_equals_row_by_row():
     rng = np.random.default_rng(199)
     fam = random_family(rng, 2, n_states=2)
     fb = identity_feedback((0, 1))
-    if concat:
-        cb = sample_concat_codebook(uniform_policy(2, 2, 2), 2, 5, rng)
-    else:
-        cb = sample_codebook(uniform_policy(4, 2, 2), 5, rng)
+    cb = sample_codebook(uniform_policy(4, 2, 2), 5, rng)
     # message k >= 5 repeats the tree of message 9 - k, so it never wins
     cb = Codebook(trees=cb.trees + cb.trees[::-1])
     y_rows = rng.permutation(np.repeat(enumerate_paths(2, 4), 3, axis=0))
@@ -313,18 +308,14 @@ FEEDBACKS = {
 }
 
 
-@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
 @pytest.mark.parametrize("fb_name", sorted(FEEDBACKS))
-def test_codebook_scorer_equals_per_tree_oracle(fb_name, concat):
+def test_codebook_scorer_equals_per_tree_oracle(fb_name):
     rng = np.random.default_rng(223)
     y_card, fb = FEEDBACKS[fb_name]
     impossible = dead_rows = 0
     for n_states in range(2, 6):
         fsc = _zero_some_transitions(random_fsc(rng, n_states, 2, y_card), rng)
-        if concat:
-            cb = sample_concat_codebook(uniform_policy(2, 2, fb.z_card), 2, 6, rng)
-        else:
-            cb = sample_codebook(uniform_policy(4, 2, fb.z_card), 6, rng)
+        cb = sample_codebook(uniform_policy(4, 2, fb.z_card), 6, rng)
         keys, trees, owner = decoder_mod._codebook_key_table(cb)
         rows, _ = decoder_mod._distinct_rows(rng.integers(0, y_card, size=(60, 4)))
         for s0 in (n_states - 1, rng.dirichlet(np.ones(n_states)), None):
@@ -354,15 +345,11 @@ def test_all_impossible_row_decodes_to_smallest_key_owner():
     assert got.tolist() == [ml_decode(cb, y, fsc, fb) for y in y_rows]
 
 
-@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
-def test_decoding_in_tree_blocks_matches_one_block(monkeypatch, concat):
+def test_decoding_in_tree_blocks_matches_one_block(monkeypatch):
     rng = np.random.default_rng(227)
     fsc = _zero_some_transitions(random_fsc(rng, 3, 2, 2), rng)
     fb = identity_feedback((0, 1))
-    if concat:
-        cb = sample_concat_codebook(uniform_policy(2, 2, 2), 2, 7, rng)
-    else:
-        cb = sample_codebook(uniform_policy(4, 2, 2), 7, rng)
+    cb = sample_codebook(uniform_policy(4, 2, 2), 7, rng)
     cb = Codebook(trees=cb.trees + cb.trees[::-1])  # each tree twice: the smaller index owns it
     y_rows = rng.integers(0, 2, size=(300, 4))
     dec = MLDecoder(fsc, fb, 0)

@@ -28,6 +28,7 @@ from compound_fsc import (
 )
 from compound_fsc.capacity import GAP_TOL
 from compound_fsc.verify import random_fsc
+from oracles import causal_channel_prob
 
 LN2 = math.log(2.0)
 
@@ -61,8 +62,6 @@ def test_directed_info_is_entropy_difference():
     fb = identity_feedback(fsc.outputs)
     joint, p_y = joint_and_output_probs(q, fsc, 0, fb)
     h_y = _entropy(p_y)
-    from compound_fsc import causal_channel_prob
-
     h_y_cond = 0.0
     for xi, xs in enumerate(itertools.product(range(2), repeat=2)):
         for yi, ys in enumerate(itertools.product(range(2), repeat=2)):

@@ -13,7 +13,6 @@ from compound_fsc import (
     estimate_memoryless_channel,
     make_gilbert_elliot,
     make_memoryless,
-    mismatch_loss_bound,
     sanov_pinsker_bound,
     two_phase_scheme,
 )
@@ -99,7 +98,6 @@ def test_continuity_bounds_shapes():
     d = 0.02
     tau = mutual_info_continuity_bound(d, 2)
     assert tau == pytest.approx(-2 * d * math.log(d / 2))
-    assert mismatch_loss_bound(d, 2) == pytest.approx(2 * tau)
     with pytest.raises(ValidationError):
         entropy_continuity_bound(-0.1, 2)
 
@@ -114,7 +112,7 @@ def test_mismatch_loss_within_eta():
     _, q_near = blahut_arimoto(near_cond)
     loss = c_true - memoryless_mutual_info(q_near, true_cond)
     assert 0.0 <= loss + 1e-12
-    assert loss <= mismatch_loss_bound(delta, 2)
+    assert loss <= 2 * mutual_info_continuity_bound(delta, 2)  # eta(delta) = 2 tau(delta)
 
 
 def test_two_phase_single_member_is_exact():

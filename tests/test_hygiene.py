@@ -2,8 +2,9 @@
 resolves, no function takes a size-cap knob, no function re-imports a
 sibling module the file already imports at the top, a function imports a
 sibling only to break an import cycle and every module constant is read,
-checked on the syntax tree of each package module; and every `module.name`
-that README.md cites names an attribute of that package module."""
+checked on the syntax tree of each package module; every public function
+and class has a caller outside the tests; and every `module.name` that
+README.md cites names an attribute of that package module."""
 
 import ast
 import importlib
@@ -15,6 +16,27 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "compound_fsc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = PACKAGE.parent.parent / "README.md"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Public names that no package module and no benchmark code references, kept
+# on purpose. An entry that gains a caller must leave the list.
+KEPT = {
+    # results the roadmap's next experiments call
+    "capacity.compute_Cn_markovian": "C_n from each member's stationary state law",
+    "capacity.ge_feedback_gap": "the paper's feedback corollary on Gilbert-Elliot families",
+    "channel.quantize_family": "the finite cover of a continuum family",
+    "channel.nearest_member": "the cover member that stands in for a channel",
+    "exponents.random_coding_bound": "the achievability bound simulated error rates meet",
+    "estimation.mutual_info_continuity_bound": "tau(delta), the bound the mismatch loss is checked against",
+    # file formats
+    "channel.save_family": "writes the family file that README documents and load_family reads",
+    # scalar oracles that the vectorised paths are checked against
+    "causal.input_prob": "one path's policy weight",
+    "causal.mixture_policy": "the convex combination in path space",
+    "codetree.sample_codetree": "one tree drawn, the stream sample_symbols reproduces",
+    "codetree.tree_prob": "the law of sample_codetree",
+    "decoder.tree_log_likelihood": "one tree and one output row through the codebook scorer",
+}
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -164,6 +186,40 @@ def test_module_constants_are_read():
         if isinstance(t, ast.Name) and t.id.isupper() and (stem, t.id) not in read and t.id not in attrs
     )
     assert not unread, f"module constants never read: {', '.join(unread)}"
+
+
+def _references(nodes, strings=False) -> set:
+    """Names read in `nodes`, bare or as attributes, and with `strings` every
+    identifier-like string constant too (the benchmark's tracer looks
+    functions up by name)."""
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def test_public_names_have_callers():
+    """Every public top-level function and class is referenced by another
+    package module (re-exports in __init__ do not count), by its own module
+    outside its definition, or by perfbench/; the rest are KEPT, each with
+    its reason. Names that only the tests reach are deleted with their tests."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    bench = _references([ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")], strings=True)
+    orphans = set()
+    for stem, tree in trees.items():
+        others = _references(t for s, t in trees.items() if s not in (stem, "__init__"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = _references(n for n in tree.body if n is not node)
+                if node.name not in others | own | bench:
+                    orphans.add(f"{stem}.{node.name}")
+    assert not orphans - KEPT.keys(), f"public names only the tests reach: {', '.join(sorted(orphans - KEPT.keys()))}"
+    assert not KEPT.keys() - orphans, f"KEPT names that now have callers: {', '.join(sorted(KEPT.keys() - orphans))}"
 
 
 def test_readme_module_references_resolve():

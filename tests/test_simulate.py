@@ -22,25 +22,23 @@ from compound_fsc import (
     bsc,
     exact_error_probability,
     example1_config,
-    example1_demo,
     example1_row,
     identity_feedback,
     make_gilbert_elliot,
     make_memoryless,
     ml_decode,
-    naive_causal_channel_prob,
     no_feedback,
     path,
     paths_rows,
     random_coding_bound,
     run_trials,
     sample_codebook,
-    sample_concat_codebook,
     simulate_batch,
     uniform_policy,
 )
 from compound_fsc.util import worker_count
 from compound_fsc.verify import random_fsc
+from oracles import naive_causal_channel_prob
 
 LN2 = math.log(2.0)
 
@@ -424,7 +422,7 @@ def scalar_simulation(fsc, cb, feedback, w, s0, u_steps):
 @pytest.mark.parametrize("n_states", [1, 2, 3, 4])
 def test_simulate_batch_matches_scalar_oracle(n_states, feedback):
     rng = np.random.default_rng(10 * n_states + len(feedback))
-    for x_card, y_card, concat in itertools.product((2, 3), (2, 3), (False, True)):
+    for x_card, y_card in itertools.product((2, 3), (2, 3)):
         if feedback == "coarse" and y_card != 3:
             continue
         outputs = tuple(range(y_card))
@@ -444,10 +442,7 @@ def test_simulate_batch_matches_scalar_oracle(n_states, feedback):
             states=tuple(range(n_states)), inputs=tuple(range(x_card)), outputs=outputs,
             kernel=kernel.reshape(n_states, x_card, y_card, n_states),
         )
-        if concat:
-            cb = sample_concat_codebook(uniform_policy(2, x_card, fb.z_card), 2, 5, rng)
-        else:
-            cb = sample_codebook(uniform_policy(4, x_card, fb.z_card), 5, rng)
+        cb = sample_codebook(uniform_policy(4, x_card, fb.z_card), 5, rng)
         trials = 30
         w = rng.integers(cb.m_count, size=trials)
         s0 = rng.integers(n_states, size=trials)
@@ -464,16 +459,12 @@ def test_simulate_batch_matches_scalar_oracle(n_states, feedback):
             assert np.array_equal(g, e)
 
 
-@pytest.mark.parametrize("concat", [False, True], ids=["plain", "concatenated"])
-def test_simulated_inputs_follow_tree_paths(concat):
+def test_simulated_inputs_follow_tree_paths():
     # the simulator and the decoder must read trees through the same layout
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=0.4))
     fb = identity_feedback(fsc.outputs)
     rng = np.random.default_rng(9)
-    if concat:
-        cb = sample_concat_codebook(uniform_policy(3, 2, fb.z_card), 2, 6, rng)
-    else:
-        cb = sample_codebook(uniform_policy(6, 2, fb.z_card), 6, rng)
+    cb = sample_codebook(uniform_policy(6, 2, fb.z_card), 6, rng)
     trials = 600
     w = rng.integers(cb.m_count, size=trials)
     s0 = rng.integers(fsc.n_states, size=trials)
@@ -501,7 +492,7 @@ def test_example1_slow_mixing_arithmetic():
     cfg = example1_config(theta=3, n=3, trials=10)
     assert cfg.s0 == 1
     assert cfg.codebook.m_count == 2
-    row = example1_demo(theta=3, n=3, trials=2000, seed=1)
+    row = example1_row(run_trials(example1_config(3, 3, 2000, seed=1)), 3, 3)
     # (1 - 2^-theta)^n beats 1 - n 2^-n at theta = n = 3
     assert row.all_bad_exact == pytest.approx(0.875**3)
     assert row.all_bad_exact > row.one_minus_n_2n
@@ -512,13 +503,13 @@ def test_example1_slow_mixing_arithmetic():
 
 
 def test_example1_boundary_case():
-    row = example1_demo(theta=1, n=1, trials=500, seed=3)
+    row = example1_row(run_trials(example1_config(1, 1, 500, seed=3)), 1, 1)
     assert row.all_bad_exact == pytest.approx(0.5)
     assert row.one_minus_n_2n == pytest.approx(0.5)
 
 
 def test_example1_error_floor():
-    row = example1_demo(theta=8, n=6, trials=5000, seed=7)
+    row = example1_row(run_trials(example1_config(8, 6, 5000, seed=7)), 8, 6)
     # two random trees collide half the time inside an all-bad burst, and a
     # collision is lost with probability 1/2
     assert row.error_rate >= row.error_floor - 3 * row.error_sigma
