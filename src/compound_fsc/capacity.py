@@ -23,6 +23,7 @@ causal.policy_adjoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -143,9 +144,10 @@ class CapacityReport:
 
 class _PairTables(NamedTuple):
     """The channel tables of a solve's (initial state, member) pairs, stacked
-    as [pair, xcode, ycode], and their p log p (0 where p = 0) folded over the
+    as [pair, xcode, a, l], and their p log p (0 where p = 0) folded over the
     outputs the history code does not span: [pair, xcode, a], with a the code
-    of y_{<n-1} (of nothing, one column, without feedback)."""
+    of y_{<n-1} (of nothing, one column, without feedback) and l that of the
+    outputs it does not span, so (a, l) is the ycode."""
 
     labels: list
     probs: np.ndarray
@@ -157,7 +159,8 @@ def _fold_for(tables: _PairTables, feedback: FeedbackMap) -> _PairTables:
     spans no output axis, so p log p is summed over y_{<n-1} as well."""
     if feedback.z_card > 1 or tables.folded.shape[2] == 1:
         return tables
-    return tables._replace(folded=tables.folded.sum(axis=2, keepdims=True))
+    folded = tables.folded.sum(axis=2, keepdims=True)
+    return tables._replace(probs=tables.probs.reshape(folded.shape + (-1,)), folded=folded)
 
 
 def _pair_values(g: np.ndarray, tables: _PairTables):
@@ -167,8 +170,7 @@ def _pair_values(g: np.ndarray, tables: _PairTables):
     weight table W never built. Also returns log max(p_jy, tiny), shaped
     [pair, a, rest of y], which the supergradient reuses."""
     k = len(tables.folded)
-    probs = tables.probs.reshape(tables.folded.shape + (-1,))
-    p_y = np.einsum("xa,kxal->kal", g, probs)
+    p_y = np.einsum("xa,kxal->kal", g, tables.probs)
     log_py = np.log(np.maximum(p_y, _TINY))
     plogp_y = (p_y * log_py).reshape(k, -1).sum(axis=1)
     return tables.folded.reshape(k, -1) @ g.reshape(-1) - plogp_y, log_py
@@ -178,8 +180,7 @@ def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.n
     """d f_j / dg = folded_j - sum_{rest of y} p_j (log p_jy + 1), from
     _pair_values' log p_y: d f_j / dW summed over the outputs the code does
     not span, the size of the code."""
-    probs = tables.probs[j].reshape(tables.folded.shape[1:] + (-1,))
-    u = np.einsum("xal,al->xa", probs, log_py[j] + 1.0)
+    u = np.einsum("xal,al->xa", tables.probs[j], log_py[j] + 1.0)
     return np.subtract(tables.folded[j], u, out=u)
 
 
@@ -206,6 +207,22 @@ def _certificate(tables: _PairTables, code: np.ndarray, reach, f: np.ndarray, lo
     return bound
 
 
+def _evaluate(flat: np.ndarray, spans, code: np.ndarray, tables: _PairTables):
+    """An iterate's per-step views and sequence form, and every pair's value
+    and log p_y; the code weights die here, the supergradient needs only
+    log p_y."""
+    conds = [flat[a:b] for a, b in spans]
+    reach = sequence_reach(conds)
+    return (conds, reach) + _pair_values(code_weights(reach, code), tables)
+
+
+def _worst(f: list, n: int) -> tuple[float, int]:
+    """The least pair value per symbol and the active pair, the first within
+    GAP_TOL of it."""
+    j = min(f) / n
+    return j, next(k for k, v in enumerate(f) if v / n <= j + GAP_TOL)
+
+
 def _solve(
     family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg, extra_starts
 ) -> CapacityReport:
@@ -217,20 +234,10 @@ def _solve(
     x_card, z_card = first.n_inputs, feedback.z_card
     code = history_code(x_card, feedback, n)
     tables = _fold_for(tables, feedback)
-    # an iterate is every step's conditionals stacked row-wise in one array
-    bounds = np.cumsum([0] + [(x_card * z_card) ** i for i in range(n)])
-
-    def steps(flat):
-        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def value(conds):
-        # the weights die here: the supergradient needs only log p_y
-        reach = sequence_reach(conds)
-        f, log_py = _pair_values(code_weights(reach, code), tables)
-        return float(f.min()) / n, f, reach, log_py
-
-    def active_pair(f, j):
-        return int(np.argmax(f / n <= j + GAP_TOL))
+    # an iterate is every step's conditionals stacked row-wise in one array,
+    # step i in rows spans[i]
+    ends = list(itertools.accumulate((x_card * z_card) ** i for i in range(n)))
+    spans = list(zip([0] + ends[:-1], ends))
 
     def report(c_n, upper, flat, active, diag):
         return CapacityReport(
@@ -239,72 +246,63 @@ def _solve(
             C_n_nats=c_n,
             upper_nats=upper,
             worst_case=tables.labels[active],
-            policy=CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(steps(flat))),
+            policy=CausalConditioning(
+                horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(flat[a:b] for a, b in spans)
+            ),
             diagnostics=diag,
         )
 
     # only pairs within n GAP_TOL of the minimum can close the gap, since
     # each pair's bound is at least its own value
     flat = np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
-    lower, f, reach, log_py = value(steps(flat))
+    _, reach, f, log_py = _evaluate(flat, spans, code, tables)
+    lower, active = _worst(f.tolist(), n)
     upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f <= f.min() + n * GAP_TOL)) / n
     if upper - lower <= GAP_TOL:
         diag = SolverDiagnostics(converged=True, iterations=0, restarts=1, best_start=0, value_history=(lower,))
-        return report(lower, upper, flat, active_pair(f, lower), diag)
-    del flat, f, reach, log_py  # the start's arrays die before the ascent
+        return report(lower, upper, flat, active, diag)
+    del flat, reach, f, log_py  # the start's arrays die before the ascent
 
-    def active_gradient(flat):
-        conds = steps(flat)
-        j, f, reach, log_py = value(conds)
-        active = active_pair(f, j)
-        # passed straight in, so the adjoint frees it once it is binned
-        grads = policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py))
-        return j, np.concatenate(grads)
-
-    def ascent_step(flat, step):
-        # the weights, the reach and the per-step supergradients die before
-        # the projection, so the next evaluation starts without them
-        j, grad = active_gradient(flat)
-        return j, _flat_step(flat, grad, step / n)
-
+    # each start is drawn when its turn comes, so one is alive at a time; a
+    # run keeps its first best visited iterate (iterates are never written in
+    # place), and the first best run wins
     rng = np.random.default_rng(cfg.seed)
-
-    def start_iterates():
-        # each start is drawn when its turn comes, so one is alive at a time
-        yield np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
-        for q0 in extra_starts:
-            yield np.concatenate(q0.conditionals)
-        for _ in range(cfg.restarts):
-            yield np.concatenate(random_policy(n, x_card, z_card, rng).conditionals)
-
-    def ascend(flat):
-        # one start's run: its first best visited iterate as (value, iterate,
-        # value history); iterates are never written in place, and only the
-        # best one outlives the call
-        best_v, best_flat = -math.inf, None
-        history = []
-        for t in range(1, cfg.max_iters + 1):
-            j, stepped = ascent_step(flat, STEP_INIT / (t ** STEP_POWER))
-            history.append(j)
-            if j > best_v:
-                best_v, best_flat = j, flat
-            flat = stepped
-        return best_v, best_flat, history
-
-    # the first best start wins; max frees every other run before the next
-    start_idx, (c_n, flat, history) = max(
-        enumerate(map(ascend, start_iterates())), key=lambda run: run[1][0]
+    starts = itertools.chain(
+        [uniform_policy(n, x_card, z_card)],
+        extra_starts,
+        (random_policy(n, x_card, z_card, rng) for _ in range(cfg.restarts)),
     )
-    _, f, reach, log_py = value(steps(flat))
+    c_n, best, best_start, history = -math.inf, None, 0, []
+    for s, q0 in enumerate(starts):
+        flat = np.concatenate(q0.conditionals)
+        run_v, run_flat, run_history = -math.inf, None, []
+        for t in range(1, cfg.max_iters + 1):
+            conds, reach, f, log_py = _evaluate(flat, spans, code, tables)
+            j, active = _worst(f.tolist(), n)
+            # the supergradient is passed straight in, so the adjoint frees it
+            # once it is binned; the weights, the reach and the per-step
+            # gradients die before the projection
+            grad = np.concatenate(policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py)))
+            del conds, reach, f, log_py
+            run_history.append(j)
+            if j > run_v:
+                run_v, run_flat = j, flat
+            flat = _flat_step(flat, grad, STEP_INIT / (t ** STEP_POWER) / n)
+            del grad  # overwritten by the step, it dies before the next evaluation
+        del flat
+        if run_v > c_n:
+            c_n, best, best_start, history = run_v, run_flat, s, run_history
+        del run_flat
+    _, reach, f, log_py = _evaluate(best, spans, code, tables)
     upper = min(upper, _certificate(tables, code, reach, f, log_py, range(len(f))) / n)
     diag = SolverDiagnostics(
         converged=upper - c_n <= GAP_TOL,
         iterations=cfg.max_iters,
         restarts=1 + len(extra_starts) + cfg.restarts,
-        best_start=start_idx,
+        best_start=best_start,
         value_history=tuple(history),
     )
-    return report(c_n, upper, flat, active_pair(f, c_n), diag)
+    return report(c_n, upper, best, _worst(f.tolist(), n)[1], diag)
 
 
 def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
@@ -329,7 +327,7 @@ def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
         np.log(probs[k], out=plogp, where=probs[k] > 0)
         plogp *= probs[k]
         plogp.reshape(-1, y_card).sum(axis=1, out=folded[k].reshape(-1))
-    return _PairTables([label for label, _, _ in starts], probs, folded)
+    return _PairTables([label for label, _, _ in starts], probs.reshape(folded.shape + (y_card,)), folded)
 
 
 def _state_pairs(family: CompoundFamily, n: int):

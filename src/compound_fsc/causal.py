@@ -333,8 +333,7 @@ def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
     over every output axis the code does not span (the last one, or all n
     without feedback)."""
     g = code_weights(reach, code)
-    rest = y_card ** len(reach) // g.shape[1]
-    return np.broadcast_to(g[:, :, None], g.shape + (rest,)).reshape(g.shape[0], -1)
+    return np.repeat(g, y_card ** len(reach) // g.shape[1], axis=1)
 
 
 def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.ndarray]:

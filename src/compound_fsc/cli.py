@@ -111,7 +111,7 @@ def _peak_rss_mb() -> float:
 def _write_json(out: Path, name: str, payload: dict) -> None:
     body = {"manifest": MANIFEST_NAME}
     body.update(payload)
-    (out / name).write_text(json.dumps(body, indent=2) + "\n")
+    (out / name).write_text(json.dumps(body) + "\n")
 
 
 def _write_csv(out: Path, name: str, header: list, rows: list) -> None:

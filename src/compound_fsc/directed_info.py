@@ -7,6 +7,7 @@ exchange identity that swaps the roles of the two paths. All values in nats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ from .causal import (
 )
 from .channel import CompoundFamily, FeedbackMap, FscSpec, no_feedback
 from .errors import ValidationError
-from .util import xlogy
 
 AGREEMENT_TOL = 1e-10
 # zero_capacity_witness: the ascent budget of a solve not certified at its start
@@ -52,40 +52,36 @@ def information_functional(w: np.ndarray, p: np.ndarray) -> float:
     return float(terms.sum(where=joint > 0))
 
 
-def _tensor(joint: np.ndarray, n: int, x_card: int, y_card: int) -> np.ndarray:
-    return np.asarray(joint).reshape((x_card,) * n + (y_card,) * n)
-
-
-def _marginal_entropy(t: np.ndarray, n: int, keep_x: int, keep_y: int) -> float:
-    axes = tuple(range(keep_x, n)) + tuple(range(n + keep_y, 2 * n))
-    m = t.sum(axis=axes) if axes else t
-    return float(-xlogy(m, m).sum())
+def _prefix_entropies(joint: np.ndarray, n: int, x_card: int, y_card: int, keys: list) -> dict:
+    """H(X^kx, Y^ky) in nats for each of the distinct (kx, ky) in keys,
+    0 log 0 = 0: each prefix marginal of the path joint is reduced once, and
+    all their entropies are taken in one pass over the marginals laid end to
+    end."""
+    t = np.asarray(joint).reshape(x_card ** n, y_card ** n)
+    sizes = [x_card ** kx * y_card ** ky for kx, ky in keys]
+    m = np.concatenate(
+        [t.reshape(x_card ** kx, -1, y_card ** ky, y_card ** (n - ky)).sum(axis=(1, 3)).ravel() for kx, ky in keys]
+    )
+    plogp = np.log(m, out=np.zeros_like(m), where=m > 0)
+    plogp *= m
+    h = np.add.reduceat(plogp, list(itertools.accumulate(sizes[:-1], initial=0)))
+    return dict(zip(keys, (-h).tolist()))
 
 
 def per_step_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list[float]:
     """I(Y_i ; X^i | Y^{i-1}) for i = 1..n, from the exact path joint."""
-    t = _tensor(joint, n, x_card, y_card)
-    terms = []
-    for i in range(1, n + 1):
-        h_yi = _marginal_entropy(t, n, 0, i)
-        h_xi_yprev = _marginal_entropy(t, n, i, i - 1)
-        h_xi_yi = _marginal_entropy(t, n, i, i)
-        h_yprev = _marginal_entropy(t, n, 0, i - 1)
-        terms.append(h_yi + h_xi_yprev - h_xi_yi - h_yprev)
-    return terms
+    steps = range(1, n + 1)
+    keys = [(0, i) for i in range(n + 1)] + [(i, i - 1) for i in steps] + [(i, i) for i in steps]
+    h = _prefix_entropies(joint, n, x_card, y_card, keys)
+    return [h[0, i] + h[i, i - 1] - h[i, i] - h[0, i - 1] for i in steps]
 
 
 def exchange_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list[float]:
     """I(X_i ; Y_i^n | X^{i-1}, Y^{i-1}) for i = 1..n, from the path joint."""
-    t = _tensor(joint, n, x_card, y_card)
-    terms = []
-    for i in range(1, n + 1):
-        h_xi_yprev = _marginal_entropy(t, n, i, i - 1)
-        h_xprev_yn = _marginal_entropy(t, n, i - 1, n)
-        h_xi_yn = _marginal_entropy(t, n, i, n)
-        h_xprev_yprev = _marginal_entropy(t, n, i - 1, i - 1)
-        terms.append(h_xi_yprev + h_xprev_yn - h_xi_yn - h_xprev_yprev)
-    return terms
+    steps = range(1, n + 1)
+    keys = [(i, n) for i in range(n + 1)] + [(i, i - 1) for i in steps] + [(i, i) for i in range(n)]
+    h = _prefix_entropies(joint, n, x_card, y_card, keys)
+    return [h[i, i - 1] + h[i - 1, n] - h[i, n] - h[i - 1, i - 1] for i in steps]
 
 
 def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> DirectedInfoResult:

@@ -20,9 +20,8 @@ def xlogy(x, y):
     """Elementwise x*log(y) with the convention 0*log(0) = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    mask = x > 0
-    out[mask] = x[mask] * np.log(y[mask])
+    out = np.log(y, out=np.zeros(np.broadcast(x, y).shape), where=x > 0)
+    out *= x
     return out
 
 

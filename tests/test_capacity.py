@@ -628,6 +628,25 @@ def test_solver_values_pinned():
     assert rep.worst_case == ("1", "m0")
 
 
+def test_identity_feedback_ascent_pinned():
+    # the superadditivity suite's shape: every solve ascends (none certifies
+    # at its start), and the n = 3 solve's best start is the product warm
+    # start passed as an extra start
+    fam = random_family(np.random.default_rng(23), 2, 2)
+    fb = identity_feedback(fam.members[0].outputs)
+    res = superadditivity_check(fam, fb, 1, 2, SolverConfig(max_iters=60, restarts=1, seed=23))
+    want = (
+        (0.0022559568075244396, 0.0022831965225705853, 0),
+        (0.014872619567714795, 0.02210389088572573, 0),
+        (0.018175745182856584, 0.026264422945007082, 1),
+    )
+    for rep, (c_n, upper, best_start) in zip((res.report_k, res.report_m, res.report_n), want):
+        assert rep.C_n_nats == pytest.approx(c_n, rel=0, abs=1e-12)
+        assert rep.upper_nats == pytest.approx(upper, rel=0, abs=1e-12)
+        assert rep.diagnostics.best_start == best_start
+        assert not rep.diagnostics.converged
+
+
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(max_iters=0)

@@ -28,7 +28,7 @@ from compound_fsc import (
 )
 from compound_fsc.capacity import GAP_TOL
 from compound_fsc.verify import random_fsc
-from oracles import causal_channel_prob
+from oracles import causal_channel_prob, marginal_entropy
 
 LN2 = math.log(2.0)
 
@@ -142,6 +142,30 @@ def test_per_step_and_exchange_resum():
     b = exchange_terms(joint, 3, 2, 2)
     assert math.fsum(a) == pytest.approx(math.fsum(b), abs=1e-10)
     assert all(t >= -1e-11 for t in a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("x_card,y_card", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_per_step_and_exchange_terms_match_brute_force_entropies(n, x_card, y_card):
+    # term by term, so a term moved to the wrong step fails; the sparse joint
+    # has zero entries and, with x_1 = 0 ruled out, zero marginal cells
+    rng = np.random.default_rng(100 * n + 10 * x_card + y_card)
+    dense = rng.random((x_card ** n, y_card ** n))
+    sparse = np.where(rng.random(dense.shape) < 0.4, 0.0, dense)
+    sparse[: x_card ** (n - 1)] = 0.0
+    for joint in (dense / dense.sum(), sparse / sparse.sum()):
+
+        def h(kx, ky):
+            return marginal_entropy(joint, n, x_card, y_card, kx, ky)
+
+        steps = range(1, n + 1)
+        want_di = [h(0, i) + h(i, i - 1) - h(i, i) - h(0, i - 1) for i in steps]
+        want_ex = [h(i, i - 1) + h(i - 1, n) - h(i, n) - h(i - 1, i - 1) for i in steps]
+        got_di = per_step_terms(joint, n, x_card, y_card)
+        got_ex = exchange_terms(joint, n, x_card, y_card)
+        assert len(got_di) == len(got_ex) == n
+        assert np.max(np.abs(np.subtract(got_di, want_di))) <= 1e-12
+        assert np.max(np.abs(np.subtract(got_ex, want_ex))) <= 1e-12
 
 
 def test_state_gap_single_state_is_zero():

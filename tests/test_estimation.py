@@ -21,6 +21,7 @@ from compound_fsc.estimation import (
     memoryless_mutual_info,
     mutual_info_continuity_bound,
 )
+from compound_fsc.util import xlogy
 
 LN2 = math.log(2.0)
 
@@ -151,3 +152,15 @@ def test_two_phase_validation():
         two_phase_scheme(fam, "m", m_train=100, n_total=100)
     with pytest.raises(ValidationError):
         two_phase_scheme(fam, "m", m_train=1, n_total=100)  # cannot probe both inputs
+
+
+def test_xlogy_conventions_and_broadcasting():
+    assert xlogy(0.0, 0.0) == 0.0
+    assert xlogy(0.0, 0.5) == 0.0
+    with np.errstate(divide="ignore"):
+        assert xlogy(2.0, 0.0) == -math.inf
+        # x of shape (k, 1) against y of shape (1, m): a (k, m) table
+        got = xlogy(np.array([[0.0], [0.5], [2.0]]), np.array([[0.25, 1.0, 0.0]]))
+    want = [[0.0, 0.0, 0.0], [0.5 * math.log(0.25), 0.0, -math.inf], [2.0 * math.log(0.25), 0.0, -math.inf]]
+    assert got.shape == (3, 3)
+    assert np.array_equal(got, want)
