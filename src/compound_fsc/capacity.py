@@ -171,9 +171,10 @@ def _pair_values(g: np.ndarray, tables: _PairTables):
     [pair, a, rest of y], which the supergradient reuses."""
     k = len(tables.folded)
     p_y = np.einsum("xa,kxal->kal", g, tables.probs)
-    log_py = np.log(np.maximum(p_y, _TINY))
-    plogp_y = (p_y * log_py).reshape(k, -1).sum(axis=1)
-    return tables.folded.reshape(k, -1) @ g.reshape(-1) - plogp_y, log_py
+    log_py = np.maximum(p_y, _TINY)
+    np.log(log_py, out=log_py)
+    p_y *= log_py
+    return tables.folded.reshape(k, -1) @ g.reshape(-1) - np.add.reduce(p_y.reshape(k, -1), axis=1), log_py
 
 
 def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ axes, and policy_adjoint takes gradients already summed over those axes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,12 +65,12 @@ class CausalConditioning:
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
             if c.strides[0] == 0:
                 c = c[:1]  # every row is this one
-            if not np.all(np.isfinite(c)) or np.any(c < -1e-15):
+            if not np.isfinite(c).all() or (c < -1e-15).any():
                 raise ValidationError("conditionals must be finite and non-negative")
             dev = c.sum(axis=1)
             dev -= 1.0
             np.abs(dev, out=dev)
-            if np.max(dev) > ROW_SUM_TOL:
+            if dev.max() > ROW_SUM_TOL:
                 raise ValidationError("conditional rows must sum to 1")
         for c in conds:
             c.setflags(write=False)
@@ -121,11 +122,10 @@ def uniform_policy(n: int, x_card: int, z_card: int) -> CausalConditioning:
 
 
 def random_policy(n: int, x_card: int, z_card: int, rng: np.random.Generator) -> CausalConditioning:
-    base = x_card * z_card
-    conds = []
-    for i in range(n):
-        c = rng.dirichlet(np.ones(x_card), size=base ** i)
-        conds.append(c)
+    """Dirichlet-uniform rows, all steps' in one draw: the stream of one draw per step."""
+    sizes = [(x_card * z_card) ** i for i in range(n)]
+    rows = rng.dirichlet(np.ones(x_card), size=sum(sizes))
+    conds = [rows[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
     return CausalConditioning(horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
 
 

@@ -62,11 +62,11 @@ class FscSpec:
         want = (len(states), len(inputs), len(outputs), len(states))
         if kernel.shape != want:
             raise ValidationError(f"kernel shape {kernel.shape} != {want}")
-        if not np.all(np.isfinite(kernel)) or np.any(kernel < -1e-15):
+        if not np.isfinite(kernel).all() or (kernel < -1e-15).any():
             raise ValidationError("kernel entries must be finite and non-negative")
         kernel = np.clip(kernel, 0.0, None)
         sums = kernel.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
+        if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
             raise ValidationError("kernel rows must sum to 1 per (s_prev, x)")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)

@@ -91,9 +91,13 @@ def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: Feed
     the quantity for the channel law mixed over the initial state.
     """
     w = policy_weight_table(q, fsc.n_outputs, feedback)
-    p = channel_prob_table(fsc, q.horizon, s0)
+    return _directed_info(w, channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs)
+
+
+def _directed_info(w: np.ndarray, p: np.ndarray, q: CausalConditioning, y_card: int) -> DirectedInfoResult:
+    """directed_information on q's weight table w and a channel table p."""
     value = information_functional(w, p)
-    steps = per_step_terms(w * p, q.horizon, q.x_card, fsc.n_outputs)
+    steps = per_step_terms(w * p, q.horizon, q.x_card, y_card)
     return DirectedInfoResult(value_nats=value, per_step=tuple(steps))
 
 
@@ -129,12 +133,13 @@ def state_gap_check(
     if s0_prior is None:
         s0_prior = np.full(fsc.n_states, 1.0 / fsc.n_states)
     s0_prior = np.asarray(s0_prior, dtype=float)
-    mixed = directed_information(q, fsc, s0_prior, feedback).value_nats
-    given = math.fsum(
-        float(pr) * directed_information(q, fsc, s, feedback).value_nats
-        for s, pr in enumerate(s0_prior)
-        if pr > 0
-    )
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+
+    def value(s0) -> float:
+        return _directed_info(w, channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs).value_nats
+
+    mixed = value(s0_prior)
+    given = math.fsum(float(pr) * value(s) for s, pr in enumerate(s0_prior) if pr > 0)
     gap = abs(mixed - given)
     return StateGapResult(
         value_mixed=mixed,

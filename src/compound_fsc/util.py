@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ValidationError
 
 LN2 = math.log(2.0)
+_F64 = np.dtype(float)
 
 
 def xlogy(x, y):
@@ -39,7 +40,8 @@ def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     unless that leaves the smaller entry non-positive (then max(a, b) - 1),
     bitwise equal to the general path.
     """
-    v = np.atleast_2d(np.asarray(v, dtype=float))
+    if type(v) is not np.ndarray or v.ndim != 2 or v.dtype is not _F64:
+        v = np.atleast_2d(np.asarray(v, dtype=float))
     n = v.shape[1]
     if n == 2:
         a, b = v[:, 0], v[:, 1]
@@ -69,6 +71,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     """Wilson score interval for a binomial proportion (default 95%)."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValidationError("successes must lie in [0, trials]")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

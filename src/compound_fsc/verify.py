@@ -295,7 +295,7 @@ def suite_exponents(instances: int = 40, seed: int = 27) -> CheckResult:
         fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
-        e0_vals = [gallager_e0(r, q, fsc, s0, fb) for r in rho_grid]
+        e0_vals = gallager_e0(rho_grid, q, fsc, s0, fb)
         zero_dev = abs(e0_vals[0])
         mono_dev = max(
             (e0_vals[i] - e0_vals[i + 1] for i in range(len(e0_vals) - 1)), default=0.0

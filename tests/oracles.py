@@ -5,7 +5,15 @@ import math
 
 import numpy as np
 
-from compound_fsc import causal_log_prob_rows
+from compound_fsc import (
+    ValidationError,
+    causal_log_prob_rows,
+    channel_prob_table,
+    directed_information,
+    information_functional,
+    policy_weight_table,
+    product_policy,
+)
 from compound_fsc.util import enumerate_paths
 
 
@@ -37,3 +45,53 @@ def marginal_entropy(joint, n: int, x_card: int, y_card: int, keep_x: int, keep_
             cells.setdefault((xs[:keep_x], ys[:keep_y]), []).append(float(joint[xcode, ycode]))
     masses = [math.fsum(c) for c in cells.values()]
     return -math.fsum(m * math.log(m) for m in masses if m > 0)
+
+
+# Per-call forms of the exponent and state-gap evaluations: every quantity
+# rebuilds its own weight table w and channel table p, so the package's
+# shared-table evaluations can be checked against them bit for bit.
+
+
+def gallager_e0_per_call(rho, q, fsc, s0, feedback) -> float:
+    if rho < 0:
+        raise ValidationError("rho must be non-negative")
+    n = q.horizon
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, n, s0)
+    inner = (w * p ** (1.0 / (1.0 + rho))).sum(axis=0)
+    total = float((inner ** (1.0 + rho)).sum())
+    return -math.log(total) / n
+
+
+def f_n_exponent_per_call(rho, q, fsc, feedback) -> float:
+    e0 = min(gallager_e0_per_call(rho, q, fsc, s0, feedback) for s0 in range(fsc.n_states))
+    return -rho * math.log(fsc.n_states) / q.horizon + e0
+
+
+def e0_lower_bound_per_call(rho, q, fsc, s0, feedback) -> tuple:
+    """(e0, info_rate, bound) of e0_lower_bound_check."""
+    n = q.horizon
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, n, s0)
+    info = information_functional(w, p)
+    e0 = gallager_e0_per_call(rho, q, fsc, s0, feedback)
+    big_l = 1.0 + n * math.log(fsc.n_outputs)
+    return e0, info / n, rho * info / n - rho * rho * big_l * big_l / (2.0 * n)
+
+
+def fn_superadditivity_per_call(rho, q_head, q_tail, fsc, feedback) -> tuple:
+    """(lhs, rhs) of fn_superadditivity_check."""
+    k, m = q_head.horizon, q_tail.horizon
+    lhs = (k + m) * f_n_exponent_per_call(rho, product_policy(q_head, q_tail), fsc, feedback)
+    rhs = k * f_n_exponent_per_call(rho, q_head, fsc, feedback) + m * f_n_exponent_per_call(rho, q_tail, fsc, feedback)
+    return lhs, rhs
+
+
+def state_gap_per_call(q, fsc, feedback, prior) -> tuple:
+    """(value_mixed, value_given_state) of state_gap_check at this prior."""
+    prior = np.asarray(prior, dtype=float)
+    mixed = directed_information(q, fsc, prior, feedback).value_nats
+    given = math.fsum(
+        float(pr) * directed_information(q, fsc, s, feedback).value_nats for s, pr in enumerate(prior) if pr > 0
+    )
+    return mixed, given

@@ -332,6 +332,16 @@ def test_policy_validation():
 
 
 
+@pytest.mark.parametrize("n, x_card, z_card", [(1, 2, 2), (3, 2, 2), (3, 3, 1), (2, 3, 2)])
+def test_random_policy_draws_the_per_step_stream(n, x_card, z_card):
+    rng, ref = np.random.default_rng(83), np.random.default_rng(83)
+    q = random_policy(n, x_card, z_card, rng)
+    want = [ref.dirichlet(np.ones(x_card), size=(x_card * z_card) ** i) for i in range(n)]
+    assert all(np.array_equal(c, w) for c, w in zip(q.conditionals, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
 def test_uniform_policy_is_one_row_per_step():
     tracemalloc.start()
     try:

@@ -28,7 +28,7 @@ from compound_fsc import (
 )
 from compound_fsc.capacity import GAP_TOL
 from compound_fsc.verify import random_fsc
-from oracles import causal_channel_prob, marginal_entropy
+from oracles import causal_channel_prob, marginal_entropy, state_gap_per_call
 
 LN2 = math.log(2.0)
 
@@ -190,6 +190,22 @@ def test_state_gap_bounded_by_log_state_count():
         assert res.bound == pytest.approx(math.log(n_states))
         # conditioning on the state never hurts
         assert res.value_given_state >= res.value_mixed - 1e-10
+
+
+def test_state_gap_shares_one_weight_table_bitwise():
+    rng = np.random.default_rng(73)
+    for i in range(18):
+        fsc = random_fsc(rng, 1 + i % 3, 2, 2)
+        fb = identity_feedback(fsc.outputs) if i % 2 == 0 else no_feedback(fsc.outputs)
+        q = random_policy(1 + (i // 3) % 3, 2, fb.z_card, rng)
+        prior = rng.dirichlet(np.ones(fsc.n_states))
+        if i % 4 == 1 and fsc.n_states > 1:
+            prior[0] = 0.0  # a state the prior never starts in is skipped
+            prior /= prior.sum()
+        for p in (prior, None):
+            res = state_gap_check(q, fsc, fb, s0_prior=p)
+            want = state_gap_per_call(q, fsc, fb, np.full(fsc.n_states, 1.0 / fsc.n_states) if p is None else p)
+            assert (res.value_mixed, res.value_given_state) == want
 
 
 def test_state_gap_degenerate_states():

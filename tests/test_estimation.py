@@ -21,7 +21,7 @@ from compound_fsc.estimation import (
     memoryless_mutual_info,
     mutual_info_continuity_bound,
 )
-from compound_fsc.util import xlogy
+from compound_fsc.util import wilson_interval, xlogy
 
 LN2 = math.log(2.0)
 
@@ -164,3 +164,14 @@ def test_xlogy_conventions_and_broadcasting():
     want = [[0.0, 0.0, 0.0], [0.5 * math.log(0.25), 0.0, -math.inf], [2.0 * math.log(0.25), 0.0, -math.inf]]
     assert got.shape == (3, 3)
     assert np.array_equal(got, want)
+
+
+def test_wilson_interval_rejects_counts_outside_trials():
+    for successes in (0, 10):
+        lo, hi = wilson_interval(successes, 10)
+        assert 0.0 <= lo < hi <= 1.0
+    for successes, trials in ((5, 3), (-1, 10), (11, 10)):
+        with pytest.raises(ValidationError):
+            wilson_interval(successes, trials)
+    with pytest.raises(ValidationError):
+        wilson_interval(0, 0)

@@ -22,6 +22,12 @@ from compound_fsc import (
     uniform_policy,
 )
 from compound_fsc.verify import random_fsc
+from oracles import (
+    e0_lower_bound_per_call,
+    f_n_exponent_per_call,
+    fn_superadditivity_per_call,
+    gallager_e0_per_call,
+)
 
 LN2 = math.log(2.0)
 
@@ -150,6 +156,54 @@ def test_optimal_rho_values():
     assert optimal_rho(eps, 1, 2) == pytest.approx(eps / (big_l * big_l))
     for eps in (0.01, 0.5, 2.0, 50.0):
         assert 0.0 <= optimal_rho(eps, 3, 2) <= 1.0
+
+
+@pytest.mark.parametrize("args", [(-1.0, 4, 2), (0.0, 4, 2), (0.5, 0, 2), (0.5, 4, 0)])
+def test_optimal_rho_shares_beta_domain(args):
+    with pytest.raises(ValidationError):
+        beta_exponent(*args)
+    with pytest.raises(ValidationError):
+        optimal_rho(*args)
+
+
+def _shared_table_instances():
+    """Random (fsc, feedback, head, tail, s0) at n = 1..3, 1 to 3 states."""
+    rng = np.random.default_rng(239)
+    for i in range(18):
+        fsc = random_fsc(rng, 1 + i % 3, 2, 2)
+        fb = identity_feedback(fsc.outputs) if i % 2 == 0 else no_feedback(fsc.outputs)
+        n = 1 + (i // 3) % 3
+        head = random_policy(n, 2, fb.z_card, rng)
+        tail = random_policy(1 + i % 2, 2, fb.z_card, rng)
+        yield fsc, fb, head, tail, int(rng.integers(fsc.n_states))
+
+
+def test_shared_tables_match_per_call_tables_bitwise():
+    rho_grid = np.linspace(0.0, 1.0, 11)
+    for fsc, fb, q, tail, s0 in _shared_table_instances():
+        assert gallager_e0(rho_grid, q, fsc, s0, fb) == [gallager_e0_per_call(r, q, fsc, s0, fb) for r in rho_grid]
+        for rho in (0.0, 0.37, 1.0):
+            assert f_n_exponent(rho, q, fsc, fb) == f_n_exponent_per_call(rho, q, fsc, fb)
+            lb = e0_lower_bound_check(rho, q, fsc, s0, fb)
+            assert (lb.e0, lb.info_rate, lb.bound) == e0_lower_bound_per_call(rho, q, fsc, s0, fb)
+            fn = fn_superadditivity_check(rho, q, tail, fsc, fb)
+            assert (fn.lhs, fn.rhs) == fn_superadditivity_per_call(rho, q, tail, fsc, fb)
+
+
+def test_negative_rho_anywhere_is_rejected():
+    rng = np.random.default_rng(241)
+    fsc = random_fsc(rng, 2, 2, 2)
+    fb = identity_feedback(fsc.outputs)
+    q = random_policy(2, 2, 2, rng)
+    for grid in ([-0.5, 0.5, 1.0], [0.0, 0.5, -1e-9], np.array([0.2, -0.1, 0.3])):
+        with pytest.raises(ValidationError):
+            gallager_e0(grid, q, fsc, 0, fb)
+    with pytest.raises(ValidationError):
+        gallager_e0(-0.1, q, fsc, 0, fb)
+    with pytest.raises(ValidationError):
+        f_n_exponent(-0.1, q, fsc, fb)
+    with pytest.raises(ValidationError):
+        e0_lower_bound_check(-0.1, q, fsc, 0, fb)
 
 
 def test_e0_lower_bound_formula_and_sweep():

@@ -3,14 +3,39 @@ import pytest
 from compound_fsc import CheckResult, ValidationError, run_suites
 from compound_fsc.verify import SUITES
 
+# (passed, instances, violations, worst) of every suite at seed 0
+PINNED = {
+    "kim-identity": (True, 100, 0, 2.1519244719492292e-15),
+    "continuity-lemma": (True, 100, 0, 0.0),
+    "state-gap": (True, 100, 0, -0.6071776848391698),
+    "superadditivity": (True, 12, 0, -0.6548320438067025),
+    "merge-bounds": (True, 892, 0, 0.0),
+    "separability": (True, 2, 0, 0.0),
+    "sanov": (True, 4, 0, -0.05084394891926118),
+    "exponents": (True, 40, 0, -9.999995559107902e-10),
+    "zero-capacity": (True, 5, 0, 0.0),
+}
 
-def test_all_suites_pass():
-    results = run_suites()
-    assert len(results) == len(SUITES)
-    for r in results:
+
+@pytest.fixture(scope="module")
+def all_results():
+    return run_suites()
+
+
+def test_all_suites_pass(all_results):
+    assert len(all_results) == len(SUITES)
+    for r in all_results:
         assert r.passed, r.line()
         assert r.violations == 0
         assert r.instances >= 1
+
+
+def test_suite_values_pinned(all_results):
+    assert [r.name for r in all_results] == list(PINNED)
+    for r in all_results:
+        passed, instances, violations, worst = PINNED[r.name]
+        assert (r.passed, r.instances, r.violations) == (passed, instances, violations), r.line()
+        assert r.worst == pytest.approx(worst, abs=1e-12), r.line()
 
 
 def test_single_suite_by_name():
