@@ -19,6 +19,15 @@ stacked channel tables with the policy's code weights (causal.code_weights,
 1/|Y| of the table), against p log p kept folded over the outputs the history
 code does not span, and hands the folded supergradient to
 causal.policy_adjoint.
+
+A solve's starts advance together: the iterate carries a leading start
+axis, so an iteration walks, contracts, bins and projects every start of a
+group in one call each, and each start steps along its own active pair. A
+group is as wide as the table budget admits, SOLVER_START_TABLES per start
+beside the pairs' tables and SOLVER_SHARED_TABLES, and at least one start.
+Groups run in start order, each keeps its starts' first best iterates, and
+the first best start wins, so a solve returns what running its starts one
+after another returns.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .causal import (
     uniform_policy,
     random_policy,
     sequence_reach,
+    spare_tables,
 )
 from .channel import (
     CompoundFamily,
@@ -67,18 +77,24 @@ ERGODICITY_MAX_N = 500  # compute_Cn_markovian: steps within which it must hold
 BA_GAP_TOL = 1e-10  # blahut_arimoto stops once its capacity bounds are this close
 BA_MAX_ITERS = 200_000  # blahut_arimoto gives up after this many iterations
 # Path-sized tables alive at the solver's peak besides the pairs' own (each
-# pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables):
-# the iterate, the best iterate, the start iterate, the best earlier start's
-# candidate, the history code, the supergradient and the projection's
-# temporaries; the certificate's code weights, supergradient and best-response
-# rows fit in fewer. With 3 ascent iterations, after a warm-up solve in the
-# same process, tracemalloc measured on verify.random_family(default_rng(1),
-# 2, 2) (4 pairs, not certified at its start) 5.4, 5.2 and 5.2 of them at
-# n = 8, 9 and 10 without restarts, and 6.7, 6.6 and 6.6 with the default 3;
-# on ge-gap (6 pairs) 4.0 when certified at the uniform start, and 5.4, 4.6,
-# 4.6 and 6.0, 5.9, 5.9 when made to ascend. At least one table of headroom
-# over every figure, rounded up.
-SOLVER_TEMP_TABLES = 8
+# pair's channel table and its p log p folded over y_{n-1}, 1 + 1/|Y| tables),
+# split into a shared term and a term per start the ascent advances at once.
+# A start's are its iterate, its best iterate, its supergradient, binned
+# adjoint and offset code, and its step's gradient and projection
+# temporaries; the shared ones are the table build's temporaries (4.0 when
+# ge-gap is certified at the uniform start), the history code and the best
+# earlier group's winner. With 3 ascent iterations, after a warm-up solve in
+# the same process, tracemalloc measured on verify.random_family(
+# default_rng(1), 2, 2) (4 pairs, not certified at its start) at n = 8, 9 and
+# 10: 4.56, 4.55, 4.54 with one start; 5.23, 5.21, 5.21 with four starts in
+# groups of one; 8.60, 8.59, 8.58 in groups of two; 14.68, 14.67, 14.67 in one
+# group of four; 18.06, 18.05, 18.04 in one group of five. That is 3.38 per
+# start and at most 1.85 beside them; ge-gap (6 pairs) made to ascend
+# measured the same to 0.01. Rounded up with at least one table of headroom
+# over every figure; 3 + 4 stays within the 8 charged when starts ran one at
+# a time, so every job admitted then is admitted now.
+SOLVER_SHARED_TABLES = 3
+SOLVER_START_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -147,11 +163,14 @@ class _PairTables(NamedTuple):
     as [pair, xcode, a, l], and their p log p (0 where p = 0) folded over the
     outputs the history code does not span: [pair, xcode, a], with a the code
     of y_{<n-1} (of nothing, one column, without feedback) and l that of the
-    outputs it does not span, so (a, l) is the ycode."""
+    outputs it does not span, so (a, l) is the ycode. width is how many
+    starts the ascent advances at once, all that the table budget admits
+    beside these tables (at least 1)."""
 
     labels: list
     probs: np.ndarray
     folded: np.ndarray
+    width: int
 
 
 def _fold_for(tables: _PairTables, feedback: FeedbackMap) -> _PairTables:
@@ -164,79 +183,137 @@ def _fold_for(tables: _PairTables, feedback: FeedbackMap) -> _PairTables:
 
 
 def _pair_values(g: np.ndarray, tables: _PairTables):
-    """Every pair's information functional at the code weights g[xcode, a]
-    (causal.code_weights), by two contractions over the stacked tables:
-    f_j = sum g folded_j - sum_y p_jy log p_jy with p_jy = sum_x W p_j, the
-    weight table W never built. Also returns log max(p_jy, tiny), shaped
-    [pair, a, rest of y], which the supergradient reuses."""
-    k = len(tables.folded)
-    p_y = np.einsum("xa,kxal->kal", g, tables.probs)
+    """Every pair's information functional at each start's code weights
+    g[start, xcode, a] (causal.code_weights), by two contractions over the
+    stacked tables: f_j = sum g folded_j - sum_y p_jy log p_jy with p_jy =
+    sum_x W p_j, the weight table W never built. Returns f[start, pair] and
+    log max(p_jy, tiny), shaped [start, pair, a, rest of y], which the
+    supergradient reuses."""
+    k, s = len(tables.folded), len(g)
+    p_y = np.einsum("sxa,kxal->skal", g, tables.probs)
     log_py = np.maximum(p_y, _TINY)
     np.log(log_py, out=log_py)
     p_y *= log_py
-    return tables.folded.reshape(k, -1) @ g.reshape(-1) - np.add.reduce(p_y.reshape(k, -1), axis=1), log_py
+    # one matrix-vector product per start, which rounds as a lone start's
+    f = (tables.folded.reshape(k, -1) @ g.reshape(s, -1, 1))[..., 0]
+    return f - np.add.reduce(p_y.reshape(s, k, -1), axis=2), log_py
 
 
-def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.ndarray:
-    """d f_j / dg = folded_j - sum_{rest of y} p_j (log p_jy + 1), from
-    _pair_values' log p_y: d f_j / dW summed over the outputs the code does
-    not span, the size of the code."""
-    u = np.einsum("xal,al->xa", tables.probs[j], log_py[j] + 1.0)
-    return np.subtract(tables.folded[j], u, out=u)
+def _pair_supergradient(tables: _PairTables, active, log_py: np.ndarray) -> np.ndarray:
+    """d f_j / dg = folded_j - sum_{rest of y} p_j (log p_jy + 1) for start
+    s at its pair j = active[s], from _pair_values' log p_y: d f_j / dW
+    summed over the outputs the code does not span, the size of the code,
+    shaped [start, xcode, a]. A pair's table is read in place, never copied
+    per start: one contraction when every start is at one pair, else one
+    per start."""
+    active = np.asarray(active)
+    lp = log_py[np.arange(len(active)), active]
+    lp += 1.0
+    u = np.empty((len(active),) + tables.folded.shape[1:])
+    pairs = active.tolist()
+    if pairs.count(pairs[0]) == len(pairs):
+        np.einsum("xal,sal->sxa", tables.probs[pairs[0]], lp, out=u)
+        return np.subtract(tables.folded[pairs[0]], u, out=u)
+    for s, j in enumerate(pairs):
+        np.einsum("xal,al->xa", tables.probs[j], lp[s], out=u[s])
+    return np.subtract(tables.folded[active], u, out=u)
 
 
 def _flat_step(flat: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
-    """Every step's conditionals moved by scale * supergradient, both stacked
-    row-wise, and projected back onto the simplex in one call (rows are
-    independent). Overwrites grad."""
+    """Every start's conditionals, each start's steps stacked row-wise, moved
+    by scale * supergradient and projected back onto the simplex in one call
+    over all their rows (rows are independent), in grad's place; returns
+    grad."""
     grad *= scale
     grad += flat
-    return project_rows_to_simplex(grad)
+    rows = grad.reshape(-1, grad.shape[-1])
+    project_rows_to_simplex(rows, out=rows)
+    return grad
 
 
 def _certificate(tables: _PairTables, code: np.ndarray, reach, f: np.ndarray, log_py: np.ndarray, pairs) -> float:
     """The least over `pairs` of the one-hot Frank-Wolfe bound on n C_n at
-    the sequence form `reach`: f_j + max_v <u_j, v> - <u_j, g>, with g its
-    code weights and u_j pair j's folded supergradient, one u_j alive at a
-    time."""
+    the sequence form `reach` of one start: f_j + max_v <u_j, v> - <u_j, g>,
+    with g its code weights and u_j pair j's folded supergradient, one u_j
+    alive at a time."""
     g = code_weights(reach, code).reshape(-1)
-    shapes = [r.shape for r in reach]
+    shapes = [r.shape[1:] for r in reach]
     bound = math.inf
     for j in pairs:
-        u = _pair_supergradient(tables, j, log_py)
-        bound = min(bound, float(f[j]) + policy_best_response(shapes, code, u) - float(u.reshape(-1) @ g))
+        u = _pair_supergradient(tables, [j], log_py)
+        bound = min(bound, float(f[0, j]) + policy_best_response(shapes, code, u) - float(u.reshape(-1) @ g))
     return bound
 
 
 def _evaluate(flat: np.ndarray, spans, code: np.ndarray, tables: _PairTables):
-    """An iterate's per-step views and sequence form, and every pair's value
-    and log p_y; the code weights die here, the supergradient needs only
-    log p_y."""
-    conds = [flat[a:b] for a, b in spans]
+    """The per-step views and sequence form of the iterates stacked on
+    flat's leading start axis, and every start's pair values and log p_y;
+    the code weights die here, the supergradient needs only log p_y."""
+    conds = [flat[:, a:b] for a, b in spans]
     reach = sequence_reach(conds)
     return (conds, reach) + _pair_values(code_weights(reach, code), tables)
 
 
-def _worst(f: list, n: int) -> tuple[float, int]:
-    """The least pair value per symbol and the active pair, the first within
-    GAP_TOL of it."""
-    j = min(f) / n
-    return j, next(k for k, v in enumerate(f) if v / n <= j + GAP_TOL)
+def _worst(f: np.ndarray, n: int):
+    """Each start's least pair value per symbol and its active pair, the
+    first within GAP_TOL of it."""
+    v = f / n
+    j = np.minimum.reduce(v, axis=1)
+    return j, (v <= (j + GAP_TOL)[:, None]).argmax(axis=1)
+
+
+def _ascend(flat: np.ndarray, spans, code: np.ndarray, tables: _PairTables, n: int, max_iters: int):
+    """Projected supergradient ascent from every start stacked on flat's
+    leading axis, all advanced together, each along its own active pair.
+    Returns each start's best visited value, its first iterate with that
+    value and its value history, [iteration, start]."""
+    best_v = np.full(len(flat), -math.inf)
+    best = np.empty_like(flat)
+    history = []
+    for t in range(1, max_iters + 1):
+        conds, reach, f, log_py = _evaluate(flat, spans, code, tables)
+        del reach[-1]  # the adjoint reads only the shorter reaches
+        j, active = _worst(f, n)
+        # the supergradient is passed straight in, so the adjoint frees it
+        # once it is binned; the weights, the reach and the per-step
+        # gradients die before the projection
+        grad = np.concatenate(policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py)), axis=1)
+        del conds, reach, f, log_py
+        history.append(j)
+        # a start keeps its first best iterate: only a strictly better value replaces it
+        np.copyto(best, flat, where=(j > best_v)[:, None, None])
+        np.fmax(best_v, j, out=best_v)
+        # the step writes the new iterate into grad's buffer; the old one dies
+        flat = _flat_step(flat, grad, STEP_INIT / (t ** STEP_POWER) / n)
+        del grad
+    return best_v, best, np.array(history)
+
+
+def _stacked(starts, width: int, rows: int, x_card: int) -> np.ndarray:
+    """The next `width` starts' conditionals, each start's steps stacked
+    row-wise, behind a leading start axis; one start is drawn at a time."""
+    flat = np.empty((width, rows, x_card))
+    for row in flat:
+        np.concatenate(next(starts).conditionals, out=row)
+    return flat
+
+
+def _start_count(cfg: SolverConfig, extra_starts: tuple) -> int:
+    """The uniform start, the extra ones and the random restarts."""
+    return 1 + len(extra_starts) + cfg.restarts
 
 
 def _solve(
-    family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg, extra_starts
+    family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg: SolverConfig, extra_starts: tuple
 ) -> CapacityReport:
     """Shared certify-then-ascend max-min solve and its report over the
     stacked pair tables."""
-    cfg = cfg or SolverConfig()
-    extra_starts = tuple(extra_starts)
     first = family.members[0]
     x_card, z_card = first.n_inputs, feedback.z_card
     code = history_code(x_card, feedback, n)
     tables = _fold_for(tables, feedback)
     # an iterate is every step's conditionals stacked row-wise in one array,
-    # step i in rows spans[i]
+    # step i in rows spans[i], behind a leading start axis
     ends = list(itertools.accumulate((x_card * z_card) ** i for i in range(n)))
     spans = list(zip([0] + ends[:-1], ends))
 
@@ -256,91 +333,82 @@ def _solve(
     # only pairs within n GAP_TOL of the minimum can close the gap, since
     # each pair's bound is at least its own value
     flat = np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
-    _, reach, f, log_py = _evaluate(flat, spans, code, tables)
-    lower, active = _worst(f.tolist(), n)
-    upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f <= f.min() + n * GAP_TOL)) / n
+    _, reach, f, log_py = _evaluate(flat[None], spans, code, tables)
+    lower, active = _worst(f, n)
+    lower = float(lower[0])
+    upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f[0] <= f.min() + n * GAP_TOL)) / n
     if upper - lower <= GAP_TOL:
         diag = SolverDiagnostics(converged=True, iterations=0, restarts=1, best_start=0, value_history=(lower,))
-        return report(lower, upper, flat, active, diag)
+        return report(lower, upper, flat, int(active[0]), diag)
     del flat, reach, f, log_py  # the start's arrays die before the ascent
 
-    # each start is drawn when its turn comes, so one is alive at a time; a
-    # run keeps its first best visited iterate (iterates are never written in
-    # place), and the first best run wins
+    # the starts run in groups of tables.width in start order, each group's
+    # drawn as it begins; the first best start wins
     rng = np.random.default_rng(cfg.seed)
     starts = itertools.chain(
         [uniform_policy(n, x_card, z_card)],
         extra_starts,
         (random_policy(n, x_card, z_card, rng) for _ in range(cfg.restarts)),
     )
-    c_n, best, best_start, history = -math.inf, None, 0, []
-    for s, q0 in enumerate(starts):
-        flat = np.concatenate(q0.conditionals)
-        run_v, run_flat, run_history = -math.inf, None, []
-        for t in range(1, cfg.max_iters + 1):
-            conds, reach, f, log_py = _evaluate(flat, spans, code, tables)
-            j, active = _worst(f.tolist(), n)
-            # the supergradient is passed straight in, so the adjoint frees it
-            # once it is binned; the weights, the reach and the per-step
-            # gradients die before the projection
-            grad = np.concatenate(policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py)))
-            del conds, reach, f, log_py
-            run_history.append(j)
-            if j > run_v:
-                run_v, run_flat = j, flat
-            flat = _flat_step(flat, grad, STEP_INIT / (t ** STEP_POWER) / n)
-            del grad  # overwritten by the step, it dies before the next evaluation
-        del flat
-        if run_v > c_n:
-            c_n, best, best_start, history = run_v, run_flat, s, run_history
-        del run_flat
-    _, reach, f, log_py = _evaluate(best, spans, code, tables)
-    upper = min(upper, _certificate(tables, code, reach, f, log_py, range(len(f))) / n)
+    count = _start_count(cfg, extra_starts)
+    c_n, best, best_start, history = -math.inf, None, 0, None
+    for s0 in range(0, count, tables.width):
+        values, iterates, histories = _ascend(
+            _stacked(starts, min(tables.width, count - s0), ends[-1], x_card), spans, code, tables, n, cfg.max_iters
+        )
+        s = int(values.argmax())
+        if values[s] > c_n:
+            c_n, best, best_start, history = float(values[s]), iterates[s].copy(), s0 + s, histories[:, s]
+        del iterates
+    _, reach, f, log_py = _evaluate(best[None], spans, code, tables)
+    upper = min(upper, _certificate(tables, code, reach, f, log_py, range(f.shape[1])) / n)
     diag = SolverDiagnostics(
         converged=upper - c_n <= GAP_TOL,
         iterations=cfg.max_iters,
-        restarts=1 + len(extra_starts) + cfg.restarts,
+        restarts=count,
         best_start=best_start,
-        value_history=tuple(history),
+        value_history=tuple(history.tolist()),
     )
-    return report(c_n, upper, best, _worst(f.tolist(), n)[1], diag)
+    return report(c_n, upper, best, int(_worst(f, n)[1][0]), diag)
 
 
-def _pair_tables(family: CompoundFamily, n: int, starts) -> _PairTables:
+def _pair_tables(family: CompoundFamily, n: int, pairs, starts: int) -> _PairTables:
     """The stacked channel tables of (pair label, member, s0 prior) triples,
-    once the solver's whole working set fits the table budget."""
-    starts = list(starts)
+    once the solver's whole working set fits the table budget: the pairs'
+    tables, the shared temporaries and those of as many of the solve's
+    `starts` as fit (at least one)."""
+    pairs = list(pairs)
     first = family.members[0]
     y_card = first.n_outputs
     x_paths, y_paths = first.n_inputs ** n, y_card ** n
     # charged in 1/|Y| tables: |Y| + 1 per pair, |Y| per temporary table
-    check_table_bytes(
-        x_paths * y_paths // y_card,
-        (y_card + 1) * len(starts) + y_card * SOLVER_TEMP_TABLES,
-        "capacity solver",
-    )
-    probs = np.empty((len(starts), x_paths, y_paths))
-    folded = np.empty((len(starts), x_paths, y_paths // y_card))
+    entries = x_paths * y_paths // y_card
+    fixed = (y_card + 1) * len(pairs) + y_card * SOLVER_SHARED_TABLES
+    per_start = y_card * SOLVER_START_TABLES
+    width = max(1, min(starts, spare_tables(entries, fixed) // per_start))
+    check_table_bytes(entries, fixed + per_start * width, "capacity solver")
+    probs = np.empty((len(pairs), x_paths, y_paths))
+    folded = np.empty((len(pairs), x_paths, y_paths // y_card))
     plogp = np.empty((x_paths, y_paths))  # one pair's, reused
-    for k, (_, m, s0) in enumerate(starts):
+    for k, (_, m, s0) in enumerate(pairs):
         probs[k] = channel_prob_table(m, n, s0)
         plogp.fill(0.0)
         np.log(probs[k], out=plogp, where=probs[k] > 0)
         plogp *= probs[k]
         plogp.reshape(-1, y_card).sum(axis=1, out=folded[k].reshape(-1))
-    return _PairTables([label for label, _, _ in starts], probs.reshape(folded.shape + (y_card,)), folded)
+    return _PairTables([label for label, _, _ in pairs], probs.reshape(folded.shape + (y_card,)), folded, width)
 
 
-def _state_pairs(family: CompoundFamily, n: int):
+def _state_pairs(family: CompoundFamily, n: int, starts: int):
     """The stacked tables of the (state label, member label) pairs in
-    lexicographic evaluation order."""
+    lexicographic evaluation order, for a solve of `starts` starts."""
     states = family.members[0].states
-    starts = (
+    pairs = (
         ((str(s_label), label), m, s_idx)
         for s_idx, s_label in enumerate(states)
         for label, m in family
     )
-    return _pair_tables(family, n, starts)
+    return _pair_tables(family, n, pairs, starts)
 
 
 def _check_horizon(n: int) -> None:
@@ -361,7 +429,10 @@ def compute_Cn(
     _check_horizon(n)
     if feedback.table.size != family.members[0].n_outputs:
         raise ValidationError("feedback map does not cover the output alphabet")
-    return _solve(family, _state_pairs(family, n), feedback, n, cfg, extra_starts)
+    cfg = cfg or SolverConfig()
+    extra_starts = tuple(extra_starts)
+    tables = _state_pairs(family, n, _start_count(cfg, extra_starts))
+    return _solve(family, tables, feedback, n, cfg, extra_starts)
 
 
 def compute_Cn_nofeedback(family: CompoundFamily, n: int, cfg: SolverConfig | None = None) -> CapacityReport:
@@ -388,9 +459,9 @@ def compute_Cn_markovian(
         raise ValidationError(
             f"family is not uniformly ergodic within {ERGODICITY_MAX_N} steps at eps={ERGODICITY_EPS}"
         )
-    tables = _pair_tables(
-        family, n, ((("stationary", label), m, stationary_distribution(m)) for label, m in family)
-    )
+    cfg = cfg or SolverConfig()
+    pairs = ((("stationary", label), m, stationary_distribution(m)) for label, m in family)
+    tables = _pair_tables(family, n, pairs, _start_count(cfg, ()))
     return _solve(family, tables, feedback, n, cfg, ())
 
 
@@ -449,7 +520,9 @@ def blahut_arimoto(cond: np.ndarray):
     iterations); returns (their midpoint, the optimal input distribution).
     """
     p = np.asarray(cond, dtype=float)
-    if p.ndim != 2 or np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1)) > 1e-9:
+    if p.ndim != 2 or not np.isfinite(p).all():
+        raise ValidationError("conditional table must be a finite matrix")
+    if (p < 0).any() or np.abs(p.sum(axis=1) - 1).max() > 1e-9:
         raise ValidationError("conditional table must be row-stochastic")
     nx = p.shape[0]
     q = np.full(nx, 1.0 / nx)
@@ -525,13 +598,14 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
             raise ValidationError(f"member {label!r} is not Gilbert-Elliot shaped")
+    cfg = cfg or SolverConfig()
     first = family.members[0]
     nofb = no_feedback(first.outputs)
-    tables = _state_pairs(family, n)
+    tables = _state_pairs(family, n, _start_count(cfg, ()))
     nofb_tables = _fold_for(tables, nofb)
     reach_u = sequence_reach(uniform_policy(n, first.n_inputs, 1).conditionals)
     g_u = code_weights(reach_u, history_code(first.n_inputs, nofb, n))
-    uniform_value = float(_pair_values(g_u, nofb_tables)[0].min()) / n
+    uniform_value = float(_pair_values(g_u[None], nofb_tables)[0].min()) / n
     rep_fb = _solve(family, tables, identity_feedback(first.outputs), n, cfg, ())
     rep_nfb = _solve(family, nofb_tables, nofb, n, cfg, ())
     if rep_nfb.C_n_nats < uniform_value - 1e-9:

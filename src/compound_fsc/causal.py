@@ -182,11 +182,13 @@ def sequence_reach(conds) -> list[np.ndarray]:
     then x, the weight of the input prefix of (h, x) given its feedback
     prefix. The |Z| child rows (h, x, z) of step i + 1 inherit it. Each
     step's table is read as (reach size, |Z|, |X|), which keeps its last
-    axis, so a zero-stride step stays a view and is never copied."""
+    axis, so a zero-stride step stays a view and is never copied. Tables
+    with leading axes (one per start, say) are walked along them at once."""
     reach = [conds[0]]
     for c in conds[1:]:
-        child = c.reshape(reach[-1].size, -1, c.shape[-1])
-        reach.append((reach[-1].reshape(-1, 1, 1) * child).reshape(c.shape))
+        prev = reach[-1]
+        child = c.reshape(prev.shape[:-2] + (prev.shape[-2] * prev.shape[-1], -1, c.shape[-1]))
+        reach.append((prev.reshape(child.shape[:-2] + (1, 1)) * child).reshape(c.shape))
     return reach
 
 
@@ -281,6 +283,12 @@ def check_table_bytes(entries: int, arrays: int, what: str) -> None:
         )
 
 
+def spare_tables(entries: int, arrays: int) -> int:
+    """How many more tables of `entries` 8-byte entries fit the budget beside
+    `arrays` of them; negative once those alone exceed it."""
+    return TABLE_BYTES // (entries * 8) - arrays
+
+
 def channel_prob_table(fsc: FscSpec, n: int, s0_prior) -> np.ndarray:
     """Table P[xcode, ycode] = sum_s0 prior(s0) P(y^n || x^n, s0).
 
@@ -323,9 +331,11 @@ def code_weights(reach, code: np.ndarray) -> np.ndarray:
     spans: the last step's sequence-form weights read through the code, with
     a the code of the output prefix y_{<n-1} (one column without feedback).
     The weight table repeats each column over the output axes the code does
-    not span, so G is 1/|Y| of it with feedback and 1/|Y|^n without."""
+    not span, so G is 1/|Y| of it with feedback and 1/|Y|^n without. Leading
+    axes of the reach stay leading axes of G."""
     last = reach[-1]
-    return last.reshape(-1)[code].reshape(last.shape[1] ** len(reach), -1)
+    lead = last.shape[:-2]
+    return last.reshape(lead + (-1,)).take(code, axis=-1).reshape(lead + (last.shape[-1] ** len(reach), -1))
 
 
 def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
@@ -342,8 +352,14 @@ def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.nda
     code does not span, so u has the code's size. U_{n-1} sums u into the
     entries of conds[-1] by the code (a many-to-one feedback map merges
     entries), step i's gradient is U_i times the reach[i - 1] entry its row
-    extends, and U_{i-1} = sum_{z_{i-1}, x_i} conds[i] U_i."""
-    u = np.bincount(code.ravel(), u.ravel(), conds[-1].size).reshape(conds[-1].shape)
+    extends, and U_{i-1} = sum_{z_{i-1}, x_i} conds[i] U_i. With leading
+    axes on conds, reach and u (one per start, say), one bincount bins them
+    all, each leading index's code offset by the size of one last table."""
+    last = conds[-1]
+    size = last.shape[-2] * last.shape[-1]
+    idx = np.arange(0, last.size, size)[:, None] + code.reshape(-1)
+    u = np.bincount(idx.reshape(-1), u.reshape(-1), last.size).reshape(last.shape)
+    del idx
     grads = [None] * len(conds)
     for i in range(len(conds) - 1, 0, -1):
         # the rows of step i group by the (h, x) entry of step i - 1 they extend

@@ -32,8 +32,9 @@ def binary_entropy_nats(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
-def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of v onto the probability simplex.
+def project_rows_to_simplex(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of each row of v onto the probability simplex,
+    written to `out` when given (v itself may be passed).
 
     Sort-based algorithm; exact up to float rounding. Two-entry rows take the
     same arithmetic without the sort: with css = (a + b) - 1, theta is css / 2
@@ -46,25 +47,26 @@ def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     if n == 2:
         a, b = v[:, 0], v[:, 1]
         top = np.maximum(a, b)
-        top_less = top - 1.0
+        theta = top - 1.0
         half = a + b
         half -= 1.0
         half /= 2
         # the sort path's rho is 2 when the smaller entry stays positive, and
         # also when even the larger one fails (|top| too large for top - 1);
         # x - y > 0 is x > y in floats (gradual underflow), so no subtraction
-        rho2 = (np.minimum(a, b) > half) | (top_less >= top)
-        w = v - np.where(rho2, half, top_less)[:, None]
-        return np.maximum(w, 0.0, out=w)
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, n + 1)
-    cond = u - css / ind > 0
-    # rho: last index where the condition holds, guaranteed >= 1
-    rho = n - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(v.shape[0]), rho - 1] / rho
-    w = np.maximum(v - theta[:, None], 0.0)
-    return w
+        rho2 = (np.minimum(a, b) > half) | (theta >= top)
+        del top
+        np.copyto(theta, half, where=rho2)
+    else:
+        u = np.sort(v, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - 1.0
+        ind = np.arange(1, n + 1)
+        cond = u - css / ind > 0
+        # rho: last index where the condition holds, guaranteed >= 1
+        rho = n - np.argmax(cond[:, ::-1], axis=1)
+        theta = css[np.arange(v.shape[0]), rho - 1] / rho
+    w = np.subtract(v, theta[:, None], out=out)
+    return np.maximum(w, 0.0, out=w)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -6,6 +6,9 @@ import math
 import numpy as np
 
 from compound_fsc import (
+    CausalConditioning,
+    CompoundFamily,
+    FeedbackMap,
     ValidationError,
     causal_log_prob_rows,
     channel_prob_table,
@@ -13,8 +16,22 @@ from compound_fsc import (
     information_functional,
     policy_weight_table,
     product_policy,
+    random_policy,
+    uniform_policy,
 )
-from compound_fsc.util import enumerate_paths
+from compound_fsc.capacity import (
+    _TINY,
+    GAP_TOL,
+    STEP_INIT,
+    STEP_POWER,
+    CapacityReport,
+    SolverConfig,
+    SolverDiagnostics,
+    _fold_for,
+    _PairTables,
+)
+from compound_fsc.causal import code_weights, history_code, policy_adjoint, policy_best_response, sequence_reach
+from compound_fsc.util import enumerate_paths, project_rows_to_simplex
 
 
 def causal_channel_prob(fsc, xs, ys, s0) -> float:
@@ -95,3 +112,151 @@ def state_gap_per_call(q, fsc, feedback, prior) -> tuple:
         float(pr) * directed_information(q, fsc, s, feedback).value_nats for s, pr in enumerate(prior) if pr > 0
     )
     return mixed, given
+
+
+# The solver as it ran before its starts shared one batched ascent: each
+# start runs all its iterations before the next one is drawn. The batched
+# solver is checked against it to 1e-12.
+
+
+def _pair_values(g: np.ndarray, tables: _PairTables):
+    """Every pair's information functional at the code weights g[xcode, a]
+    (causal.code_weights), by two contractions over the stacked tables:
+    f_j = sum g folded_j - sum_y p_jy log p_jy with p_jy = sum_x W p_j, the
+    weight table W never built. Also returns log max(p_jy, tiny), shaped
+    [pair, a, rest of y], which the supergradient reuses."""
+    k = len(tables.folded)
+    p_y = np.einsum("xa,kxal->kal", g, tables.probs)
+    log_py = np.maximum(p_y, _TINY)
+    np.log(log_py, out=log_py)
+    p_y *= log_py
+    return tables.folded.reshape(k, -1) @ g.reshape(-1) - np.add.reduce(p_y.reshape(k, -1), axis=1), log_py
+
+
+def _pair_supergradient(tables: _PairTables, j: int, log_py: np.ndarray) -> np.ndarray:
+    """d f_j / dg = folded_j - sum_{rest of y} p_j (log p_jy + 1), from
+    _pair_values' log p_y: d f_j / dW summed over the outputs the code does
+    not span, the size of the code."""
+    u = np.einsum("xal,al->xa", tables.probs[j], log_py[j] + 1.0)
+    return np.subtract(tables.folded[j], u, out=u)
+
+
+def _flat_step(flat: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
+    """Every step's conditionals moved by scale * supergradient, both stacked
+    row-wise, and projected back onto the simplex in one call (rows are
+    independent). Overwrites grad."""
+    grad *= scale
+    grad += flat
+    return project_rows_to_simplex(grad)
+
+
+def _certificate(tables: _PairTables, code: np.ndarray, reach, f: np.ndarray, log_py: np.ndarray, pairs) -> float:
+    """The least over `pairs` of the one-hot Frank-Wolfe bound on n C_n at
+    the sequence form `reach`: f_j + max_v <u_j, v> - <u_j, g>, with g its
+    code weights and u_j pair j's folded supergradient, one u_j alive at a
+    time."""
+    g = code_weights(reach, code).reshape(-1)
+    shapes = [r.shape for r in reach]
+    bound = math.inf
+    for j in pairs:
+        u = _pair_supergradient(tables, j, log_py)
+        bound = min(bound, float(f[j]) + policy_best_response(shapes, code, u) - float(u.reshape(-1) @ g))
+    return bound
+
+
+def _evaluate(flat: np.ndarray, spans, code: np.ndarray, tables: _PairTables):
+    """An iterate's per-step views and sequence form, and every pair's value
+    and log p_y; the code weights die here, the supergradient needs only
+    log p_y."""
+    conds = [flat[a:b] for a, b in spans]
+    reach = sequence_reach(conds)
+    return (conds, reach) + _pair_values(code_weights(reach, code), tables)
+
+
+def _worst(f: list, n: int) -> tuple[float, int]:
+    """The least pair value per symbol and the active pair, the first within
+    GAP_TOL of it."""
+    j = min(f) / n
+    return j, next(k for k, v in enumerate(f) if v / n <= j + GAP_TOL)
+
+
+def solve_one_start_at_a_time(
+    family: CompoundFamily, tables: _PairTables, feedback: FeedbackMap, n: int, cfg, extra_starts
+) -> CapacityReport:
+    """The parent solver's certify-then-ascend max-min solve over the
+    stacked pair tables, its starts run one after another."""
+    cfg = cfg or SolverConfig()
+    extra_starts = tuple(extra_starts)
+    first = family.members[0]
+    x_card, z_card = first.n_inputs, feedback.z_card
+    code = history_code(x_card, feedback, n)
+    tables = _fold_for(tables, feedback)
+    # an iterate is every step's conditionals stacked row-wise in one array,
+    # step i in rows spans[i]
+    ends = list(itertools.accumulate((x_card * z_card) ** i for i in range(n)))
+    spans = list(zip([0] + ends[:-1], ends))
+
+    def report(c_n, upper, flat, active, diag):
+        return CapacityReport(
+            n=n,
+            state_count=first.n_states,
+            C_n_nats=c_n,
+            upper_nats=upper,
+            worst_case=tables.labels[active],
+            policy=CausalConditioning(
+                horizon=n, x_card=x_card, z_card=z_card, conditionals=tuple(flat[a:b] for a, b in spans)
+            ),
+            diagnostics=diag,
+        )
+
+    # only pairs within n GAP_TOL of the minimum can close the gap, since
+    # each pair's bound is at least its own value
+    flat = np.concatenate(uniform_policy(n, x_card, z_card).conditionals)
+    _, reach, f, log_py = _evaluate(flat, spans, code, tables)
+    lower, active = _worst(f.tolist(), n)
+    upper = _certificate(tables, code, reach, f, log_py, np.flatnonzero(f <= f.min() + n * GAP_TOL)) / n
+    if upper - lower <= GAP_TOL:
+        diag = SolverDiagnostics(converged=True, iterations=0, restarts=1, best_start=0, value_history=(lower,))
+        return report(lower, upper, flat, active, diag)
+    del flat, reach, f, log_py  # the start's arrays die before the ascent
+
+    # each start is drawn when its turn comes, so one is alive at a time; a
+    # run keeps its first best visited iterate (iterates are never written in
+    # place), and the first best run wins
+    rng = np.random.default_rng(cfg.seed)
+    starts = itertools.chain(
+        [uniform_policy(n, x_card, z_card)],
+        extra_starts,
+        (random_policy(n, x_card, z_card, rng) for _ in range(cfg.restarts)),
+    )
+    c_n, best, best_start, history = -math.inf, None, 0, []
+    for s, q0 in enumerate(starts):
+        flat = np.concatenate(q0.conditionals)
+        run_v, run_flat, run_history = -math.inf, None, []
+        for t in range(1, cfg.max_iters + 1):
+            conds, reach, f, log_py = _evaluate(flat, spans, code, tables)
+            j, active = _worst(f.tolist(), n)
+            # the supergradient is passed straight in, so the adjoint frees it
+            # once it is binned; the weights, the reach and the per-step
+            # gradients die before the projection
+            grad = np.concatenate(policy_adjoint(conds, reach, code, _pair_supergradient(tables, active, log_py)))
+            del conds, reach, f, log_py
+            run_history.append(j)
+            if j > run_v:
+                run_v, run_flat = j, flat
+            flat = _flat_step(flat, grad, STEP_INIT / (t ** STEP_POWER) / n)
+            del grad  # overwritten by the step, it dies before the next evaluation
+        del flat
+        if run_v > c_n:
+            c_n, best, best_start, history = run_v, run_flat, s, run_history
+        del run_flat
+    _, reach, f, log_py = _evaluate(best, spans, code, tables)
+    upper = min(upper, _certificate(tables, code, reach, f, log_py, range(len(f))) / n)
+    diag = SolverDiagnostics(
+        converged=upper - c_n <= GAP_TOL,
+        iterations=cfg.max_iters,
+        restarts=1 + len(extra_starts) + cfg.restarts,
+        best_start=best_start,
+        value_history=tuple(history),
+    )
+    return report(c_n, upper, best, _worst(f.tolist(), n)[1], diag)

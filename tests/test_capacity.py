@@ -124,6 +124,13 @@ def test_blahut_arimoto_closed_forms():
         blahut_arimoto(np.array([[0.9, 0.2], [0.2, 0.8]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_blahut_arimoto_rejects_non_finite_entries(bad):
+    # NaN passes both the sign and the row-sum comparisons, so it must be
+    # refused up front rather than iterated on
+    with pytest.raises(ValidationError, match="finite"):
+        blahut_arimoto(np.array([[bad, 1.0], [0.5, 0.5]]))
+
 def test_solver_consistent_with_blahut_arimoto():
     rng = np.random.default_rng(101)
     for _ in range(3):
@@ -309,11 +316,17 @@ def test_solver_admits_n10_on_ge_gap(monkeypatch):
 
 
 def test_solver_admits_n11_on_ge_gap(monkeypatch):
-    # the working set no longer grows with n, so n = 11 now fits the budget
+    # the working set no longer grows with n, so n = 11 now fits the budget,
+    # also with the default starts (their group narrows to what fits); n = 12
+    # does not, even with one start
     monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
     fam = ge_gap_family()
-    with pytest.raises(_Built):
-        compute_Cn(fam, identity_feedback(fam.members[0].outputs), 11, SolverConfig(max_iters=3, restarts=0))
+    fb = identity_feedback(fam.members[0].outputs)
+    for cfg in (SolverConfig(max_iters=3, restarts=0), SolverConfig()):
+        with pytest.raises(_Built):
+            compute_Cn(fam, fb, 11, cfg)
+        with pytest.raises(CapExceededError):
+            compute_Cn(fam, fb, 12, cfg)
 
 
 def test_solver_charge_bounds_its_measured_peak(monkeypatch):
@@ -373,7 +386,7 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
         starts = [((s, label), m, s) for s in range(2) for label, m in fam]
     else:  # the pairs of compute_Cn_markovian
         starts = [(("stationary", label), m, stationary_distribution(m)) for label, m in fam]
-    tables = capmod._fold_for(capmod._pair_tables(fam, n, starts), fb)
+    tables = capmod._fold_for(capmod._pair_tables(fam, n, starts, 1), fb)
     code = history_code(2, fb, n)
     rng = np.random.default_rng(11)
     q = random_policy(n, 2, fb.z_card, rng)
@@ -381,11 +394,12 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
     onehot = (np.array([[1.0, 0.0]]),) + q.conditionals[1:]
     for conds in (q.conditionals, onehot):
         w = policy_weight_table(replace(q, conditionals=conds), 3, fb)
-        f, log_py = capmod._pair_values(code_weights(sequence_reach(conds), code), tables)
+        # one start, on the leading start axis
+        f, log_py = capmod._pair_values(code_weights(sequence_reach(conds), code)[None], tables)
         for k, (_, m, s0) in enumerate(starts):
             p = channel_prob_table(m, n, s0)
-            assert f[k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
-            got = capmod._pair_supergradient(tables, k, log_py)
+            assert f[0, k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
+            got = capmod._pair_supergradient(tables, [k], log_py)[0]
             # the oracle folded over the output axes the code does not span
             want = _per_pair_didw(w, p).reshape(got.shape + (-1,)).sum(axis=-1)
             assert got.size == code.size
@@ -394,12 +408,21 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
 
 
 def test_flat_projection_matches_per_step_projections_bitwise():
+    # the batched step projects every start's steps in one call, bitwise as
+    # one projection per start and step
     rng = np.random.default_rng(5)
-    q = random_policy(4, 3, 2, rng)
+    starts = [random_policy(4, 3, 2, rng) for _ in range(3)]
     for scale in (0.01, 0.5, 40.0):  # the largest pushes rows onto the boundary
-        grads = [rng.normal(size=c.shape) for c in q.conditionals]
-        want = np.concatenate([project_rows_to_simplex(c + scale * g) for c, g in zip(q.conditionals, grads)])
-        got = capmod._flat_step(np.concatenate(q.conditionals), np.concatenate(grads), scale)
+        grads = [[rng.normal(size=c.shape) for c in q.conditionals] for q in starts]
+        want = np.stack(
+            [
+                np.concatenate([project_rows_to_simplex(c + scale * g) for c, g in zip(q.conditionals, gs)])
+                for q, gs in zip(starts, grads)
+            ]
+        )
+        flat = np.stack([np.concatenate(q.conditionals) for q in starts])
+        got = capmod._flat_step(flat, np.stack([np.concatenate(gs) for gs in grads]), scale)
+        assert got.shape == flat.shape
         assert np.array_equal(got, want)
 
 
@@ -427,7 +450,10 @@ def test_two_column_projection_matches_sort_path_bitwise():
     cases.append(np.stack([base, base], axis=1))  # a = b
     cases.append(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [0.5, 0.5], [-0.0, 0.0]]))
     for v in cases:
-        assert np.array_equal(project_rows_to_simplex(v), _sort_projection(v))
+        want = _sort_projection(v)
+        assert np.array_equal(project_rows_to_simplex(v), want)
+        w = v.copy()  # projected in its own place, as the ascent does
+        assert project_rows_to_simplex(w, out=w) is w and np.array_equal(w, want)
 
 
 @pytest.mark.parametrize("fb_table", [(0, 1, 2), (0, 1, 1), (0, 0, 0)], ids=["identity", "coarse", "none"])
@@ -484,9 +510,9 @@ def test_solver_projects_once_per_ascent_step(monkeypatch):
     calls = []
     project = capmod.project_rows_to_simplex
 
-    def counting(v):
+    def counting(v, out=None):
         calls.append(v.shape)
-        return project(v)
+        return project(v, out=out)
 
     monkeypatch.setattr(capmod, "project_rows_to_simplex", counting)
     assert not hasattr(capmod, "information_functional")
@@ -497,16 +523,17 @@ def test_solver_projects_once_per_ascent_step(monkeypatch):
     fam = random_family(np.random.default_rng(1), 2, 2)
     rep = compute_Cn(fam, identity_feedback(fam.members[0].outputs), 3, cfg)
     assert not rep.diagnostics.converged
-    # 7 steps from each of 2 starts; each call covers the rows of all 3 steps
-    assert calls == [(1 + 4 + 16, 2)] * 14
+    # 7 steps, each advancing both starts at once; each call covers the rows
+    # of all 3 steps of both starts
+    assert calls == [(2 * (1 + 4 + 16), 2)] * 7
 
 
 def _bound_at(fam, fb, q):
     # the one-hot certificate over every pair, evaluated at any policy q
     n = q.horizon
-    tables = capmod._fold_for(capmod._state_pairs(fam, n), fb)
+    tables = capmod._fold_for(capmod._state_pairs(fam, n, 1), fb)
     code = history_code(q.x_card, fb, n)
-    reach = sequence_reach(q.conditionals)
+    reach = sequence_reach([c[None] for c in q.conditionals])  # one start
     f, log_py = capmod._pair_values(code_weights(reach, code), tables)
     return capmod._certificate(tables, code, reach, f, log_py, range(len(f))) / n
 

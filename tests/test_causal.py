@@ -217,6 +217,26 @@ def test_policy_adjoint_matches_multilinear_difference():
                     assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
 
 
+def test_leading_start_axis_matches_lone_starts_bitwise():
+    # a stack of policies walks, gathers and bins as each policy alone
+    rng = np.random.default_rng(31)
+    for x_card, fb in FEEDBACK_CASES:
+        for n in (1, 2, 3):
+            code = history_code(x_card, fb, n)
+            policies = [random_policy(n, x_card, fb.z_card, rng).conditionals for _ in range(3)]
+            stacked = [np.stack(steps) for steps in zip(*policies)]
+            u = rng.standard_normal((3, x_card ** n, code.size // x_card ** n))
+            reach = sequence_reach(stacked)
+            g = code_weights(reach, code)
+            grads = policy_adjoint(stacked, reach, code, u)
+            for s, conds in enumerate(policies):
+                lone = sequence_reach(conds)
+                assert all(np.array_equal(a[s], b) for a, b in zip(reach, lone, strict=True))
+                assert np.array_equal(g[s], code_weights(lone, code))
+                want = policy_adjoint(conds, lone, code, u[s])
+                assert all(np.array_equal(a[s], b) for a, b in zip(grads, want, strict=True))
+
+
 @pytest.mark.parametrize(
     "fb, horizons",
     [
