@@ -357,8 +357,10 @@ def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.nda
     all, each leading index's code offset by the size of one last table."""
     last = conds[-1]
     size = last.shape[-2] * last.shape[-1]
-    idx = np.arange(0, last.size, size)[:, None] + code.reshape(-1)
-    u = np.bincount(idx.reshape(-1), u.reshape(-1), last.size).reshape(last.shape)
+    idx = code.reshape(-1)
+    if last.size > size:
+        idx = (np.arange(0, last.size, size)[:, None] + idx).reshape(-1)
+    u = np.bincount(idx, u.reshape(-1), last.size).reshape(last.shape)
     del idx
     grads = [None] * len(conds)
     for i in range(len(conds) - 1, 0, -1):

@@ -32,9 +32,10 @@ def binary_entropy_nats(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
-def project_rows_to_simplex(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of v onto the probability simplex,
-    written to `out` when given (v itself may be passed).
+    in place: written into v, or into the 2-D float64 array v converts to,
+    and returned.
 
     Sort-based algorithm; exact up to float rounding. Two-entry rows take the
     same arithmetic without the sort: with css = (a + b) - 1, theta is css / 2
@@ -65,8 +66,8 @@ def project_rows_to_simplex(v: np.ndarray, out: np.ndarray | None = None) -> np.
         # rho: last index where the condition holds, guaranteed >= 1
         rho = n - np.argmax(cond[:, ::-1], axis=1)
         theta = css[np.arange(v.shape[0]), rho - 1] / rho
-    w = np.subtract(v, theta[:, None], out=out)
-    return np.maximum(w, 0.0, out=w)
+    v -= theta[:, None]
+    return np.maximum(v, 0.0, out=v)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

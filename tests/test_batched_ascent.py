@@ -1,7 +1,8 @@
 """The solver advances all of a solve's starts as one batched ascent, in
-groups as wide as the table budget admits. These tests check it against the
-one-start-at-a-time loop it replaced (oracles.solve_one_start_at_a_time)
-and check that the group width changes nothing but the grouping."""
+groups as wide as the table budget and the groups' code span admit. These
+tests check it against the one-start-at-a-time loop it replaced
+(oracles.solve_one_start_at_a_time) and check that the group width changes
+nothing but the grouping."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from compound_fsc import (
     stationary_distribution,
     superadditivity_check,
 )
+from compound_fsc.causal import history_code
 from compound_fsc.verify import random_family, random_fsc
 from oracles import solve_one_start_at_a_time
 
@@ -130,9 +132,9 @@ def traced_solve(monkeypatch, fam, fb, n, cfg):
         events.append(("draw", np.concatenate(q.conditionals).tobytes()))
         return q
 
-    def projecting(v, out=None):
+    def projecting(v):
         events.append(("project", v.shape[0]))
-        return project(v, out=out)
+        return project(v)
 
     monkeypatch.setattr(capmod, "random_policy", drawing)
     monkeypatch.setattr(capmod, "project_rows_to_simplex", projecting)
@@ -143,7 +145,8 @@ def traced_solve(monkeypatch, fam, fb, n, cfg):
 
 
 @pytest.mark.parametrize("width", [1, 2])
-def test_group_width_changes_only_the_grouping(monkeypatch, width):
+@pytest.mark.parametrize("limit", ["budget", "code-span"])
+def test_group_width_changes_only_the_grouping(monkeypatch, limit, width):
     fam = random_family(np.random.default_rng(1), 2, 2)
     fb = identity_feedback(fam.members[0].outputs)
     n, iters = 3, 5
@@ -151,8 +154,13 @@ def test_group_width_changes_only_the_grouping(monkeypatch, width):
     cfg = SolverConfig(max_iters=iters, restarts=3)
     full, full_events = traced_solve(monkeypatch, fam, fb, n, cfg)
     assert capmod._state_pairs(fam, n, 4).width == 4
-    monkeypatch.setattr(causal, "TABLE_BYTES", budget_for_width(fam, n, width))
-    assert capmod._state_pairs(fam, n, 4).width == width
+    if limit == "budget":
+        monkeypatch.setattr(causal, "TABLE_BYTES", budget_for_width(fam, n, width))
+        assert capmod._state_pairs(fam, n, 4).width == width
+    else:
+        # the group's starts span at most GROUP_CODE_ENTRIES code entries
+        span = history_code(2, fb, n).size
+        monkeypatch.setattr(capmod, "GROUP_CODE_ENTRIES", (width + 1) * span - 1)
     rep, events = traced_solve(monkeypatch, fam, fb, n, cfg)
     assert_matches(rep, full)
     # the same random starts in the same order, each group's drawn as it begins

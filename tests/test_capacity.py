@@ -338,11 +338,15 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
         guard(entries, arrays, what)
 
     monkeypatch.setattr(capmod, "check_table_bytes", recording)
+    group = capmod.GROUP_CODE_ENTRIES
     # ge-gap is certified at the uniform start; the random family runs the
     # ascent and then the certificate over every pair
     for fam in (ge_gap_family(), random_family(np.random.default_rng(1), 2, 2)):
-        # without restarts, and with the default ones that every CLI solve runs
-        for restarts in (0, SolverConfig().restarts):
+        # without restarts, and with the default ones that every CLI solve
+        # runs, one at a time (n = 8 is past the group's code span) and all
+        # advanced together, the widest group the budget admits
+        for restarts, span in ((0, group), (SolverConfig().restarts, group), (SolverConfig().restarts, 2**40)):
+            monkeypatch.setattr(capmod, "GROUP_CODE_ENTRIES", span)
             charged.clear()
             tracemalloc.start()
             try:
@@ -451,9 +455,8 @@ def test_two_column_projection_matches_sort_path_bitwise():
     cases.append(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [0.5, 0.5], [-0.0, 0.0]]))
     for v in cases:
         want = _sort_projection(v)
-        assert np.array_equal(project_rows_to_simplex(v), want)
         w = v.copy()  # projected in its own place, as the ascent does
-        assert project_rows_to_simplex(w, out=w) is w and np.array_equal(w, want)
+        assert project_rows_to_simplex(w) is w and np.array_equal(w, want)
 
 
 @pytest.mark.parametrize("fb_table", [(0, 1, 2), (0, 1, 1), (0, 0, 0)], ids=["identity", "coarse", "none"])
@@ -510,9 +513,9 @@ def test_solver_projects_once_per_ascent_step(monkeypatch):
     calls = []
     project = capmod.project_rows_to_simplex
 
-    def counting(v, out=None):
+    def counting(v):
         calls.append(v.shape)
-        return project(v, out=out)
+        return project(v)
 
     monkeypatch.setattr(capmod, "project_rows_to_simplex", counting)
     assert not hasattr(capmod, "information_functional")
