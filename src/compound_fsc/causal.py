@@ -354,11 +354,13 @@ def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.nda
     entries), step i's gradient is U_i times the reach[i - 1] entry its row
     extends, and U_{i-1} = sum_{z_{i-1}, x_i} conds[i] U_i. With leading
     axes on conds, reach and u (one per start, say), one bincount bins them
-    all, each leading index's code offset by the size of one last table."""
+    all, each leading index's code offset by the size of one last table. A
+    caller that bins the same stack on every call may pass that offset
+    index, built once, as `code`."""
     last = conds[-1]
-    size = last.shape[-2] * last.shape[-1]
     idx = code.reshape(-1)
-    if last.size > size:
+    if idx.size < u.size:
+        size = last.shape[-2] * last.shape[-1]
         idx = (np.arange(0, last.size, size)[:, None] + idx).reshape(-1)
     u = np.bincount(idx, u.reshape(-1), last.size).reshape(last.shape)
     del idx

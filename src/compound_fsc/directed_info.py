@@ -17,7 +17,6 @@ from .capacity import GAP_TOL, SolverConfig, compute_Cn
 from .causal import (
     CausalConditioning,
     channel_prob_table,
-    joint_and_output_probs,
     policy_weight_table,
     uniform_policy,
 )
@@ -103,8 +102,22 @@ def _directed_info(w: np.ndarray, p: np.ndarray, q: CausalConditioning, y_card: 
 
 def directed_information_kim(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> float:
     """Same quantity through the exchange identity; agrees to 1e-10."""
-    joint, _ = joint_and_output_probs(q, fsc, s0, feedback)
-    return math.fsum(exchange_terms(joint, q.horizon, q.x_card, fsc.n_outputs))
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    return _exchange_value(w * channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs)
+
+
+def _exchange_value(joint: np.ndarray, q: CausalConditioning, y_card: int) -> float:
+    """directed_information_kim on the path joint of q and a channel."""
+    return math.fsum(exchange_terms(joint, q.horizon, q.x_card, y_card))
+
+
+def _routes(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> tuple[DirectedInfoResult, float]:
+    """directed_information and directed_information_kim on one build of
+    the weight and channel tables; each route still computes its own terms
+    from them."""
+    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    p = channel_prob_table(fsc, q.horizon, s0)
+    return _directed_info(w, p, q, fsc.n_outputs), _exchange_value(w * p, q, fsc.n_outputs)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from .causal import random_policy
 from .channel import CompoundFamily, FscSpec, bsc, identity_feedback
 from .decoder import RankingFunction, merge_rankings, separability_check
 from .directed_info import (
+    _routes,
     continuity_bound_check,
-    directed_information,
-    directed_information_kim,
     state_gap_check,
     zero_capacity_witness,
 )
@@ -72,8 +71,7 @@ def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
         fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
-        res = directed_information(q, fsc, s0, fb)
-        kim = directed_information_kim(q, fsc, s0, fb)
+        res, kim = _routes(q, fsc, s0, fb)
         step_sum = math.fsum(res.per_step)
         dev = max(abs(res.value_nats - step_sum), abs(res.value_nats - kim), abs(step_sum - kim))
         worst = max(worst, dev)
@@ -156,15 +154,14 @@ def suite_superadditivity(instances: int = 12, seed: int = 23, slack: float = 1e
     """n*hatC_n >= k*hatC_k + m*hatC_m on random small families."""
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(max_iters=60, restarts=1, seed=seed)
-    worst = -math.inf
-    violations = 0
+    cases = []
     for idx in range(instances):
         family = random_family(rng, n_members=1 + idx % 2, n_states=2)
-        fb = identity_feedback(family.members[0].outputs)
         k, m = (1, 1) if idx % 2 == 0 else (1, 2)
-        res = superadditivity_check(family, fb, k, m, cfg, slack=slack)
-        worst = max(worst, res.rhs - res.lhs)
-        violations += not res.passed
+        cases.append((family, identity_feedback(family.members[0].outputs), k, m))
+    results = superadditivity_check(cases, cfg, slack=slack)
+    worst = max((res.rhs - res.lhs for res in results), default=-math.inf)
+    violations = sum(not res.passed for res in results)
     return CheckResult(
         name="superadditivity",
         passed=violations == 0,

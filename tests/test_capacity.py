@@ -210,7 +210,7 @@ def test_superadditivity_with_warm_start():
     fam = ge_family((0.35, 0.25, 0.05, 0.4))
     fb = identity_feedback((0, 1))
     for k, m in ((1, 1), (1, 2)):
-        res = superadditivity_check(fam, fb, k, m, SolverConfig(max_iters=60, restarts=1), slack=1e-3)
+        (res,) = superadditivity_check([(fam, fb, k, m)], SolverConfig(max_iters=60, restarts=1), slack=1e-3)
         assert res.passed
         assert res.lhs >= res.rhs - 1e-3
         assert res.report_n.n == k + m
@@ -390,7 +390,7 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
         starts = [((s, label), m, s) for s in range(2) for label, m in fam]
     else:  # the pairs of compute_Cn_markovian
         starts = [(("stationary", label), m, stationary_distribution(m)) for label, m in fam]
-    tables = capmod._fold_for(capmod._pair_tables(fam, n, starts, 1), fb)
+    tables = capmod._fold_for(capmod._pair_tables(fam.members[0], n, [starts], 1), fb)
     code = history_code(2, fb, n)
     rng = np.random.default_rng(11)
     q = random_policy(n, 2, fb.z_card, rng)
@@ -398,12 +398,12 @@ def test_stacked_pair_values_match_per_pair_evaluation(fb_table, prior):
     onehot = (np.array([[1.0, 0.0]]),) + q.conditionals[1:]
     for conds in (q.conditionals, onehot):
         w = policy_weight_table(replace(q, conditionals=conds), 3, fb)
-        # one start, on the leading start axis
-        f, log_py = capmod._pair_values(code_weights(sequence_reach(conds), code)[None], tables)
+        # one problem and one start, on the leading problem and start axes
+        f, log_py = capmod._pair_values(code_weights(sequence_reach(conds), code)[None, None], tables)
         for k, (_, m, s0) in enumerate(starts):
             p = channel_prob_table(m, n, s0)
-            assert f[0, k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
-            got = capmod._pair_supergradient(tables, [k], log_py)[0]
+            assert f[0, 0, k] == pytest.approx(information_functional(w, p), rel=0, abs=1e-12)
+            got = capmod._pair_supergradient(tables, [0], [k], log_py[0])[0]
             # the oracle folded over the output axes the code does not span
             want = _per_pair_didw(w, p).reshape(got.shape + (-1,)).sum(axis=-1)
             assert got.size == code.size
@@ -534,11 +534,11 @@ def test_solver_projects_once_per_ascent_step(monkeypatch):
 def _bound_at(fam, fb, q):
     # the one-hot certificate over every pair, evaluated at any policy q
     n = q.horizon
-    tables = capmod._fold_for(capmod._state_pairs(fam, n, 1), fb)
+    tables = capmod._fold_for(capmod._pair_tables(fam.members[0], n, [capmod._state_pairs(fam)], 1), fb)
     code = history_code(q.x_card, fb, n)
     reach = sequence_reach([c[None] for c in q.conditionals])  # one start
-    f, log_py = capmod._pair_values(code_weights(reach, code), tables)
-    return capmod._certificate(tables, code, reach, f, log_py, range(len(f))) / n
+    f, log_py = capmod._pair_values(code_weights(reach, code)[None], tables)  # one problem
+    return capmod._certificate(tables, code, reach, f[0, 0], log_py[0, 0], range(f.shape[-1])) / n
 
 
 def test_certificate_brackets_n1_grid_oracle():
@@ -664,7 +664,7 @@ def test_identity_feedback_ascent_pinned():
     # start passed as an extra start
     fam = random_family(np.random.default_rng(23), 2, 2)
     fb = identity_feedback(fam.members[0].outputs)
-    res = superadditivity_check(fam, fb, 1, 2, SolverConfig(max_iters=60, restarts=1, seed=23))
+    (res,) = superadditivity_check([(fam, fb, 1, 2)], SolverConfig(max_iters=60, restarts=1, seed=23))
     want = (
         (0.0022559568075244396, 0.0022831965225705853, 0),
         (0.014872619567714795, 0.02210389088572573, 0),

@@ -32,6 +32,7 @@ KEPT = {
     "channel.save_family": "writes the family file that README documents and load_family reads",
     # scalar oracles that the vectorised paths are checked against
     "causal.input_prob": "one path's policy weight",
+    "causal.joint_and_output_probs": "the exact path joint and output law the entropy oracles read",
     "causal.mixture_policy": "the convex combination in path space",
     "codetree.sample_codetree": "one tree drawn, the stream sample_symbols reproduces",
     "codetree.tree_prob": "the law of sample_codetree",

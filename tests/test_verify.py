@@ -1,7 +1,8 @@
 import pytest
 
+import compound_fsc.directed_info as dimod
 from compound_fsc import CheckResult, ValidationError, run_suites
-from compound_fsc.verify import SUITES
+from compound_fsc.verify import SUITES, suite_kim_identity
 
 # (passed, instances, violations, worst) of every suite at seed 0
 PINNED = {
@@ -36,6 +37,21 @@ def test_suite_values_pinned(all_results):
         passed, instances, violations, worst = PINNED[r.name]
         assert (r.passed, r.instances, r.violations) == (passed, instances, violations), r.line()
         assert r.worst == pytest.approx(worst, abs=1e-12), r.line()
+
+
+def test_kim_identity_builds_each_path_table_once(monkeypatch):
+    # the three routes share one weight table and one channel table per instance
+    calls = {"policy_weight_table": 0, "channel_prob_table": 0}
+    for name in calls:
+        build = getattr(dimod, name)
+
+        def counting(*args, _name=name, _build=build):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(dimod, name, counting)
+    assert suite_kim_identity(instances=7).passed
+    assert calls == {"policy_weight_table": 7, "channel_prob_table": 7}
 
 
 def test_single_suite_by_name():
