@@ -4,10 +4,13 @@ suites, and estimation demos.
 Conventions
 -----------
 * results go to stdout, diagnostics to stderr;
-* every run writes a manifest.json into the output directory, and every
-  result file names its manifest;
-* `rerun <manifest>` reproduces the result files byte for byte (only the
-  timing fields of the manifest itself differ);
+* each subcommand returns a `Run` (config, seed, result files, stage
+  timings, exit code) and `main` alone writes it: the output directory,
+  every result file through `_write`, and a manifest.json whose metrics
+  always carry wall_clock_s, write_s and peak_rss_mb;
+* every result file names its manifest, and the manifest's argv holds every
+  option the parser set, so `rerun <manifest>` reproduces the result files
+  byte for byte (only the manifest's timing fields differ);
 * exit codes: 0 ok, 1 failed verification, 2 malformed input, 3 enumeration
   cap exceeded, 4 capacity not certified: the gap between the reported C_n
   and its upper bound exceeds capacity.GAP_TOL (report still written).
@@ -17,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,20 +33,14 @@ import numpy as np
 from . import __version__
 from .capacity import GAP_TOL, SolverConfig, compute_Cn
 from .causal import uniform_policy
-from .channel import (
-    CompoundFamily,
-    FeedbackMap,
-    identity_feedback,
-    load_family,
-    no_feedback,
-)
+from .channel import CompoundFamily, FeedbackMap, identity_feedback, load_family, no_feedback
 from .codetree import Codebook, CodeTree, sample_codebook, tree_size
 from .errors import CapExceededError, ValidationError
 from .estimation import empirical_violation_rate, two_phase_scheme
 from .presets import load_preset
 from .simulate import TrialConfig, example1_config, example1_row, run_trials
 from .util import LN2
-from .verify import run_suites
+from .verify import SANOV_CASES, run_suites
 
 MANIFEST_NAME = "manifest.json"
 
@@ -56,17 +54,6 @@ class RunManifest:
     out_dir: str
     version: str
     metrics: dict  # timing and iteration counts; excluded from reproducibility
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "argv": list(self.argv),
-            "config": self.config,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "metrics": self.metrics,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
@@ -88,19 +75,6 @@ class RunManifest:
         return m
 
 
-def _write_manifest(out: Path, subcommand: str, argv, config: dict, seed: int, metrics: dict) -> None:
-    m = RunManifest(
-        subcommand=subcommand,
-        argv=list(argv),
-        config=config,
-        seed=seed,
-        out_dir=str(out),
-        version=__version__,
-        metrics=metrics,
-    )
-    (out / MANIFEST_NAME).write_text(json.dumps(m.to_dict(), indent=2) + "\n")
-
-
 def _peak_rss_mb() -> float:
     """This process's peak resident set so far, in MiB (ru_maxrss is in
     KiB on Linux and in bytes on macOS)."""
@@ -108,33 +82,33 @@ def _peak_rss_mb() -> float:
     return peak / 2 ** (20 if sys.platform == "darwin" else 10)
 
 
-def _write_json(out: Path, name: str, payload: dict) -> None:
-    body = {"manifest": MANIFEST_NAME}
-    body.update(payload)
-    (out / name).write_text(json.dumps(body) + "\n")
+@dataclass(frozen=True)
+class Run:
+    """What a subcommand hands back to `main`, which writes it."""
+
+    config: dict
+    seed: int
+    files: list  # (name, body) pairs in write order; see `_write`
+    metrics: dict = field(default_factory=dict)  # the command's own stage timings and counts
+    code: int = 0
 
 
-def _write_csv(out: Path, name: str, header: list, rows: list) -> None:
-    with (out / name).open("w", newline="") as fh:
-        fh.write(f"# manifest: {MANIFEST_NAME}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _effective_argv(args, names: list) -> list:
-    argv = [args.subcommand]
-    for name in names:
-        val = getattr(args, name.replace("-", "_"))
-        if val is not None:
-            argv.extend([f"--{name}", str(val)])
-    return argv
+def _write(path: Path, body) -> None:
+    """Write one result file, led by a pointer to its manifest. The suffix
+    picks the body: .json an object, .csv (header, rows), .jsonl (first
+    record, further records)."""
+    with path.open("w", newline="") as fh:
+        if path.suffix == ".json":
+            fh.write(json.dumps({"manifest": MANIFEST_NAME, **body}) + "\n")
+        elif path.suffix == ".csv":
+            fh.write(f"# manifest: {MANIFEST_NAME}\n")
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(body[0])
+            w.writerows(body[1])
+        else:
+            head, records = body
+            for rec in itertools.chain([{"manifest": MANIFEST_NAME, **head}], records):
+                fh.write(json.dumps(rec) + "\n")
 
 
 def _resolve_family(args) -> tuple[CompoundFamily, dict]:
@@ -157,42 +131,36 @@ def _resolve_feedback(spec: str, outputs) -> FeedbackMap:
     raise ValidationError("feedback must be 'identity', 'none', or 'table:<file>'")
 
 
-def cmd_capacity(args) -> int:
-    t0 = time.monotonic()
+def cmd_capacity(args) -> Run:
     family, fam_cfg = _resolve_family(args)
     fb = _resolve_feedback(args.feedback, family.members[0].outputs)
-    cfg = SolverConfig(seed=args.seed)
     t_solve = time.monotonic()
-    report = compute_Cn(family, fb, args.n, cfg)
+    report = compute_Cn(family, fb, args.n, SolverConfig(seed=args.seed))
     solve_s = time.monotonic() - t_solve
-    out = _out_dir(args)
-    t_write = time.monotonic()
-    _write_json(out, "capacity_report.json", report.to_dict())
-    _write_csv(
-        out,
-        "convergence.csv",
-        ["iteration", "value_nats_per_symbol"],
-        list(enumerate(report.diagnostics.value_history, start=1)),
-    )
-    config = dict(fam_cfg, n=args.n, feedback=args.feedback, seed=args.seed)
-    metrics = {
-        "wall_clock_s": time.monotonic() - t0,
-        "solve_s": solve_s,
-        "write_s": time.monotonic() - t_write,
-        "peak_rss_mb": _peak_rss_mb(),
-        "iterations": report.diagnostics.iterations,
-        "restarts": report.diagnostics.restarts,
-    }
-    _write_manifest(out, "capacity", args.effective_argv, config, args.seed, metrics)
     c, up, hat = report.C_n_nats, report.upper_nats, report.hatC_n_nats
     print(f"C_{args.n}    in [{c:.9f}, {up:.9f}] nats/symbol = [{c / LN2:.9f}, {up / LN2:.9f}] bits/symbol")
     print(f"hatC_{args.n} = {hat:.9f} nats/symbol = {hat / LN2:.9f} bits/symbol")
     print(f"worst case (initial state, member) = {report.worst_case}")
+    code = 0
     if not report.diagnostics.converged:
         gap = f"certified gap {up - c:.3e} nats/symbol > GAP_TOL {GAP_TOL:.0e}"
         print(f"solver did not converge: {gap}", file=sys.stderr)
-        return 4
-    return 0
+        code = 4
+    history = list(enumerate(report.diagnostics.value_history, start=1))
+    return Run(
+        config=dict(fam_cfg, n=args.n, feedback=args.feedback, seed=args.seed),
+        seed=args.seed,
+        files=[
+            ("capacity_report.json", report.to_dict()),
+            ("convergence.csv", (["iteration", "value_nats_per_symbol"], history)),
+        ],
+        metrics={
+            "solve_s": solve_s,
+            "iterations": report.diagnostics.iterations,
+            "restarts": report.diagnostics.restarts,
+        },
+        code=code,
+    )
 
 
 def _constant_codebook(n: int, x_card: int, z_card: int, m_count: int) -> Codebook:
@@ -274,64 +242,40 @@ def _simulate_config(args) -> tuple[TrialConfig, dict]:
     return cfg, config
 
 
-def _write_trial_log(out: Path, res) -> None:
-    with (out / "trials.jsonl").open("w") as fh:
-        fh.write(json.dumps({"manifest": MANIFEST_NAME, "format": "trial-log-v1"}) + "\n")
-        for i in range(res.trials):
-            rec = {
-                "trial": i,
-                "message": int(res.messages[i]),
-                "decision": int(res.decisions[i]),
-                "error": bool(res.error_flags[i]),
-                "s0": int(res.initial_states[i]),
-                "y": [int(v) for v in res.outputs[i]],
-            }
-            fh.write(json.dumps(rec) + "\n")
+def _trial_records(res):
+    for i in range(res.trials):
+        yield {
+            "trial": i,
+            "message": int(res.messages[i]),
+            "decision": int(res.decisions[i]),
+            "error": bool(res.error_flags[i]),
+            "s0": int(res.initial_states[i]),
+            "y": [int(v) for v in res.outputs[i]],
+        }
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
-    trials = args.trials if args.trials is not None else 10_000
-    seed = args.seed if args.seed is not None else 0
+def cmd_simulate(args) -> Run:
     if args.preset == "example1":
         n = args.n if args.n is not None else 8
-        cfg = example1_config(theta=n, n=n, trials=trials, seed=seed)
-        res = run_trials(cfg)
+        trials = args.trials if args.trials is not None else 10_000
+        seed = args.seed if args.seed is not None else 0
+        res = run_trials(example1_config(theta=n, n=n, trials=trials, seed=seed))
         row = example1_row(res, theta=n, n=n)
         config = {"preset": "example1", "theta": n, "n": n, "trials": trials, "seed": seed}
-        header = [
-            "theta",
-            "n",
-            "trials",
-            "all_bad_freq",
-            "all_bad_exact",
-            "error_rate",
-            "error_floor",
-            "rate_floor_nats_per_symbol",
-            "rate_floor_bits_per_symbol",
+        # each summary column once: its name, its value and the files that carry it
+        columns = [
+            ("theta", row.theta, "csv"),
+            ("n", row.n, "csv"),
+            ("trials", row.trials, "csv"),
+            ("all_bad_freq", row.all_bad_freq, "csv json"),
+            ("all_bad_exact", row.all_bad_exact, "csv json"),
+            ("all_bad_sigma", row.all_bad_sigma, "json"),
+            ("error_rate", row.error_rate, "csv json"),
+            ("error_floor", row.error_floor, "csv json"),
+            ("error_sigma", row.error_sigma, "json"),
+            ("rate_floor_nats_per_symbol", row.rate_floor_nats, "csv json"),
+            ("rate_floor_bits_per_symbol", row.rate_floor_bits, "csv json"),
         ]
-        rows = [[
-            row.theta,
-            row.n,
-            row.trials,
-            row.all_bad_freq,
-            row.all_bad_exact,
-            row.error_rate,
-            row.error_floor,
-            row.rate_floor_nats,
-            row.rate_floor_bits,
-        ]]
-        summary = {
-            "all_bad_freq": row.all_bad_freq,
-            "all_bad_exact": row.all_bad_exact,
-            "all_bad_sigma": row.all_bad_sigma,
-            "error_rate": row.error_rate,
-            "error_floor": row.error_floor,
-            "error_sigma": row.error_sigma,
-            "rate_floor_nats_per_symbol": row.rate_floor_nats,
-            "rate_floor_bits_per_symbol": row.rate_floor_bits,
-        }
         print(
             f"theta={row.theta} n={row.n} all_bad_freq={row.all_bad_freq:.6f} "
             f"(exact {row.all_bad_exact:.6f}) error_rate={row.error_rate:.6f}"
@@ -340,73 +284,51 @@ def cmd_simulate(args) -> int:
         cfg, config = _simulate_config(args)
         seed = cfg.seed
         res = run_trials(cfg)
-        header = [
-            "true_label",
-            "decoder",
-            "n",
-            "messages",
-            "trials",
-            "errors",
-            "error_rate",
-            "ci95_lo",
-            "ci95_hi",
+        columns = [
+            ("true_label", cfg.true_label, "csv json"),
+            ("decoder", cfg.decoder, "csv json"),
+            ("n", cfg.codebook.depth, "csv"),
+            ("messages", cfg.codebook.m_count, "csv"),
+            ("trials", res.trials, "csv json"),
+            ("errors", res.errors, "csv json"),
+            ("error_rate", res.error_rate, "csv json"),
+            ("ci95_lo", res.ci95[0], "csv"),
+            ("ci95_hi", res.ci95[1], "csv"),
+            ("ci95", list(res.ci95), "json"),
         ]
-        rows = [[
-            cfg.true_label,
-            cfg.decoder,
-            cfg.codebook.depth,
-            cfg.codebook.m_count,
-            res.trials,
-            res.errors,
-            res.error_rate,
-            res.ci95[0],
-            res.ci95[1],
-        ]]
-        summary = {
-            "true_label": cfg.true_label,
-            "decoder": cfg.decoder,
-            "trials": res.trials,
-            "errors": res.errors,
-            "error_rate": res.error_rate,
-            "ci95": list(res.ci95),
-        }
         print(
             f"label={cfg.true_label} decoder={cfg.decoder} trials={res.trials} "
             f"error_rate={res.error_rate:.6f} ci95=({res.ci95[0]:.6f}, {res.ci95[1]:.6f})"
         )
-    metrics = {"wall_clock_s": time.monotonic() - t0}
-    _write_manifest(out, "simulate", args.effective_argv, config, seed, metrics)
-    _write_csv(out, "simulate_results.csv", header, rows)
-    _write_trial_log(out, res)
+    csv_columns = [(name, value) for name, value, to in columns if "csv" in to]
+    files = [
+        ("simulate_results.csv", ([name for name, _ in csv_columns], [[value for _, value in csv_columns]])),
+        ("trials.jsonl", ({"format": "trial-log-v1"}, _trial_records(res))),
+    ]
     if args.format == "json":
-        _write_json(out, "simulate_results.json", summary)
-    return 0
+        files.append(("simulate_results.json", {name: value for name, value, to in columns if "json" in to}))
+    return Run(config=config, seed=seed, files=files)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args) -> Run:
     names = None if args.suite in (None, "all") else [args.suite]
     results = run_suites(names, seed=args.seed)
-    out = _out_dir(args)
-    config = {"suite": args.suite or "all"}
-    metrics = {"wall_clock_s": time.monotonic() - t0}
-    _write_manifest(out, "verify", args.effective_argv, config, args.seed, metrics)
-    header = ["check", "passed", "instances", "violations", "worst", "detail"]
-    rows = [[r.name, r.passed, r.instances, r.violations, r.worst, r.detail] for r in results]
-    _write_csv(out, "verify_results.csv", header, rows)
-    if args.format == "json":
-        _write_json(
-            out,
-            "verify_results.json",
-            {"checks": [r.__dict__ for r in results]},
-        )
     for r in results:
         print(r.line())
-    return 0 if all(r.passed for r in results) else 1
+    header = ["check", "passed", "instances", "violations", "worst", "detail"]
+    rows = [[r.name, r.passed, r.instances, r.violations, r.worst, r.detail] for r in results]
+    files = [("verify_results.csv", (header, rows))]
+    if args.format == "json":
+        files.append(("verify_results.json", {"checks": [r.__dict__ for r in results]}))
+    return Run(
+        config={"suite": args.suite or "all"},
+        seed=args.seed,
+        files=files,
+        code=0 if all(r.passed for r in results) else 1,
+    )
 
 
-def cmd_estimate(args) -> int:
-    t0 = time.monotonic()
+def cmd_estimate(args) -> Run:
     family, fam_cfg = _resolve_family(args)
     for label, m in family:
         if m.n_states != 1:
@@ -415,7 +337,6 @@ def cmd_estimate(args) -> int:
     n_total = args.n if args.n is not None else 100_000
     sweep = [100, 316, 1000, 3162, 10000]
     sweep = [m for m in sweep if m < n_total]
-    out = _out_dir(args)
     rate_rows = []
     for m_train in sweep:
         rep = two_phase_scheme(family, true_label, m_train, n_total, trials=args.trials, seed=args.seed)
@@ -435,34 +356,27 @@ def cmd_estimate(args) -> int:
         )
     sanov_rows = []
     fsc = family.member(true_label)
-    for i, (m, eps1) in enumerate(((100, 0.3), (200, 0.2), (500, 0.15), (100, 0.5))):
+    for i, (m, eps1) in enumerate(SANOV_CASES):
         rate, bound = empirical_violation_rate(fsc, 0, m, eps1, trials=10_000, seed=args.seed + i)
         sanov_rows.append([m, eps1, rate, bound])
         print(f"sanov m={m} eps1={eps1} empirical={rate:.6f} bound={bound:.6g}")
-    config = dict(fam_cfg, true_label=true_label, n=n_total, trials=args.trials, seed=args.seed)
-    metrics = {"wall_clock_s": time.monotonic() - t0}
-    _write_manifest(out, "estimate", args.effective_argv, config, args.seed, metrics)
-    _write_csv(
-        out,
-        "estimate_rates.csv",
-        [
-            "m_train_symbols",
-            "n_total_symbols",
-            "achieved_nats_per_use",
-            "achieved_bits_per_use",
-            "target_nats_per_use",
-            "compound_nats_per_use",
-            "misidentification_rate",
+    rate_header = [
+        "m_train_symbols",
+        "n_total_symbols",
+        "achieved_nats_per_use",
+        "achieved_bits_per_use",
+        "target_nats_per_use",
+        "compound_nats_per_use",
+        "misidentification_rate",
+    ]
+    return Run(
+        config=dict(fam_cfg, true_label=true_label, n=n_total, trials=args.trials, seed=args.seed),
+        seed=args.seed,
+        files=[
+            ("estimate_rates.csv", (rate_header, rate_rows)),
+            ("sanov_table.csv", (["m_samples", "eps1_l1", "empirical_rate", "bound"], sanov_rows)),
         ],
-        rate_rows,
     )
-    _write_csv(
-        out,
-        "sanov_table.csv",
-        ["m_samples", "eps1_l1", "empirical_rate", "bound"],
-        sanov_rows,
-    )
-    return 0
 
 
 def cmd_rerun(args) -> int:
@@ -479,14 +393,12 @@ def cmd_rerun(args) -> int:
     return main(argv)
 
 
-def _add_common(p, with_n=True):
+def _add_common(p):
     p.add_argument("--family", help="family JSON file")
     p.add_argument("--preset", help="named built-in family or scenario")
-    if with_n:
-        p.add_argument("--n", type=int, help="horizon (symbols)")
+    p.add_argument("--n", type=int, help="horizon (symbols)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="solve the max-min information rate")
     _add_common(p)
     p.add_argument("--feedback", default="identity", help="identity | none | table:<file>")
-    p.set_defaults(func=cmd_capacity, _argnames=["family", "preset", "n", "feedback", "seed", "out", "format"])
+    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("simulate", help="Monte Carlo error rates")
     _add_common(p)
@@ -508,42 +420,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback", help="identity | none | table:<file>")
     p.add_argument("--trials", type=int)
     p.add_argument("--config", help="TrialConfig JSON file")
-    p.set_defaults(
-        func=cmd_simulate,
-        _argnames=["family", "preset", "n", "feedback", "trials", "config", "seed", "out", "format"],
-    )
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run named invariant suites")
     p.add_argument("--suite", help="suite name or 'all'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_verify, _argnames=["suite", "seed", "out", "format"])
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="training-based identification demos")
     _add_common(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--true-label", help="member that actually governs the channel")
-    p.set_defaults(
-        func=cmd_estimate,
-        _argnames=["family", "preset", "n", "trials", "true-label", "seed", "out", "format"],
-    )
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")
     p.add_argument("manifest", help="manifest.json emitted by a previous run")
     p.add_argument("--out", help="redirect outputs to a new directory")
-    p.set_defaults(func=cmd_rerun, _argnames=[])
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand != "rerun":
-        args.effective_argv = _effective_argv(args, args._argnames)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        if args.subcommand == "rerun":
+            return cmd_rerun(args)
+        run = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        t_write = time.monotonic()
+        for name, body in run.files:
+            _write(out / name, body)
+        metrics = dict(run.metrics, write_s=time.monotonic() - t_write)
+        metrics.update(wall_clock_s=time.monotonic() - t0, peak_rss_mb=_peak_rss_mb())
+        # every option the parser set, in the parser's order, so rerun replays all of them
+        argv = [args.subcommand]
+        for name, value in vars(args).items():
+            if name not in ("subcommand", "func") and value is not None:
+                argv += [f"--{name.replace('_', '-')}", str(value)]
+        manifest = RunManifest(
+            subcommand=args.subcommand,
+            argv=argv,
+            config=run.config,
+            seed=run.seed,
+            out_dir=str(out),
+            version=__version__,
+            metrics=metrics,
+        )
+        (out / MANIFEST_NAME).write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+        return run.code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

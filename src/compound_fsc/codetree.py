@@ -73,14 +73,6 @@ def tree_code(tree: CodeTree) -> int:
     return code
 
 
-def path(tree: CodeTree, z_hist) -> np.ndarray:
-    """Input path selected by a feedback history z_1..z_{depth-1}."""
-    z_hist = np.asarray(list(z_hist), dtype=np.int64)
-    if z_hist.size < tree.depth - 1:
-        raise ValidationError("feedback history too short for the tree depth")
-    return paths_rows(tree, z_hist[: tree.depth - 1][None, :])[0]
-
-
 def node_columns(tree: CodeTree, rows: int):
     """Walk `rows` feedback paths down trees shaped like `tree` in lockstep.
 

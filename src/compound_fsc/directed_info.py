@@ -22,6 +22,7 @@ from .causal import (
 )
 from .channel import CompoundFamily, FeedbackMap, FscSpec, no_feedback
 from .errors import ValidationError
+from .estimation import entropy_continuity_bound
 
 AGREEMENT_TOL = 1e-10
 # zero_capacity_witness: the ascent budget of a solve not certified at its start
@@ -195,10 +196,7 @@ def continuity_bound_check(
         return ContinuityBoundResult(delta=delta, lhs=None, rhs=None, applicable=False)
     p = channel_prob_table(fsc, q1.horizon, s0)
     lhs = abs(information_functional(w1, p) - information_functional(w2, p))
-    if delta == 0.0:
-        rhs = 0.0
-    else:
-        rhs = -delta * math.log(delta / fsc.n_outputs ** (2 * q1.horizon))
+    rhs = entropy_continuity_bound(delta, fsc.n_outputs ** (2 * q1.horizon))
     return ContinuityBoundResult(delta=delta, lhs=lhs, rhs=rhs, applicable=True)
 
 

@@ -50,10 +50,10 @@ PRESETS = {
 }
 
 
-def load_preset(name: str, **kwargs) -> CompoundFamily:
+def load_preset(name: str) -> CompoundFamily:
     try:
         factory = PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ValidationError(f"unknown preset {name!r}; known presets: {known}") from None
-    return factory(**kwargs)
+    return factory()

@@ -253,13 +253,16 @@ def suite_separability(n: int = 4, seed: int = 25) -> CheckResult:
     )
 
 
+# (samples m, L1 radius eps1) pairs, shared with the `estimate` command's Sanov table
+SANOV_CASES = ((100, 0.3), (200, 0.2), (500, 0.15), (100, 0.5))
+
+
 def suite_sanov(trials: int = 2000, seed: int = 26) -> CheckResult:
     """Empirical type-deviation rates against the large-deviations bound."""
     fsc = bsc(0.3)
     worst = -math.inf
     violations = 0
-    cases = ((100, 0.3), (200, 0.2), (500, 0.15), (100, 0.5))
-    for i, (m, eps1) in enumerate(cases):
+    for i, (m, eps1) in enumerate(SANOV_CASES):
         rate, bound = empirical_violation_rate(fsc, 0, m, eps1, trials, seed=seed + i)
         cap = min(1.0, bound)
         sigma = math.sqrt(cap * (1.0 - cap) / trials)
@@ -269,7 +272,7 @@ def suite_sanov(trials: int = 2000, seed: int = 26) -> CheckResult:
     return CheckResult(
         name="sanov",
         passed=violations == 0,
-        instances=len(cases),
+        instances=len(SANOV_CASES),
         violations=violations,
         worst=worst,
         detail=f"trials/case {trials}, max rate excess {worst:.3e}",

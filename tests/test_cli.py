@@ -11,7 +11,7 @@ import pytest
 
 from compound_fsc import CompoundFamily, bsc, ge_gap_family, save_family
 from compound_fsc.capacity import GAP_TOL
-from compound_fsc.cli import main
+from compound_fsc.cli import build_parser, main
 from compound_fsc.verify import random_family
 from compound_fsc.util import binary_entropy_nats
 
@@ -30,6 +30,16 @@ def write_pair_family(tmp_path, name="pair.json"):
     path = tmp_path / name
     save_family(fam, path)
     return path
+
+
+def assert_rerun_reproduces(out, replay, rc=0):
+    """rerun of out's manifest into replay exits rc and rewrites every
+    result file byte for byte."""
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(replay)]) == rc
+    names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert names and names == sorted(p.name for p in replay.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestCapacity:
@@ -315,6 +325,18 @@ class TestSimulate:
         assert float(row["error_rate"]) == 0.0
         assert int(row["trials"]) == 100
 
+    def test_config_without_feedback_reruns(self, tmp_path):
+        spec = bsc(0.15).to_dict()
+        spec["label"] = "p15"
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"family": [spec], "n": 3, "codebook": {"sample_seed": 2}}))
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(cfg_path), "--feedback", "none", "--trials", "300",
+                "--seed", "9", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["feedback"] == "none"
+        assert_rerun_reproduces(out, tmp_path / "replay")
+
     def test_flags_override_config(self, tmp_path):
         spec = bsc(0.1).to_dict()
         spec["label"] = "p10"
@@ -451,6 +473,50 @@ class TestEstimate:
         assert any("bound" in h for h in header2)
         assert len(rows2) >= 1
 
+    def test_rerun_reproduces(self, tmp_path):
+        fam = write_pair_family(tmp_path)
+        out = tmp_path / "run"
+        argv = ["estimate", "--family", str(fam), "--n", "400", "--trials", "2", "--seed", "4",
+                "--true-label", "p20", "--out", str(out)]
+        assert main(argv) == 0
+        assert_rerun_reproduces(out, tmp_path / "replay")
+
+
+def full_argv(subcommand, tmp_path):
+    """An argv that sets every option of the subcommand, none at its default."""
+    fam = str(write_pair_family(tmp_path))
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"messages": 2}))
+    out = str(tmp_path / "run")
+    options = {
+        "capacity": {"--family": fam, "--preset": "bsc-pair", "--n": "2", "--seed": "1", "--out": out,
+                     "--feedback": "none"},
+        "simulate": {"--family": fam, "--preset": "bsc-pair", "--n": "2", "--seed": "1", "--out": out,
+                     "--feedback": "none", "--trials": "50", "--config": str(cfg), "--format": "json"},
+        "verify": {"--suite": "kim-identity", "--seed": "1", "--out": out, "--format": "json"},
+        "estimate": {"--family": fam, "--preset": "bsc-pair", "--n": "400", "--seed": "1", "--out": out,
+                     "--trials": "2", "--true-label": "p20"},
+    }[subcommand]
+    return [subcommand, *(s for pair in options.items() for s in pair)], options
+
+
+@pytest.mark.parametrize("subcommand", ["capacity", "simulate", "verify", "estimate"])
+def test_manifest_records_every_option_and_the_run_metrics(tmp_path, subcommand):
+    argv, options = full_argv(subcommand, tmp_path)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "subcommand").choices[subcommand]
+    assert set(options) == {s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")}
+    assert main(argv) == 0
+    out = tmp_path / "run"
+    manifest = json.loads((out / "manifest.json").read_text())
+    recorded = manifest["argv"]
+    assert recorded[0] == subcommand
+    assert dict(zip(recorded[1::2], recorded[2::2])) == options
+    metrics = manifest["metrics"]
+    assert {"wall_clock_s", "write_s", "peak_rss_mb"} <= set(metrics)
+    assert 0 <= metrics["write_s"] <= metrics["wall_clock_s"] and metrics["peak_rss_mb"] > 0
+    assert_rerun_reproduces(out, tmp_path / "replay")
+
 
 class TestTopLevel:
     def test_version(self, capsys):
@@ -463,6 +529,16 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", ["capacity", "estimate"])
+    def test_format_only_where_read(self, tmp_path, capsys, subcommand):
+        # only simulate and verify write a JSON summary, so only they take --format
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--preset", "bsc-pair", "--n", "1", "--format", "json",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -11,7 +11,6 @@ from compound_fsc import (
     ValidationError,
     input_prob,
     iid_policy,
-    path,
     paths_rows,
     random_policy,
     sample_codebook,
@@ -93,10 +92,10 @@ def test_tree_code_orders_trees_canonically():
 
 def test_path_follows_feedback():
     tree = leaf_tree([1, 0, 1], depth=2)  # root emits 1, children 0 / 1
-    assert path(tree, [0]).tolist() == [1, 0]
-    assert path(tree, [1]).tolist() == [1, 1]
+    assert paths_rows(tree, np.array([[0]]))[0].tolist() == [1, 0]
+    assert paths_rows(tree, np.array([[1]]))[0].tolist() == [1, 1]
     with pytest.raises(ValidationError):
-        path(tree, [])
+        paths_rows(tree, np.zeros((1, 0), dtype=np.int64))
 
 
 def test_paths_rows_matches_scalar_path():
@@ -106,7 +105,7 @@ def test_paths_rows_matches_scalar_path():
     z_rows = np.array(list(itertools.product(range(2), repeat=2)))
     rows = paths_rows(tree, z_rows)
     for z, row in zip(z_rows, rows):
-        assert row.tolist() == path(tree, z).tolist()
+        assert row.tolist() == paths_rows(tree, np.array([z]))[0].tolist()
 
 
 def test_deterministic_policy_gives_unique_tree():
@@ -200,7 +199,7 @@ def test_sampled_paths_have_positive_input_prob():
     for _ in range(20):
         tree = sample_codetree(q, rng)
         for zs in itertools.product(range(2), repeat=2):
-            xs = path(tree, zs)
+            xs = paths_rows(tree, np.array([zs]))[0]
             assert input_prob(q, xs, zs) > 0.0
 
 

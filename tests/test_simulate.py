@@ -28,7 +28,6 @@ from compound_fsc import (
     make_memoryless,
     ml_decode,
     no_feedback,
-    path,
     paths_rows,
     random_coding_bound,
     run_trials,
@@ -128,7 +127,7 @@ def test_exact_error_matches_brute_force_oracle(feedback):
         z = [feedback.table[v] for v in y[:-1]]
         for w, tree in enumerate(cb.trees):
             if w != w_hat:
-                want += naive_causal_channel_prob(fsc, path(tree, z), y, s0)
+                want += naive_causal_channel_prob(fsc, paths_rows(tree, np.array([z]))[0], y, s0)
     got = exact_error_probability(cb, fsc, s0, feedback, MLDecoder(fsc, feedback))
     assert got == pytest.approx(want / cb.m_count, rel=1e-12, abs=0)
 
@@ -409,7 +408,7 @@ def scalar_simulation(fsc, cb, feedback, w, s0, u_steps):
     for k in range(t):
         s, z = int(s0[k]), []
         for i in range(n):
-            x = int(path(cb.trees[w[k]], z + [0] * (n - 1 - len(z)))[i])
+            x = int(paths_rows(cb.trees[w[k]], np.array([z + [0] * (n - 1 - len(z))]))[0, i])
             cdf = np.cumsum(fsc.kernel[s, x].ravel())
             pick = min(int(np.searchsorted(cdf, u_steps[k, i], side="left")), cdf.size - 1)
             y, s = divmod(pick, fsc.n_states)
