@@ -6,217 +6,47 @@ max-min information rate by certify-then-ascend (a Frank-Wolfe upper bound
 at the uniform input, with projected supergradient ascent only when it does
 not close the gap), and closes the loop with code-tree encoders,
 merged-ranking decoding, and seeded Monte Carlo against exact error sums.
+
+The package namespace carries the documented entry points only; every other
+name is imported from the module that defines it.
 """
 
-from .capacity import (
-    CapacityReport,
-    FeedbackGapResult,
-    SolverConfig,
-    SuperadditivityResult,
-    blahut_arimoto,
-    compute_Cn,
-    compute_Cn_batch,
-    compute_Cn_markovian,
-    compute_Cn_nofeedback,
-    ge_feedback_gap,
-    memoryless_compound_fb_capacity,
-    superadditivity_check,
-)
-from .causal import (
-    CausalConditioning,
-    causal_log_prob_rows,
-    channel_prob_table,
-    iid_policy,
-    input_prob,
-    joint_and_output_probs,
-    mixture_policy,
-    policy_weight_table,
-    product_policy,
-    random_policy,
-    uniform_policy,
-)
-from .channel import (
-    CompoundFamily,
-    FeedbackMap,
-    FscSpec,
-    GilbertElliotParams,
-    bsc,
-    identity_feedback,
-    kernel_distance,
-    load_family,
-    make_gilbert_elliot,
-    make_memoryless,
-    nearest_member,
-    no_feedback,
-    quantize_family,
-    save_family,
-    state_transition_matrix,
-    stationary_distribution,
-    uniform_ergodicity_horizon,
-)
-from .codetree import (
-    Codebook,
-    CodeTree,
-    paths_rows,
-    sample_codebook,
-    sample_codetree,
-    sample_symbols,
-    tree_code,
-    tree_prob,
-    tree_size,
-)
-from .decoder import (
-    MLDecoder,
-    RankingFunction,
-    SeparabilityReport,
-    UniversalDecoder,
-    build_ranking,
-    merge_rankings,
-    ml_decode,
-    separability_check,
-    tree_log_likelihood,
-    universal_decode,
-)
-from .directed_info import (
-    DirectedInfoResult,
-    continuity_bound_check,
-    directed_information,
-    directed_information_kim,
-    exchange_terms,
-    information_functional,
-    per_step_terms,
-    state_gap_check,
-    zero_capacity_witness,
-)
-from .errors import CapExceededError, NoStationaryError, NotMarkovianError, ValidationError
-from .estimation import (
-    empirical_violation_rate,
-    estimate_memoryless_channel,
-    sanov_pinsker_bound,
-    two_phase_scheme,
-)
-from .exponents import (
-    beta_exponent,
-    e0_lower_bound_check,
-    f_n_exponent,
-    fn_superadditivity_check,
-    gallager_e0,
-    optimal_rho,
-    random_coding_bound,
-)
-from .presets import PRESETS, bsc_pair, burst_family, ge_gap_family, load_preset, zero_capacity_family
-from .simulate import (
-    Example1Row,
-    TrialConfig,
-    TrialResult,
-    exact_error_probability,
-    example1_config,
-    example1_row,
-    run_trials,
-    simulate_batch,
-)
-from .verify import CheckResult, run_suites
+from .capacity import SolverConfig, compute_Cn, ge_feedback_gap
+from .causal import CausalConditioning, uniform_policy
+from .channel import CompoundFamily, FeedbackMap, FscSpec, bsc, identity_feedback, load_family, no_feedback, save_family
+from .codetree import sample_codebook
+from .decoder import MLDecoder
+from .directed_info import directed_information
+from .errors import CapExceededError, ValidationError
+from .presets import ge_gap_family, load_preset
+from .simulate import TrialConfig, exact_error_probability, run_trials
+from .verify import run_suites
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
-    "CapacityReport",
     "CausalConditioning",
-    "CheckResult",
-    "CodeTree",
-    "Codebook",
     "CompoundFamily",
-    "DirectedInfoResult",
-    "Example1Row",
-    "FeedbackGapResult",
     "FeedbackMap",
     "FscSpec",
-    "GilbertElliotParams",
     "MLDecoder",
-    "NoStationaryError",
-    "NotMarkovianError",
-    "PRESETS",
-    "RankingFunction",
-    "SeparabilityReport",
     "SolverConfig",
-    "SuperadditivityResult",
     "TrialConfig",
-    "TrialResult",
-    "UniversalDecoder",
     "ValidationError",
-    "beta_exponent",
-    "blahut_arimoto",
     "bsc",
-    "bsc_pair",
-    "build_ranking",
-    "burst_family",
-    "causal_log_prob_rows",
-    "channel_prob_table",
     "compute_Cn",
-    "compute_Cn_batch",
-    "compute_Cn_markovian",
-    "compute_Cn_nofeedback",
-    "continuity_bound_check",
     "directed_information",
-    "directed_information_kim",
-    "e0_lower_bound_check",
-    "empirical_violation_rate",
-    "estimate_memoryless_channel",
     "exact_error_probability",
-    "example1_config",
-    "example1_row",
-    "exchange_terms",
-    "f_n_exponent",
-    "fn_superadditivity_check",
-    "gallager_e0",
     "ge_feedback_gap",
     "ge_gap_family",
     "identity_feedback",
-    "iid_policy",
-    "information_functional",
-    "input_prob",
-    "joint_and_output_probs",
-    "kernel_distance",
     "load_family",
     "load_preset",
-    "make_gilbert_elliot",
-    "make_memoryless",
-    "memoryless_compound_fb_capacity",
-    "merge_rankings",
-    "mixture_policy",
-    "ml_decode",
-    "nearest_member",
     "no_feedback",
-    "optimal_rho",
-    "paths_rows",
-    "per_step_terms",
-    "policy_weight_table",
-    "product_policy",
-    "quantize_family",
-    "random_coding_bound",
-    "random_policy",
     "run_suites",
     "run_trials",
     "sample_codebook",
-    "sample_codetree",
-    "sample_symbols",
-    "sanov_pinsker_bound",
     "save_family",
-    "separability_check",
-    "simulate_batch",
-    "state_gap_check",
-    "state_transition_matrix",
-    "stationary_distribution",
-    "superadditivity_check",
-    "tree_code",
-    "tree_log_likelihood",
-    "tree_prob",
-    "tree_size",
-    "two_phase_scheme",
-    "uniform_ergodicity_horizon",
     "uniform_policy",
-    "universal_decode",
-    "zero_capacity_family",
-    "zero_capacity_witness",
 ]

@@ -541,19 +541,21 @@ def _state_pairs(family: CompoundFamily) -> list:
     return [((str(s_label), label), m, s_idx) for s_idx, s_label in enumerate(states) for label, m in family]
 
 
-def _check_horizon(n: int) -> None:
-    """Refuses a horizon below 1 before any table is built."""
+def _problem(family: CompoundFamily, feedback: FeedbackMap, n: int, extra_starts=(), pairs=None) -> _Problem:
+    """One solve, checked before any table is built: a horizon of at least 1,
+    a feedback map over the output alphabet and extra starts of the solve's
+    horizon and alphabets. The pairs default to every (initial state, member)."""
     if n < 1:
         raise ValidationError(f"horizon n must be >= 1, got {n}")
-
-
-def _checked_starts(extra_starts, n: int, x_card: int, z_card: int) -> tuple:
-    """The extra starts, each a policy of the solve's horizon and alphabets."""
+    first = family.members[0]
+    if feedback.table.size != first.n_outputs:
+        raise ValidationError("feedback map does not cover the output alphabet")
+    x_card, z_card = first.n_inputs, feedback.z_card
     extra_starts = tuple(extra_starts)
     for q in extra_starts:
         if not isinstance(q, CausalConditioning) or (q.horizon, q.x_card, q.z_card) != (n, x_card, z_card):
             raise ValidationError(f"an extra start must be a policy of horizon {n}, |X| = {x_card}, |Z| = {z_card}")
-    return extra_starts
+    return _Problem(family, feedback, n, extra_starts, _state_pairs(family) if pairs is None else pairs)
 
 
 def compute_Cn_batch(jobs, cfg: SolverConfig | None = None) -> list[CapacityReport]:
@@ -561,16 +563,8 @@ def compute_Cn_batch(jobs, cfg: SolverConfig | None = None) -> list[CapacityRepo
     config, the reports in job order. Every job is checked before any table
     is built. Jobs of one shape ascend together (see the module docstring),
     and each report is the one a lone compute_Cn returns."""
-    cfg = cfg or SolverConfig()
-    problems = []
-    for family, feedback, n, extra_starts in jobs:
-        _check_horizon(n)
-        first = family.members[0]
-        if feedback.table.size != first.n_outputs:
-            raise ValidationError("feedback map does not cover the output alphabet")
-        extra_starts = _checked_starts(extra_starts, n, first.n_inputs, feedback.z_card)
-        problems.append(_Problem(family, feedback, n, extra_starts, _state_pairs(family)))
-    return _solve(problems, cfg)
+    problems = [_problem(family, feedback, n, extra_starts) for family, feedback, n, extra_starts in jobs]
+    return _solve(problems, cfg or SolverConfig())
 
 
 def compute_Cn(
@@ -602,7 +596,6 @@ def compute_Cn_markovian(
     member's state law within ERGODICITY_EPS of stationarity after at most
     ERGODICITY_MAX_N steps.
     """
-    _check_horizon(n)
     for label, m in family:
         state_transition_matrix(m)
     if uniform_ergodicity_horizon(family, ERGODICITY_EPS, ERGODICITY_MAX_N) is None:
@@ -610,7 +603,7 @@ def compute_Cn_markovian(
             f"family is not uniformly ergodic within {ERGODICITY_MAX_N} steps at eps={ERGODICITY_EPS}"
         )
     pairs = [(("stationary", label), m, stationary_distribution(m)) for label, m in family]
-    return _solve([_Problem(family, feedback, n, (), pairs)], cfg or SolverConfig())[0]
+    return _solve([_problem(family, feedback, n, pairs=pairs)], cfg or SolverConfig())[0]
 
 
 @dataclass(frozen=True)
@@ -748,22 +741,22 @@ def ge_feedback_gap(family: CompoundFamily, n: int, cfg: SolverConfig | None = N
     uniform value share one stacked set and its folded p log p (summed once
     more for the open-loop side).
     """
-    _check_horizon(n)
+    first = family.members[0]
+    fb, nofb = identity_feedback(first.outputs), no_feedback(first.outputs)
+    problem_fb = _problem(family, fb, n)
+    problem_nfb = _problem(family, nofb, n, pairs=problem_fb.pairs)
     for label, m in family:
         if not _is_gilbert_elliot_shaped(m):
             raise ValidationError(f"member {label!r} is not Gilbert-Elliot shaped")
     cfg = cfg or SolverConfig()
-    first = family.members[0]
-    fb, nofb = identity_feedback(first.outputs), no_feedback(first.outputs)
-    pairs = _state_pairs(family)
-    tables = _pair_tables(first, n, [pairs], _start_count(cfg, ()))
+    tables = _pair_tables(first, n, [problem_fb.pairs], _start_count(cfg, ()))
     nofb_tables = _fold_for(tables, nofb)
     nofb_code = history_code(first.n_inputs, nofb, n)
     reach_u = sequence_reach(uniform_policy(n, first.n_inputs, 1).conditionals)
     g_u = code_weights(reach_u, nofb_code)
     uniform_value = float(_pair_values(g_u[None, None], nofb_tables)[0].min()) / n
-    rep_fb = _run([_Problem(family, fb, n, (), pairs)], tables, history_code(first.n_inputs, fb, n), cfg)[0]
-    rep_nfb = _run([_Problem(family, nofb, n, (), pairs)], nofb_tables, nofb_code, cfg)[0]
+    rep_fb = _run([problem_fb], tables, history_code(first.n_inputs, fb, n), cfg)[0]
+    rep_nfb = _run([problem_nfb], nofb_tables, nofb_code, cfg)[0]
     if rep_nfb.C_n_nats < uniform_value - 1e-9:
         raise RuntimeError("no-feedback solve fell below the feasible uniform value")
     if rep_fb.C_n_nats < uniform_value - 1e-9:

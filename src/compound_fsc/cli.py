@@ -256,6 +256,9 @@ def _trial_records(res):
 
 def cmd_simulate(args) -> Run:
     if args.preset == "example1":
+        for name in ("config", "feedback", "family"):
+            if getattr(args, name) is not None:
+                raise ValidationError(f"simulate --preset example1 takes no --{name}: the scenario fixes it")
         n = args.n if args.n is not None else 8
         trials = args.trials if args.trials is not None else 10_000
         seed = args.seed if args.seed is not None else 0

@@ -199,9 +199,6 @@ class MLDecoder:
     def decode_rows(self, cb: Codebook, y_rows: np.ndarray) -> np.ndarray:
         return _best_key_rows(cb, y_rows, self.fsc, self.feedback, self.s0_prior)
 
-    def decode(self, cb: Codebook, y) -> int:
-        return ml_decode(cb, y, self.fsc, self.feedback, self.s0_prior)
-
 
 class UniversalDecoder:
     """Batch decoder that merges the per-member rankings round-robin."""
@@ -217,9 +214,6 @@ class UniversalDecoder:
         # explicit merge is covered by tests.
         first = self.family.members[0]
         return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior)
-
-    def decode(self, cb: Codebook, y) -> int:
-        return universal_decode(cb, y, self.family, self.feedback, self.s0_prior)
 
 
 def _distinct_rows(rows: np.ndarray):

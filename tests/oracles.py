@@ -10,13 +10,7 @@ from compound_fsc import (
     CompoundFamily,
     FeedbackMap,
     ValidationError,
-    causal_log_prob_rows,
-    channel_prob_table,
     directed_information,
-    information_functional,
-    policy_weight_table,
-    product_policy,
-    random_policy,
     uniform_policy,
 )
 from compound_fsc.capacity import (
@@ -30,7 +24,19 @@ from compound_fsc.capacity import (
     _fold_for,
     _PairTables,
 )
-from compound_fsc.causal import code_weights, history_code, policy_adjoint, policy_best_response, sequence_reach
+from compound_fsc.causal import (
+    causal_log_prob_rows,
+    channel_prob_table,
+    code_weights,
+    history_code,
+    policy_adjoint,
+    policy_best_response,
+    policy_weight_table,
+    product_policy,
+    random_policy,
+    sequence_reach,
+)
+from compound_fsc.directed_info import information_functional
 from compound_fsc.util import enumerate_paths, project_rows_to_simplex
 
 

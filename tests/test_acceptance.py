@@ -14,37 +14,26 @@ import numpy as np
 from compound_fsc import (
     CompoundFamily,
     FscSpec,
-    GilbertElliotParams,
     MLDecoder,
-    RankingFunction,
     SolverConfig,
     TrialConfig,
-    UniversalDecoder,
     bsc,
     compute_Cn,
-    compute_Cn_nofeedback,
-    empirical_violation_rate,
     exact_error_probability,
-    example1_config,
-    example1_row,
     ge_feedback_gap,
     ge_gap_family,
     identity_feedback,
-    input_prob,
-    joint_and_output_probs,
-    make_gilbert_elliot,
-    merge_rankings,
-    ml_decode,
-    random_policy,
     run_trials,
     sample_codebook,
-    sanov_pinsker_bound,
-    two_phase_scheme,
-    universal_decode,
-    zero_capacity_family,
-    zero_capacity_witness,
 )
-from compound_fsc.capacity import GAP_TOL
+from compound_fsc.capacity import GAP_TOL, compute_Cn_nofeedback
+from compound_fsc.causal import input_prob, joint_and_output_probs, random_policy
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot
+from compound_fsc.decoder import RankingFunction, UniversalDecoder, merge_rankings, ml_decode, universal_decode
+from compound_fsc.directed_info import zero_capacity_witness
+from compound_fsc.estimation import empirical_violation_rate, sanov_pinsker_bound, two_phase_scheme
+from compound_fsc.presets import zero_capacity_family
+from compound_fsc.simulate import example1_config, example1_row
 from compound_fsc.util import binary_entropy_nats
 from compound_fsc.verify import (
     random_fsc,

@@ -18,18 +18,13 @@ from compound_fsc import (
     SolverConfig,
     ValidationError,
     compute_Cn,
-    compute_Cn_batch,
-    compute_Cn_markovian,
-    compute_Cn_nofeedback,
     ge_gap_family,
     identity_feedback,
     no_feedback,
-    product_policy,
-    random_policy,
-    stationary_distribution,
-    superadditivity_check,
 )
-from compound_fsc.causal import history_code, uniform_policy
+from compound_fsc.capacity import compute_Cn_batch, compute_Cn_markovian, compute_Cn_nofeedback, superadditivity_check
+from compound_fsc.causal import history_code, product_policy, random_policy, uniform_policy
+from compound_fsc.channel import stationary_distribution
 from compound_fsc.verify import random_family, random_fsc
 from oracles import solve_one_start_at_a_time
 

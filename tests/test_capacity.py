@@ -12,34 +12,37 @@ from compound_fsc import (
     CompoundFamily,
     FeedbackMap,
     FscSpec,
-    GilbertElliotParams,
     SolverConfig,
     ValidationError,
-    blahut_arimoto,
     bsc,
-    channel_prob_table,
     compute_Cn,
-    compute_Cn_markovian,
-    compute_Cn_nofeedback,
     directed_information,
     ge_feedback_gap,
     ge_gap_family,
     identity_feedback,
-    information_functional,
-    input_prob,
-    make_gilbert_elliot,
-    make_memoryless,
-    memoryless_compound_fb_capacity,
-    mixture_policy,
     no_feedback,
+    uniform_policy,
+)
+from compound_fsc.capacity import (
+    blahut_arimoto,
+    compute_Cn_markovian,
+    compute_Cn_nofeedback,
+    memoryless_compound_fb_capacity,
+    superadditivity_check,
+)
+from compound_fsc.causal import (
+    channel_prob_table,
+    code_weights,
+    history_code,
+    input_prob,
+    mixture_policy,
     policy_weight_table,
     product_policy,
     random_policy,
-    stationary_distribution,
-    superadditivity_check,
-    uniform_policy,
+    sequence_reach,
 )
-from compound_fsc.causal import code_weights, history_code, sequence_reach
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless, stationary_distribution
+from compound_fsc.directed_info import information_functional
 from compound_fsc.util import project_rows_to_simplex
 from compound_fsc.verify import random_family
 
@@ -241,7 +244,7 @@ def test_markovian_rejects_input_dependent_state():
             k[s, x, x, x] = 1.0
     weird = FscSpec(states=(0, 1), inputs=(0, 1), outputs=(0, 1), kernel=k)
     fam = CompoundFamily(members=(weird,), labels=("w",))
-    from compound_fsc import NotMarkovianError
+    from compound_fsc.errors import NotMarkovianError
 
     with pytest.raises(NotMarkovianError):
         compute_Cn_markovian(fam, identity_feedback((0, 1)), 1, LEAN)
@@ -509,6 +512,18 @@ def test_solvers_reject_horizon_below_one_before_any_table(monkeypatch):
             ge_feedback_gap(fam, n)
 
 
+def test_solvers_reject_feedback_map_off_the_outputs_before_any_table(monkeypatch):
+    # compute_Cn_markovian once solved a one-entry map silently and failed
+    # in numpy on a three-entry one
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    fam = ge_gap_family()
+    for table in ([0], [0, 1, 1]):
+        fb = FeedbackMap(z_alphabet=tuple(sorted(set(table))), table=np.array(table))
+        for solve in (compute_Cn, compute_Cn_markovian):
+            with pytest.raises(ValidationError, match="feedback map"):
+                solve(fam, fb, 2)
+
+
 def test_solver_projects_once_per_ascent_step(monkeypatch):
     calls = []
     project = capmod.project_rows_to_simplex
@@ -598,7 +613,7 @@ def test_ge_feedback_gap_rejects_non_ge():
 
 def test_burst_truncations_monotone():
     # deeper truncations add burstier members, the worst case only drops
-    from compound_fsc import burst_family
+    from compound_fsc.presets import burst_family
 
     fb = identity_feedback((0, 1))
     values = []

@@ -10,36 +10,33 @@ from compound_fsc import (
     CapExceededError,
     CausalConditioning,
     FeedbackMap,
-    GilbertElliotParams,
     SolverConfig,
     ValidationError,
     bsc,
-    causal_log_prob_rows,
-    channel_prob_table,
     compute_Cn,
     identity_feedback,
-    iid_policy,
-    input_prob,
-    joint_and_output_probs,
-    make_gilbert_elliot,
-    make_memoryless,
-    mixture_policy,
     no_feedback,
-    policy_weight_table,
-    product_policy,
-    random_policy,
-    sample_codetree,
-    tree_prob,
     uniform_policy,
 )
 from compound_fsc.causal import (
+    causal_log_prob_rows,
+    channel_prob_table,
     code_weights,
     history_code,
+    iid_policy,
+    input_prob,
+    joint_and_output_probs,
+    mixture_policy,
     policy_adjoint,
     policy_best_response,
+    policy_weight_table,
+    product_policy,
+    random_policy,
     sequence_reach,
     weight_table,
 )
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
+from compound_fsc.codetree import sample_codetree, tree_prob
 from compound_fsc.util import enumerate_paths
 from compound_fsc.verify import random_family
 from oracles import causal_channel_prob, naive_causal_channel_prob

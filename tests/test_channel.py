@@ -9,24 +9,25 @@ from compound_fsc import (
     CompoundFamily,
     FeedbackMap,
     FscSpec,
-    GilbertElliotParams,
-    NoStationaryError,
-    NotMarkovianError,
     ValidationError,
     bsc,
     identity_feedback,
-    kernel_distance,
     load_family,
+    no_feedback,
+    save_family,
+)
+from compound_fsc.channel import (
+    GilbertElliotParams,
+    kernel_distance,
     make_gilbert_elliot,
     make_memoryless,
     nearest_member,
-    no_feedback,
     quantize_family,
-    save_family,
     state_transition_matrix,
     stationary_distribution,
     uniform_ergodicity_horizon,
 )
+from compound_fsc.errors import NoStationaryError, NotMarkovianError
 
 
 def test_kernel_must_be_row_stochastic():

@@ -424,6 +424,14 @@ class TestSimulate:
         assert 0.0 <= body["error_rate"] <= 1.0
         assert "all_bad_freq" in body
 
+    @pytest.mark.parametrize("option", ["--config", "--feedback", "--family"])
+    def test_example1_refuses_options_it_would_ignore(self, tmp_path, capsys, option):
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "example1", "--n", "2", "--trials", "10", option, "none", "--out", str(out)]
+        assert main(argv) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_stateful_family_rejected(self, tmp_path, capsys):

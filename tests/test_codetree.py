@@ -5,21 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from compound_fsc import (
-    CodeTree,
+from compound_fsc import ValidationError, sample_codebook, uniform_policy
+from compound_fsc.causal import iid_policy, input_prob, random_policy
+from compound_fsc.codetree import (
     Codebook,
-    ValidationError,
-    input_prob,
-    iid_policy,
+    CodeTree,
     paths_rows,
-    random_policy,
-    sample_codebook,
     sample_codetree,
     sample_symbols,
     tree_code,
     tree_prob,
     tree_size,
-    uniform_policy,
 )
 
 

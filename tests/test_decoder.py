@@ -7,28 +7,28 @@ import pytest
 
 import compound_fsc.decoder as decoder_mod
 from compound_fsc import (
-    CodeTree,
-    Codebook,
     CompoundFamily,
     FeedbackMap,
     FscSpec,
     MLDecoder,
-    RankingFunction,
-    UniversalDecoder,
     ValidationError,
     bsc,
-    build_ranking,
-    causal_log_prob_rows,
     identity_feedback,
-    make_memoryless,
+    no_feedback,
+    sample_codebook,
+    uniform_policy,
+)
+from compound_fsc.causal import causal_log_prob_rows
+from compound_fsc.channel import make_memoryless
+from compound_fsc.codetree import Codebook, CodeTree, paths_rows
+from compound_fsc.decoder import (
+    RankingFunction,
+    UniversalDecoder,
+    build_ranking,
     merge_rankings,
     ml_decode,
-    no_feedback,
-    paths_rows,
-    sample_codebook,
     separability_check,
     tree_log_likelihood,
-    uniform_policy,
     universal_decode,
 )
 from compound_fsc.util import enumerate_paths
@@ -207,11 +207,11 @@ def test_batch_decoders_match_scalar_paths():
     y_rows = rng.integers(0, 2, size=(64, 3))
     uni = UniversalDecoder(fam, fb)
     got_u = uni.decode_rows(cb, y_rows)
-    want_u = [uni.decode(cb, y) for y in y_rows]
+    want_u = [universal_decode(cb, y, fam, fb) for y in y_rows]
     assert got_u.tolist() == want_u
     ml = MLDecoder(fam.members[1], fb)
     got_m = ml.decode_rows(cb, y_rows)
-    want_m = [ml.decode(cb, y) for y in y_rows]
+    want_m = [ml_decode(cb, y, fam.members[1], fb) for y in y_rows]
     assert got_m.tolist() == want_m
 
 

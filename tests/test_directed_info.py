@@ -4,29 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from compound_fsc import (
-    GilbertElliotParams,
-    bsc,
+from compound_fsc import bsc, directed_information, identity_feedback, no_feedback, uniform_policy
+from compound_fsc.capacity import GAP_TOL
+from compound_fsc.causal import iid_policy, joint_and_output_probs, product_policy, random_policy
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless, stationary_distribution
+from compound_fsc.directed_info import (
     continuity_bound_check,
-    directed_information,
     directed_information_kim,
     exchange_terms,
-    identity_feedback,
-    iid_policy,
     information_functional,
-    joint_and_output_probs,
-    make_gilbert_elliot,
-    make_memoryless,
-    no_feedback,
     per_step_terms,
-    product_policy,
-    random_policy,
     state_gap_check,
-    stationary_distribution,
-    uniform_policy,
     zero_capacity_witness,
 )
-from compound_fsc.capacity import GAP_TOL
 from compound_fsc.verify import random_fsc
 from oracles import causal_channel_prob, marginal_entropy, state_gap_per_call
 
@@ -260,7 +250,7 @@ def test_information_functional_matches_kl_form():
     fsc = random_fsc(rng, 1, 2, 2)
     q = random_policy(1, 2, 1, rng)
     fb = no_feedback(fsc.outputs)
-    from compound_fsc import channel_prob_table, policy_weight_table
+    from compound_fsc.causal import channel_prob_table, policy_weight_table
 
     w = policy_weight_table(q, 2, fb)
     p = channel_prob_table(fsc, 1, 0)

@@ -3,23 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from compound_fsc import (
-    CompoundFamily,
-    GilbertElliotParams,
-    ValidationError,
-    blahut_arimoto,
-    bsc,
-    empirical_violation_rate,
-    estimate_memoryless_channel,
-    make_gilbert_elliot,
-    make_memoryless,
-    sanov_pinsker_bound,
-    two_phase_scheme,
-)
+from compound_fsc import CompoundFamily, ValidationError, bsc
+from compound_fsc.capacity import blahut_arimoto
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
 from compound_fsc.estimation import (
+    empirical_violation_rate,
     entropy_continuity_bound,
+    estimate_memoryless_channel,
     memoryless_mutual_info,
     mutual_info_continuity_bound,
+    sanov_pinsker_bound,
+    two_phase_scheme,
 )
 from compound_fsc.util import wilson_interval, xlogy
 

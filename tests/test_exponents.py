@@ -3,23 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from compound_fsc import (
-    GilbertElliotParams,
-    ValidationError,
+from compound_fsc import ValidationError, bsc, identity_feedback, no_feedback, uniform_policy
+from compound_fsc.causal import random_policy
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
+from compound_fsc.exponents import (
     beta_exponent,
-    bsc,
     e0_lower_bound_check,
     f_n_exponent,
     fn_superadditivity_check,
     gallager_e0,
-    identity_feedback,
-    make_gilbert_elliot,
-    make_memoryless,
-    no_feedback,
     optimal_rho,
     random_coding_bound,
-    random_policy,
-    uniform_policy,
 )
 from compound_fsc.verify import random_fsc
 from oracles import (

@@ -3,8 +3,10 @@ resolves, no function takes a size-cap knob, no function re-imports a
 sibling module the file already imports at the top, a function imports a
 sibling only to break an import cycle and every module constant is read,
 checked on the syntax tree of each package module; every public function
-and class has a caller outside the tests; and every `module.name` that
-README.md cites names an attribute of that package module."""
+and class has a caller outside the tests; every `module.name` that
+README.md cites names an attribute of that package module; and the package
+namespace holds exactly the names README's quick start and the benchmark
+read from it or README lists, and the quick start runs."""
 
 import ast
 import importlib
@@ -37,6 +39,8 @@ KEPT = {
     "codetree.sample_codetree": "one tree drawn, the stream sample_symbols reproduces",
     "codetree.tree_prob": "the law of sample_codetree",
     "decoder.tree_log_likelihood": "one tree and one output row through the codebook scorer",
+    "decoder.ml_decode": "one output row's ML decision, the one MLDecoder.decode_rows must match",
+    "decoder.universal_decode": "one output row's explicit round-robin merge, what UniversalDecoder.decode_rows matches",
 }
 
 
@@ -233,3 +237,42 @@ def test_readme_module_references_resolve():
     assert cited, "README.md cites no package module names"
     stale = [f"{m}.{name}" for m, name in cited if not hasattr(importlib.import_module(f"compound_fsc.{m}"), name)]
     assert not stale, f"README.md cites names that do not exist: {', '.join(stale)}"
+
+
+def _quick_start() -> tuple[str, str]:
+    """README's quick-start prose (the namespace sentence) and its python block."""
+    found = re.search(r"^## Quick start\n(.*?)^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert found, "README.md has no python block under Quick start"
+    return found.group(1), found.group(2)
+
+
+def _package_reads(tree: ast.AST) -> set:
+    """The names read as `cf.<name>`, cf being the package."""
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "cf"
+    }
+
+
+def test_namespace_is_what_readme_and_benchmark_read():
+    """Every `cf.<name>` that README's quick start or perfbench/ reads is
+    exported (or is a package module), and every exported name is read that
+    way or listed in README's namespace sentence, so the namespace cannot
+    grow unnoticed."""
+    exported = set(importlib.import_module("compound_fsc").__all__)
+    prose, code = _quick_start()
+    read = _package_reads(ast.parse(code))
+    for path in PERFBENCH.glob("*.py"):
+        read |= _package_reads(ast.parse(path.read_text()))
+    missing = sorted(read - exported - {p.stem for p in MODULES})
+    assert not missing, f"read as cf.<name> but not exported: {', '.join(missing)}"
+    unlisted = sorted(exported - read - set(re.findall(r"`(\w+)`", prose)))
+    assert not unlisted, f"exported but neither read as cf.<name> nor listed in README: {', '.join(unlisted)}"
+
+
+def test_readme_quick_start_runs(capsys):
+    cf = importlib.import_module("compound_fsc")
+    assert Path(cf.__file__).resolve().parent == PACKAGE.resolve(), cf.__file__
+    exec(compile(_quick_start()[1], "README.md quick start", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

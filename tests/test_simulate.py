@@ -10,31 +10,25 @@ import compound_fsc.decoder as decoder_mod
 import compound_fsc.simulate as simulate_mod
 from compound_fsc import (
     CapExceededError,
-    CodeTree,
-    Codebook,
     CompoundFamily,
     FeedbackMap,
     FscSpec,
-    GilbertElliotParams,
     MLDecoder,
     TrialConfig,
     ValidationError,
     bsc,
     exact_error_probability,
-    example1_config,
-    example1_row,
     identity_feedback,
-    make_gilbert_elliot,
-    make_memoryless,
-    ml_decode,
     no_feedback,
-    paths_rows,
-    random_coding_bound,
     run_trials,
     sample_codebook,
-    simulate_batch,
     uniform_policy,
 )
+from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
+from compound_fsc.codetree import Codebook, CodeTree, paths_rows
+from compound_fsc.decoder import ml_decode
+from compound_fsc.exponents import random_coding_bound
+from compound_fsc.simulate import example1_config, example1_row, simulate_batch
 from compound_fsc.util import worker_count
 from compound_fsc.verify import random_fsc
 from oracles import naive_causal_channel_prob

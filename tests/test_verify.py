@@ -1,8 +1,8 @@
 import pytest
 
 import compound_fsc.directed_info as dimod
-from compound_fsc import CheckResult, ValidationError, run_suites
-from compound_fsc.verify import SUITES, suite_kim_identity
+from compound_fsc import ValidationError, run_suites
+from compound_fsc.verify import SUITES, CheckResult, suite_kim_identity
 
 # (passed, instances, violations, worst) of every suite at seed 0
 PINNED = {
