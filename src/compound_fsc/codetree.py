@@ -15,7 +15,7 @@ import numpy as np
 
 from .causal import CausalConditioning, child_histories
 from .errors import ValidationError
-from .util import chunk_digits, sample_rows
+from .util import cdf_draw, chunk_digits, sample_rows
 
 
 def tree_size(depth: int, z_card: int) -> int:
@@ -107,18 +107,22 @@ def sample_symbols(q: CausalConditioning, count: int, rng: np.random.Generator) 
     tree: each node's symbol from the conditional for the (input, feedback)
     history spelled by its root path. The uniforms are one rng.random(count
     * D) call, tree t reading t*D..(t+1)*D - 1 level by level, so the trees
-    are those of `count` successive one-tree draws."""
+    are those of `count` successive one-tree draws. A step whose rows are
+    all one law (row stride 0) draws every node against that row's one CDF,
+    and histories are walked only as far as the last step that reads them."""
     size = tree_size(q.horizon, q.z_card)
     u = rng.random(count * size).reshape(count, size)
     symbols = np.empty((count, size), dtype=np.int64)
     hist = np.zeros((count, 1), dtype=np.int64)
-    offset = 0
-    for i in range(q.horizon):
-        level = slice(offset, offset + hist.shape[1])
-        x = sample_rows(q.conditionals[i][hist.ravel()], u[:, level].ravel()).reshape(hist.shape)
+    walk = max((i for i, c in enumerate(q.conditionals) if c.strides[0]), default=0)
+    for i, c in enumerate(q.conditionals):
+        level = slice(tree_size(i, q.z_card), tree_size(i + 1, q.z_card))
+        if c.strides[0]:
+            x = sample_rows(c[hist.ravel()], u[:, level].ravel()).reshape(hist.shape)
+        else:
+            x = cdf_draw(c[0].cumsum()[:-1], u[:, level])
         symbols[:, level] = x
-        offset = level.stop
-        if i < q.horizon - 1:
+        if i < walk:
             hist = child_histories(hist, x, q.x_card, q.z_card).reshape(count, -1)
     return symbols
 

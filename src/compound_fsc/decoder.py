@@ -11,13 +11,16 @@ step i depends on the outputs only through the feedback prefix, so the
 forward recursion factors over the distinct output prefixes: the scorer
 runs it once per (tree, distinct prefix) for a block of trees at once, and
 decoding costs about (distinct output prefixes) x (distinct trees) steps,
-not depth x rows x trees. Trees go through it in blocks whose level arrays
-fit SCORER_BYTES, so a large codebook decodes in pieces, never in one
+not depth x rows x trees. What does not depend on the trees, the prefix
+plan, is built once per range of rows and read by every block. Trees go
+through the scorer in blocks whose level arrays fit SCORER_BYTES together
+with that plan, so a large codebook decodes in pieces, never in one
 trees x rows table.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -30,12 +33,15 @@ from .errors import ValidationError
 from .util import chunk_digits
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
-# Budget for the level arrays of one block of trees in one worker thread:
-# run_trials decodes one range of the run's distinct output rows per thread,
-# so a run's scorer peak is worker_count() x SCORER_BYTES. On simulate-ml
-# (64 trees, n = 12, two threads of about 4100 distinct rows each) peak RSS
-# was 90 / 90 / 80 / 80 / 80 MB at 32 / 16 / 8 / 4 / 2 MiB; run time held
-# from 32 down to 8 MiB and rose by about 40 % at 4 MiB and 60 % at 2 MiB.
+# Budget for a decode's prefix plan and the level arrays of one block of
+# trees, and for a whole run_trials: its threads decode disjoint ranges of
+# the run's distinct output rows, each within its rows' share (_row_share),
+# so the decode peak does not grow with the thread count. Sweep on
+# simulate-ml (64 trees, n = 12, two threads of about 2050 distinct rows
+# each), three runs at 2 / 4 / 8 / 16 MiB a run: run_s 0.163-0.172 /
+# 0.092-0.093 / 0.074-0.076 / 0.067-0.073 s, peak RSS 52.9-53.0 /
+# 52.8-53.0 / 53.4 / 58.8 MB. Below 8 MiB the extra blocks cost time and
+# hardly any memory: the drive phase, not decoding, sets that peak.
 SCORER_BYTES = 8 * 2 ** 20
 
 
@@ -51,44 +57,65 @@ def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0
     """(trees, T) table of tree_log_likelihood for every tree and row of a
     (T, depth) output matrix: each distinct row scored once, block by block."""
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    plan = _prefix_plan(trees[0], distinct, feedback)
     blocks = [
-        _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
-        for lo, hi in _tree_blocks(fsc, len(trees), *distinct.shape)
+        _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior)
+        for lo, hi in _tree_blocks(fsc, trees, distinct.shape[0])
     ]
     return np.concatenate(blocks)[:, inverse]
 
 
-def _codebook_log_likelihoods(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap, s0_prior) -> np.ndarray:
-    """(trees, rows) table of tree_log_likelihood, the one code-tree scorer.
+@dataclass(frozen=True, eq=False)
+class _PrefixPlan:
+    """The part of the forward recursion over sorted distinct output rows
+    that does not depend on the trees, built once per row range and read by
+    every tree block. steps[i] = (parent, node, y): for each length-(i + 1)
+    output prefix, in run order, the number of its length-i parent prefix,
+    its tree node at step i + 1 and its last output. At most 3 x depth int64
+    cells per row."""
 
-    rows are distinct and sorted lexicographically, column 0 most
-    significant, as _distinct_rows returns them, so the rows sharing an
-    output prefix y^i form one run. A tree's input at step i depends on y^i
-    only through the feedback prefix, so the forward recursion runs once per
-    (tree, run): at step i, alpha and log_acc hold one column per tree and
-    length-i prefix, and each column extends its parent prefix's. Trees are
-    walked in lockstep by node_columns, so they must share one shape.
-    """
+    rows: np.ndarray
+    steps: tuple
+
+
+def _prefix_plan(tree, rows: np.ndarray, feedback: FeedbackMap) -> _PrefixPlan:
+    """The prefix plan of int64 `rows` for trees shaped like `tree`. rows are
+    distinct and sorted lexicographically, column 0 most significant, as
+    _distinct_rows returns them, so the rows sharing an output prefix y^i
+    form one run; a tree's input at step i depends on y^i only through the
+    feedback prefix, so each run's first row stands for the whole run."""
     t, n = rows.shape
-    symbols = np.stack([tree.symbols for tree in trees])
-    table = step_table(fsc)
     # new[r, i]: row r opens a new run of length-(i + 1) prefixes
     new = np.ones((t, n), dtype=bool)
     np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1, out=new[1:])
     prefix = np.zeros(t, dtype=np.int64)  # each row's length-i prefix, numbered in run order
-    alpha = np.broadcast_to(_as_prior(fsc, s0_prior)[:, None, None], (fsc.n_states, len(trees), 1))
-    log_acc = np.zeros((len(trees), 1))
-    cols = node_columns(trees[0], t)
+    cols = node_columns(tree, t)
     col = next(cols)
+    steps = []
     for i in range(n):
         first = np.flatnonzero(new[:, i])  # first row of each length-(i + 1) prefix
-        parent = prefix[first]
-        log_acc = log_acc[:, parent]
-        idx = symbols[:, col[first]] * fsc.n_outputs + rows[first, i]
-        alpha = forward_step(alpha[:, :, parent], log_acc, table, idx)
+        steps.append((prefix[first], col[first], rows[first, i]))
         if i < n - 1:
             prefix = np.cumsum(new[:, i]) - 1
             col = cols.send(feedback.table[rows[:, i]])
+    return _PrefixPlan(rows, tuple(steps))
+
+
+def _codebook_log_likelihoods(fsc: FscSpec, trees, plan: _PrefixPlan, s0_prior) -> np.ndarray:
+    """(trees, plan.rows) table of tree_log_likelihood, the one code-tree
+    scorer. The forward recursion runs once per (tree, output prefix): at
+    step i, alpha and log_acc hold one column per tree and length-i prefix,
+    and each column extends its parent prefix's. Trees are walked in
+    lockstep by the plan's node columns, so they must share one shape.
+    """
+    symbols = np.stack([tree.symbols for tree in trees])
+    table = step_table(fsc)
+    alpha = np.broadcast_to(_as_prior(fsc, s0_prior)[:, None, None], (fsc.n_states, len(trees), 1))
+    log_acc = np.zeros((len(trees), 1))
+    for parent, node, y in plan.steps:
+        log_acc = log_acc[:, parent]
+        idx = symbols[:, node] * fsc.n_outputs + y
+        alpha = forward_step(alpha[:, :, parent], log_acc, table, idx)
     return log_acc
 
 
@@ -191,17 +218,21 @@ def universal_decode(
 class MLDecoder:
     """Batch decoder tuned to a single channel member."""
 
+    _budget = None  # scorer bytes; None is SCORER_BYTES (see _row_share)
+
     def __init__(self, fsc: FscSpec, feedback: FeedbackMap, s0_prior=None):
         self.fsc = fsc
         self.feedback = feedback
         self.s0_prior = s0_prior
 
     def decode_rows(self, cb: Codebook, y_rows: np.ndarray) -> np.ndarray:
-        return _best_key_rows(cb, y_rows, self.fsc, self.feedback, self.s0_prior)
+        return _best_key_rows(cb, y_rows, self.fsc, self.feedback, self.s0_prior, self._budget)
 
 
 class UniversalDecoder:
     """Batch decoder that merges the per-member rankings round-robin."""
+
+    _budget = None  # scorer bytes; None is SCORER_BYTES (see _row_share)
 
     def __init__(self, family: CompoundFamily, feedback: FeedbackMap, s0_prior=None):
         self.family = family
@@ -213,7 +244,17 @@ class UniversalDecoder:
         # batch decoding only needs that member's scores; agreement with the
         # explicit merge is covered by tests.
         first = self.family.members[0]
-        return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior)
+        return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior, self._budget)
+
+
+def _row_share(decoder, rows: int, total: int):
+    """A copy of `decoder` that scores within rows / total of SCORER_BYTES:
+    workers that decode disjoint ranges of one run's `total` distinct rows
+    through such copies stay within one SCORER_BYTES together, and each
+    block holds about as many trees as one decode of all the rows."""
+    part = copy.copy(decoder)
+    part._budget = SCORER_BYTES * rows // total
+    return part
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -245,37 +286,42 @@ def _distinct_rows(rows: np.ndarray):
     return rows[order[new]], inverse
 
 
-def _tree_blocks(fsc: FscSpec, n_trees: int, rows: int, depth: int) -> list:
-    """(lo, hi) bounds of consecutive tree blocks, each small enough that the
-    scorer's level arrays over `rows` distinct rows of length `depth` fit in
-    SCORER_BYTES (a block of one tree when even that does not fit)."""
-    # measured tracemalloc peak, in 8-byte cells: 2.5 |S| + 5.2 per (tree,
-    # row) at |Y| = 2 and 2.3 |S| + 4.9 at |Y| = 3 (|S| = 1..4, 4- to 40-tree
-    # blocks), the previous level's alpha and log_acc included, plus about
-    # 15 per row at depth 10 for the arrays a block shares (two run masks of
-    # depth / 8 cells, prefix numbers, node columns and their step
-    # temporaries). The charge, 3 |S| + 8 per (tree, row) and depth / 4 + 13
-    # per row, held every peak to at most 0.89 of it from 1000 rows up
-    # (|Y| = 2, 3, depth 6..40, |S| = 1..6, 1 to 40 trees); below a few
-    # hundred rows the scorer's fixed few KiB dominate.
-    per_tree = 8 * rows * (3 * fsc.n_states + 8)
-    shared = 8 * rows * (depth // 4 + 13)
-    size = max(1, (SCORER_BYTES - shared) // max(per_tree, 1))
-    return [(lo, min(lo + size, n_trees)) for lo in range(0, n_trees, size)]
+def _tree_blocks(fsc: FscSpec, trees, rows: int, budget=None) -> list:
+    """(lo, hi) bounds of consecutive blocks of `trees`, each small enough
+    that the scorer's arrays over `rows` distinct rows, with their prefix
+    plan, fit `budget` bytes (SCORER_BYTES when None; a block of one tree
+    when even that does not fit)."""
+    # Charged in 8-byte cells. Per (tree, row) 3 |S| + 8: the block's level
+    # arrays, the previous level's alpha and log_acc included, traced at
+    # 2.5 |S| + 5.2 at |Y| = 2 and 2.3 |S| + 4.9 at |Y| = 3; per tree its
+    # stacked symbols. Per row the plan's at most 3 depth cells, and depth /
+    # 4 + 13 for the run masks, prefix numbers and node columns the plan is
+    # built with and the per-row arrays of a block. Traced peaks of building
+    # the plan and scoring one block against it held to at most 0.94 of the
+    # charge (|Y| = 2, 3, depth 6..40, |S| = 1, 2, 3, 6, 1 to 40 trees, 60
+    # to 4000 distinct rows), and to 0.86 from 900 rows up.
+    budget = SCORER_BYTES if budget is None else budget
+    depth, nodes = trees[0].depth, trees[0].symbols.size
+    per_tree = 8 * (rows * (3 * fsc.n_states + 8) + nodes)
+    shared = 8 * rows * (3 * depth + depth // 4 + 13)
+    size = max(1, (budget - shared) // per_tree)
+    return [(lo, min(lo + size, len(trees))) for lo in range(0, len(trees), size)]
 
 
-def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
+def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior, budget=None) -> np.ndarray:
     """Row-wise message with the best (likelihood, key, index) tree. The
     decision is a function of the row alone, so each distinct row is scored
-    once, against a block of trees at a time, and its decision copied to
-    every row equal to it."""
+    once, against a block of trees at a time that fits `budget` bytes
+    (SCORER_BYTES when None), and its decision copied to every row equal to
+    it."""
     keys, trees, owner = _codebook_key_table(cb)
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    plan = _prefix_plan(trees[0], distinct, feedback)
     t = distinct.shape[0]
     best_ll = np.full(t, -np.inf)
     best = np.zeros(t, dtype=np.int64)
-    for lo, hi in _tree_blocks(fsc, len(trees), *distinct.shape):
-        ll = _codebook_log_likelihoods(fsc, trees[lo:hi], distinct, feedback, s0_prior)
+    for lo, hi in _tree_blocks(fsc, trees, t, budget):
+        ll = _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior)
         top = ll.argmax(axis=0)  # the first maximum: the smallest key on ties
         top_ll = ll[top, np.arange(t)]
         better = top_ll > best_ll  # strict: an earlier block keeps its smaller keys

@@ -16,7 +16,8 @@ transposed (trials, n) views of those tables. Every table of symbols, inputs,
 outputs or states, takes the narrowest dtype that holds its alphabet
 (`_symbol_dtype`: uint8 up to 256 symbols). A decision is a function of the
 output row alone, so run_trials decodes each distinct output of the run once,
-the sorted distinct rows split into one range per worker thread.
+the sorted distinct rows split into one range per worker thread, each range
+decoded within its share of the run's one decoder budget (SCORER_BYTES).
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from .channel import (
     make_gilbert_elliot,
 )
 from .codetree import Codebook, CodeTree, node_columns, sample_codebook
-from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_rows, _log_likelihood_table
+from .decoder import (
+    MLDecoder,
+    UniversalDecoder,
+    _codebook_key_table,
+    _distinct_rows,
+    _log_likelihood_table,
+    _row_share,
+)
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
 
@@ -225,12 +233,14 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
         # distinct output rows with the inverse that rebuilds its rows
         parts = list(pool.map(drive, bounds[:-1], bounds[1:]))  # re-raises a chunk's error
         # phase 2: decode each distinct output of the run once, the sorted
-        # distinct rows split into one range per worker
+        # distinct rows split into one range per worker, each scored within
+        # its range's share of the run's one scorer budget
         distinct, where = _distinct_rows(np.concatenate([d for d, _ in parts]))
-        cuts = np.linspace(0, distinct.shape[0], workers + 1, dtype=int)
-        decided = np.concatenate(
-            list(pool.map(lambda a, b: decoder.decode_rows(cb, distinct[a:b]), cuts[:-1], cuts[1:]))
-        )
+        total = distinct.shape[0]
+        cuts = np.linspace(0, total, workers + 1, dtype=int)
+        decided = np.concatenate(list(pool.map(
+            lambda a, b: _row_share(decoder, b - a, total).decode_rows(cb, distinct[a:b]), cuts[:-1], cuts[1:]
+        )))
     at = np.split(where, np.cumsum([len(d) for d, _ in parts])[:-1])  # each chunk's rows of `distinct`
     w_hat = np.concatenate([decided[a][inverse] for a, (_, inverse) in zip(at, parts)])
     flags = w_hat != w

@@ -121,7 +121,9 @@ def enumerate_paths(card: int, length: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Thread budget taken from COMPOUND_FSC_THREADS (0 or unset = auto)."""
+    """Thread budget taken from COMPOUND_FSC_THREADS; 0 or unset is auto: at
+    most 4, and no more than the CPUs this process may run on (its affinity
+    set where the platform has one, else the machine's CPU count)."""
     raw = os.environ.get("COMPOUND_FSC_THREADS", "0")
     try:
         k = int(raw)
@@ -130,5 +132,6 @@ def worker_count() -> int:
     if k < 0:
         raise ValidationError("COMPOUND_FSC_THREADS must be >= 0")
     if k == 0:
-        return min(4, os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(4, cpus or 1)
     return k

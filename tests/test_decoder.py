@@ -234,9 +234,9 @@ def test_decode_rows_scores_each_distinct_row_once(monkeypatch):
     scored = []
     real = decoder_mod._codebook_log_likelihoods
 
-    def spy(fsc, trees, rows, feedback, s0_prior):
-        scored.append((len(trees), np.array(rows)))
-        return real(fsc, trees, rows, feedback, s0_prior)
+    def spy(fsc, trees, plan, s0_prior):
+        scored.append((len(trees), plan))
+        return real(fsc, trees, plan, s0_prior)
 
     monkeypatch.setattr(decoder_mod, "_codebook_log_likelihoods", spy)
     rng = np.random.default_rng(211)
@@ -253,7 +253,9 @@ def test_decode_rows_scores_each_distinct_row_once(monkeypatch):
         MLDecoder(fsc, fb).decode_rows(cb, y_rows)
         assert len(scored) == calls
         assert sum(count for count, _ in scored) == tree_count
-        for _, rows in scored:
+        assert len({id(plan) for _, plan in scored}) == 1  # every block reads one prefix plan
+        for _, plan in scored:
+            rows = plan.rows
             assert {tuple(r) for r in rows.tolist()} == distinct
             assert rows.shape[0] == len(distinct)
             assert rows.tolist() == sorted(rows.tolist())  # each output prefix is one run
@@ -284,6 +286,11 @@ def test_distinct_rows_matches_unique_oracle(name):
     assert distinct.shape == want.shape and np.array_equal(distinct, want)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(distinct[inverse], rows)
+
+
+def _score(fsc, trees, rows, fb, s0):
+    plan = decoder_mod._prefix_plan(trees[0], rows, fb)
+    return decoder_mod._codebook_log_likelihoods(fsc, trees, plan, s0)
 
 
 def _oracle_table(fsc, trees, rows, fb, s0):
@@ -319,7 +326,7 @@ def test_codebook_scorer_equals_per_tree_oracle(fb_name):
         keys, trees, owner = decoder_mod._codebook_key_table(cb)
         rows, _ = decoder_mod._distinct_rows(rng.integers(0, y_card, size=(60, 4)))
         for s0 in (n_states - 1, rng.dirichlet(np.ones(n_states)), None):
-            got = decoder_mod._codebook_log_likelihoods(fsc, trees, rows, fb, s0)
+            got = _score(fsc, trees, rows, fb, s0)
             assert np.array_equal(got, _oracle_table(fsc, trees, rows, fb, s0))
             impossible += int(np.isneginf(got).sum())
             dead = np.isneginf(got).all(axis=0)
@@ -338,7 +345,7 @@ def test_all_impossible_row_decodes_to_smallest_key_owner():
     y_rows = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     rows, _ = decoder_mod._distinct_rows(y_rows)
-    ll = decoder_mod._codebook_log_likelihoods(fsc, trees, rows, fb, None)
+    ll = _score(fsc, trees, rows, fb, None)
     assert np.isneginf(ll[:, 2:]).all()  # no tree emits 1 at the first step
     got = MLDecoder(fsc, fb).decode_rows(cb, y_rows)
     assert got.tolist() == [1, 1, 0, 1]  # message 1 owns key 0; (0, 1) is t_high's path
@@ -355,37 +362,42 @@ def test_decoding_in_tree_blocks_matches_one_block(monkeypatch):
     dec = MLDecoder(fsc, fb, 0)
     one_block = dec.decode_rows(cb, y_rows)
     distinct = decoder_mod._distinct_rows(y_rows)[0].shape[0]
-    per_tree = 8 * distinct * (3 * fsc.n_states + 8)
-    shared = 8 * distinct * (4 // 4 + 13)
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    per_tree = 8 * (distinct * (3 * fsc.n_states + 8) + trees[0].symbols.size)
+    shared = 8 * distinct * (3 * 4 + 4 // 4 + 13)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", shared + 2 * per_tree)  # two trees per block
-    assert len(decoder_mod._tree_blocks(fsc, 7, distinct, 4)) == 4
+    assert len(decoder_mod._tree_blocks(fsc, trees, distinct)) == 4
     blocks = dec.decode_rows(cb, y_rows)
     assert blocks.tolist() == one_block.tolist()
     assert blocks.tolist() == [ml_decode(cb, y, fsc, fb, 0) for y in y_rows]
 
 
 def _scorer_peaks(fsc, trees, rows, fb):
-    """tracemalloc peak of the scorer over each block _tree_blocks makes."""
-    bounds = decoder_mod._tree_blocks(fsc, len(trees), *rows.shape)
-    decoder_mod._codebook_log_likelihoods(fsc, trees[:1], rows, fb, None)  # warm-up
+    """tracemalloc peak of building the prefix plan and scoring one block
+    against it, for each block _tree_blocks makes."""
+    bounds = decoder_mod._tree_blocks(fsc, trees, rows.shape[0])
+    _score(fsc, trees[:1], rows, fb, None)  # warm-up
     peaks = []
     for lo, hi in bounds:
         tracemalloc.start()
-        decoder_mod._codebook_log_likelihoods(fsc, trees[lo:hi], rows, fb, None)
+        _score(fsc, trees[lo:hi], rows, fb, None)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     return bounds, peaks
 
 
-def test_scorer_level_arrays_stay_within_budget(monkeypatch):
+@pytest.mark.parametrize("y_card", [2, 4])
+def test_scorer_level_arrays_stay_within_budget(monkeypatch, y_card):
+    # at |Y| = 4 the 1024 random rows part within a few steps, so the plan
+    # holds about 17 of its charged 3 x depth = 30 cells a row
     rng = np.random.default_rng(229)
-    fsc = random_fsc(rng, 3, 2, 2)
-    fb = identity_feedback((0, 1))
+    fsc = random_fsc(rng, 3, 2, y_card)
+    fb = FeedbackMap(z_alphabet=(0, 1), table=np.arange(y_card) % 2)
     cb = sample_codebook(uniform_policy(10, 2, 2), 40, rng)
     budget = 2 ** 20
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     _, trees, _ = decoder_mod._codebook_key_table(cb)
-    rows = enumerate_paths(2, 10)
+    rows = enumerate_paths(2, 10) if y_card == 2 else decoder_mod._distinct_rows(rng.integers(0, 4, (1024, 10)))[0]
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert len(bounds) > 1 and bounds[0][1] - bounds[0][0] > 1
     assert max(peaks) <= budget
@@ -400,7 +412,7 @@ def test_small_scorer_blocks_stay_within_budget_at_one_state(monkeypatch, size):
     cb = sample_codebook(uniform_policy(10, 2, 2), 8, rng)
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     rows = enumerate_paths(2, 10)
-    budget = 8 * rows.shape[0] * ((10 // 4 + 13) + size * (3 * fsc.n_states + 8))
+    budget = 8 * rows.shape[0] * (3 * 10 + 10 // 4 + 13) + size * 8 * (rows.shape[0] * (3 * fsc.n_states + 8) + 1023)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert bounds[0] == (0, size)

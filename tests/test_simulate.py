@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -309,14 +311,14 @@ def test_state_row_index_is_computed_past_the_state_dtype():
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads):
     """A run holds its step-major result tables once, and each worker thread
     one uniform slab and one draw block; beyond them it may use one scorer
-    block per worker thread and a slack of 16 int64 values per trial (the
-    per-trial messages, initial states and decisions, and the O(trials)
-    temporaries of one step of the loop or of the decoder's sort) plus 1 MiB
-    (stacked tree symbols, CDF and key tables)."""
+    budget, whatever the thread count, and a slack of 16 int64 values per
+    trial (the per-trial messages, initial states and decisions, and the
+    O(trials) temporaries of one step of the loop or of the decoder's sort)
+    plus 1 MiB (stacked tree symbols, CDF and key tables)."""
     monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
@@ -335,8 +337,65 @@ def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads)
     tables = res.outputs.nbytes + res.state_paths.nbytes
     uniforms = worker_count() * 8 * (n + 2) * (simulate_mod._SLAB_ROWS + simulate_mod._DRAW_ROWS)
     slack = 8 * 16 * trials + 2 ** 20
-    assert peak <= tables + uniforms + worker_count() * decoder_mod.SCORER_BYTES + slack
+    assert peak <= tables + uniforms + decoder_mod.SCORER_BYTES + slack
     assert res.outputs.T.flags.c_contiguous and res.state_paths.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
+    """The decode phase's traced peak, from the first decode call a thread
+    enters while none is running to the last that returns, stays within one
+    SCORER_BYTES however many threads split the distinct rows."""
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+    real = decoder_mod._best_key_rows
+    lock = threading.Lock()
+    state = {"running": 0, "base": 0, "calls": 0, "peaks": []}
+
+    def traced(*args):
+        with lock:
+            if state["running"] == 0:
+                state["base"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            state["running"] += 1
+            state["calls"] += 1
+        try:
+            return real(*args)
+        finally:
+            with lock:
+                state["running"] -= 1
+                if state["running"] == 0:
+                    state["peaks"].append(tracemalloc.get_traced_memory()[1] - state["base"])
+
+    monkeypatch.setattr(decoder_mod, "_best_key_rows", traced)
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(71))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
+                      trials=40_000, seed=73, s0=0)
+    tracemalloc.start()
+    try:
+        run_trials(cfg)
+    finally:
+        tracemalloc.stop()
+    assert state["calls"] == int(threads)
+    assert 0 < max(state["peaks"]) <= decoder_mod.SCORER_BYTES
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("COMPOUND_FSC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus, want in ((1, 1), (3, 3), (16, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        assert worker_count() == want
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "0")
+    assert worker_count() == 4
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "7")  # an explicit count is taken as it is
+    assert worker_count() == 7
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # platforms without affinity sets
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "0")
+    assert worker_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
 
 
 def test_run_trials_decisions_pinned():
