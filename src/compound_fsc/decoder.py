@@ -308,7 +308,7 @@ def _tree_blocks(fsc: FscSpec, trees, rows: int, budget=None) -> list:
     return [(lo, min(lo + size, len(trees))) for lo in range(0, len(trees), size)]
 
 
-def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior, budget=None) -> np.ndarray:
+def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior, budget) -> np.ndarray:
     """Row-wise message with the best (likelihood, key, index) tree. The
     decision is a function of the row alone, so each distinct row is scored
     once, against a block of trees at a time that fits `budget` bytes
