@@ -386,21 +386,31 @@ def _scorer_peaks(fsc, trees, rows, fb):
     return bounds, peaks
 
 
-@pytest.mark.parametrize("y_card", [2, 4])
-def test_scorer_level_arrays_stay_within_budget(monkeypatch, y_card):
-    # at |Y| = 4 the 1024 random rows part within a few steps, so the plan
-    # holds about 17 of its charged 3 x depth = 30 cells a row
-    rng = np.random.default_rng(229)
-    fsc = random_fsc(rng, 3, 2, y_card)
-    fb = FeedbackMap(z_alphabet=(0, 1), table=np.arange(y_card) % 2)
-    cb = sample_codebook(uniform_policy(10, 2, 2), 40, rng)
+def _assert_scorer_within_budget(monkeypatch, fsc, fb, cb, rows):
     budget = 2 ** 20
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     _, trees, _ = decoder_mod._codebook_key_table(cb)
-    rows = enumerate_paths(2, 10) if y_card == 2 else decoder_mod._distinct_rows(rng.integers(0, 4, (1024, 10)))[0]
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert len(bounds) > 1 and bounds[0][1] - bounds[0][0] > 1
     assert max(peaks) <= budget
+
+
+def test_scorer_level_arrays_stay_within_budget(monkeypatch):
+    rng = np.random.default_rng(229)
+    fsc = random_fsc(rng, 3, 2, 2)
+    cb = sample_codebook(uniform_policy(10, 2, 2), 40, rng)
+    _assert_scorer_within_budget(monkeypatch, fsc, identity_feedback((0, 1)), cb, enumerate_paths(2, 10))
+
+
+def test_scorer_stays_within_budget_when_rows_part_early(monkeypatch):
+    # at |Y| = 4 the 1024 random rows part within a few steps, so the plan
+    # holds about 17 of its charged 3 x depth = 30 cells a row
+    rng = np.random.default_rng(229)
+    fsc = random_fsc(rng, 3, 2, 4)
+    fb = FeedbackMap(z_alphabet=(0, 1), table=np.arange(4) % 2)
+    cb = sample_codebook(uniform_policy(10, 2, 2), 40, rng)
+    rows = decoder_mod._distinct_rows(rng.integers(0, 4, (1024, 10)))[0]
+    _assert_scorer_within_budget(monkeypatch, fsc, fb, cb, rows)
 
 
 @pytest.mark.parametrize("size", [1, 4])
