@@ -12,16 +12,16 @@ forward recursion factors over the distinct output prefixes: the scorer
 runs it once per (tree, distinct prefix) for a block of trees at once, and
 decoding costs about (distinct output prefixes) x (distinct trees) steps,
 not depth x rows x trees. What does not depend on the trees, the prefix
-plan, is built once per range of rows and read by every block. Trees go
-through the scorer in blocks whose level arrays fit SCORER_BYTES together
-with that plan, so a large codebook decodes in pieces, never in one
-trees x rows table.
+plan, is built once per decode and read by every block. _scored_blocks, the
+scorer's one driver, puts trees through it in blocks on worker_count()
+threads, whose level arrays fit SCORER_BYTES together with that plan, so a
+large codebook decodes in pieces, never in one trees x rows table.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +30,15 @@ from .causal import _as_prior, channel_prob_table, forward_step, step_table
 from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, node_columns
 from .errors import ValidationError
-from .util import chunk_digits
+from .util import chunk_digits, worker_count
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
-# Budget for a decode's prefix plan and the level arrays of one block of
-# trees, and for a whole run_trials: its threads decode disjoint ranges of
-# the run's distinct output rows, each within its rows' share (_row_share),
-# so the decode peak does not grow with the thread count. Sweep on
-# simulate-ml (64 trees, n = 12, two threads of about 2050 distinct rows
-# each), three runs at 2 / 4 / 8 / 16 MiB a run: run_s 0.163-0.172 /
-# 0.092-0.093 / 0.074-0.076 / 0.067-0.073 s, peak RSS 52.9-53.0 /
-# 52.8-53.0 / 53.4 / 58.8 MB. Below 8 MiB the extra blocks cost time and
-# hardly any memory: the drive phase, not decoding, sets that peak.
+# Budget for a decode: its prefix plan and one block of trees on each of
+# worker_count() threads (_tree_blocks). Sweep on simulate-ml (64 trees,
+# n = 12, 4094 distinct rows, two threads on 2 CPUs), three runs at 2 / 4 /
+# 8 / 16 MiB: run_s 0.088-0.093 / 0.071-0.077 / 0.053-0.056 / 0.048-0.054 s,
+# peak RSS 52.9-53.1 / 53.1 / 53.1 / 58.7-58.8 MB. Below 8 MiB the extra
+# blocks cost time and no memory: the drive phase, not decoding, sets that peak.
 SCORER_BYTES = 8 * 2 ** 20
 
 
@@ -57,12 +54,8 @@ def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0
     """(trees, T) table of tree_log_likelihood for every tree and row of a
     (T, depth) output matrix: each distinct row scored once, block by block."""
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
-    plan = _prefix_plan(trees[0], distinct, feedback)
-    blocks = [
-        _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior)
-        for lo, hi in _tree_blocks(fsc, trees, distinct.shape[0])
-    ]
-    return np.concatenate(blocks)[:, inverse]
+    blocks = _scored_blocks(fsc, trees, distinct, feedback, s0_prior, lambda lo, ll: ll)
+    return np.concatenate(list(blocks))[:, inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,21 +211,17 @@ def universal_decode(
 class MLDecoder:
     """Batch decoder tuned to a single channel member."""
 
-    _budget = None  # scorer bytes; None is SCORER_BYTES (see _row_share)
-
     def __init__(self, fsc: FscSpec, feedback: FeedbackMap, s0_prior=None):
         self.fsc = fsc
         self.feedback = feedback
         self.s0_prior = s0_prior
 
     def decode_rows(self, cb: Codebook, y_rows: np.ndarray) -> np.ndarray:
-        return _best_key_rows(cb, y_rows, self.fsc, self.feedback, self.s0_prior, self._budget)
+        return _best_key_rows(cb, y_rows, self.fsc, self.feedback, self.s0_prior)
 
 
 class UniversalDecoder:
     """Batch decoder that merges the per-member rankings round-robin."""
-
-    _budget = None  # scorer bytes; None is SCORER_BYTES (see _row_share)
 
     def __init__(self, family: CompoundFamily, feedback: FeedbackMap, s0_prior=None):
         self.family = family
@@ -244,17 +233,7 @@ class UniversalDecoder:
         # batch decoding only needs that member's scores; agreement with the
         # explicit merge is covered by tests.
         first = self.family.members[0]
-        return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior, self._budget)
-
-
-def _row_share(decoder, rows: int, total: int):
-    """A copy of `decoder` that scores within rows / total of SCORER_BYTES:
-    workers that decode disjoint ranges of one run's `total` distinct rows
-    through such copies stay within one SCORER_BYTES together, and each
-    block holds about as many trees as one decode of all the rows."""
-    part = copy.copy(decoder)
-    part._budget = SCORER_BYTES * rows // total
-    return part
+        return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior)
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -286,10 +265,10 @@ def _distinct_rows(rows: np.ndarray):
     return rows[order[new]], inverse
 
 
-def _tree_blocks(fsc: FscSpec, trees, rows: int, budget=None) -> list:
+def _tree_blocks(fsc: FscSpec, trees, rows: int) -> list:
     """(lo, hi) bounds of consecutive blocks of `trees`, each small enough
-    that the scorer's arrays over `rows` distinct rows, with their prefix
-    plan, fit `budget` bytes (SCORER_BYTES when None; a block of one tree
+    that the prefix plan over `rows` distinct rows and one block on each of
+    worker_count() threads fit SCORER_BYTES together (a block of one tree
     when even that does not fit)."""
     # Charged in 8-byte cells. Per (tree, row) 3 |S| + 8: the block's level
     # arrays, the previous level's alpha and log_acc included, traced at
@@ -300,33 +279,47 @@ def _tree_blocks(fsc: FscSpec, trees, rows: int, budget=None) -> list:
     # the plan and scoring one block against it held to at most 0.94 of the
     # charge (|Y| = 2, 3, depth 6..40, |S| = 1, 2, 3, 6, 1 to 40 trees, 60
     # to 4000 distinct rows), and to 0.86 from 900 rows up.
-    budget = SCORER_BYTES if budget is None else budget
     depth, nodes = trees[0].depth, trees[0].symbols.size
     per_tree = 8 * (rows * (3 * fsc.n_states + 8) + nodes)
     shared = 8 * rows * (3 * depth + depth // 4 + 13)
-    size = max(1, (budget - shared) // per_tree)
+    size = max(1, (SCORER_BYTES - shared) // worker_count() // per_tree)
     return [(lo, min(lo + size, len(trees))) for lo in range(0, len(trees), size)]
 
 
-def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior, budget) -> np.ndarray:
+def _scored_blocks(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap, s0_prior, reduce):
+    """reduce(lo, ll) for each block trees[lo:hi] of _tree_blocks, in block
+    order, ll the block's tree_log_likelihood table over `rows`, distinct and
+    sorted as _distinct_rows returns them. The blocks read one prefix plan
+    and are scored and reduced on worker_count() threads, so only the blocks
+    in flight hold a table."""
+    plan = _prefix_plan(trees[0], rows, feedback)
+
+    def score(lo, hi):
+        return reduce(lo, _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior))
+
+    blocks = _tree_blocks(fsc, trees, rows.shape[0])
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
+        yield from pool.map(score, *zip(*blocks))
+
+
+def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
     """Row-wise message with the best (likelihood, key, index) tree. The
     decision is a function of the row alone, so each distinct row is scored
-    once, against a block of trees at a time that fits `budget` bytes
-    (SCORER_BYTES when None), and its decision copied to every row equal to
-    it."""
+    once and its decision copied to every row equal to it."""
     keys, trees, owner = _codebook_key_table(cb)
     distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
-    plan = _prefix_plan(trees[0], distinct, feedback)
     t = distinct.shape[0]
+
+    def block_best(lo, ll):
+        top = ll.argmax(axis=0)  # the first maximum: the smallest key on ties
+        return lo + top, ll[top, np.arange(t)]
+
     best_ll = np.full(t, -np.inf)
     best = np.zeros(t, dtype=np.int64)
-    for lo, hi in _tree_blocks(fsc, trees, t, budget):
-        ll = _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior)
-        top = ll.argmax(axis=0)  # the first maximum: the smallest key on ties
-        top_ll = ll[top, np.arange(t)]
+    for top, top_ll in _scored_blocks(fsc, trees, distinct, feedback, s0_prior, block_best):
         better = top_ll > best_ll  # strict: an earlier block keeps its smaller keys
         best_ll[better] = top_ll[better]
-        best[better] = lo + top[better]
+        best[better] = top[better]
     messages = np.array([owner[k] for k in keys], dtype=np.int64)
     return messages[best][inverse]
 

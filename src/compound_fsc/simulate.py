@@ -15,9 +15,9 @@ fills its own column slice in place; a result's outputs and state_paths are
 transposed (trials, n) views of those tables. Every table of symbols, inputs,
 outputs or states, takes the narrowest dtype that holds its alphabet
 (`_symbol_dtype`: uint8 up to 256 symbols). A decision is a function of the
-output row alone, so run_trials decodes each distinct output of the run once,
-the sorted distinct rows split into one range per worker thread, each range
-decoded within its share of the run's one decoder budget (SCORER_BYTES).
+output row alone, so once its worker threads are done run_trials decodes the
+run's distinct outputs in one decode_rows call, which bounds its own memory
+and threads.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ from .channel import (
     make_gilbert_elliot,
 )
 from .codetree import Codebook, CodeTree, node_columns, sample_codebook
-from .decoder import (
-    MLDecoder,
-    UniversalDecoder,
-    _codebook_key_table,
-    _distinct_rows,
-    _log_likelihood_table,
-    _row_share,
-)
+from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_rows, _scored_blocks
 from .errors import CapExceededError, ValidationError
 from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
 
@@ -88,6 +81,17 @@ class TrialConfig:
                 raise ValidationError(f"s0 = {self.s0} outside 0..{fsc.n_states - 1}")
         _as_prior(fsc, self.s0_prior)
         _as_prior(fsc, self.decoder_s0_prior)
+        _check_loop(fsc, self.codebook, self.feedback)
+
+
+def _check_loop(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap) -> None:
+    """Refuse a codebook or feedback map that does not fit the channel."""
+    if feedback.table.size != fsc.n_outputs:
+        raise ValidationError("feedback table does not cover the output alphabet")
+    if cb.trees[0].x_card != fsc.n_inputs:
+        raise ValidationError("codebook and channel disagree on |X|")
+    if cb.trees[0].z_card != feedback.z_card:
+        raise ValidationError("codebook and feedback map disagree on |Z|")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,18 +233,12 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     workers = worker_count() if cfg.trials >= 2 * _THREAD_MIN_CHUNK else 1
     bounds = [int(b) // 4 * 4 for b in np.linspace(0, cfg.trials, workers + 1)[:-1]] + [cfg.trials]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # phase 1: each chunk draws and drives its own trials, and returns its
+        # each chunk draws and drives its own trials, and returns its
         # distinct output rows with the inverse that rebuilds its rows
         parts = list(pool.map(drive, bounds[:-1], bounds[1:]))  # re-raises a chunk's error
-        # phase 2: decode each distinct output of the run once, the sorted
-        # distinct rows split into one range per worker, each scored within
-        # its range's share of the run's one scorer budget
-        distinct, where = _distinct_rows(np.concatenate([d for d, _ in parts]))
-        total = distinct.shape[0]
-        cuts = np.linspace(0, total, workers + 1, dtype=int)
-        decided = np.concatenate(list(pool.map(
-            lambda a, b: _row_share(decoder, b - a, total).decode_rows(cb, distinct[a:b]), cuts[:-1], cuts[1:]
-        )))
+    # decode each distinct output of the run once
+    distinct, where = _distinct_rows(np.concatenate([d for d, _ in parts]))
+    decided = decoder.decode_rows(cb, distinct)
     at = np.split(where, np.cumsum([len(d) for d, _ in parts])[:-1])  # each chunk's rows of `distinct`
     w_hat = np.concatenate([decided[a][inverse] for a, (_, inverse) in zip(at, parts)])
     flags = w_hat != w
@@ -267,15 +265,20 @@ def exact_error_probability(cb: Codebook, fsc: FscSpec, s0: int, feedback: Feedb
     n_y = fsc.n_outputs ** n
     if n_y > EXACT_OUTPUT_PATHS:
         raise CapExceededError(f"output enumeration needs {n_y} paths (cap {EXACT_OUTPUT_PATHS})")
+    _check_loop(fsc, cb, feedback)
+    # enumerate_paths' rows are distinct and sorted as _distinct_rows sorts
     y_all = enumerate_paths(fsc.n_outputs, n)
     w_hat = decoder.decode_rows(cb, y_all)
     keys, trees, _ = _codebook_key_table(cb)
-    ll = _log_likelihood_table(fsc, trees, y_all, feedback, int(s0))
-    row = {k: j for j, k in enumerate(keys)}
-    total = 0.0
+    messages: dict = {}  # each distinct tree's messages
     for w, tree in enumerate(cb.trees):
-        total += float(np.exp(ll[row[tree.key]][w_hat != w]).sum())
-    return total / cb.m_count
+        messages.setdefault(tree.key, []).append(w)
+
+    def error_masses(lo, ll):  # each message's likelihood of the outputs decoded to another message
+        return [(w, float(np.exp(row[w_hat != w]).sum())) for j, row in enumerate(ll, lo) for w in messages[keys[j]]]
+
+    masses = sorted(pair for block in _scored_blocks(fsc, trees, y_all, feedback, int(s0), error_masses) for pair in block)
+    return float(np.cumsum([m for _, m in masses])[-1]) / cb.m_count  # cumsum adds left to right, in message order
 
 
 @dataclass(frozen=True)

@@ -371,9 +371,11 @@ SEED_STRIDE = 100  # built-in suite seeds are 20..28, so derived seeds never col
 
 
 def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
-    """Run the named suites (all by default), each at its built-in seed plus
-    SEED_STRIDE * seed; seed 0 keeps the built-in seeds."""
-    if names is None or names == ["all"] or names == "all":
+    """Run the named suites (a bare string names one; all by default), each
+    at its built-in seed plus SEED_STRIDE * seed; seed 0 keeps the built-in
+    seeds."""
+    names = [names] if isinstance(names, str) else names
+    if names in (None, ["all"]):
         names = list(SUITES)
     results = []
     for name in names:

@@ -365,11 +365,35 @@ def test_decoding_in_tree_blocks_matches_one_block(monkeypatch):
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     per_tree = 8 * (distinct * (3 * fsc.n_states + 8) + trees[0].symbols.size)
     shared = 8 * distinct * (3 * 4 + 4 // 4 + 13)
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "1")  # the whole budget less the plan for one block
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", shared + 2 * per_tree)  # two trees per block
     assert len(decoder_mod._tree_blocks(fsc, trees, distinct)) == 4
     blocks = dec.decode_rows(cb, y_rows)
     assert blocks.tolist() == one_block.tolist()
     assert blocks.tolist() == [ml_decode(cb, y, fsc, fb, 0) for y in y_rows]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+def test_decoding_across_tree_blocks_is_thread_invariant(monkeypatch, threads):
+    # on a BSC every tree that emits the same inputs along a row's feedback
+    # path ties with the others exactly, and each tree is in the codebook twice
+    fsc, fb = bsc(0.1), identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(3, 2, 2), 12, np.random.default_rng(241))
+    cb = Codebook(trees=cb.trees + cb.trees[::-1])
+    y_rows = np.repeat(enumerate_paths(2, 3), 2, axis=0)[::-1]
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    rows = 8
+    per_tree = 8 * (rows * (3 * fsc.n_states + 8) + trees[0].symbols.size)
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 8 * rows * (3 * 3 + 3 // 4 + 13) + 2 * per_tree)
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+    blocks = decoder_mod._tree_blocks(fsc, trees, rows)
+    assert len(blocks) >= 4
+    ll = decoder_mod._log_likelihood_table(fsc, trees, enumerate_paths(2, 3), fb, None)
+    block_of = np.concatenate([np.full(hi - lo, k) for k, (lo, hi) in enumerate(blocks)])
+    tied_across = [len(set(block_of[ll[:, r] == ll[:, r].max()])) > 1 for r in range(rows)]
+    assert sum(tied_across) >= 4  # most rows' best trees tie across blocks
+    got = MLDecoder(fsc, fb).decode_rows(cb, y_rows)
+    assert got.tolist() == [ml_decode(cb, y, fsc, fb) for y in y_rows]
 
 
 def _scorer_peaks(fsc, trees, rows, fb):
@@ -388,6 +412,7 @@ def _scorer_peaks(fsc, trees, rows, fb):
 
 def _assert_scorer_within_budget(monkeypatch, fsc, fb, cb, rows):
     budget = 2 ** 20
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "1")
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
@@ -423,6 +448,7 @@ def test_small_scorer_blocks_stay_within_budget_at_one_state(monkeypatch, size):
     _, trees, _ = decoder_mod._codebook_key_table(cb)
     rows = enumerate_paths(2, 10)
     budget = 8 * rows.shape[0] * (3 * 10 + 10 // 4 + 13) + size * 8 * (rows.shape[0] * (3 * fsc.n_states + 8) + 1023)
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "1")
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", budget)
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert bounds[0] == (0, size)

@@ -31,7 +31,7 @@ from compound_fsc.codetree import Codebook, CodeTree, paths_rows
 from compound_fsc.decoder import ml_decode
 from compound_fsc.exponents import random_coding_bound
 from compound_fsc.simulate import example1_config, example1_row, simulate_batch
-from compound_fsc.util import worker_count
+from compound_fsc.util import enumerate_paths, worker_count
 from compound_fsc.verify import random_fsc
 from oracles import naive_causal_channel_prob
 
@@ -128,6 +128,47 @@ def test_exact_error_matches_brute_force_oracle(feedback):
     assert got == pytest.approx(want / cb.m_count, rel=1e-12, abs=0)
 
 
+def test_exact_error_memory_does_not_grow_with_the_trees():
+    """Every tree is scored against all |Y|^n outputs, a block at a time: the
+    peak is one SCORER_BYTES beside a few (|Y|^n, n) int64 enumeration
+    arrays, not a trees x |Y|^n table (about 49 MiB here)."""
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fb = identity_feedback((0, 1))
+    n = 12
+    cb = sample_codebook(uniform_policy(n, 2, 2), 512, np.random.default_rng(83))
+    dec = MLDecoder(fsc, fb)
+    tracemalloc.start()
+    try:
+        exact_error_probability(cb, fsc, 0, fb, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= decoder_mod.SCORER_BYTES + 4 * 8 * n * 2 ** n
+
+
+def test_exact_error_with_duplicate_trees_equals_one_table_sum(monkeypatch):
+    """Summed block by block, the value is bitwise the sum over one trees x
+    |Y|^n table of each message's error mass, in message order."""
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.4, p_g=0.05, p_b=0.45))
+    fb = identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(6, 2, 2), 10, np.random.default_rng(89))
+    cb = Codebook(trees=cb.trees[:3] + cb.trees + cb.trees[::2])  # some trees twice or three times
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 14)  # a few trees a block
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "3")
+    y_all = enumerate_paths(2, 6)
+    _, trees, _ = decoder_mod._codebook_key_table(cb)
+    assert len(decoder_mod._tree_blocks(fsc, trees, y_all.shape[0])) > 2
+    for s0 in (0, 1):
+        dec = MLDecoder(fsc, fb)
+        w_hat = dec.decode_rows(cb, y_all)
+        ll = decoder_mod._log_likelihood_table(fsc, trees, y_all, fb, s0)
+        row = {t.key: j for j, t in enumerate(trees)}
+        want = 0.0
+        for w, tree in enumerate(cb.trees):
+            want += float(np.exp(ll[row[tree.key]][w_hat != w]).sum())
+        assert exact_error_probability(cb, fsc, s0, fb, dec) == want / cb.m_count
+
+
 @pytest.mark.parametrize("s0", [-1, 2, True])
 def test_trial_config_rejects_out_of_range_state(s0):
     fam = CompoundFamily(
@@ -142,6 +183,32 @@ def test_trial_config_rejects_out_of_range_state(s0):
             feedback=identity_feedback((0, 1)),
             s0=s0,
         )
+
+
+def _mismatched_loops():
+    """(channel, feedback, codebook) triples whose parts do not fit together."""
+    rng = np.random.default_rng(79)
+    fb = identity_feedback((0, 1))
+    return {
+        "codebook-z3": (bsc(0.1), fb, sample_codebook(uniform_policy(3, 2, 3), 4, rng)),
+        "codebook-x3": (bsc(0.1), fb, sample_codebook(uniform_policy(3, 3, 2), 4, rng)),
+        "open-loop-codebook": (bsc(0.1), fb, sample_codebook(uniform_policy(3, 2, 1), 4, rng)),
+        "feedback-on-2-of-3-outputs": (
+            make_memoryless([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]),
+            FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1])),
+            sample_codebook(uniform_policy(3, 2, 2), 4, rng),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched_loops()))
+def test_codebook_and_feedback_must_fit_the_channel(case):
+    fsc, fb, cb = _mismatched_loops()[case]
+    fam = CompoundFamily(members=(fsc,), labels=("m",))
+    with pytest.raises(ValidationError):
+        TrialConfig(family=fam, true_label="m", codebook=cb, feedback=fb, trials=10)
+    with pytest.raises(ValidationError):
+        exact_error_probability(cb, fsc, 0, fb, MLDecoder(fsc, fb))
 
 
 def _refuse_to_simulate(*args, **kwargs):
@@ -343,9 +410,8 @@ def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads)
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
-    """The decode phase's traced peak, from the first decode call a thread
-    enters while none is running to the last that returns, stays within one
-    SCORER_BYTES however many threads split the distinct rows."""
+    """A run decodes in one call, whose traced peak stays within one
+    SCORER_BYTES however many threads score its tree blocks."""
     monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
     real = decoder_mod._best_key_rows
     lock = threading.Lock()
@@ -377,7 +443,7 @@ def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
         run_trials(cfg)
     finally:
         tracemalloc.stop()
-    assert state["calls"] == int(threads)
+    assert state["calls"] == 1
     assert 0 < max(state["peaks"]) <= decoder_mod.SCORER_BYTES
 
 

@@ -61,6 +61,12 @@ def test_single_suite_by_name():
     assert results[0].passed
 
 
+def test_bare_string_is_one_suite_name():
+    results = run_suites("merge-bounds")
+    assert [r.name for r in results] == ["merge-bounds"]
+    assert (results[0].passed, results[0].instances) == PINNED["merge-bounds"][:2]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError):
         run_suites(["not-a-suite"])
