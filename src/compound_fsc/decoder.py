@@ -21,6 +21,7 @@ large codebook decodes in pieces, never in one trees x rows table.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,9 +54,20 @@ def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=N
 def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0_prior) -> np.ndarray:
     """(trees, T) table of tree_log_likelihood for every tree and row of a
     (T, depth) output matrix: each distinct row scored once, block by block."""
-    distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    distinct, inverse = _distinct_rows(_output_rows(y_rows, trees[0].depth, fsc.n_outputs))
     blocks = _scored_blocks(fsc, trees, distinct, feedback, s0_prior, lambda lo, ll: ll)
     return np.concatenate(list(blocks))[:, inverse]
+
+
+def _output_rows(y_rows, depth: int, n_outputs: int) -> np.ndarray:
+    """y_rows as an int64 (T, depth) table, refused unless every row has
+    `depth` outputs, each in 0..n_outputs - 1."""
+    y = np.asarray(y_rows, dtype=np.int64)
+    if y.ndim != 2 or y.shape[1] != depth:
+        raise ValidationError(f"output rows must be (rows, {depth}), got shape {y.shape}")
+    if y.min(initial=0) < 0 or y.max(initial=0) >= n_outputs:
+        raise ValidationError(f"outputs must lie in 0..{n_outputs - 1}")
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +86,10 @@ class _PrefixPlan:
 def _prefix_plan(tree, rows: np.ndarray, feedback: FeedbackMap) -> _PrefixPlan:
     """The prefix plan of int64 `rows` for trees shaped like `tree`. rows are
     distinct and sorted lexicographically, column 0 most significant, as
-    _distinct_rows returns them, so the rows sharing an output prefix y^i
-    form one run; a tree's input at step i depends on y^i only through the
-    feedback prefix, so each run's first row stands for the whole run."""
+    _distinct_rows returns them (whether it counted their codes or sorted
+    them), so the rows sharing an output prefix y^i form one run; a tree's
+    input at step i depends on y^i only through the feedback prefix, so each
+    run's first row stands for the whole run."""
     t, n = rows.shape
     # new[r, i]: row r opens a new run of length-(i + 1) prefixes
     new = np.ones((t, n), dtype=bool)
@@ -236,33 +249,76 @@ class UniversalDecoder:
         return _best_key_rows(cb, y_rows, first, self.feedback, self.s0_prior)
 
 
-def _distinct_rows(rows: np.ndarray):
-    """(distinct rows, inverse) with rows == distinct[inverse], distinct
-    sorted lexicographically with column 0 most significant: one lexsort
-    over the columns packed mixed-radix into as few int64 keys as hold them
-    (an unstable argsort when one key holds them: equal keys are equal rows);
-    a row opens a new run where any key differs from the one sorted before
-    it, and only each run's first row is gathered. Keys are packed a column
-    at a time, so narrow rows are never copied whole into int64, and the
-    step-major (n, T) tables run_trials passes as .T read contiguously."""
-    card = int(rows.max(initial=0)) + 1
+# Bytes per code of the counting dedupe's tables (a bool presence table and
+# an int64 numbering) and per row of the sort's arrays beside the inverse (an
+# int64 order, sorted keys and run numbers, and a bool run mask): rows whose
+# code space's tables take no more bytes than the sort's are numbered by
+# counting, others are sorted.
+_CODE_TABLE_BYTES = 9
+_SORT_ROW_BYTES = 25
+
+
+def _pack_rows(cols, card: int, keys: np.ndarray) -> None:
+    """Pack the rows whose column j is cols[j] into the (keys, rows) table
+    `keys`, mixed-radix in base `card`, chunk_digits(card) columns a key and
+    column 0 most significant. Columns are packed one at a time, so narrow
+    rows are never copied whole into a wider dtype, and step-major (n, T)
+    tables pass their columns contiguously."""
     width = chunk_digits(card)
-    keys = []
-    for j in range(0, rows.shape[1], width):
-        key = np.zeros(rows.shape[0], dtype=np.int64)
-        for col in rows.T[j : j + width]:
+    for key, j in zip(keys, range(0, len(cols), width)):
+        key.fill(0)
+        for col in cols[j : j + width]:
             key *= card
             key += col
-        keys.append(key)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(distinct rows, inverse) with rows == distinct[inverse], distinct
+    sorted lexicographically with column 0 most significant and in rows'
+    dtype, inverse int64. The rows are packed into int64 keys by _pack_rows
+    in base max + 1 and deduplicated by _distinct_keys: when one key holds a
+    row and the code space is small next to the rows, by numbering the codes
+    in a presence table, else by one lexsort; both give the same result."""
+    card = int(rows.max(initial=0)) + 1
+    keys = np.empty((-(-rows.shape[1] // chunk_digits(card)), rows.shape[0]), dtype=np.int64)
+    _pack_rows(rows.T, card, keys)
+    distinct, spread = _distinct_keys(rows, keys, card)
+    return distinct, spread(np.arange(distinct.shape[0], dtype=np.int64))
+
+
+def _distinct_keys(rows: np.ndarray, keys: np.ndarray, card: int):
+    """(distinct, spread) for `rows`, given their keys as _pack_rows packs
+    them in base `card`: distinct as _distinct_rows returns it, and
+    spread(values) = values[inverse], one value per distinct row copied to
+    every row equal to it. When one key holds a row and the code space's
+    tables take no more bytes than the sort's per-row arrays, the codes are
+    numbered by counting, in O(rows + card^n): a presence table marks each
+    code seen, its cumulative sum numbers the codes in sorted order, the
+    distinct rows are the marked codes unpacked, and spread reads values
+    through a per-code table, so no per-row inverse is held. Otherwise one
+    lexsort over the keys (an unstable argsort for one key: equal keys are
+    equal rows) finds the runs of equal keys, and each run's first row is
+    gathered."""
+    t, n = rows.shape
+    if len(keys) == 1 and _CODE_TABLE_BYTES * card**n <= _SORT_ROW_BYTES * t:
+        seen = np.zeros(card**n, dtype=bool)
+        seen[keys[0]] = True
+        number = np.cumsum(seen, dtype=np.int64)
+        number -= 1
+        codes = np.flatnonzero(seen)
+        distinct = np.empty((codes.size, n), dtype=rows.dtype)
+        for j in range(n - 1, -1, -1):
+            codes, distinct[:, j] = np.divmod(codes, card)
+        return distinct, lambda values: values[number][keys[0]]
     order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
-    new = np.zeros(rows.shape[0], dtype=bool)
+    new = np.zeros(t, dtype=bool)
     new[:1] = True
     for key in keys:
         ranked = key[order]
         new[1:] |= ranked[1:] != ranked[:-1]
-    inverse = np.empty(rows.shape[0], dtype=np.int64)
+    inverse = np.empty(t, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return rows[order[new]], inverse
+    return rows[order[new]], lambda values: values[inverse]
 
 
 def _tree_blocks(fsc: FscSpec, trees, rows: int) -> list:
@@ -270,6 +326,14 @@ def _tree_blocks(fsc: FscSpec, trees, rows: int) -> list:
     that the prefix plan over `rows` distinct rows and one block on each of
     worker_count() threads fit SCORER_BYTES together (a block of one tree
     when even that does not fit)."""
+    shared, per_tree = _block_charge(fsc, trees, rows)
+    size = max(1, (SCORER_BYTES - shared) // worker_count() // per_tree)
+    return [(lo, min(lo + size, len(trees))) for lo in range(0, len(trees), size)]
+
+
+def _block_charge(fsc: FscSpec, trees, rows: int):
+    """(shared, per_tree) bytes _tree_blocks charges a decode over `rows`
+    distinct rows: the plan's and the arrays a block shares, and one tree's."""
     # Charged in 8-byte cells. Per (tree, row) 3 |S| + 8: the block's level
     # arrays, the previous level's alpha and log_acc included, traced at
     # 2.5 |S| + 5.2 at |Y| = 2 and 2.3 |S| + 4.9 at |Y| = 3; per tree its
@@ -280,10 +344,7 @@ def _tree_blocks(fsc: FscSpec, trees, rows: int) -> list:
     # charge (|Y| = 2, 3, depth 6..40, |S| = 1, 2, 3, 6, 1 to 40 trees, 60
     # to 4000 distinct rows), and to 0.86 from 900 rows up.
     depth, nodes = trees[0].depth, trees[0].symbols.size
-    per_tree = 8 * (rows * (3 * fsc.n_states + 8) + nodes)
-    shared = 8 * rows * (3 * depth + depth // 4 + 13)
-    size = max(1, (SCORER_BYTES - shared) // worker_count() // per_tree)
-    return [(lo, min(lo + size, len(trees))) for lo in range(0, len(trees), size)]
+    return 8 * rows * (3 * depth + depth // 4 + 13), 8 * (rows * (3 * fsc.n_states + 8) + nodes)
 
 
 def _scored_blocks(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap, s0_prior, reduce):
@@ -291,15 +352,27 @@ def _scored_blocks(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap,
     order, ll the block's tree_log_likelihood table over `rows`, distinct and
     sorted as _distinct_rows returns them. The blocks read one prefix plan
     and are scored and reduced on worker_count() threads, so only the blocks
-    in flight hold a table."""
+    in flight hold a table; when the budget beside the plan holds fewer
+    blocks than there are threads, as few run at once, down to one. A block
+    is submitted only once the one that many places before it is taken, so
+    finished reductions never pile up behind the caller."""
     plan = _prefix_plan(trees[0], rows, feedback)
 
     def score(lo, hi):
         return reduce(lo, _codebook_log_likelihoods(fsc, trees[lo:hi], plan, s0_prior))
 
     blocks = _tree_blocks(fsc, trees, rows.shape[0])
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
-        yield from pool.map(score, *zip(*blocks))
+    shared, per_tree = _block_charge(fsc, trees, rows.shape[0])
+    held = (SCORER_BYTES - shared) // ((blocks[0][1] - blocks[0][0]) * per_tree)
+    workers = max(1, min(worker_count(), len(blocks), held))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, hi in blocks:
+            pending.append(pool.submit(score, lo, hi))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
@@ -307,7 +380,7 @@ def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
     decision is a function of the row alone, so each distinct row is scored
     once and its decision copied to every row equal to it."""
     keys, trees, owner = _codebook_key_table(cb)
-    distinct, inverse = _distinct_rows(np.asarray(y_rows, dtype=np.int64))
+    distinct, inverse = _distinct_rows(_output_rows(y_rows, cb.depth, fsc.n_outputs))
     t = distinct.shape[0]
 
     def block_best(lo, ll):
@@ -320,6 +393,7 @@ def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
         better = top_ll > best_ll  # strict: an earlier block keeps its smaller keys
         best_ll[better] = top_ll[better]
         best[better] = top[better]
+        del top, top_ll  # freed before the next block is taken
     messages = np.array([owner[k] for k in keys], dtype=np.int64)
     return messages[best][inverse]
 

@@ -14,10 +14,15 @@ allocates its result tables once, step-major (n, trials), and each slab
 fills its own column slice in place; a result's outputs and state_paths are
 transposed (trials, n) views of those tables. Every table of symbols, inputs,
 outputs or states, takes the narrowest dtype that holds its alphabet
-(`_symbol_dtype`: uint8 up to 256 symbols). A decision is a function of the
-output row alone, so once its worker threads are done run_trials decodes the
-run's distinct outputs in one decode_rows call, which bounds its own memory
-and threads.
+(`_symbol_dtype`: uint8 up to 256 symbols). Each slab also packs its
+outputs, while they are in cache, into one base-|Y| code per trial
+(`decoder._pack_rows`) in a run-wide table of the narrowest dtype that holds
+|Y|^n - 1, or of int64 key columns when one int64 cannot hold a row. A
+decision is a function of the output row alone, so once its worker threads
+are done run_trials dedupes that table once (`decoder._distinct_keys`: by
+counting when the code space is small, else by a sort), decodes the run's
+sorted distinct outputs in one decode_rows call, which bounds its own memory
+and threads, and reads each trial's decision back through its code.
 """
 
 from __future__ import annotations
@@ -38,16 +43,17 @@ from .channel import (
     make_gilbert_elliot,
 )
 from .codetree import Codebook, CodeTree, node_columns, sample_codebook
-from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_rows, _scored_blocks
+from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_keys, _pack_rows, _scored_blocks
 from .errors import CapExceededError, ValidationError
-from .util import LN2, binary_entropy_nats, cdf_draw, enumerate_paths, wilson_interval, worker_count
+from .util import LN2, binary_entropy_nats, cdf_draw, chunk_digits, enumerate_paths, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
 _DRAW_ROWS = 1024  # trial rows a chunk draws per call, transposed while in cache
 # Trial rows a chunk draws and drives at a time, in one reused (n + 2, rows)
 # uniform buffer. Sweep on simulate-ml, two threads on 2 CPUs, at 1 / 4 / 8 /
 # 16 / 32 / 64 Ki rows: the drive phase's tracemalloc peak was 7.4 / 8.6 /
-# 8.2 / 10.3 / 16.1 / 22.2 MiB, against about 18 MiB for decoding; with the
+# 8.2 / 10.3 / 16.1 / 22.2 MiB, against 3.2-4.6 MiB for decoding (three runs
+# at 16 Ki rows with the run-wide code table: drive 10.4-10.5 MiB); with the
 # decoder stubbed a warm run took 131 / 61 / 43 / 38 / 29 / 27 ms (32 ms with
 # one slab a chunk), as the two threads contend once per numpy call, and on
 # one thread 4 Ki rows were not slower. Cold runs of the whole workload did
@@ -137,6 +143,14 @@ def _symbol_dtype(card: int) -> np.dtype:
     return np.min_scalar_type(card - 1)
 
 
+def _code_table(n_y: int, n: int, trials: int) -> np.ndarray:
+    """The run's (keys, trials) table of output codes, as decoder._pack_rows
+    packs them in base |Y|: one key in `_symbol_dtype(|Y|^n)` when one int64
+    key holds a row, else int64 keys of chunk_digits(|Y|) outputs each."""
+    keys = -(-n // chunk_digits(n_y))
+    return np.empty((keys, trials), dtype=_symbol_dtype(n_y**n) if keys == 1 else np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class _LoopTables:
     """The closed loop's per-run tables, built once however many calls of
@@ -209,6 +223,7 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     loop = _loop_tables(fsc, cb, cfg.feedback)
     ys = np.empty((n, cfg.trials), dtype=loop.y_of.dtype)
     states = np.empty((n, cfg.trials), dtype=loop.s_of.dtype)
+    codes = _code_table(fsc.n_outputs, n, cfg.trials)
 
     def drive(lo: int, hi: int):
         # Philox yields 4 doubles a counter step and lo is a multiple of 4,
@@ -227,20 +242,15 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
             np.minimum((u[0] * cb.m_count).astype(np.int64), cb.m_count - 1, out=w[a:b])
             s0[a:b] = cfg.s0 if cfg.s0 is not None else cdf_draw(prior_cdf, u[1])
             _drive(loop, w[a:b], s0[a:b], u[2:], ys[:, a:b], states[:, a:b])
-        del slab, u
-        return _distinct_rows(ys[:, lo:hi].T)
+            _pack_rows(ys[:, a:b], fsc.n_outputs, codes[:, a:b])
 
     workers = worker_count() if cfg.trials >= 2 * _THREAD_MIN_CHUNK else 1
     bounds = [int(b) // 4 * 4 for b in np.linspace(0, cfg.trials, workers + 1)[:-1]] + [cfg.trials]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # each chunk draws and drives its own trials, and returns its
-        # distinct output rows with the inverse that rebuilds its rows
-        parts = list(pool.map(drive, bounds[:-1], bounds[1:]))  # re-raises a chunk's error
+        list(pool.map(drive, bounds[:-1], bounds[1:]))  # re-raises a chunk's error
     # decode each distinct output of the run once
-    distinct, where = _distinct_rows(np.concatenate([d for d, _ in parts]))
-    decided = decoder.decode_rows(cb, distinct)
-    at = np.split(where, np.cumsum([len(d) for d, _ in parts])[:-1])  # each chunk's rows of `distinct`
-    w_hat = np.concatenate([decided[a][inverse] for a, (_, inverse) in zip(at, parts)])
+    distinct, spread = _distinct_keys(ys.T, codes, fsc.n_outputs)
+    w_hat = spread(decoder.decode_rows(cb, distinct))
     flags = w_hat != w
     errors = int(flags.sum())
     return TrialResult(

@@ -14,6 +14,7 @@ from compound_fsc import (
     ValidationError,
     bsc,
     identity_feedback,
+    load_preset,
     no_feedback,
     sample_codebook,
     uniform_policy,
@@ -268,6 +269,8 @@ def _distinct_rows_cases():
     tail = np.repeat(wide[:1], 6, axis=0)
     tail[:, -1] = [2, 0, 1, 0, 2, 1]  # rows equal in their first key
     narrow = rng.integers(0, 2, size=(7, 300))
+    # 2^10 codes of 10 binary outputs: counted from `least` rows up, sorted below
+    least = -(-decoder_mod._CODE_TABLE_BYTES * 2 ** 10 // decoder_mod._SORT_ROW_BYTES)
     return {
         "two-keys": wide,
         "second-key-differs": tail,
@@ -275,17 +278,47 @@ def _distinct_rows_cases():
         "one-row": np.array([[1, 0, 2]]),
         "all-equal": np.full((9, 5), 2),
         "f-ordered": narrow.T,  # a transposed view, as run_trials passes its step-major table
+        "three-outputs": rng.integers(0, 3, size=(200, 5)).astype(np.uint8),
+        "counted-at-the-bound": rng.integers(0, 2, size=(least, 10)),
+        "sorted-below-the-bound": rng.integers(0, 2, size=(least - 1, 10)),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_distinct_rows_cases()))
-def test_distinct_rows_matches_unique_oracle(name):
+def test_distinct_rows_matches_unique_oracle(monkeypatch, name):
     rows = _distinct_rows_cases()[name]
     distinct, inverse = decoder_mod._distinct_rows(rows)
     want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert distinct.shape == want.shape and np.array_equal(distinct, want)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(distinct[inverse], rows)
+    assert distinct.dtype == rows.dtype and inverse.dtype == np.int64
+    # the same result, dtypes included, with sorting forced, then with
+    # counting wherever one key holds a row (two-keys always sorts)
+    for bound in (0, 10 ** 30):
+        monkeypatch.setattr(decoder_mod, "_SORT_ROW_BYTES", bound)
+        for got, kept in zip(decoder_mod._distinct_rows(rows), (distinct, inverse)):
+            assert got.dtype == kept.dtype and got.shape == kept.shape and np.array_equal(got, kept)
+
+
+ROW_MISFITS = {
+    "short": [[0, 1, 0]],
+    "long": [[0, 1, 0, 1, 0]],
+    "negative": [[0, -1, 0, 1]],
+    "past-the-alphabet": [[0, 1, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("decoder", ["ml", "universal"])
+@pytest.mark.parametrize("misfit", sorted(ROW_MISFITS))
+def test_decode_rows_refuses_rows_that_do_not_fit_the_codebook(decoder, misfit):
+    fam = load_preset("ge-gap")
+    fb = identity_feedback(fam.members[0].outputs)
+    cb = sample_codebook(uniform_policy(4, 2, 2), 4, np.random.default_rng(257))
+    dec = MLDecoder(fam.members[0], fb) if decoder == "ml" else UniversalDecoder(fam, fb)
+    assert dec.decode_rows(cb, [[0, 1, 0, 1]]).shape == (1,)
+    with pytest.raises(ValidationError):
+        dec.decode_rows(cb, ROW_MISFITS[misfit])
 
 
 def _score(fsc, trees, rows, fb, s0):

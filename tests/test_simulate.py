@@ -382,10 +382,10 @@ def test_state_row_index_is_computed_past_the_state_dtype():
 def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads):
     """A run holds its step-major result tables once, and each worker thread
     one uniform slab and one draw block; beyond them it may use one scorer
-    budget, whatever the thread count, and a slack of 16 int64 values per
-    trial (the per-trial messages, initial states and decisions, and the
-    O(trials) temporaries of one step of the loop or of the decoder's sort)
-    plus 1 MiB (stacked tree symbols, CDF and key tables)."""
+    budget, whatever the thread count, and a slack of 6 int64 values per
+    trial (the per-trial messages, initial states, output codes and
+    decisions, and the O(trials) temporaries of one step of the loop) plus
+    1 MiB (stacked tree symbols, CDF and code tables)."""
     monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
@@ -403,16 +403,14 @@ def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads)
         tracemalloc.stop()
     tables = res.outputs.nbytes + res.state_paths.nbytes
     uniforms = worker_count() * 8 * (n + 2) * (simulate_mod._SLAB_ROWS + simulate_mod._DRAW_ROWS)
-    slack = 8 * 16 * trials + 2 ** 20
+    slack = 8 * 6 * trials + 2 ** 20
     assert peak <= tables + uniforms + decoder_mod.SCORER_BYTES + slack
     assert res.outputs.T.flags.c_contiguous and res.state_paths.T.flags.c_contiguous
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
-    """A run decodes in one call, whose traced peak stays within one
-    SCORER_BYTES however many threads score its tree blocks."""
-    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+def _decode_peaks(monkeypatch, cfg):
+    """(calls, peaks): the decode_rows calls of run_trials(cfg) and the traced
+    peak of each beyond what was allocated when it began."""
     real = decoder_mod._best_key_rows
     lock = threading.Lock()
     state = {"running": 0, "base": 0, "calls": 0, "peaks": []}
@@ -433,18 +431,70 @@ def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
                     state["peaks"].append(tracemalloc.get_traced_memory()[1] - state["base"])
 
     monkeypatch.setattr(decoder_mod, "_best_key_rows", traced)
-    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
-    fam = CompoundFamily(members=(fsc,), labels=("ge",))
-    cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(71))
-    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
-                      trials=40_000, seed=73, s0=0)
     tracemalloc.start()
     try:
         run_trials(cfg)
     finally:
         tracemalloc.stop()
-    assert state["calls"] == 1
-    assert 0 < max(state["peaks"]) <= decoder_mod.SCORER_BYTES
+    return state["calls"], state["peaks"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_run_trials_decodes_within_one_scorer_budget(monkeypatch, threads):
+    """A run decodes in one call, whose traced peak stays within one
+    SCORER_BYTES however many threads score its tree blocks."""
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(71))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
+                      trials=40_000, seed=73, s0=0)
+    calls, peaks = _decode_peaks(monkeypatch, cfg)
+    assert calls == 1
+    assert 0 < max(peaks) <= decoder_mod.SCORER_BYTES
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_run_trials_decodes_within_a_small_scorer_budget(monkeypatch, threads):
+    """At 1 MiB the plan's charge over this run's 3371 distinct rows leaves
+    no room for a block on each thread, so the blocks run one at a time and
+    the traced decode still stays within the budget."""
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
+    monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    cb = sample_codebook(uniform_policy(12, 2, 2), 8, np.random.default_rng(43))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=identity_feedback((0, 1)),
+                      trials=40_000, seed=47, s0=0)
+    calls, peaks = _decode_peaks(monkeypatch, cfg)
+    assert calls == 1
+    assert 0 < max(peaks) <= decoder_mod.SCORER_BYTES
+
+
+@pytest.mark.parametrize("n, feedback, trials", [(8, "identity", 40_000), (70, "none", 2_000)])
+def test_run_trials_is_the_same_with_the_sort_dedupe(monkeypatch, n, feedback, trials):
+    """run_trials numbers its output codes by counting when the code space's
+    tables are small; forcing the sort changes no result. At n = 70 a trial's
+    code takes two int64 keys, and the run sorts them either way."""
+    monkeypatch.setenv("COMPOUND_FSC_THREADS", "2")
+    fsc = make_gilbert_elliot(GilbertElliotParams(g=0.1, b=0.2, p_g=0.05, p_b=0.3))
+    fam = CompoundFamily(members=(fsc,), labels=("ge",))
+    rng = np.random.default_rng(263)
+    if feedback == "identity":
+        fb = identity_feedback((0, 1))
+        cb = sample_codebook(uniform_policy(n, 2, 2), 6, rng)
+    else:  # trees of n inputs each, drawn directly: a policy at n = 70 has 2^69 input histories
+        fb = no_feedback((0, 1))
+        cb = Codebook(trees=tuple(CodeTree(depth=n, x_card=2, z_card=1, symbols=rng.integers(0, 2, n)) for _ in range(6)))
+    cfg = TrialConfig(family=fam, true_label="ge", codebook=cb, feedback=fb, trials=trials, seed=269)
+    counted = run_trials(cfg)
+    monkeypatch.setattr(decoder_mod, "_SORT_ROW_BYTES", 0)
+    by_sort = run_trials(cfg)
+    for field in ("messages", "initial_states", "outputs", "state_paths", "decisions", "error_flags"):
+        a, b = getattr(counted, field), getattr(by_sort, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert counted.errors == by_sort.errors
+    assert np.array_equal(counted.decisions, MLDecoder(fsc, fb).decode_rows(cb, counted.outputs))
 
 
 def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
