@@ -113,8 +113,10 @@ def _codebook_log_likelihoods(fsc: FscSpec, trees, plan: _PrefixPlan, s0_prior) 
     step i, alpha and log_acc hold one column per tree and length-i prefix,
     and each column extends its parent prefix's. Trees are walked in
     lockstep by the plan's node columns, so they must share one shape.
+    The trees' narrow symbols are stacked as intp: in their own dtype,
+    symbol * |Y| would wrap once |X| |Y| exceeds its range.
     """
-    symbols = np.stack([tree.symbols for tree in trees])
+    symbols = np.stack([tree.symbols for tree in trees], dtype=np.intp)
     table = step_table(fsc)
     alpha = np.broadcast_to(_as_prior(fsc, s0_prior)[:, None, None], (fsc.n_states, len(trees), 1))
     log_acc = np.zeros((len(trees), 1))
@@ -337,9 +339,9 @@ def _block_charge(fsc: FscSpec, trees, rows: int):
     # Charged in 8-byte cells. Per (tree, row) 3 |S| + 8: the block's level
     # arrays, the previous level's alpha and log_acc included, traced at
     # 2.5 |S| + 5.2 at |Y| = 2 and 2.3 |S| + 4.9 at |Y| = 3; per tree its
-    # stacked symbols. Per row the plan's at most 3 depth cells, and depth /
-    # 4 + 13 for the run masks, prefix numbers and node columns the plan is
-    # built with and the per-row arrays of a block. Traced peaks of building
+    # symbols, stacked as intp. Per row the plan's at most 3 depth cells, and
+    # depth / 4 + 13 for the run masks, prefix numbers and node columns the
+    # plan is built with and the per-row arrays of a block. Traced peaks of building
     # the plan and scoring one block against it held to at most 0.94 of the
     # charge (|Y| = 2, 3, depth 6..40, |S| = 1, 2, 3, 6, 1 to 40 trees, 60
     # to 4000 distinct rows), and to 0.86 from 900 rows up.

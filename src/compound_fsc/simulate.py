@@ -14,7 +14,8 @@ allocates its result tables once, step-major (n, trials), and each slab
 fills its own column slice in place; a result's outputs and state_paths are
 transposed (trials, n) views of those tables. Every table of symbols, inputs,
 outputs or states, takes the narrowest dtype that holds its alphabet
-(`_symbol_dtype`: uint8 up to 256 symbols). Each slab also packs its
+(`util.symbol_dtype`: uint8 up to 256 symbols), as the code-trees store
+theirs, so the trees' symbols stack without a cast. Each slab also packs its
 outputs, while they are in cache, into one base-|Y| code per trial
 (`decoder._pack_rows`) in a run-wide table of the narrowest dtype that holds
 |Y|^n - 1, or of int64 key columns when one int64 cannot hold a row. A
@@ -45,7 +46,7 @@ from .channel import (
 from .codetree import Codebook, CodeTree, node_columns, sample_codebook
 from .decoder import MLDecoder, UniversalDecoder, _codebook_key_table, _distinct_keys, _pack_rows, _scored_blocks
 from .errors import CapExceededError, ValidationError
-from .util import LN2, binary_entropy_nats, cdf_draw, chunk_digits, enumerate_paths, wilson_interval, worker_count
+from .util import LN2, binary_entropy_nats, cdf_draw, chunk_digits, enumerate_paths, symbol_dtype, wilson_interval, worker_count
 
 _THREAD_MIN_CHUNK = 20_000
 _DRAW_ROWS = 1024  # trial rows a chunk draws per call, transposed while in cache
@@ -103,7 +104,7 @@ def _check_loop(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap) -> None:
 @dataclass(frozen=True, eq=False)
 class TrialResult:
     """One run's trials. messages, decisions and initial_states are int64;
-    outputs and state_paths, (trials, n), are in `_symbol_dtype` of |Y| and
+    outputs and state_paths, (trials, n), are in `symbol_dtype` of |Y| and
     |S|, the narrowest dtype that holds the alphabet (uint8 up to 256)."""
 
     trials: int
@@ -128,7 +129,7 @@ def simulate_batch(
 ):
     """Drive the channel for every trial at once; returns (x, y, states),
     each (trials, n), transposed views of step-major (n, trials) tables.
-    Each table is in `_symbol_dtype` of its alphabet's size (|X|, |Y|, |S|),
+    Each table is in `symbol_dtype` of its alphabet's size (|X|, |Y|, |S|),
     the narrowest dtype that holds it (uint8 up to 256 symbols), the rule
     run_trials' result tables follow."""
     t, n = u_steps.shape[0], cb.depth
@@ -138,17 +139,12 @@ def simulate_batch(
     return xs.T, ys.T, states.T
 
 
-def _symbol_dtype(card: int) -> np.dtype:
-    """The one dtype of a table of symbols 0..card-1: the narrowest that holds them."""
-    return np.min_scalar_type(card - 1)
-
-
 def _code_table(n_y: int, n: int, trials: int) -> np.ndarray:
     """The run's (keys, trials) table of output codes, as decoder._pack_rows
-    packs them in base |Y|: one key in `_symbol_dtype(|Y|^n)` when one int64
+    packs them in base |Y|: one key in `symbol_dtype(|Y|^n)` when one int64
     key holds a row, else int64 keys of chunk_digits(|Y|) outputs each."""
     keys = -(-n // chunk_digits(n_y))
-    return np.empty((keys, trials), dtype=_symbol_dtype(n_y**n) if keys == 1 else np.int64)
+    return np.empty((keys, trials), dtype=symbol_dtype(n_y**n) if keys == 1 else np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,22 +153,22 @@ class _LoopTables:
     _drive share them."""
 
     tree: CodeTree  # the shape node_columns walks
-    flat: np.ndarray  # every tree's symbols end to end, in _symbol_dtype(|X|)
+    flat: np.ndarray  # every tree's symbols end to end, in symbol_dtype(|X|)
     n_x: int
     cdf: np.ndarray  # CDF column j: entry j of row s * |X| + x's CDF over (y, s')
-    y_of: np.ndarray  # y and s' of each draw, in _symbol_dtype(|Y|) and (|S|)
+    y_of: np.ndarray  # y and s' of each draw, in symbol_dtype(|Y|) and (|S|)
     s_of: np.ndarray
     z_of: np.ndarray  # feedback symbol of each y
 
 
 def _loop_tables(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap) -> _LoopTables:
     n_s, n_x = fsc.n_states, fsc.n_inputs
-    symbols = np.stack([tree.symbols for tree in cb.trees], dtype=_symbol_dtype(n_x), casting="unsafe")
+    symbols = np.stack([tree.symbols for tree in cb.trees], dtype=symbol_dtype(n_x))
     cdf = fsc.kernel.reshape(n_s * n_x, -1).cumsum(axis=1)[:, :-1].T.copy()
     y_of, s_of = np.divmod(np.arange(cdf.shape[0] + 1), n_s)
     return _LoopTables(
         cb.trees[0], symbols.ravel(), n_x, cdf,
-        y_of.astype(_symbol_dtype(fsc.n_outputs)), s_of.astype(_symbol_dtype(n_s)), feedback.table,
+        y_of.astype(symbol_dtype(fsc.n_outputs)), s_of.astype(symbol_dtype(n_s)), feedback.table,
     )
 
 

@@ -89,6 +89,12 @@ def chunk_digits(card: int) -> int:
     return int(62 // math.log2(card)) if card > 1 else 62
 
 
+def symbol_dtype(card: int) -> np.dtype:
+    """The one dtype of a table of symbols 0..card-1: the narrowest that holds
+    them (uint8 up to 256 symbols)."""
+    return np.min_scalar_type(card - 1)
+
+
 def cdf_draw(cdf_cols, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw, one uniform per row, from precomputed CDF columns.
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import compound_fsc.codetree as codetree
 from compound_fsc import ValidationError, sample_codebook, uniform_policy
 from compound_fsc.causal import CausalConditioning, iid_policy, input_prob, random_policy
 from compound_fsc.codetree import (
@@ -46,6 +48,20 @@ def test_codetree_validation():
         leaf_tree([0, 2, 1], depth=2)  # symbol outside alphabet
     with pytest.raises(ValidationError, match="integers"):
         leaf_tree([0.5, 1.7, 0.0], depth=2)  # a cast would truncate to [0, 1, 0]
+
+
+def test_codetree_stores_symbols_in_the_narrowest_dtype():
+    assert leaf_tree([1, 0, 1], depth=2).symbols.dtype == np.uint8
+    tree = CodeTree(depth=2, x_card=300, z_card=1, symbols=np.array([0, 299]))
+    assert tree.symbols.dtype == np.uint16
+    assert tree.symbols.tolist() == [0, 299]
+    assert not tree.symbols.flags.writeable
+    # checked as given: uint8 would read 256 as 0 and uint16 would read -1 as 65535
+    for bad in ([0, -1], [0, 300]):
+        with pytest.raises(ValidationError):
+            CodeTree(depth=2, x_card=300, z_card=1, symbols=np.array(bad))
+    with pytest.raises(ValidationError):
+        leaf_tree([0, 256, 1], depth=2)
 
 
 def test_tree_code_round_trip():
@@ -169,12 +185,33 @@ def test_sample_codetree_stream_is_pinned(n, x_card, z_card, seed, want):
 
 
 @pytest.mark.parametrize("n, x_card, z_card", [(3, 2, 1), (2, 3, 2), (3, 2, 2)])
-def test_sample_symbols_is_the_stream_of_successive_trees(n, x_card, z_card):
+def test_sample_symbols_is_the_stream_of_successive_trees(monkeypatch, n, x_card, z_card):
+    # history-dependent policies (no zero-stride step), 7 trees drawn in
+    # chunks of 2 (four chunks, the last partial), of one (a budget below one
+    # tree's uniforms) and all at once
     q = random_policy(n, x_card, z_card, np.random.default_rng(59))
-    one, many = np.random.default_rng(61), np.random.default_rng(61)
-    want = [sample_codetree(q, one).symbols for _ in range(6)]
-    assert np.array_equal(sample_symbols(q, 6, many), np.stack(want))
-    assert one.random() == many.random()
+    assert all(c.strides[0] for c in q.conditionals)
+    one = np.random.default_rng(61)
+    want = np.stack([sample_codetree(q, one).symbols for _ in range(7)])
+    after = one.random()
+    per_tree = 8 * tree_size(n, z_card)
+    for budget in (2 * per_tree + 7, per_tree - 1, 7 * per_tree):
+        monkeypatch.setattr(codetree, "_DRAW_BYTES", budget)
+        many = np.random.default_rng(61)
+        got = sample_symbols(q, 7, many)
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert many.random() == after
+
+
+def test_simulate_ml_codebook_is_pinned():
+    # the benchmark's codebook, 8 draw chunks of 8 trees; the digest of its
+    # symbols as little-endian int64 was recorded when they were drawn in
+    # one rng.random call into an int64 table
+    cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(0))
+    symbols = np.stack([tree.symbols for tree in cb.trees]).astype("<i8")
+    digest = hashlib.sha256(symbols.tobytes()).hexdigest()
+    assert digest == "386e3e3d6be2a1ccf9780b0d3e1c3e36ec2bb027b274cc102afd01c68cad8041"
 
 
 def _contiguous(q):
@@ -209,16 +246,25 @@ def test_zero_stride_steps_draw_what_a_contiguous_copy_draws(policy):
 
 def test_uniform_codebook_peak_memory():
     # the uniform policy is n zero-stride rows, drawn against one CDF with no
-    # histories, so the peak is the uniforms, the symbols and one level's
-    # draw (about 5.7 MiB for 64 trees of 4095 nodes)
+    # histories, so the peak is the uint8 symbol table, one chunk's uniforms
+    # and the level temporaries, charged at 4 int64 cells per node of a
+    # chunk's widest level (its draw, the previous level's and the cast into
+    # the table), plus a 128 KiB margin: 1.12 MiB for 64 trees of 4095 nodes
+    # (traced 0.88 MiB). What stays is the table and the trees, with 64 KiB
+    # for the trees' objects (traced 0.26 MiB).
+    q, count, size = uniform_policy(12, 2, 2), 64, tree_size(12, 2)
+    sample_codebook(q, count, np.random.default_rng(1))  # first-call costs are not the draw's
+    chunk = codetree._DRAW_BYTES // (8 * size)
+    table = count * size
     tracemalloc.start()
     try:
-        cb = sample_codebook(uniform_policy(12, 2, 2), 64, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
+        cb = sample_codebook(q, count, np.random.default_rng(0))
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cb.m_count == 64
-    assert peak < 7 * 2**20
+    assert cb.m_count == count
+    assert peak < table + 8 * chunk * size + 4 * 8 * chunk * 2**11 + 2**17
+    assert kept < table + 2**16
 
 def test_sampled_paths_have_positive_input_prob():
     rng = np.random.default_rng(139)

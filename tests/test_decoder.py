@@ -321,6 +321,24 @@ def test_decode_rows_refuses_rows_that_do_not_fit_the_codebook(decoder, misfit):
         dec.decode_rows(cb, ROW_MISFITS[misfit])
 
 
+def test_scorer_does_not_wrap_wide_alphabets():
+    # 17 inputs and 17 outputs: the trees keep uint8 symbols, and symbol * |Y|
+    # reaches 16 * 17 = 272, past uint8, so the scorer must widen first
+    rng = np.random.default_rng(223)
+    fsc = random_fsc(rng, 1, 17, 17)
+    fb = identity_feedback(fsc.outputs)
+    cb = sample_codebook(uniform_policy(2, 17, 17), 4, rng)
+    assert cb.trees[0].symbols.dtype == np.uint8
+    assert any(16 in tree.symbols for tree in cb.trees)
+    y_rows = enumerate_paths(17, 2)
+    got = MLDecoder(fsc, fb).decode_rows(cb, y_rows)
+    assert got.tolist() == [ml_decode(cb, y, fsc, fb) for y in y_rows]
+    z_rows = fb.table[y_rows[:, :-1]]
+    for tree in cb.trees:
+        want = causal_log_prob_rows(fsc, paths_rows(tree, z_rows), y_rows, None)
+        assert [tree_log_likelihood(fsc, tree, y, fb) for y in y_rows] == want.tolist()
+
+
 def _score(fsc, trees, rows, fb, s0):
     plan = decoder_mod._prefix_plan(trees[0], rows, fb)
     return decoder_mod._codebook_log_likelihoods(fsc, trees, plan, s0)
