@@ -93,8 +93,11 @@ BA_MAX_ITERS = 200_000  # blahut_arimoto gives up after this many iterations
 # supergradient, binned adjoint and offset code, its step's gradient and
 # projection temporaries and, in a group of several rows, the gathered
 # channel table of its active pair; the shared ones are the table build's
-# temporaries (4.0 when ge-gap is certified at the uniform start), the
-# history code and the best earlier group's winner. With 3 ascent
+# temporaries, the history code and the best earlier group's winner. The
+# build runs before any start's tables exist: with the history code and the
+# p log p buffer it peaks at 4.26, 4.07 and 4.02 tables beside the pairs'
+# own at n = 8, 9 and 10 when ge-gap is certified at the uniform start,
+# within the shared and one start's terms together. With 3 ascent
 # iterations, after a warm-up solve in the same process, tracemalloc
 # measured on verify.random_family(default_rng(1), 2, 2) (4 pairs, not
 # certified at its start) at n = 8, 9 and 10: 4.56, 4.55, 4.54 with one
@@ -524,8 +527,9 @@ def _pair_tables(first: FscSpec, n: int, problems: list, starts: int) -> _PairTa
     plogp = np.empty((x_paths, y_paths))  # one pair's, reused
     for i, pairs in enumerate(problems):
         for j, (_, m, s0) in enumerate(pairs):
-            table = probs[i, j]
-            table[...] = channel_prob_table(m, n, s0)
+            # built straight into its slot of the stack, so the build adds
+            # only its own temporaries (2.5 tables at |S| = 2)
+            table = channel_prob_table(m, n, s0, out=probs[i, j])
             plogp.fill(0.0)
             np.log(table, out=plogp, where=table > 0)
             plogp *= table

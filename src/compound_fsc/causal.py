@@ -289,23 +289,46 @@ def spare_tables(entries: int, arrays: int) -> int:
     return TABLE_BYTES // (entries * 8) - arrays
 
 
-def channel_prob_table(fsc: FscSpec, n: int, s0_prior) -> np.ndarray:
+def channel_prob_table(fsc: FscSpec, n: int, s0_prior, out: np.ndarray | None = None) -> np.ndarray:
     """Table P[xcode, ycode] = sum_s0 prior(s0) P(y^n || x^n, s0).
 
     Path codes are mixed-radix, earliest symbol most significant. One forward
-    recursion over the path tree: alpha[xcode, ycode, s] = P(y^i, s_i = s ||
-    x^i) grows by one (x, y) level per step, and the state is summed out at
-    the end. Refuses past TABLE_BYTES instead of approximating.
+    recursion over the path tree: alpha[xcode, ycode, t] = P(y^i, s_i = t ||
+    x^i) grows by one (x, y) level per step as a broadcast multiply-add over
+    the previous state s, in ascending order, and the last step sums the
+    state out into `out` (a C-contiguous (|X|^n, |Y|^n) float array, made
+    when None), one next state t at a time. Each sum runs in the order of
+    einsum("abs,sxyt->axbyt") followed by .sum(axis=2), so below 8 states
+    the table is bitwise that recursion's (numpy may add a longer state axis
+    in another order). Refuses past TABLE_BYTES instead of approximating.
     """
-    s_card = fsc.n_states
-    # peak: about 1.25 |S| tables at the last step (its input and output
-    # alpha) or |S| + 1 while summing out the state; 2 |S| + 1 covers both
-    check_table_bytes(fsc.n_inputs ** n * fsc.n_outputs ** n, 2 * s_card + 1, "channel table")
+    s_card, x_card, y_card = fsc.n_states, fsc.n_inputs, fsc.n_outputs
+    # peak, in tables of the result's size, with r = |S| / (|X||Y|): before
+    # the last step a step's input, output and product temporary, (r + 2 |S|)
+    # / (|X||Y|) at most; at the last step its input, the result, one next
+    # state's partial sum and its product temporary, r + 3 (r + 2 at |S| = 1,
+    # with no partial sum); 2 |S| + 1 covers both
+    check_table_bytes(x_card ** n * y_card ** n, 2 * s_card + 1, "channel table")
     alpha = _as_prior(fsc, s0_prior).reshape(1, 1, s_card)
-    for i in range(1, n + 1):
-        alpha = np.einsum("abs,sxyt->axbyt", alpha, fsc.kernel, order="C")
-        alpha = alpha.reshape(fsc.n_inputs ** i, fsc.n_outputs ** i, s_card)
-    return alpha.sum(axis=2)
+    k = fsc.kernel[:, None, :, None]  # kernel[s] on the (a, x, b, y, t) axes
+    for i in range(1, n):
+        a = alpha[:, None, :, None, None]
+        nxt = a[..., 0] * k[0]
+        for s in range(1, s_card):
+            nxt += a[..., s] * k[s]
+        alpha = nxt.reshape(x_card ** i, y_card ** i, s_card)
+    if out is None:
+        out = np.empty((x_card ** n, y_card ** n))
+    total = out.reshape(alpha.shape[0], x_card, alpha.shape[1], y_card)
+    a = alpha[:, None, :, None]
+    for t in range(s_card):
+        # the t = 0 sum goes straight into the result
+        part = np.multiply(a[..., 0], k[0, ..., t], out=None if t else total)
+        for s in range(1, s_card):
+            part += a[..., s] * k[s, ..., t]
+        if t:
+            total += part
+    return out
 
 
 def history_code(x_card: int, feedback: FeedbackMap, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import resource
@@ -404,6 +405,10 @@ def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
 
 
+# One parser serves every main() call in a process: parse_args fills a fresh
+# Namespace each time, and no action keeps a mutable default (an `append`
+# action's list, say) that one call could change for the next.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compound-fsc",

@@ -59,6 +59,25 @@ def naive_causal_channel_prob(fsc, xs, ys, s0: int) -> float:
     return math.fsum(total)
 
 
+def einsum_channel_prob_table(fsc, n: int, s0_prior) -> np.ndarray:
+    """The path table as the einsum recursion built it: each step contracts
+    the previous state with einsum("abs,sxyt->axbyt"), and the state is
+    summed out after the last step. channel_prob_table must equal it bitwise
+    below 8 states, where numpy adds both short axes in index order."""
+    s_card = fsc.n_states
+    if s0_prior is None:
+        prior = np.full(s_card, 1.0 / s_card)
+    elif np.isscalar(s0_prior):
+        prior = np.eye(s_card)[s0_prior]
+    else:
+        prior = np.asarray(s0_prior, dtype=float)
+    alpha = prior.reshape(1, 1, s_card)
+    for i in range(1, n + 1):
+        alpha = np.einsum("abs,sxyt->axbyt", alpha, fsc.kernel, order="C")
+        alpha = alpha.reshape(fsc.n_inputs ** i, fsc.n_outputs ** i, s_card)
+    return alpha.sum(axis=2)
+
+
 def marginal_entropy(joint, n: int, x_card: int, y_card: int, keep_x: int, keep_y: int) -> float:
     """H(X^keep_x, Y^keep_y) of a path joint [xcode, ycode], codes earliest
     symbol most significant, by a loop over its entries; 0 log 0 = 0."""

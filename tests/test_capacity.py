@@ -282,9 +282,9 @@ def test_ge_feedback_gap_builds_each_channel_table_once(monkeypatch):
     calls = []
     build = capmod.channel_prob_table
 
-    def counting(fsc, n, s0_prior):
+    def counting(fsc, n, s0_prior, **kwargs):
         calls.append(s0_prior)
-        return build(fsc, n, s0_prior)
+        return build(fsc, n, s0_prior, **kwargs)
 
     monkeypatch.setattr(capmod, "channel_prob_table", counting)
     fam = ge_gap_family()

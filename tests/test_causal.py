@@ -18,6 +18,7 @@ from compound_fsc import (
     no_feedback,
     uniform_policy,
 )
+from compound_fsc import causal as causal_module
 from compound_fsc.causal import (
     causal_log_prob_rows,
     channel_prob_table,
@@ -39,7 +40,7 @@ from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_
 from compound_fsc.codetree import sample_codetree, tree_prob
 from compound_fsc.util import enumerate_paths
 from compound_fsc.verify import random_family
-from oracles import causal_channel_prob, naive_causal_channel_prob
+from oracles import causal_channel_prob, einsum_channel_prob_table, naive_causal_channel_prob
 
 
 def ge(g, b, p_g, p_b):
@@ -481,6 +482,47 @@ def test_channel_table_non_square_alphabets():
         per_state = [causal_channel_prob(fsc, xs, ys, s) for s in range(3)]
         assert given[i, j] == pytest.approx(per_state[1], rel=1e-12, abs=0)
         assert mixed[i, j] == pytest.approx(float(np.dot(prior, per_state)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s_card", [1, 2, 3])
+@pytest.mark.parametrize("x_card,y_card", [(2, 2), (2, 3), (3, 2)])
+def test_channel_table_is_the_einsum_recursion_bitwise(s_card, x_card, y_card):
+    rng = np.random.default_rng(100 * s_card + 10 * x_card + y_card)
+    fsc = random_fsc(rng, s_card, x_card, y_card)
+    priors = [0, s_card - 1, None, rng.dirichlet(np.ones(s_card))]
+    for n, s0 in itertools.product(range(1, 7), priors):
+        want = einsum_channel_prob_table(fsc, n, s0)
+        assert np.array_equal(channel_prob_table(fsc, n, s0), want), (n, s0)
+        # written into a caller's table, as the solver stacks them
+        stack = np.full((2,) + want.shape, np.nan)
+        slot = stack[1]
+        assert channel_prob_table(fsc, n, s0, out=slot) is slot
+        assert np.array_equal(slot, want) and np.isnan(stack[0]).all()
+
+
+@pytest.mark.parametrize("s_card,n", [(2, 10), (3, 7)])
+def test_channel_table_peak_stays_within_its_charge(monkeypatch, s_card, n):
+    charged = []
+    guard = causal_module.check_table_bytes
+
+    def recording(entries, arrays, what):
+        charged.append(entries * 8 * arrays)
+        guard(entries, arrays, what)
+
+    monkeypatch.setattr(causal_module, "check_table_bytes", recording)
+    fsc = random_fsc(np.random.default_rng(s_card), s_card, 2, 2)
+    channel_prob_table(fsc, 2, 0)  # warm-up
+    charged.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = channel_prob_table(fsc, n, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert charged == [table.nbytes * (2 * s_card + 1)]
+    assert peak <= charged[0], f"peak {peak / table.nbytes:.3f} tables"
 
 
 @pytest.mark.parametrize(

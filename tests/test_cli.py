@@ -1,14 +1,20 @@
-"""End-to-end tests for the command line interface, run in-process."""
+"""End-to-end tests for the command line interface, run in-process (one
+also runs a fresh process to compare its manifest)."""
 
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compound_fsc
 from compound_fsc import CompoundFamily, bsc, ge_gap_family, save_family
 from compound_fsc.capacity import GAP_TOL
 from compound_fsc.cli import build_parser, main
@@ -524,6 +530,25 @@ def test_manifest_records_every_option_and_the_run_metrics(tmp_path, subcommand)
     assert {"wall_clock_s", "write_s", "peak_rss_mb"} <= set(metrics)
     assert 0 <= metrics["write_s"] <= metrics["wall_clock_s"] and metrics["peak_rss_mb"] > 0
     assert_rerun_reproduces(out, tmp_path / "replay")
+
+
+def test_one_parser_serves_every_call_without_carrying_options(tmp_path):
+    # the parser is built once a process; a --seed given to one call must not
+    # reach the next call's manifest, which records what a fresh process does
+    assert build_parser() is build_parser()
+    cap, sim = tmp_path / "cap", tmp_path / "sim"
+    assert main(["capacity", "--preset", "bsc-pair", "--n", "2", "--seed", "5", "--out", str(cap)]) == 0
+    sim_argv = ["simulate", "--preset", "example1", "--n", "3", "--trials", "500", "--out", str(sim)]
+    assert main(sim_argv) == 0
+    in_process = json.loads((sim / "manifest.json").read_text())["argv"]
+    assert "--seed" not in in_process
+    src = Path(compound_fsc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "compound_fsc", *sim_argv], env=env, capture_output=True)
+    assert fresh.returncode == 0, fresh.stderr
+    assert json.loads((sim / "manifest.json").read_text())["argv"] == in_process
+    assert_rerun_reproduces(cap, tmp_path / "cap-replay")
+    assert_rerun_reproduces(sim, tmp_path / "sim-replay")
 
 
 class TestTopLevel:
