@@ -125,6 +125,11 @@ SOLVER_START_TABLES = 4
 # Xeon VM); two 3-output members: 0.069 against 0.092 at n = 5 (2592
 # entries), 0.431 against 0.441 at n = 6 (15552).
 GROUP_CODE_ENTRIES = 2 ** 13
+# _pair_tables folds p log p over y_{n-1} at most this many table entries
+# at a time, so its buffer and mask are a fraction of a table at large n
+# while one block still covers every table up to |X|^n |Y|^n = 2**14 (n = 7
+# at binary alphabets, so capacity-sweep's n = 1..6 tables fold in one go).
+FOLD_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -524,16 +529,20 @@ def _pair_tables(first: FscSpec, n: int, problems: list, starts: int) -> _PairTa
     check_table_bytes(entries, fixed + per_start * width * p, "capacity solver")
     probs = np.empty((p, k, x_paths, y_paths))
     folded = np.empty((p, k, x_paths, y_paths // y_card))
-    plogp = np.empty((x_paths, y_paths))  # one pair's, reused
+    rows = max(1, FOLD_ENTRIES // y_paths)  # of a table, per fold block
+    plogp = np.empty((min(rows, x_paths), y_paths))  # one block's, reused
     for i, pairs in enumerate(problems):
         for j, (_, m, s0) in enumerate(pairs):
             # built straight into its slot of the stack, so the build adds
             # only its own temporaries (2.5 tables at |S| = 2)
             table = channel_prob_table(m, n, s0, out=probs[i, j])
-            plogp.fill(0.0)
-            np.log(table, out=plogp, where=table > 0)
-            plogp *= table
-            plogp.reshape(-1, y_card).sum(axis=1, out=folded[i, j].reshape(-1))
+            for r in range(0, x_paths, rows):
+                block = table[r : r + rows]
+                buf = plogp[: len(block)]
+                buf.fill(0.0)
+                np.log(block, out=buf, where=block > 0)
+                buf *= block
+                buf.reshape(-1, y_card).sum(axis=1, out=folded[i, j, r : r + rows].reshape(-1))
     labels = [[label for label, _, _ in pairs] for pairs in problems]
     return _PairTables(labels, probs.reshape(folded.shape + (y_card,)), folded, width)
 

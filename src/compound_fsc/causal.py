@@ -65,12 +65,15 @@ class CausalConditioning:
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
             if c.strides[0] == 0:
                 c = c[:1]  # every row is this one
-            if not np.isfinite(c).all() or (c < -1e-15).any():
-                raise ValidationError("conditionals must be finite and non-negative")
             dev = c.sum(axis=1)
             dev -= 1.0
             np.abs(dev, out=dev)
-            if dev.max() > ROW_SUM_TOL:
+            # NaN and +-inf fail one of these two comparisons, so a step that
+            # passes both is finite and non-negative; the separate checks run
+            # only to name what failed
+            if not (c.min() >= -1e-15 and dev.max() <= ROW_SUM_TOL):
+                if not np.isfinite(c).all() or (c < -1e-15).any():
+                    raise ValidationError("conditionals must be finite and non-negative")
                 raise ValidationError("conditional rows must sum to 1")
         for c in conds:
             c.setflags(write=False)
@@ -261,16 +264,17 @@ def forward_step(alpha: np.ndarray, log_acc: np.ndarray, table: np.ndarray, idx:
 
 
 def _as_prior(fsc: FscSpec, s0_prior) -> np.ndarray:
+    s_card = fsc.n_states
     if s0_prior is None:
-        return np.full(fsc.n_states, 1.0 / fsc.n_states)
+        return np.full(s_card, 1.0 / s_card)
     if np.isscalar(s0_prior):
-        if s0_prior not in range(fsc.n_states):  # also rejects nan, inf and non-integers
-            raise ValidationError(f"initial state {s0_prior} outside 0..{fsc.n_states - 1}")
-        p = np.zeros(fsc.n_states)
+        if s0_prior not in range(s_card):  # also rejects nan, inf and non-integers
+            raise ValidationError(f"initial state {s0_prior} outside 0..{s_card - 1}")
+        p = np.zeros(s_card)
         p[int(s0_prior)] = 1.0
         return p
     p = np.asarray(s0_prior, dtype=float)
-    if p.shape != (fsc.n_states,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
+    if p.shape != (s_card,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValidationError("s0 prior must be a distribution over the states")
     return p
 
@@ -290,45 +294,90 @@ def spare_tables(entries: int, arrays: int) -> int:
 
 
 def channel_prob_table(fsc: FscSpec, n: int, s0_prior, out: np.ndarray | None = None) -> np.ndarray:
-    """Table P[xcode, ycode] = sum_s0 prior(s0) P(y^n || x^n, s0).
+    """Table P[xcode, ycode] = sum_s0 prior(s0) P(y^n || x^n, s0):
+    channel_prob_tables on one kernel and one prior."""
+    return channel_prob_tables(fsc.kernel, _as_prior(fsc, s0_prior), n, out)
+
+
+def channel_prob_tables(kernels: np.ndarray, priors: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stack of channel tables P[..., xcode, ycode] = sum_s0 priors[..., s0]
+    P(y^n || x^n, s0) under the kernels [..., s, x, y, s'], whose leading
+    axes (none for one table) match the priors'.
 
     Path codes are mixed-radix, earliest symbol most significant. One forward
-    recursion over the path tree: alpha[xcode, ycode, t] = P(y^i, s_i = t ||
-    x^i) grows by one (x, y) level per step as a broadcast multiply-add over
-    the previous state s, in ascending order, and the last step sums the
-    state out into `out` (a C-contiguous (|X|^n, |Y|^n) float array, made
-    when None), one next state t at a time. Each sum runs in the order of
+    recursion over the path tree for every table at once: each table's
+    alpha[xcode, ycode, t] = P(y^i, s_i = t || x^i) grows by one (x, y) level
+    per step as a broadcast multiply-add over the previous state s, in
+    ascending order, and the last step sums the state out into `out` (a
+    C-contiguous float array of the result's shape, made when None), one
+    next state t at a time. Each sum runs in the order of
     einsum("abs,sxyt->axbyt") followed by .sum(axis=2), so below 8 states
-    the table is bitwise that recursion's (numpy may add a longer state axis
-    in another order). Refuses past TABLE_BYTES instead of approximating.
+    each table is bitwise that recursion's (numpy may add a longer state axis
+    in another order) and does not depend on the tables stacked with it.
+    Refuses past TABLE_BYTES instead of approximating.
     """
-    s_card, x_card, y_card = fsc.n_states, fsc.n_inputs, fsc.n_outputs
+    lead = kernels.shape[:-4]
+    s_card, x_card, y_card = kernels.shape[-4:-1]
+    rows = math.prod(lead)
     # peak, in tables of the result's size, with r = |S| / (|X||Y|): before
     # the last step a step's input, output and product temporary, (r + 2 |S|)
     # / (|X||Y|) at most; at the last step its input, the result, one next
     # state's partial sum and its product temporary, r + 3 (r + 2 at |S| = 1,
-    # with no partial sum); 2 |S| + 1 covers both
-    check_table_bytes(x_card ** n * y_card ** n, 2 * s_card + 1, "channel table")
-    alpha = _as_prior(fsc, s0_prior).reshape(1, 1, s_card)
-    k = fsc.kernel[:, None, :, None]  # kernel[s] on the (a, x, b, y, t) axes
+    # with no partial sum); 2 |S| + 1 covers both, for each table
+    check_table_bytes(rows * x_card ** n * y_card ** n, 2 * s_card + 1, "channel table")
+    # k[s] on the (table, a, x, b, y, t) axes and alpha on (table, a, x, b,
+    # y, s), with no table axis for one table
+    tables = (rows,) if lead else ()
+    k = kernels.reshape(tables + (s_card, 1, x_card, 1, y_card, s_card))
+    if lead:
+        k = k.swapaxes(0, 1)
+    alpha = priors.reshape(tables + (1, 1, 1, 1, s_card))
     for i in range(1, n):
-        a = alpha[:, None, :, None, None]
-        nxt = a[..., 0] * k[0]
+        nxt = alpha[..., None, 0] * k[0]
         for s in range(1, s_card):
-            nxt += a[..., s] * k[s]
-        alpha = nxt.reshape(x_card ** i, y_card ** i, s_card)
+            nxt += alpha[..., None, s] * k[s]
+        alpha = nxt.reshape(tables + (x_card ** i, 1, y_card ** i, 1, s_card))
     if out is None:
-        out = np.empty((x_card ** n, y_card ** n))
-    total = out.reshape(alpha.shape[0], x_card, alpha.shape[1], y_card)
-    a = alpha[:, None, :, None]
+        out = np.empty(lead + (x_card ** n, y_card ** n))
+    total = out.reshape(tables + (x_card ** (n - 1), x_card, y_card ** (n - 1), y_card))
     for t in range(s_card):
         # the t = 0 sum goes straight into the result
-        part = np.multiply(a[..., 0], k[0, ..., t], out=None if t else total)
+        part = np.multiply(alpha[..., 0], k[0, ..., t], out=None if t else total)
         for s in range(1, s_card):
-            part += a[..., s] * k[s, ..., t]
+            part += alpha[..., s] * k[s, ..., t]
         if t:
             total += part
     return out
+
+
+def initial_state_tables(fscs, laws, n: int) -> np.ndarray:
+    """Channel tables of each member fscs[b] from each of its initial-state
+    laws laws[b] (state indices or priors, as channel_prob_table takes them,
+    the same count for every member), as a (members, laws, |X|^n, |Y|^n)
+    stack built by one channel_prob_tables call."""
+    kernels = np.stack([[fsc.kernel] * len(row) for fsc, row in zip(fscs, laws)])
+    priors = np.stack([[_as_prior(fsc, s0) for s0 in row] for fsc, row in zip(fscs, laws)])
+    return channel_prob_tables(kernels, priors, n)
+
+
+def path_table_groups(cases, laws):
+    """Stacked path tables of (q, fsc, feedback) cases, one shape group at a
+    time. Cases group by the shape of their tables and history code
+    (horizon, alphabets, state count, feedback table), groups in order of
+    first appearance. Yields each group's case indices, in case order, its
+    policies' weight tables as one (group, |X|^n, |Y|^n) stack, and its
+    channel tables from each case's initial-state laws laws[i] (the same
+    count for every case of a group) as one (group, laws, |X|^n, |Y|^n)
+    stack: one initial_state_tables build."""
+    groups = {}
+    for i, (q, fsc, feedback) in enumerate(cases):
+        key = (q.horizon, q.x_card, q.z_card, fsc.n_states, fsc.n_inputs, fsc.n_outputs, feedback.table.tobytes())
+        groups.setdefault(key, []).append(i)
+    for idx in groups.values():
+        q, fsc, feedback = cases[idx[0]]
+        w = policy_weight_tables([cases[i][0] for i in idx], fsc.n_outputs, feedback)
+        p = initial_state_tables([cases[i][1] for i in idx], [laws[i] for i in idx], q.horizon)
+        yield idx, w, p
 
 
 def history_code(x_card: int, feedback: FeedbackMap, n: int) -> np.ndarray:
@@ -364,9 +413,9 @@ def code_weights(reach, code: np.ndarray) -> np.ndarray:
 def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
     """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}): code_weights spread
     over every output axis the code does not span (the last one, or all n
-    without feedback)."""
+    without feedback). Leading axes of the reach stay leading axes of W."""
     g = code_weights(reach, code)
-    return np.repeat(g, y_card ** len(reach) // g.shape[1], axis=1)
+    return np.repeat(g, y_card ** len(reach) // g.shape[-1], axis=-1)
 
 
 def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
@@ -410,7 +459,19 @@ def policy_best_response(shapes, code: np.ndarray, u: np.ndarray) -> float:
 
 
 def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMap) -> np.ndarray:
-    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}) over all path pairs."""
+    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}) over all path pairs: the
+    one-policy stack of policy_weight_tables."""
+    return policy_weight_tables([q], y_card, feedback)[0]
+
+
+def policy_weight_tables(qs, y_card: int, feedback: FeedbackMap) -> np.ndarray:
+    """Stack of the weight tables W[b, xcode, ycode] = qs[b](x^n || f(y)^{n-1})
+    of policies of one horizon and alphabets, from their conditionals stacked
+    step by step. A lone policy's steps are read with a leading axis added,
+    so a zero-stride step stays a view."""
+    q = qs[0]
+    if any((p.horizon, p.x_card, p.z_card) != (q.horizon, q.x_card, q.z_card) for p in qs):
+        raise ValidationError("stacked policies must share horizon and alphabets")
     if feedback.z_card != q.z_card:
         raise ValidationError("policy and feedback map disagree on |Z|")
     if feedback.table.size != y_card:
@@ -418,9 +479,13 @@ def policy_weight_table(q: CausalConditioning, y_card: int, feedback: FeedbackMa
     # measured peak 2.7 tables: the code, the last reach and its gather
     # through the code (half a table each at |Y| = 2), the shorter reach
     # and the weights
-    check_table_bytes(q.x_card ** q.horizon * y_card ** q.horizon, 3, "policy weight table")
+    check_table_bytes(len(qs) * q.x_card ** q.horizon * y_card ** q.horizon, 3, "policy weight table")
     code = history_code(q.x_card, feedback, q.horizon)
-    return weight_table(sequence_reach(q.conditionals), code, y_card)
+    if len(qs) == 1:
+        conds = [c[None] for c in q.conditionals]
+    else:
+        conds = [np.stack(steps) for steps in zip(*(p.conditionals for p in qs))]
+    return weight_table(sequence_reach(conds), code, y_card)
 
 
 def joint_and_output_probs(

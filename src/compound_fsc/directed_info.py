@@ -17,7 +17,9 @@ from .capacity import GAP_TOL, SolverConfig, compute_Cn
 from .causal import (
     CausalConditioning,
     channel_prob_table,
+    path_table_groups,
     policy_weight_table,
+    policy_weight_tables,
     uniform_policy,
 )
 from .channel import CompoundFamily, FeedbackMap, FscSpec, no_feedback
@@ -41,47 +43,74 @@ class DirectedInfoResult:
             raise ValidationError("per-step terms do not resum to the total")
 
 
-def information_functional(w: np.ndarray, p: np.ndarray) -> float:
-    """sum_{x,y} w(x,y) p(y||x) log( p(y||x) / sum_x' w p ) with 0 log 0 = 0."""
+def information_functional(w: np.ndarray, p: np.ndarray) -> float | np.ndarray:
+    """sum_{x,y} w(x,y) p(y||x) log( p(y||x) / sum_x' w p ) with 0 log 0 = 0.
+
+    Reduces over the last two axes only: stacks of tables (leading axes that
+    broadcast between w and p) give an array of one value per table, and one
+    pair of tables a float."""
     joint = w * p
-    p_y = joint.sum(axis=0)
+    p_y = joint.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(p)
-        terms -= np.log(p_y)
+        terms -= np.log(p_y)[..., None, :]
         terms *= joint
-    return float(terms.sum(where=joint > 0))
+    value = terms.sum(axis=(-2, -1), where=joint > 0)
+    return float(value) if value.ndim == 0 else value
 
 
 def _prefix_entropies(joint: np.ndarray, n: int, x_card: int, y_card: int, keys: list) -> dict:
     """H(X^kx, Y^ky) in nats for each of the distinct (kx, ky) in keys,
     0 log 0 = 0: each prefix marginal of the path joint is reduced once, and
     all their entropies are taken in one pass over the marginals laid end to
-    end."""
-    t = np.asarray(joint).reshape(x_card ** n, y_card ** n)
+    end. A stack of joints (leading axes) gives each key an array over them."""
+    t = np.asarray(joint)
+    lead = t.shape[:-2]
+    t = t.reshape(lead + (x_card ** n, y_card ** n))
     sizes = [x_card ** kx * y_card ** ky for kx, ky in keys]
     m = np.concatenate(
-        [t.reshape(x_card ** kx, -1, y_card ** ky, y_card ** (n - ky)).sum(axis=(1, 3)).ravel() for kx, ky in keys]
+        [
+            t.reshape(lead + (x_card ** kx, -1, y_card ** ky, y_card ** (n - ky))).sum(axis=(-3, -1)).reshape(lead + (-1,))
+            for kx, ky in keys
+        ],
+        axis=-1,
     )
     plogp = np.log(m, out=np.zeros_like(m), where=m > 0)
     plogp *= m
-    h = np.add.reduceat(plogp, list(itertools.accumulate(sizes[:-1], initial=0)))
-    return dict(zip(keys, (-h).tolist()))
+    h = np.add.reduceat(plogp, list(itertools.accumulate(sizes[:-1], initial=0)), axis=-1)
+    return dict(zip(keys, np.moveaxis(-h, -1, 0)))
 
 
-def per_step_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list[float]:
-    """I(Y_i ; X^i | Y^{i-1}) for i = 1..n, from the exact path joint."""
+def per_step_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list:
+    """I(Y_i ; X^i | Y^{i-1}) for i = 1..n, from the exact path joint (a list
+    per joint for a stack of them)."""
     steps = range(1, n + 1)
     keys = [(0, i) for i in range(n + 1)] + [(i, i - 1) for i in steps] + [(i, i) for i in steps]
     h = _prefix_entropies(joint, n, x_card, y_card, keys)
-    return [h[0, i] + h[i, i - 1] - h[i, i] - h[0, i - 1] for i in steps]
+    return np.stack([h[0, i] + h[i, i - 1] - h[i, i] - h[0, i - 1] for i in steps], axis=-1).tolist()
 
 
-def exchange_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list[float]:
-    """I(X_i ; Y_i^n | X^{i-1}, Y^{i-1}) for i = 1..n, from the path joint."""
+def exchange_terms(joint: np.ndarray, n: int, x_card: int, y_card: int) -> list:
+    """I(X_i ; Y_i^n | X^{i-1}, Y^{i-1}) for i = 1..n, from the path joint (a
+    list per joint for a stack of them)."""
     steps = range(1, n + 1)
     keys = [(i, n) for i in range(n + 1)] + [(i, i - 1) for i in steps] + [(i, i) for i in range(n)]
     h = _prefix_entropies(joint, n, x_card, y_card, keys)
-    return [h[i, i - 1] + h[i - 1, n] - h[i, n] - h[i - 1, i - 1] for i in steps]
+    return np.stack([h[i, i - 1] + h[i - 1, n] - h[i, n] - h[i - 1, i - 1] for i in steps], axis=-1).tolist()
+
+
+def _case_tables(cases):
+    """path_table_groups of (q, fsc, s0, feedback) cases, each case's
+    channel table from its s0 alone."""
+    for idx, w, p in path_table_groups([(q, fsc, feedback) for q, fsc, _, feedback in cases], [[s0] for _, _, s0, _ in cases]):
+        yield idx, w, p[:, 0]
+
+
+def _results(w: np.ndarray, p: np.ndarray, q: CausalConditioning, y_card: int) -> list[DirectedInfoResult]:
+    """directed_information of each pair of stacked tables."""
+    values = information_functional(w, p).tolist()
+    steps = per_step_terms(w * p, q.horizon, q.x_card, y_card)
+    return [DirectedInfoResult(value_nats=v, per_step=tuple(t)) for v, t in zip(values, steps)]
 
 
 def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> DirectedInfoResult:
@@ -90,35 +119,29 @@ def directed_information(q: CausalConditioning, fsc: FscSpec, s0, feedback: Feed
     s0 may be a state index or a prior vector over states; a prior computes
     the quantity for the channel law mixed over the initial state.
     """
-    w = policy_weight_table(q, fsc.n_outputs, feedback)
-    return _directed_info(w, channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs)
-
-
-def _directed_info(w: np.ndarray, p: np.ndarray, q: CausalConditioning, y_card: int) -> DirectedInfoResult:
-    """directed_information on q's weight table w and a channel table p."""
-    value = information_functional(w, p)
-    steps = per_step_terms(w * p, q.horizon, q.x_card, y_card)
-    return DirectedInfoResult(value_nats=value, per_step=tuple(steps))
+    [(_, w, p)] = _case_tables([(q, fsc, s0, feedback)])
+    return _results(w, p, q, fsc.n_outputs)[0]
 
 
 def directed_information_kim(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> float:
     """Same quantity through the exchange identity; agrees to 1e-10."""
-    w = policy_weight_table(q, fsc.n_outputs, feedback)
-    return _exchange_value(w * channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs)
+    [(_, w, p)] = _case_tables([(q, fsc, s0, feedback)])
+    return math.fsum(exchange_terms(w * p, q.horizon, q.x_card, fsc.n_outputs)[0])
 
 
-def _exchange_value(joint: np.ndarray, q: CausalConditioning, y_card: int) -> float:
-    """directed_information_kim on the path joint of q and a channel."""
-    return math.fsum(exchange_terms(joint, q.horizon, q.x_card, y_card))
-
-
-def _routes(q: CausalConditioning, fsc: FscSpec, s0, feedback: FeedbackMap) -> tuple[DirectedInfoResult, float]:
-    """directed_information and directed_information_kim on one build of
-    the weight and channel tables; each route still computes its own terms
-    from them."""
-    w = policy_weight_table(q, fsc.n_outputs, feedback)
-    p = channel_prob_table(fsc, q.horizon, s0)
-    return _directed_info(w, p, q, fsc.n_outputs), _exchange_value(w * p, q, fsc.n_outputs)
+def directed_information_routes(cases) -> list[tuple[DirectedInfoResult, float]]:
+    """(directed_information, directed_information_kim) of each (q, fsc, s0,
+    feedback) case, in case order: one stacked build of the weight and
+    channel tables per shape group, from which each route computes its own
+    terms."""
+    out = [None] * len(cases)
+    for idx, w, p in _case_tables(cases):
+        q, fsc = cases[idx[0]][:2]
+        results = _results(w, p, q, fsc.n_outputs)
+        kims = exchange_terms(w * p, q.horizon, q.x_card, fsc.n_outputs)
+        for i, res, terms in zip(idx, results, kims):
+            out[i] = (res, math.fsum(terms))
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,23 +167,29 @@ def state_gap_check(
     The initial state is drawn from s0_prior (uniform when omitted); the gap
     is bounded by ln of the state count.
     """
-    if s0_prior is None:
-        s0_prior = np.full(fsc.n_states, 1.0 / fsc.n_states)
-    s0_prior = np.asarray(s0_prior, dtype=float)
-    w = policy_weight_table(q, fsc.n_outputs, feedback)
+    return state_gap_check_batch([(q, fsc, feedback, s0_prior)])[0]
 
-    def value(s0) -> float:
-        return _directed_info(w, channel_prob_table(fsc, q.horizon, s0), q, fsc.n_outputs).value_nats
 
-    mixed = value(s0_prior)
-    given = math.fsum(float(pr) * value(s) for s, pr in enumerate(s0_prior) if pr > 0)
-    gap = abs(mixed - given)
-    return StateGapResult(
-        value_mixed=mixed,
-        value_given_state=given,
-        gap=gap,
-        bound=math.log(fsc.n_states),
-    )
+def state_gap_check_batch(cases) -> list[StateGapResult]:
+    """state_gap_check of each (q, fsc, feedback, s0_prior) case, in case
+    order. Per shape group, the channel tables from each case's prior and
+    from each of its initial states are rows of one stacked build, beside
+    one stacked build of the weight tables."""
+    priors = [np.full(fsc.n_states, 1.0 / fsc.n_states) if pr is None else np.asarray(pr, dtype=float) for _, fsc, _, pr in cases]
+    out = [None] * len(cases)
+    laws = [[prior, *range(fsc.n_states)] for prior, (_, fsc, _, _) in zip(priors, cases)]
+    for idx, w, p in path_table_groups([case[:3] for case in cases], laws):
+        s_card = p.shape[1] - 1
+        values = information_functional(w[:, None], p).tolist()
+        for i, (mixed, *per_state) in zip(idx, values):
+            given = math.fsum(float(pr) * per_state[s] for s, pr in enumerate(priors[i]) if pr > 0)
+            out[i] = StateGapResult(
+                value_mixed=mixed,
+                value_given_state=given,
+                gap=abs(mixed - given),
+                bound=math.log(s_card),
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,17 +216,29 @@ def continuity_bound_check(
     delta sums |q1 - q2| path weights over all (x^n, y^n) pairs. The bound
     only applies for delta <= 1/2; larger perturbations report not-applicable.
     """
-    if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
-        raise ValidationError("policies must share horizon and alphabets")
-    w1 = policy_weight_table(q1, fsc.n_outputs, feedback)
-    w2 = policy_weight_table(q2, fsc.n_outputs, feedback)
-    delta = float(np.abs(w1 - w2).sum())
-    if delta > 0.5:
-        return ContinuityBoundResult(delta=delta, lhs=None, rhs=None, applicable=False)
-    p = channel_prob_table(fsc, q1.horizon, s0)
-    lhs = abs(information_functional(w1, p) - information_functional(w2, p))
-    rhs = entropy_continuity_bound(delta, fsc.n_outputs ** (2 * q1.horizon))
-    return ContinuityBoundResult(delta=delta, lhs=lhs, rhs=rhs, applicable=True)
+    return continuity_bound_check_batch([(q1, q2, fsc, s0, feedback)])[0]
+
+
+def continuity_bound_check_batch(cases) -> list[ContinuityBoundResult]:
+    """continuity_bound_check of each (q1, q2, fsc, s0, feedback) case, in
+    case order: per shape group, one stacked build of each policy's weight
+    tables and one of the channel tables."""
+    for q1, q2, *_ in cases:
+        if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
+            raise ValidationError("policies must share horizon and alphabets")
+    out = [None] * len(cases)
+    for idx, w1, p in _case_tables([(q1, fsc, s0, feedback) for q1, _, fsc, s0, feedback in cases]):
+        q, _, fsc, _, feedback = cases[idx[0]]
+        w2 = policy_weight_tables([cases[i][1] for i in idx], fsc.n_outputs, feedback)
+        deltas = np.abs(w1 - w2).sum(axis=(-2, -1)).tolist()
+        lhs = np.abs(information_functional(w1, p) - information_functional(w2, p)).tolist()
+        for i, delta, diff in zip(idx, deltas, lhs):
+            if delta > 0.5:
+                out[i] = ContinuityBoundResult(delta=delta, lhs=None, rhs=None, applicable=False)
+            else:
+                rhs = entropy_continuity_bound(delta, fsc.n_outputs ** (2 * q.horizon))
+                out[i] = ContinuityBoundResult(delta=delta, lhs=diff, rhs=rhs, applicable=True)
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 Each suite sweeps seeded random instances through one family of checks and
 reports a pass/fail verdict with the worst observed slack. The acceptance
 tests reuse these functions with larger instance counts.
+
+The suites draw all their instances first, then hand them to the batch form
+of their checks, which evaluates each shape group of instances (state count
+and horizon here) in one stacked pass over the path tables and returns the
+results in draw order, each bitwise the one-instance call's.
 """
 
 from __future__ import annotations
@@ -19,14 +24,20 @@ from .causal import random_policy
 from .channel import CompoundFamily, FscSpec, bsc, identity_feedback
 from .decoder import RankingFunction, merge_rankings, separability_check
 from .directed_info import (
-    _routes,
-    continuity_bound_check,
-    state_gap_check,
+    continuity_bound_check_batch,
+    directed_information_routes,
+    state_gap_check_batch,
     zero_capacity_witness,
 )
 from .errors import ValidationError
 from .estimation import empirical_violation_rate
-from .exponents import beta_exponent, e0_lower_bound_check, fn_superadditivity_check, gallager_e0, optimal_rho
+from .exponents import (
+    beta_exponent,
+    e0_lower_bound_check_batch,
+    fn_superadditivity_check_batch,
+    gallager_e0_batch,
+    optimal_rho,
+)
 from .presets import zero_capacity_family
 
 
@@ -62,8 +73,7 @@ def random_family(rng: np.random.Generator, n_members: int, n_states: int = 2) -
 def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
     """Three routes to the same directed information agree to 1e-10."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
+    cases = []
     for _ in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 4))
@@ -71,7 +81,10 @@ def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
         fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
-        res, kim = _routes(q, fsc, s0, fb)
+        cases.append((q, fsc, s0, fb))
+    worst = 0.0
+    violations = 0
+    for res, kim in directed_information_routes(cases):
         step_sum = math.fsum(res.per_step)
         dev = max(abs(res.value_nats - step_sum), abs(res.value_nats - kim), abs(step_sum - kim))
         worst = max(worst, dev)
@@ -89,9 +102,7 @@ def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
 def suite_continuity_lemma(instances: int = 100, seed: int = 21) -> CheckResult:
     """Information difference against the L1 continuity bound on policy pairs."""
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    violations = 0
-    applicable = 0
+    cases = []
     for idx in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 3))
@@ -109,7 +120,11 @@ def suite_continuity_lemma(instances: int = 100, seed: int = 21) -> CheckResult:
             )
             q2 = type(q1)(horizon=n, x_card=2, z_card=fb.z_card, conditionals=blended)
         s0 = int(rng.integers(n_states))
-        res = continuity_bound_check(q1, q2, fsc, s0, fb)
+        cases.append((q1, q2, fsc, s0, fb))
+    worst = -math.inf
+    violations = 0
+    applicable = 0
+    for res in continuity_bound_check_batch(cases):
         if not res.applicable:
             continue
         applicable += 1
@@ -128,16 +143,17 @@ def suite_continuity_lemma(instances: int = 100, seed: int = 21) -> CheckResult:
 def suite_state_gap(instances: int = 100, seed: int = 22) -> CheckResult:
     """Mixing the initial state moves directed information by at most ln|S|."""
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    violations = 0
+    cases = []
     for _ in range(instances):
         n_states = int(rng.integers(2, 4))
         n = int(rng.integers(1, 3))
         fsc = random_fsc(rng, n_states, 2, 2)
         fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
-        prior = rng.dirichlet(np.ones(n_states))
-        res = state_gap_check(q, fsc, fb, s0_prior=prior)
+        cases.append((q, fsc, fb, rng.dirichlet(np.ones(n_states))))
+    worst = -math.inf
+    violations = 0
+    for res in state_gap_check_batch(cases):
         worst = max(worst, res.gap - res.bound)
         violations += not res.passed
     return CheckResult(
@@ -284,10 +300,8 @@ def suite_exponents(instances: int = 40, seed: int = 27) -> CheckResult:
     quadratic lower bound, block exponent super-additivity, and the beta
     exponent's shape. The branch-point gap of beta is reported, not asserted."""
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    violations = 0
-    branch_gap = 0.0
     rho_grid = np.linspace(0.0, 1.0, 11)
+    grid_cases, lb_cases, fn_cases = [], [], []
     for idx in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 3))
@@ -295,15 +309,21 @@ def suite_exponents(instances: int = 40, seed: int = 27) -> CheckResult:
         fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
-        e0_vals = gallager_e0(rho_grid, q, fsc, s0, fb)
+        grid_cases.append((rho_grid, q, fsc, s0, fb))
+        lb_cases.append((float(rng.uniform(0.0, 1.0)), q, fsc, s0, fb))
+        head = random_policy(1, 2, fb.z_card, rng)
+        tail = random_policy(1 + idx % 2, 2, fb.z_card, rng)
+        fn_cases.append((float(rng.uniform(0.0, 1.0)), head, tail, fsc, fb))
+    worst = -math.inf
+    violations = 0
+    branch_gap = 0.0
+    for e0_vals, lb, fn in zip(
+        gallager_e0_batch(grid_cases), e0_lower_bound_check_batch(lb_cases), fn_superadditivity_check_batch(fn_cases)
+    ):
         zero_dev = abs(e0_vals[0])
         mono_dev = max(
             (e0_vals[i] - e0_vals[i + 1] for i in range(len(e0_vals) - 1)), default=0.0
         )
-        lb = e0_lower_bound_check(float(rng.uniform(0.0, 1.0)), q, fsc, s0, fb)
-        head = random_policy(1, 2, fb.z_card, rng)
-        tail = random_policy(1 + idx % 2, 2, fb.z_card, rng)
-        fn = fn_superadditivity_check(float(rng.uniform(0.0, 1.0)), head, tail, fsc, fb)
         slack = max(zero_dev - 1e-9, mono_dev - 1e-9, lb.bound - lb.e0 - 1e-9, fn.rhs - fn.lhs - 1e-9)
         worst = max(worst, slack)
         violations += slack > 0

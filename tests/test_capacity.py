@@ -364,6 +364,32 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
             assert peak <= charged[0], f"restarts={restarts}: peak {peak / charged[0]:.3f} of the charge"
 
 
+def test_pair_tables_fold_p_log_p_a_block_at_a_time():
+    # at ge-gap n = 9 the build's peak beside the stack it fills read 3.56
+    # tables while p log p was folded from a full-size buffer and mask;
+    # folded a block of rows at a time it sits at least 0.8 table lower, and
+    # each pair's fold is bitwise the full-size one
+    fam = ge_gap_family()
+    first, pairs = fam.members[0], capmod._state_pairs(fam)
+    capmod._pair_tables(first, 2, [pairs], 1)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tables = capmod._pair_tables(first, 9, [pairs], 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    table = tables.probs[0, 0].nbytes
+    assert capmod.FOLD_ENTRIES < 4 ** 9  # so a table folds in several blocks
+    excess = (peak - tables.probs.nbytes - tables.folded.nbytes) / table
+    assert excess <= 3.56 - 0.8, f"{excess:.3f} tables beside the stack"
+    for probs, folded in zip(tables.probs[0], tables.folded[0]):
+        plogp = np.log(probs, out=np.zeros_like(probs), where=probs > 0)
+        plogp *= probs
+        assert np.array_equal(folded, plogp.sum(axis=-1))
+
+
 def _per_pair_didw(w, p):
     # the per-pair supergradient formula the stacked evaluator replaced
     p_y = (w * p).sum(axis=0)

@@ -22,15 +22,18 @@ from compound_fsc import causal as causal_module
 from compound_fsc.causal import (
     causal_log_prob_rows,
     channel_prob_table,
+    channel_prob_tables,
     code_weights,
     history_code,
     iid_policy,
+    initial_state_tables,
     input_prob,
     joint_and_output_probs,
     mixture_policy,
     policy_adjoint,
     policy_best_response,
     policy_weight_table,
+    policy_weight_tables,
     product_policy,
     random_policy,
     sequence_reach,
@@ -347,6 +350,21 @@ def test_policy_validation():
         d["conditionals"][3] = bad
         with pytest.raises(ValidationError):
             CausalConditioning.from_dict(d)
+    # each rejection keeps the message of the check that names it; entries
+    # 2..5 are step 1's rows (0.5, 0.5) and (0.5, 0.5)
+    for pos, bad, message in (
+        (3, math.nan, "finite and non-negative"),
+        (3, math.inf, "finite and non-negative"),
+        (3, -1e-14, "finite and non-negative"),
+        (4, 0.5 + 2e-9, "rows must sum to 1"),
+    ):
+        d = uniform_policy(2, 2, 2).to_dict()
+        d["conditionals"][pos] = bad
+        with pytest.raises(ValidationError, match=message):
+            CausalConditioning.from_dict(d)
+    # within both tolerances: a -1e-16 entry whose row still sums to 1
+    q = CausalConditioning(horizon=1, x_card=2, z_card=2, conditionals=(np.array([[-1e-16, 1.0 + 1e-16]]),))
+    assert q.conditionals[0][0, 0] == -1e-16
 
 
 
@@ -498,6 +516,48 @@ def test_channel_table_is_the_einsum_recursion_bitwise(s_card, x_card, y_card):
         slot = stack[1]
         assert channel_prob_table(fsc, n, s0, out=slot) is slot
         assert np.array_equal(slot, want) and np.isnan(stack[0]).all()
+
+
+@pytest.mark.parametrize("s_card", [1, 2, 3])
+def test_stacked_channel_tables_are_the_lone_tables_bitwise(monkeypatch, s_card):
+    # rows of different kernels and priors, a member's mixed prior and its
+    # one-hot initial states among them, each bitwise its lone table
+    charged = []
+    guard = causal_module.check_table_bytes
+
+    def recording(entries, arrays, what):
+        charged.append((entries, arrays))
+        guard(entries, arrays, what)
+
+    monkeypatch.setattr(causal_module, "check_table_bytes", recording)
+    rng = np.random.default_rng(300 + s_card)
+    fscs = [random_fsc(rng, s_card, 2, 3) for _ in range(3)]
+    laws = [[rng.dirichlet(np.ones(s_card)), *range(s_card)] for _ in fscs]
+    for n in (1, 2, 3):
+        charged.clear()
+        stack = initial_state_tables(fscs, laws, n)
+        assert stack.shape == (3, s_card + 1, 2 ** n, 3 ** n)
+        assert charged == [(3 * (s_card + 1) * 6 ** n, 2 * s_card + 1)]
+        for fsc, row, tables in zip(fscs, laws, stack):
+            for s0, table in zip(row, tables):
+                assert np.array_equal(table, channel_prob_table(fsc, n, s0))
+        out = np.empty(stack.shape)
+        kernels = np.stack([[f.kernel] * (s_card + 1) for f in fscs])
+        priors = np.stack([[causal_module._as_prior(f, s0) for s0 in row] for f, row in zip(fscs, laws)])
+        assert channel_prob_tables(kernels, priors, n, out=out) is out
+        assert np.array_equal(out, stack)
+
+
+def test_stacked_weight_tables_are_the_lone_tables_bitwise():
+    rng = np.random.default_rng(311)
+    for fb, n in ((identity_feedback((0, 1, 2)), 2), (FeedbackMap(z_alphabet=(0, 1), table=np.array([0, 1, 1])), 3)):
+        qs = [random_policy(n, 2, fb.z_card, rng) for _ in range(4)] + [uniform_policy(n, 2, fb.z_card)]
+        stack = policy_weight_tables(qs, 3, fb)
+        assert stack.shape == (5, 2 ** n, 3 ** n)
+        for q, w in zip(qs, stack):
+            assert np.array_equal(w, policy_weight_table(q, 3, fb))
+    with pytest.raises(ValidationError):
+        policy_weight_tables([random_policy(2, 2, 3, rng), random_policy(3, 2, 3, rng)], 3, identity_feedback((0, 1, 2)))
 
 
 @pytest.mark.parametrize("s_card,n", [(2, 10), (3, 7)])

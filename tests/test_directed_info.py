@@ -10,11 +10,14 @@ from compound_fsc.causal import iid_policy, joint_and_output_probs, product_poli
 from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless, stationary_distribution
 from compound_fsc.directed_info import (
     continuity_bound_check,
+    continuity_bound_check_batch,
     directed_information_kim,
+    directed_information_routes,
     exchange_terms,
     information_functional,
     per_step_terms,
     state_gap_check,
+    state_gap_check_batch,
     zero_capacity_witness,
 )
 from compound_fsc.verify import random_fsc
@@ -306,3 +309,38 @@ def test_zero_capacity_witness_rejects_useful_channel():
     h2 = -(0.2 * math.log(0.2) + 0.8 * math.log(0.8))
     assert wit.uniform_value == pytest.approx(LN2 - h2, abs=1e-12)
     assert wit.upper_nats is None
+
+
+def _mixed_shape_cases():
+    """(q, fsc, s0 or prior, feedback) at 1 to 3 states, n = 1..3, with and
+    without feedback and |Y| in {2, 3}, shapes interleaved so that every
+    shape group's cases are scattered."""
+    rng = np.random.default_rng(89)
+    for i in range(24):
+        fsc = random_fsc(rng, 1 + i % 3, 2, 2 + (i // 12))
+        fb = identity_feedback(fsc.outputs) if i % 2 == 0 else no_feedback(fsc.outputs)
+        q = random_policy(1 + (i // 4) % 3, 2, fb.z_card, rng)
+        s0 = rng.dirichlet(np.ones(fsc.n_states)) if i % 5 == 0 else int(rng.integers(fsc.n_states))
+        yield q, fsc, s0, fb
+
+
+def test_batches_are_their_cases_one_by_one_bitwise():
+    cases = list(_mixed_shape_cases())
+    routes = directed_information_routes(cases)
+    for (q, fsc, s0, fb), (res, kim) in zip(cases, routes):
+        assert res == directed_information(q, fsc, s0, fb)
+        assert kim == directed_information_kim(q, fsc, s0, fb)
+    gap_cases = [(q, fsc, fb, None if np.isscalar(s0) else s0) for q, fsc, s0, fb in cases]
+    for case, res in zip(gap_cases, state_gap_check_batch(gap_cases)):
+        assert res == state_gap_check(*case)
+    rng = np.random.default_rng(97)
+    pairs = []
+    for q, fsc, s0, fb in cases:
+        other = random_policy(q.horizon, 2, fb.z_card, rng)
+        lam = float(rng.choice([0.0, 0.01, 0.9]))
+        blended = tuple((1 - lam) * a + lam * b for a, b in zip(q.conditionals, other.conditionals))
+        pairs.append((q, type(q)(horizon=q.horizon, x_card=2, z_card=fb.z_card, conditionals=blended), fsc, s0, fb))
+    results = continuity_bound_check_batch(pairs)
+    assert {res.applicable for res in results} == {True, False}
+    for case, res in zip(pairs, results):
+        assert res == continuity_bound_check(*case)

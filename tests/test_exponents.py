@@ -9,9 +9,13 @@ from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_
 from compound_fsc.exponents import (
     beta_exponent,
     e0_lower_bound_check,
+    e0_lower_bound_check_batch,
     f_n_exponent,
+    f_n_exponent_batch,
     fn_superadditivity_check,
+    fn_superadditivity_check_batch,
     gallager_e0,
+    gallager_e0_batch,
     optimal_rho,
     random_coding_bound,
 )
@@ -182,6 +186,26 @@ def test_shared_tables_match_per_call_tables_bitwise():
             assert (lb.e0, lb.info_rate, lb.bound) == e0_lower_bound_per_call(rho, q, fsc, s0, fb)
             fn = fn_superadditivity_check(rho, q, tail, fsc, fb)
             assert (fn.lhs, fn.rhs) == fn_superadditivity_per_call(rho, q, tail, fsc, fb)
+
+
+def test_batches_are_their_cases_one_by_one_bitwise():
+    # shape groups interleaved, rho shared by some cases and not others,
+    # 0.5 and 1.0 among them (x ** 0.5 and x ** 2.0 take numpy's scalar paths)
+    instances = list(_shared_table_instances())
+    rhos = [(0.0, 0.37, 1.0, 0.5)[i % 4] for i in range(len(instances))]
+    grid = np.linspace(0.0, 1.0, 11)
+    e0_cases = [(grid if i % 3 else rho, q, fsc, s0, fb) for i, (rho, (fsc, fb, q, _, s0)) in enumerate(zip(rhos, instances))]
+    for case, got in zip(e0_cases, gallager_e0_batch(e0_cases)):
+        assert got == gallager_e0(*case)
+    lb_cases = [(rho, q, fsc, s0, fb) for rho, (fsc, fb, q, _, s0) in zip(rhos, instances)]
+    for case, got in zip(lb_cases, e0_lower_bound_check_batch(lb_cases)):
+        assert got == e0_lower_bound_check(*case)
+    f_cases = [(rho, q, fsc, fb) for rho, (fsc, fb, q, _, _) in zip(rhos, instances)]
+    for case, got in zip(f_cases, f_n_exponent_batch(f_cases)):
+        assert got == f_n_exponent(*case)
+    fn_cases = [(rho, q, tail, fsc, fb) for rho, (fsc, fb, q, tail, _) in zip(rhos, instances)]
+    for case, got in zip(fn_cases, fn_superadditivity_check_batch(fn_cases)):
+        assert got == fn_superadditivity_check(*case)
 
 
 def test_negative_rho_anywhere_is_rejected():

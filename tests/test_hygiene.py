@@ -30,6 +30,10 @@ KEPT = {
     "channel.nearest_member": "the cover member that stands in for a channel",
     "exponents.random_coding_bound": "the achievability bound simulated error rates meet",
     "estimation.mutual_info_continuity_bound": "tau(delta), the bound the mismatch loss is checked against",
+    # one-instance forms of the stacked checks that the verify suites call
+    "directed_info.state_gap_check": "one case of state_gap_check_batch",
+    "directed_info.continuity_bound_check": "one case of continuity_bound_check_batch",
+    "exponents.e0_lower_bound_check": "one case of e0_lower_bound_check_batch",
     # file formats
     "channel.save_family": "writes the family file that README documents and load_family reads",
     # scalar oracles that the vectorised paths are checked against
