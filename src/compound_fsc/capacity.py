@@ -122,8 +122,9 @@ SOLVER_START_TABLES = 4
 # identity feedback (code 2**(2n-1) entries), in one group against groups
 # of one: 0.061 s against 0.088 s at n = 6, 0.266 against 0.253 at n = 7 and
 # 1.088 against 0.919 at n = 8 (best of 5, one process on a 2-vCPU Intel
-# Xeon VM); two 3-output members: 0.069 against 0.092 at n = 5 (2592
-# entries), 0.431 against 0.441 at n = 6 (15552).
+# Xeon VM: about 30 % faster at n = 6, 5-18 % slower at n = 7-8, so from
+# n = 7 on starts run one at a time); two 3-output members: 0.069 against
+# 0.092 at n = 5 (2592 entries), 0.431 against 0.441 at n = 6 (15552).
 GROUP_CODE_ENTRIES = 2 ** 13
 # _pair_tables folds p log p over y_{n-1} at most this many table entries
 # at a time, so its buffer and mask are a fraction of a table at large n
@@ -521,7 +522,11 @@ def _pair_tables(first: FscSpec, n: int, problems: list, starts: int) -> _PairTa
     y_card = first.n_outputs
     x_paths, y_paths = first.n_inputs ** n, y_card ** n
     p, k = len(problems), len(problems[0])
-    # charged in 1/|Y| tables: |Y| + 1 per pair, |Y| per temporary table
+    # charged in 1/|Y| tables: |Y| + 1 per pair, |Y| per temporary table.
+    # None of it grows with n: ge-gap (6 pairs, binary) is charged 16
+    # tables, about 0.54 GB, at n = 11 with one start and 28, about 0.94 GB,
+    # with the default four; at n >= 12 its pairs' and the shared tables
+    # alone exceed the budget, so it is refused before any table is built
     entries = x_paths * y_paths // y_card
     fixed = (y_card + 1) * k * p + y_card * SOLVER_SHARED_TABLES
     per_start = y_card * SOLVER_START_TABLES

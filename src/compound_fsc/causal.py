@@ -7,8 +7,9 @@ P(y^n || x^n, s_0), obtained by summing state paths with a forward recursion.
 
 The weights depend on the outputs only through the feedback prefix, so
 code_weights holds them on the history code's own axes, 1/|Y| of the full
-weight table or less; weight_table repeats them over the remaining output
-axes, and policy_adjoint takes gradients already summed over those axes.
+weight table or less; policy_weight_tables repeats them over the remaining
+output axes, and policy_adjoint takes gradients already summed over those
+axes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FeedbackMap, FscSpec
+from .channel import ROW_SUM_TOL, FeedbackMap, FscSpec
 from .errors import CapExceededError, ValidationError
 
-ROW_SUM_TOL = 1e-9
 TABLE_BYTES = 2 ** 30  # budget for the float64/int64 path tables alive at once
 
 
@@ -120,7 +120,8 @@ def child_histories(hist, x, x_card: int, z_card: int) -> np.ndarray:
 
 
 def uniform_policy(n: int, x_card: int, z_card: int) -> CausalConditioning:
-    """Uniform inputs at every step: n zero-stride views of one row."""
+    """Uniform inputs at every step: n zero-stride views of one row, so the
+    uniform law allocates no step's rows, even at n = 12."""
     return iid_policy(n, np.full(x_card, 1.0 / x_card), z_card)
 
 
@@ -410,14 +411,6 @@ def code_weights(reach, code: np.ndarray) -> np.ndarray:
     return last.reshape(lead + (-1,)).take(code, axis=-1).reshape(lead + (last.shape[-1] ** len(reach), -1))
 
 
-def weight_table(reach, code: np.ndarray, y_card: int) -> np.ndarray:
-    """Table W[xcode, ycode] = q(x^n || f(y)^{n-1}): code_weights spread
-    over every output axis the code does not span (the last one, or all n
-    without feedback). Leading axes of the reach stay leading axes of W."""
-    g = code_weights(reach, code)
-    return np.repeat(g, y_card ** len(reach) // g.shape[-1], axis=-1)
-
-
 def policy_adjoint(conds, reach, code: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
     """d/d conds[i] of sum(G * u) for the G of code_weights, on the
     conditionals' own history rows; u = d/dW summed over the output axes the
@@ -485,7 +478,10 @@ def policy_weight_tables(qs, y_card: int, feedback: FeedbackMap) -> np.ndarray:
         conds = [c[None] for c in q.conditionals]
     else:
         conds = [np.stack(steps) for steps in zip(*(p.conditionals for p in qs))]
-    return weight_table(sequence_reach(conds), code, y_card)
+    # code_weights spread over every output axis the code does not span (the
+    # last one, or all n without feedback)
+    g = code_weights(sequence_reach(conds), code)
+    return np.repeat(g, y_card ** q.horizon // g.shape[-1], axis=-1)
 
 
 def joint_and_output_probs(

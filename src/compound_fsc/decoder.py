@@ -33,7 +33,7 @@ from .codetree import Codebook, node_columns
 from .errors import ValidationError
 from .util import chunk_digits, worker_count
 
-SEPARABILITY_EXAMPLES = 10  # violations separability_check reports per member and in all
+SEPARABILITY_EXAMPLES = 10  # violations separability_check reports in all
 # Budget for a decode: its prefix plan and one block of trees on each of
 # worker_count() threads (_tree_blocks). Sweep on simulate-ml (64 trees,
 # n = 12, 4094 distinct rows, two threads on 2 CPUs), three runs at 2 / 4 /
@@ -45,10 +45,7 @@ SCORER_BYTES = 8 * 2 ** 20
 
 def tree_log_likelihood(fsc: FscSpec, tree, y, feedback: FeedbackMap, s0_prior=None) -> float:
     """log sum_s0 prior(s0) P(y || x(tree, f(y)), s0); -inf when impossible."""
-    y = np.asarray(list(y), dtype=np.int64)
-    if y.size != tree.depth:
-        raise ValidationError("output length must match the tree depth")
-    return float(_log_likelihood_table(fsc, [tree], y[None, :], feedback, s0_prior)[0, 0])
+    return float(_log_likelihood_table(fsc, [tree], [list(y)], feedback, s0_prior)[0, 0])
 
 
 def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0_prior) -> np.ndarray:
@@ -60,9 +57,12 @@ def _log_likelihood_table(fsc: FscSpec, trees, y_rows, feedback: FeedbackMap, s0
 
 
 def _output_rows(y_rows, depth: int, n_outputs: int) -> np.ndarray:
-    """y_rows as an int64 (T, depth) table, refused unless every row has
-    `depth` outputs, each in 0..n_outputs - 1."""
-    y = np.asarray(y_rows, dtype=np.int64)
+    """y_rows as an int64 (T, depth) table, refused unless it holds integers
+    (not bools) and every row has `depth` outputs, each in 0..n_outputs - 1."""
+    y = np.asarray(y_rows)
+    if y.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
+        raise ValidationError(f"outputs must be integers, not {y.dtype}")
+    y = y.astype(np.int64, copy=False)
     if y.ndim != 2 or y.shape[1] != depth:
         raise ValidationError(f"output rows must be (rows, {depth}), got shape {y.shape}")
     if y.min(initial=0) < 0 or y.max(initial=0) >= n_outputs:
@@ -158,10 +158,7 @@ def build_ranking(fsc: FscSpec, trees, y, feedback: FeedbackMap, s0_prior=None) 
         raise ValidationError("tree set contains duplicates")
     if not trees:
         raise ValidationError("ranking needs distinct, non-empty keys")
-    y = np.asarray(list(y), dtype=np.int64)
-    if y.size != trees[0].depth:
-        raise ValidationError("output length must match the tree depth")
-    ll = _log_likelihood_table(fsc, trees, y[None, :], feedback, s0_prior)[:, 0].tolist()
+    ll = _log_likelihood_table(fsc, trees, [list(y)], feedback, s0_prior)[:, 0].tolist()
     order = sorted(range(len(keys)), key=lambda j: (-ll[j], keys[j]))
     return RankingFunction(ordered_keys=tuple(keys[j] for j in order))
 
@@ -432,51 +429,47 @@ def separability_check(
 ) -> SeparabilityReport:
     """Exhaustive two-sided likelihood-ratio check of representative coverage.
 
-    For each member, the representative with the fewest violations is chosen;
-    a violation is a path pair above the threshold exp(-n(mu + ln|Y|)), with
-    mu = 1 + ln|Y|, whose log-likelihood ratio leaves [-n*eps, n*eps] on the
-    required side. Both laws start from a uniform initial state; the report
-    keeps the first SEPARABILITY_EXAMPLES violations of each member, and of
-    all members.
+    For each member, the representative with the fewest violations (then
+    the smallest largest excess) is chosen; a violation is a path pair above
+    the threshold exp(-n(mu + ln|Y|)), with mu = 1 + ln|Y|, whose
+    log-likelihood ratio leaves [-n*eps, n*eps] on the required side. Both
+    laws start from a uniform initial state. Violations are counted with
+    array operations; the report keeps the first SEPARABILITY_EXAMPLES of
+    them, member by member, each member's upper side first and then its
+    lower, each in argwhere order, and builds no others.
     """
     first = family.members[0]
     mu_nats = 1.0 + math.log(first.n_outputs)
     threshold = math.exp(-n * (mu_nats + math.log(first.n_outputs)))
     rep_tables = [(label, channel_prob_table(m, n, None)) for label, m in representatives]
     best_rep: dict = {}
-    all_violations: list = []
+    examples: list = []
     total = 0
     for label, m in family:
         p = channel_prob_table(m, n, None)
         best = None
         for rep_label, p_rep in rep_tables:
-            viols = []
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.log(p) - np.log(p_rep)
             # member above threshold: member may not exceed e^{n eps} * rep
-            mask_a = p > threshold
-            excess_a = np.where(mask_a, ratio - n * eps_nats, -np.inf)
+            excess_a = np.where(p > threshold, ratio - n * eps_nats, -np.inf)
             # rep above threshold: member may not fall below e^{-n eps} * rep
-            mask_b = p_rep > threshold
-            excess_b = np.where(mask_b, -ratio - n * eps_nats, -np.inf)
-            for side, excess in (("upper", excess_a), ("lower", excess_b)):
-                bad = np.argwhere(excess > 1e-12)
-                for xc, yc in bad:
-                    viols.append(
-                        SeparabilityViolation(
-                            member=label,
-                            x_code=int(xc),
-                            y_code=int(yc),
-                            side=side,
-                            log_excess=float(excess[xc, yc]),
-                        )
-                    )
-            score = (len(viols), max((v.log_excess for v in viols), default=0.0))
+            excess_b = np.where(p_rep > threshold, -ratio - n * eps_nats, -np.inf)
+            sides = (("upper", excess_a), ("lower", excess_b))
+            bad = [excess[excess > 1e-12] for _, excess in sides]
+            score = (sum(b.size for b in bad), max((float(b.max()) for b in bad if b.size), default=0.0))
             if best is None or score < best[0]:
-                best = (score, rep_label, viols)
+                best = (score, rep_label, sides)
         best_rep[label] = best[1]
-        total += len(best[2])
-        all_violations.extend(best[2][:SEPARABILITY_EXAMPLES])
+        total += best[0][0]
+        # objects only for the violations the report keeps, upper side first
+        for side, excess in best[2]:
+            for xc, yc in np.argwhere(excess > 1e-12)[: SEPARABILITY_EXAMPLES - len(examples)]:
+                examples.append(
+                    SeparabilityViolation(
+                        member=label, x_code=int(xc), y_code=int(yc), side=side, log_excess=float(excess[xc, yc])
+                    )
+                )
     return SeparabilityReport(
         n=n,
         eps_nats=eps_nats,
@@ -484,5 +477,5 @@ def separability_check(
         threshold=threshold,
         best_rep=best_rep,
         violation_count=total,
-        violations=tuple(all_violations[:SEPARABILITY_EXAMPLES]),
+        violations=tuple(examples),
     )

@@ -156,25 +156,16 @@ class StateGapResult:
         return self.gap <= self.bound + 1e-9
 
 
-def state_gap_check(
-    q: CausalConditioning,
-    fsc: FscSpec,
-    feedback: FeedbackMap,
-    s0_prior=None,
-) -> StateGapResult:
-    """Gap between state-marginalized and state-averaged directed information.
-
-    The initial state is drawn from s0_prior (uniform when omitted); the gap
-    is bounded by ln of the state count.
-    """
-    return state_gap_check_batch([(q, fsc, feedback, s0_prior)])[0]
-
-
 def state_gap_check_batch(cases) -> list[StateGapResult]:
-    """state_gap_check of each (q, fsc, feedback, s0_prior) case, in case
-    order. Per shape group, the channel tables from each case's prior and
-    from each of its initial states are rows of one stacked build, beside
-    one stacked build of the weight tables."""
+    """Gap between state-marginalized and state-averaged directed information
+    for each (q, fsc, feedback, s0_prior) case, in case order; pass a
+    one-case list for one case.
+
+    The initial state is drawn from s0_prior (uniform when None); the gap is
+    bounded by ln of the state count. Per shape group, the channel tables
+    from each case's prior and from each of its initial states are rows of
+    one stacked build, beside one stacked build of the weight tables.
+    """
     priors = [np.full(fsc.n_states, 1.0 / fsc.n_states) if pr is None else np.asarray(pr, dtype=float) for _, fsc, _, pr in cases]
     out = [None] * len(cases)
     laws = [[prior, *range(fsc.n_states)] for prior, (_, fsc, _, _) in zip(priors, cases)]
@@ -204,25 +195,16 @@ class ContinuityBoundResult:
         return (not self.applicable) or self.lhs <= self.rhs + 1e-9
 
 
-def continuity_bound_check(
-    q1: CausalConditioning,
-    q2: CausalConditioning,
-    fsc: FscSpec,
-    s0,
-    feedback: FeedbackMap,
-) -> ContinuityBoundResult:
-    """|I(q1) - I(q2)| against -delta log(delta / |Y|^{2n}).
+def continuity_bound_check_batch(cases) -> list[ContinuityBoundResult]:
+    """|I(q1) - I(q2)| against -delta log(delta / |Y|^{2n}) for each (q1, q2,
+    fsc, s0, feedback) case, in case order; pass a one-case list for one
+    case.
 
     delta sums |q1 - q2| path weights over all (x^n, y^n) pairs. The bound
-    only applies for delta <= 1/2; larger perturbations report not-applicable.
+    only applies for delta <= 1/2; larger perturbations report
+    not-applicable. Per shape group, one stacked build of each policy's
+    weight tables and one of the channel tables.
     """
-    return continuity_bound_check_batch([(q1, q2, fsc, s0, feedback)])[0]
-
-
-def continuity_bound_check_batch(cases) -> list[ContinuityBoundResult]:
-    """continuity_bound_check of each (q1, q2, fsc, s0, feedback) case, in
-    case order: per shape group, one stacked build of each policy's weight
-    tables and one of the channel tables."""
     for q1, q2, *_ in cases:
         if (q1.horizon, q1.x_card, q1.z_card) != (q2.horizon, q2.x_card, q2.z_card):
             raise ValidationError("policies must share horizon and alphabets")

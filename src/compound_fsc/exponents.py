@@ -133,24 +133,14 @@ class E0LowerBoundResult:
     passed: bool
 
 
-def e0_lower_bound_check(
-    rho: float,
-    q: CausalConditioning,
-    fsc: FscSpec,
-    s0: int,
-    feedback: FeedbackMap,
-) -> E0LowerBoundResult:
-    """E0 >= (rho/n) I - (rho^2/2n) (ln(e |Y|^n))^2.
+def e0_lower_bound_check_batch(cases) -> list[E0LowerBoundResult]:
+    """E0 >= (rho/n) I - (rho^2/2n) (ln(e |Y|^n))^2 for each (rho, q, fsc, s0,
+    feedback) case, in case order; pass a one-case list for one case.
 
     The quadratic penalty uses the n-letter output alphabet, matching the
-    second-moment bound for the block channel.
+    second-moment bound for the block channel. One stacked build of the
+    path tables per shape group.
     """
-    return e0_lower_bound_check_batch([(rho, q, fsc, s0, feedback)])[0]
-
-
-def e0_lower_bound_check_batch(cases) -> list[E0LowerBoundResult]:
-    """e0_lower_bound_check of each (rho, q, fsc, s0, feedback) case, in case
-    order, from one stacked build of the path tables per shape group."""
     out = [None] * len(cases)
     for idx, w, p in _tables(cases, lambda case: [case[3]]):
         n = cases[idx[0]][1].horizon

@@ -18,12 +18,13 @@ outputs or states, takes the narrowest dtype that holds its alphabet
 theirs, so the trees' symbols stack without a cast. Each slab also packs its
 outputs, while they are in cache, into one base-|Y| code per trial
 (`decoder._pack_rows`) in a run-wide table of the narrowest dtype that holds
-|Y|^n - 1, or of int64 key columns when one int64 cannot hold a row. A
-decision is a function of the output row alone, so once its worker threads
-are done run_trials dedupes that table once (`decoder._distinct_keys`: by
-counting when the code space is small, else by a sort), decodes the run's
-sorted distinct outputs in one decode_rows call, which bounds its own memory
-and threads, and reads each trial's decision back through its code.
+|Y|^n - 1 (uint16 at |Y| = 2, n = 12), or of int64 key columns when one
+int64 cannot hold a row. A decision is a function of the output row alone,
+so once its worker threads are done run_trials dedupes that table once
+(`decoder._distinct_keys`: by counting when the code space is small, else by
+a sort), decodes the run's sorted distinct outputs in one decode_rows call,
+which bounds its own memory and threads, and reads each trial's decision
+back through its code.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _DRAW_ROWS = 1024  # trial rows a chunk draws per call, transposed while in cach
 # one thread 4 Ki rows were not slower. Cold runs of the whole workload did
 # not tell 16 from 32 Ki apart; peak RSS was 60.2 / 60.1 / 62.9 MB at 8 / 16 /
 # 32 Ki (80.2 MB with one slab a chunk).
-_SLAB_ROWS = 16 * _DRAW_ROWS
+_SLAB_ROWS = 16 * _DRAW_ROWS  # 16 384
 EXACT_OUTPUT_PATHS = 4096  # most output paths exact_error_probability enumerates
 
 

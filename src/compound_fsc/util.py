@@ -91,7 +91,7 @@ def chunk_digits(card: int) -> int:
 
 def symbol_dtype(card: int) -> np.dtype:
     """The one dtype of a table of symbols 0..card-1: the narrowest that holds
-    them (uint8 up to 256 symbols)."""
+    them (uint8 up to 256 symbols, uint16 up to 65 536)."""
     return np.min_scalar_type(card - 1)
 
 

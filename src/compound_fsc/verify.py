@@ -167,7 +167,10 @@ def suite_state_gap(instances: int = 100, seed: int = 22) -> CheckResult:
 
 
 def suite_superadditivity(instances: int = 12, seed: int = 23, slack: float = 1e-3) -> CheckResult:
-    """n*hatC_n >= k*hatC_k + m*hatC_m on random small families."""
+    """n*hatC_n >= k*hatC_k + m*hatC_m on random small families, drawn first
+    and checked in one superadditivity_check call: at the built-in seed its
+    30 solves (12 k-, 6 m- and 12 n-solves) run as five groups of six
+    problems of one shape."""
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(max_iters=60, restarts=1, seed=seed)
     cases = []

@@ -36,6 +36,7 @@ from compound_fsc.causal import (
     random_policy,
     sequence_reach,
 )
+from compound_fsc.decoder import SeparabilityReport, SeparabilityViolation
 from compound_fsc.directed_info import information_functional
 from compound_fsc.util import enumerate_paths, project_rows_to_simplex
 
@@ -111,7 +112,7 @@ def f_n_exponent_per_call(rho, q, fsc, feedback) -> float:
 
 
 def e0_lower_bound_per_call(rho, q, fsc, s0, feedback) -> tuple:
-    """(e0, info_rate, bound) of e0_lower_bound_check."""
+    """(e0, info_rate, bound) of one e0_lower_bound_check_batch case."""
     n = q.horizon
     w = policy_weight_table(q, fsc.n_outputs, feedback)
     p = channel_prob_table(fsc, n, s0)
@@ -130,7 +131,7 @@ def fn_superadditivity_per_call(rho, q_head, q_tail, fsc, feedback) -> tuple:
 
 
 def state_gap_per_call(q, fsc, feedback, prior) -> tuple:
-    """(value_mixed, value_given_state) of state_gap_check at this prior."""
+    """(value_mixed, value_given_state) of one state_gap_check_batch case at this prior."""
     prior = np.asarray(prior, dtype=float)
     mixed = directed_information(q, fsc, prior, feedback).value_nats
     given = math.fsum(
@@ -285,3 +286,47 @@ def solve_one_start_at_a_time(
         value_history=tuple(history),
     )
     return report(c_n, upper, best, _worst(f.tolist(), n)[1], diag)
+
+
+def separability_per_violation(family, representatives, n: int, eps_nats: float) -> SeparabilityReport:
+    """separability_check by building one SeparabilityViolation per
+    violating path pair of every (member, representative) pair, scored by
+    (count, largest excess); the first 10 of each member's chosen
+    representative are kept, and the first 10 of those in all."""
+    first = family.members[0]
+    mu_nats = 1.0 + math.log(first.n_outputs)
+    threshold = math.exp(-n * (mu_nats + math.log(first.n_outputs)))
+    rep_tables = [(label, channel_prob_table(m, n, None)) for label, m in representatives]
+    best_rep, kept, total = {}, [], 0
+    for label, m in family:
+        p = channel_prob_table(m, n, None)
+        best = None
+        for rep_label, p_rep in rep_tables:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.log(p) - np.log(p_rep)
+            sides = (
+                ("upper", np.where(p > threshold, ratio - n * eps_nats, -np.inf)),
+                ("lower", np.where(p_rep > threshold, -ratio - n * eps_nats, -np.inf)),
+            )
+            viols = [
+                SeparabilityViolation(
+                    member=label, x_code=int(xc), y_code=int(yc), side=side, log_excess=float(excess[xc, yc])
+                )
+                for side, excess in sides
+                for xc, yc in np.argwhere(excess > 1e-12)
+            ]
+            score = (len(viols), max((v.log_excess for v in viols), default=0.0))
+            if best is None or score < best[0]:
+                best = (score, rep_label, viols)
+        best_rep[label] = best[1]
+        total += len(best[2])
+        kept.extend(best[2][:10])
+    return SeparabilityReport(
+        n=n,
+        eps_nats=eps_nats,
+        mu_nats=mu_nats,
+        threshold=threshold,
+        best_rep=best_rep,
+        violation_count=total,
+        violations=tuple(kept[:10]),
+    )

@@ -37,7 +37,6 @@ from compound_fsc.causal import (
     product_policy,
     random_policy,
     sequence_reach,
-    weight_table,
 )
 from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
 from compound_fsc.codetree import sample_codetree, tree_prob
@@ -190,6 +189,14 @@ def test_joint_table_brute_force_oracle():
                     assert joint[xi, yi] == pytest.approx(want, abs=1e-14)
 
 
+def _weight_table(conds, code, y_card):
+    """W[xcode, ycode] of conditionals that need not be normalized:
+    code_weights repeated over the output axes the code does not span, as
+    policy_weight_tables builds it."""
+    g = code_weights(sequence_reach(conds), code)
+    return np.repeat(g, y_card ** len(conds) // g.shape[-1], axis=-1)
+
+
 def test_policy_adjoint_matches_multilinear_difference():
     # W is linear in each conditional entry, so adding 1 to entry (h, x) of
     # step i changes sum(W * D) by exactly that entry's supergradient
@@ -197,14 +204,16 @@ def test_policy_adjoint_matches_multilinear_difference():
     for x_card, fb in FEEDBACK_CASES:
         y_card = fb.table.size
         for n in (1, 2, 3):
-            conds = list(random_policy(n, x_card, fb.z_card, rng).conditionals)
+            q = random_policy(n, x_card, fb.z_card, rng)
+            conds = list(q.conditionals)
             code = history_code(x_card, fb, n)
             # x_0..x_{n-1}, then y_0..y_{n-2} only when feedback carries them
             y_axes = (y_card if fb.z_card > 1 else 1,) * (n - 1)
             assert code.shape == (x_card,) * n + y_axes + (1,)
             d = rng.standard_normal((x_card ** n, y_card ** n))
             reach = sequence_reach(conds)
-            w = weight_table(reach, code, y_card)
+            w = _weight_table(conds, code, y_card)
+            assert np.array_equal(w, policy_weight_table(q, y_card, fb))
             # the adjoint takes d summed over the output axes the code does not span
             u = d.reshape(x_card ** n, code.size // x_card ** n, -1).sum(axis=-1)
             grads = policy_adjoint(conds, reach, code, u)
@@ -214,7 +223,7 @@ def test_policy_adjoint_matches_multilinear_difference():
                     bumped = list(conds)
                     bumped[i] = c.copy()
                     bumped[i][h, x] += 1.0
-                    diff = ((weight_table(sequence_reach(bumped), code, y_card) - w) * d).sum()
+                    diff = ((_weight_table(bumped, code, y_card) - w) * d).sum()
                     assert grads[i][h, x] == pytest.approx(diff, rel=0, abs=1e-12)
 
 

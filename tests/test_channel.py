@@ -45,6 +45,29 @@ def test_kernel_negative_entry_rejected():
         FscSpec(states=("s",), inputs=("0", "1"), outputs=("0", "1"), kernel=k)
 
 
+def test_kernel_rejections_keep_their_messages():
+    # each rejection keeps the message of the check that names it; the
+    # kernel is bsc(0.1)'s, with row [0, 0, :, 0] replaced (the -1e-14 row
+    # sums to 1, so only the sign check refuses it)
+    for row, message in (
+        ([math.nan, 0.1], "finite and non-negative"),
+        ([math.inf, 0.1], "finite and non-negative"),
+        ([-1e-14, 1.0 + 1e-14], "finite and non-negative"),
+        ([0.9 + 2e-9, 0.1], "rows must sum to 1"),
+    ):
+        k = bsc(0.1).kernel.copy()
+        k[0, 0, :, 0] = row
+        with pytest.raises(ValidationError, match=message):
+            FscSpec(states=("s",), inputs=("0", "1"), outputs=("0", "1"), kernel=k)
+    # within both tolerances: a -1e-16 entry whose row still sums to 1 is
+    # accepted and clipped, and the caller's array is neither frozen nor changed
+    k = bsc(0.1).kernel.copy()
+    k[0, 0, :, 0] = [-1e-16, 1.0 + 1e-16]
+    fsc = FscSpec(states=("s",), inputs=("0", "1"), outputs=("0", "1"), kernel=k)
+    assert fsc.kernel[0, 0, 0, 0] == 0.0 and not fsc.kernel.flags.writeable
+    assert k[0, 0, 0, 0] == -1e-16 and k.flags.writeable
+
+
 def test_gilbert_elliot_deterministic_alternation():
     fsc = make_gilbert_elliot(GilbertElliotParams(g=1.0, b=1.0, p_g=0.0, p_b=0.0))
     # output copies input, state flips every step

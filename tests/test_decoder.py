@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from compound_fsc.channel import make_memoryless
 from compound_fsc.codetree import Codebook, CodeTree, paths_rows
 from compound_fsc.decoder import (
     RankingFunction,
+    SeparabilityReport,
     UniversalDecoder,
     build_ranking,
     merge_rankings,
@@ -34,6 +36,7 @@ from compound_fsc.decoder import (
 )
 from compound_fsc.util import enumerate_paths
 from compound_fsc.verify import random_family, random_fsc
+from oracles import separability_per_violation
 
 
 def leaf_tree(symbols, depth):
@@ -321,6 +324,27 @@ def test_decode_rows_refuses_rows_that_do_not_fit_the_codebook(decoder, misfit):
         dec.decode_rows(cb, ROW_MISFITS[misfit])
 
 
+@pytest.mark.parametrize("row", [[0.5, 1.9, 0.0], [0.7, 1.2, 0.0], [True, False, True]], ids=["0.5", "0.7", "bool"])
+def test_every_entry_point_refuses_outputs_that_are_not_integers(row):
+    # a cast to int64 would decode [0.5, 1.9, 0.0] as [0, 1, 0]
+    fsc = bsc(0.1)
+    fb = identity_feedback(fsc.outputs)
+    cb = sample_codebook(uniform_policy(3, 2, 2), 4, np.random.default_rng(263))
+    trees = decoder_mod._codebook_key_table(cb)[1]
+    for dec in (MLDecoder(fsc, fb), UniversalDecoder(CompoundFamily(members=(fsc,), labels=("a",)), fb)):
+        assert dec.decode_rows(cb, [[0, 1, 0]]).shape == (1,)
+        for rows in ([row], np.array([row])):
+            with pytest.raises(ValidationError, match="integers"):
+                dec.decode_rows(cb, rows)
+    for y in (row, np.array(row)):
+        with pytest.raises(ValidationError, match="integers"):
+            tree_log_likelihood(fsc, trees[0], y, fb)
+        with pytest.raises(ValidationError, match="integers"):
+            build_ranking(fsc, trees, y, fb)
+    # Python ints and any integer dtype still decode
+    assert tree_log_likelihood(fsc, trees[0], [0, 1, 0], fb) == tree_log_likelihood(fsc, trees[0], np.array([0, 1, 0], dtype=np.uint8), fb)
+
+
 def test_scorer_does_not_wrap_wide_alphabets():
     # 17 inputs and 17 outputs: the trees keep uint8 symbols, and symbol * |Y|
     # reaches 16 * 17 = 272, past uint8, so the scorer must widen first
@@ -504,6 +528,33 @@ def test_small_scorer_blocks_stay_within_budget_at_one_state(monkeypatch, size):
     bounds, peaks = _scorer_peaks(fsc, trees, rows, fb)
     assert bounds[0] == (0, size)
     assert max(peaks) <= budget
+
+
+def _separability_cases():
+    """(family, representatives, n, eps) of suite_separability's two checks,
+    a three-member bsc family at n = 6 whose members choose different
+    representatives, and one at n = 1 whose 12 violations span its three
+    members and both sides."""
+    reps = CompoundFamily(members=(bsc(0.3),), labels=("rep",))
+    near = CompoundFamily(members=(bsc(0.3 - 1e-4), bsc(0.3 + 1e-4)), labels=("lo", "hi"))
+    yield near, reps, 4, 0.01
+    yield CompoundFamily(members=(bsc(0.45),), labels=("far",)), reps, 4, 0.001
+    bscs = CompoundFamily(members=(bsc(0.305), bsc(0.45), bsc(0.38)), labels=("near", "far", "mid"))
+    yield bscs, CompoundFamily(members=(bsc(0.3), bsc(0.4)), labels=("r3", "r4")), 6, 0.01
+    kernels = ([[0.9, 0.1], [0.2, 0.8]], [[0.88, 0.12], [0.2, 0.8]], [[0.9, 0.1], [0.23, 0.77]])
+    skewed = CompoundFamily(members=tuple(make_memoryless(np.array(k)) for k in kernels), labels=("a", "b", "c"))
+    rep_kernels = ([[0.89, 0.11], [0.21, 0.79]], [[0.7, 0.3], [0.3, 0.7]])
+    yield skewed, CompoundFamily(members=tuple(make_memoryless(np.array(k)) for k in rep_kernels), labels=("r", "far")), 1, 0.01
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_separability_report_is_the_one_built_per_violation(case):
+    fam, reps, n, eps = list(_separability_cases())[case]
+    got = separability_check(fam, reps, n=n, eps_nats=eps)
+    want = separability_per_violation(fam, reps, n, eps)
+    for f in dataclasses.fields(SeparabilityReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert len(got.violations) == min(got.violation_count, decoder_mod.SEPARABILITY_EXAMPLES)
 
 
 def test_separability_family_covers_itself():

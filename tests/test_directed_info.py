@@ -9,14 +9,12 @@ from compound_fsc.capacity import GAP_TOL
 from compound_fsc.causal import iid_policy, joint_and_output_probs, product_policy, random_policy
 from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless, stationary_distribution
 from compound_fsc.directed_info import (
-    continuity_bound_check,
     continuity_bound_check_batch,
     directed_information_kim,
     directed_information_routes,
     exchange_terms,
     information_functional,
     per_step_terms,
-    state_gap_check,
     state_gap_check_batch,
     zero_capacity_witness,
 )
@@ -165,7 +163,7 @@ def test_state_gap_single_state_is_zero():
     rng = np.random.default_rng(67)
     fsc = random_fsc(rng, 1, 2, 2)
     q = random_policy(2, 2, 2, rng)
-    res = state_gap_check(q, fsc, identity_feedback(fsc.outputs))
+    [res] = state_gap_check_batch([(q, fsc, identity_feedback(fsc.outputs), None)])
     assert res.bound == 0.0
     assert res.gap <= 1e-12
     assert res.passed
@@ -178,7 +176,7 @@ def test_state_gap_bounded_by_log_state_count():
         fsc = random_fsc(rng, n_states, 2, 2)
         q = random_policy(2, 2, 2, rng)
         prior = rng.dirichlet(np.ones(n_states))
-        res = state_gap_check(q, fsc, identity_feedback(fsc.outputs), s0_prior=prior)
+        [res] = state_gap_check_batch([(q, fsc, identity_feedback(fsc.outputs), prior)])
         assert res.passed
         assert res.bound == pytest.approx(math.log(n_states))
         # conditioning on the state never hurts
@@ -196,7 +194,7 @@ def test_state_gap_shares_one_weight_table_bitwise():
             prior[0] = 0.0  # a state the prior never starts in is skipped
             prior /= prior.sum()
         for p in (prior, None):
-            res = state_gap_check(q, fsc, fb, s0_prior=p)
+            [res] = state_gap_check_batch([(q, fsc, fb, p)])
             want = state_gap_per_call(q, fsc, fb, np.full(fsc.n_states, 1.0 / fsc.n_states) if p is None else p)
             assert (res.value_mixed, res.value_given_state) == want
 
@@ -204,7 +202,7 @@ def test_state_gap_shares_one_weight_table_bitwise():
 def test_state_gap_degenerate_states():
     fsc = make_gilbert_elliot(GilbertElliotParams(g=0.5, b=0.5, p_g=0.2, p_b=0.2))
     q = uniform_policy(2, 2, 2)
-    res = state_gap_check(q, fsc, identity_feedback(fsc.outputs))
+    [res] = state_gap_check_batch([(q, fsc, identity_feedback(fsc.outputs), None)])
     assert res.gap <= 1e-10
 
 
@@ -212,7 +210,7 @@ def test_continuity_bound_zero_perturbation():
     rng = np.random.default_rng(73)
     fsc = random_fsc(rng, 2, 2, 2)
     q = random_policy(2, 2, 2, rng)
-    res = continuity_bound_check(q, q, fsc, 0, identity_feedback(fsc.outputs))
+    [res] = continuity_bound_check_batch([(q, q, fsc, 0, identity_feedback(fsc.outputs))])
     assert res.applicable
     assert res.delta == 0.0
     assert res.lhs == 0.0
@@ -233,7 +231,7 @@ def test_continuity_bound_perturbed_policies():
         from compound_fsc import CausalConditioning
 
         q2 = CausalConditioning(horizon=2, x_card=2, z_card=2, conditionals=q2_conds)
-        res = continuity_bound_check(q1, q2, fsc, 0, fb)
+        [res] = continuity_bound_check_batch([(q1, q2, fsc, 0, fb)])
         if res.applicable:
             assert res.lhs <= res.rhs + 1e-9
 
@@ -243,7 +241,7 @@ def test_continuity_bound_large_delta_not_applicable():
     fb = no_feedback(fsc.outputs)
     q1 = iid_policy(2, [1.0, 0.0], 1)
     q2 = iid_policy(2, [0.0, 1.0], 1)
-    res = continuity_bound_check(q1, q2, fsc, 0, fb)
+    [res] = continuity_bound_check_batch([(q1, q2, fsc, 0, fb)])
     assert not res.applicable
     assert res.passed  # vacuously
 
@@ -332,7 +330,7 @@ def test_batches_are_their_cases_one_by_one_bitwise():
         assert kim == directed_information_kim(q, fsc, s0, fb)
     gap_cases = [(q, fsc, fb, None if np.isscalar(s0) else s0) for q, fsc, s0, fb in cases]
     for case, res in zip(gap_cases, state_gap_check_batch(gap_cases)):
-        assert res == state_gap_check(*case)
+        assert res == state_gap_check_batch([case])[0]
     rng = np.random.default_rng(97)
     pairs = []
     for q, fsc, s0, fb in cases:
@@ -343,4 +341,4 @@ def test_batches_are_their_cases_one_by_one_bitwise():
     results = continuity_bound_check_batch(pairs)
     assert {res.applicable for res in results} == {True, False}
     for case, res in zip(pairs, results):
-        assert res == continuity_bound_check(*case)
+        assert res == continuity_bound_check_batch([case])[0]

@@ -8,7 +8,6 @@ from compound_fsc.causal import random_policy
 from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
 from compound_fsc.exponents import (
     beta_exponent,
-    e0_lower_bound_check,
     e0_lower_bound_check_batch,
     f_n_exponent,
     f_n_exponent_batch,
@@ -182,7 +181,7 @@ def test_shared_tables_match_per_call_tables_bitwise():
         assert gallager_e0(rho_grid, q, fsc, s0, fb) == [gallager_e0_per_call(r, q, fsc, s0, fb) for r in rho_grid]
         for rho in (0.0, 0.37, 1.0):
             assert f_n_exponent(rho, q, fsc, fb) == f_n_exponent_per_call(rho, q, fsc, fb)
-            lb = e0_lower_bound_check(rho, q, fsc, s0, fb)
+            [lb] = e0_lower_bound_check_batch([(rho, q, fsc, s0, fb)])
             assert (lb.e0, lb.info_rate, lb.bound) == e0_lower_bound_per_call(rho, q, fsc, s0, fb)
             fn = fn_superadditivity_check(rho, q, tail, fsc, fb)
             assert (fn.lhs, fn.rhs) == fn_superadditivity_per_call(rho, q, tail, fsc, fb)
@@ -199,7 +198,7 @@ def test_batches_are_their_cases_one_by_one_bitwise():
         assert got == gallager_e0(*case)
     lb_cases = [(rho, q, fsc, s0, fb) for rho, (fsc, fb, q, _, s0) in zip(rhos, instances)]
     for case, got in zip(lb_cases, e0_lower_bound_check_batch(lb_cases)):
-        assert got == e0_lower_bound_check(*case)
+        assert got == e0_lower_bound_check_batch([case])[0]
     f_cases = [(rho, q, fsc, fb) for rho, (fsc, fb, q, _, _) in zip(rhos, instances)]
     for case, got in zip(f_cases, f_n_exponent_batch(f_cases)):
         assert got == f_n_exponent(*case)
@@ -221,14 +220,14 @@ def test_negative_rho_anywhere_is_rejected():
     with pytest.raises(ValidationError):
         f_n_exponent(-0.1, q, fsc, fb)
     with pytest.raises(ValidationError):
-        e0_lower_bound_check(-0.1, q, fsc, 0, fb)
+        e0_lower_bound_check_batch([(-0.1, q, fsc, 0, fb)])
 
 
 def test_e0_lower_bound_formula_and_sweep():
     fsc = bsc(0.1)
     q = uniform_policy(1, 2, 1)
     fb = no_feedback((0, 1))
-    res = e0_lower_bound_check(1.0, q, fsc, 0, fb)
+    [res] = e0_lower_bound_check_batch([(1.0, q, fsc, 0, fb)])
     big_l = 1.0 + LN2
     assert res.bound == pytest.approx(res.info_rate - big_l * big_l / 2.0, abs=1e-12)
     assert res.passed
@@ -238,7 +237,7 @@ def test_e0_lower_bound_formula_and_sweep():
         q = random_policy(int(rng.integers(1, 3)), 2, 2, rng)
         rho = float(rng.uniform(0.0, 1.0))
         s0 = int(rng.integers(0, fsc.n_states))
-        res = e0_lower_bound_check(rho, q, fsc, s0, identity_feedback((0, 1)))
+        [res] = e0_lower_bound_check_batch([(rho, q, fsc, s0, identity_feedback((0, 1)))])
         assert res.passed
         assert res.e0 >= res.bound - 1e-9
 

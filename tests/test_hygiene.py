@@ -4,7 +4,8 @@ sibling module the file already imports at the top, a function imports a
 sibling only to break an import cycle and every module constant is read,
 checked on the syntax tree of each package module; every public function
 and class has a caller outside the tests; every `module.name` that
-README.md cites names an attribute of that package module; and the package
+README.md cites names an attribute of that package module; every row of
+README's Layout table is short enough to be a contract; and the package
 namespace holds exactly the names README's quick start and the benchmark
 read from it or README lists, and the quick start runs."""
 
@@ -30,10 +31,6 @@ KEPT = {
     "channel.nearest_member": "the cover member that stands in for a channel",
     "exponents.random_coding_bound": "the achievability bound simulated error rates meet",
     "estimation.mutual_info_continuity_bound": "tau(delta), the bound the mismatch loss is checked against",
-    # one-instance forms of the stacked checks that the verify suites call
-    "directed_info.state_gap_check": "one case of state_gap_check_batch",
-    "directed_info.continuity_bound_check": "one case of continuity_bound_check_batch",
-    "exponents.e0_lower_bound_check": "one case of e0_lower_bound_check_batch",
     # file formats
     "channel.save_family": "writes the family file that README documents and load_family reads",
     # scalar oracles that the vectorised paths are checked against
@@ -241,6 +238,21 @@ def test_readme_module_references_resolve():
     assert cited, "README.md cites no package module names"
     stale = [f"{m}.{name}" for m, name in cited if not hasattr(importlib.import_module(f"compound_fsc.{m}"), name)]
     assert not stale, f"README.md cites names that do not exist: {', '.join(stale)}"
+
+
+LAYOUT_ROW_CHARS = 800
+
+
+def test_readme_layout_rows_are_contracts():
+    """Each row of README's Layout table states what its module promises
+    (inputs, outputs, refusals, invariants) in at most LAYOUT_ROW_CHARS
+    characters; implementation numbers live in the code that reads them."""
+    found = re.search(r"^## Layout\n(.*?)^## ", README.read_text(), re.S | re.M)
+    assert found, "README.md has no Layout section"
+    rows = [line for line in found.group(1).splitlines() if line.startswith("| `")]
+    assert rows, "README.md's Layout section has no module rows"
+    long = [f"{row.split('`')[1]} ({len(row)})" for row in rows if len(row) > LAYOUT_ROW_CHARS]
+    assert not long, f"Layout rows over {LAYOUT_ROW_CHARS} characters: {', '.join(long)}"
 
 
 def _quick_start() -> tuple[str, str]:
