@@ -58,23 +58,26 @@ class CausalConditioning:
         )
         if len(conds) != self.horizon:
             raise ValidationError("need one conditional table per step")
+        # every step's rows are checked in blocks: consecutive steps are
+        # copied into one table while it stays within the last step's size,
+        # and a block of one step is read in place; with |X||Z| >= 2 that is
+        # one pass over the steps before the last and one over the last
         base = self.x_card * self.z_card
+        blocks, size = [[]], 0
         for i, c in enumerate(conds):
             want = (base ** i, self.x_card)
             if c.shape != want:
+                _name_row_fault(itertools.chain(*blocks))
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
-            if c.strides[0] == 0:
-                c = c[:1]  # every row is this one
-            dev = c.sum(axis=1)
-            dev -= 1.0
-            np.abs(dev, out=dev)
-            # NaN and +-inf fail one of these two comparisons, so a step that
-            # passes both is finite and non-negative; the separate checks run
-            # only to name what failed
-            if not (c.min() >= -1e-15 and dev.max() <= ROW_SUM_TOL):
-                if not np.isfinite(c).all() or (c < -1e-15).any():
-                    raise ValidationError("conditionals must be finite and non-negative")
-                raise ValidationError("conditional rows must sum to 1")
+            rows = c[:1] if c.strides[0] == 0 else c  # a zero-stride step's one distinct row
+            if size + rows.size > conds[-1].size:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(rows)
+            size += rows.size
+        for block in blocks:
+            if _row_fault(block[0] if len(block) == 1 else np.concatenate(block)):
+                _name_row_fault(itertools.chain(*blocks))
         for c in conds:
             c.setflags(write=False)
         object.__setattr__(self, "conditionals", conds)
@@ -110,6 +113,30 @@ class CausalConditioning:
         if pos != flat.size:
             raise ValidationError("flat conditional array has wrong length")
         return cls(horizon=horizon, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
+
+
+def _row_fault(rows: np.ndarray):
+    """None when every row of `rows` is a law over its last axis, else what
+    is wrong with them."""
+    dev = np.add.reduce(rows, 1)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    # NaN and +-inf fail one of these two comparisons, so rows that pass both
+    # are finite and non-negative; the separate checks run only to name what failed
+    if np.minimum.reduce(rows, None) >= -1e-15 and np.maximum.reduce(dev) <= ROW_SUM_TOL:
+        return None
+    if not np.isfinite(rows).all() or (rows < -1e-15).any():
+        return "conditionals must be finite and non-negative"
+    return "conditional rows must sum to 1"
+
+
+def _name_row_fault(steps) -> None:
+    """Raise the fault of the first faulty step's rows, the one a
+    step-by-step check would stop at."""
+    for rows in steps:
+        fault = _row_fault(rows)
+        if fault:
+            raise ValidationError(fault)
 
 
 def child_histories(hist, x, x_card: int, z_card: int) -> np.ndarray:

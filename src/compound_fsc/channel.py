@@ -62,8 +62,8 @@ class FscSpec:
         want = (len(states), len(inputs), len(outputs), len(states))
         if kernel.shape != want:
             raise ValidationError(f"kernel shape {kernel.shape} != {want}")
-        # a copy, so the caller's array stays writable when this one is frozen
-        clipped = np.clip(kernel, 0.0, None)
+        # a new array, so the caller's array stays writable when this one is frozen
+        clipped = np.maximum(kernel, 0.0)
         dev = clipped.sum(axis=(2, 3))
         dev -= 1.0
         np.abs(dev, out=dev)

@@ -166,23 +166,34 @@ def build_ranking(fsc: FscSpec, trees, y, feedback: FeedbackMap, s0_prior=None) 
 def merge_rankings(rankings) -> RankingFunction:
     """Round-robin merge: rank 1 of candidate 1, rank 1 of candidate 2, ...,
     skipping trees already placed. The merged rank of a tree at rank j under
-    candidate k is at most (j-1)K + k."""
+    candidate k is at most (j-1)K + k. The one-case call of round_robin_ranks."""
     rankings = list(rankings)
     if not rankings:
         raise ValidationError("need at least one ranking")
-    domain = set(rankings[0].ordered_keys)
+    keys = rankings[0].ordered_keys
+    domain = set(keys)
     for r in rankings[1:]:
         if set(r.ordered_keys) != domain:
             raise ValidationError("rankings must share a tree set")
-    merged = []
-    seen = set()
-    for j in range(len(rankings[0])):
-        for r in rankings:
-            cand = r.ordered_keys[j]
-            if cand not in seen:
-                seen.add(cand)
-                merged.append(cand)
+    merged = [None] * len(keys)
+    for key, rank in zip(keys, round_robin_ranks([[r.rank(k) for k in keys] for r in rankings]).tolist()):
+        merged[rank - 1] = key
     return RankingFunction(ordered_keys=tuple(merged))
+
+
+def round_robin_ranks(ranks) -> np.ndarray:
+    """Merged ranks of the round-robin merge, (..., |B|), from a (..., K, |B|)
+    array whose [..., k, t] is tree t's rank 1..|B| under candidate k + 1;
+    leading axes are cases. The merge first reaches tree t at its slot
+    min_k((rank_k(t) - 1)K + k), so the merged order is the order of the
+    slots. Slots are distinct integers in 1..K|B|, so a tree's merged rank
+    is the count of slots taken up to its own: counted, never sorted."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    big_k, b = ranks.shape[-2:]
+    slots = ((ranks - 1) * big_k + np.arange(big_k)[:, None]).min(axis=-2)  # slot - 1
+    taken = np.zeros(slots.shape[:-1] + (big_k * b,), dtype=bool)
+    np.put_along_axis(taken, slots, True, axis=-1)
+    return np.take_along_axis(np.cumsum(taken, axis=-1), slots, axis=-1)
 
 
 def _codebook_key_table(cb: Codebook):

@@ -22,7 +22,7 @@ import numpy as np
 from .capacity import GAP_TOL, SolverConfig, compute_Cn, compute_Cn_nofeedback, superadditivity_check
 from .causal import random_policy
 from .channel import CompoundFamily, FscSpec, bsc, identity_feedback
-from .decoder import RankingFunction, merge_rankings, separability_check
+from .decoder import round_robin_ranks, separability_check
 from .directed_info import (
     continuity_bound_check_batch,
     directed_information_routes,
@@ -55,14 +55,17 @@ class CheckResult:
         return f"{self.name:<18} {verdict:<4} instances={self.instances} violations={self.violations} {self.detail}"
 
 
+def _symbols(size: int) -> tuple:
+    """The input and output alphabets of random_fsc."""
+    return tuple(str(i) for i in range(size))
+
+
 def random_fsc(rng: np.random.Generator, n_states: int, n_inputs: int, n_outputs: int) -> FscSpec:
     """Dirichlet-uniform kernel rows; the workhorse instance generator."""
     kernel = rng.dirichlet(np.ones(n_outputs * n_states), size=(n_states, n_inputs))
     kernel = kernel.reshape(n_states, n_inputs, n_outputs, n_states)
     states = tuple(f"s{i}" for i in range(n_states))
-    inputs = tuple(str(i) for i in range(n_inputs))
-    outputs = tuple(str(i) for i in range(n_outputs))
-    return FscSpec(states=states, inputs=inputs, outputs=outputs, kernel=kernel)
+    return FscSpec(states=states, inputs=_symbols(n_inputs), outputs=_symbols(n_outputs), kernel=kernel)
 
 
 def random_family(rng: np.random.Generator, n_members: int, n_states: int = 2) -> CompoundFamily:
@@ -73,12 +76,12 @@ def random_family(rng: np.random.Generator, n_members: int, n_states: int = 2) -
 def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
     """Three routes to the same directed information agree to 1e-10."""
     rng = np.random.default_rng(seed)
+    fb = identity_feedback(_symbols(2))  # every instance's outputs
     cases = []
     for _ in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 4))
         fsc = random_fsc(rng, n_states, 2, 2)
-        fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
         cases.append((q, fsc, s0, fb))
@@ -102,12 +105,12 @@ def suite_kim_identity(instances: int = 100, seed: int = 20) -> CheckResult:
 def suite_continuity_lemma(instances: int = 100, seed: int = 21) -> CheckResult:
     """Information difference against the L1 continuity bound on policy pairs."""
     rng = np.random.default_rng(seed)
+    fb = identity_feedback(_symbols(2))  # every instance's outputs
     cases = []
     for idx in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 3))
         fsc = random_fsc(rng, n_states, 2, 2)
-        fb = identity_feedback(fsc.outputs)
         q1 = random_policy(n, 2, fb.z_card, rng)
         if idx % 10 == 0:
             q2 = q1  # delta = 0 must give a zero bound, not a NaN
@@ -143,12 +146,12 @@ def suite_continuity_lemma(instances: int = 100, seed: int = 21) -> CheckResult:
 def suite_state_gap(instances: int = 100, seed: int = 22) -> CheckResult:
     """Mixing the initial state moves directed information by at most ln|S|."""
     rng = np.random.default_rng(seed)
+    fb = identity_feedback(_symbols(2))  # every instance's outputs
     cases = []
     for _ in range(instances):
         n_states = int(rng.integers(2, 4))
         n = int(rng.integers(1, 3))
         fsc = random_fsc(rng, n_states, 2, 2)
-        fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         cases.append((q, fsc, fb, rng.dirichlet(np.ones(n_states))))
     worst = -math.inf
@@ -173,11 +176,12 @@ def suite_superadditivity(instances: int = 12, seed: int = 23, slack: float = 1e
     problems of one shape."""
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(max_iters=60, restarts=1, seed=seed)
+    fb = identity_feedback(_symbols(2))  # every member's outputs
     cases = []
     for idx in range(instances):
         family = random_family(rng, n_members=1 + idx % 2, n_states=2)
         k, m = (1, 1) if idx % 2 == 0 else (1, 2)
-        cases.append((family, identity_feedback(family.members[0].outputs), k, m))
+        cases.append((family, fb, k, m))
     results = superadditivity_check(cases, cfg, slack=slack)
     worst = max((res.rhs - res.lhs for res in results), default=-math.inf)
     violations = sum(not res.passed for res in results)
@@ -191,57 +195,53 @@ def suite_superadditivity(instances: int = 12, seed: int = 23, slack: float = 1e
     )
 
 
-def _merge_rank_slack(rankings: list[RankingFunction]) -> float:
-    """Largest merged-rank excess over (j-1)K + k across all trees; negative
-    or zero everywhere means the round-robin bound holds."""
-    merged = merge_rankings(rankings)
-    big_k = len(rankings)
-    worst = -math.inf
-    for key in merged.ordered_keys:
-        mu = merged.rank(key)
-        for k, r in enumerate(rankings, start=1):
-            j = r.rank(key)
-            worst = max(worst, mu - ((j - 1) * big_k + k))
-        best_j = min(r.rank(key) for r in rankings)
-        worst = max(worst, mu - big_k * best_j)
-    return worst
+def _merge_rank_slacks(ranks: np.ndarray) -> np.ndarray:
+    """Per case of a (cases, K, |B|) rank stack, the largest merged-rank
+    excess over (j-1)K + k and over K min_k j across all trees; negative or
+    zero everywhere means the round-robin bound holds."""
+    big_k = ranks.shape[1]
+    merged = round_robin_ranks(ranks)
+    excess = merged[:, None, :] - ((ranks - 1) * big_k + np.arange(1, big_k + 1)[:, None])
+    return np.maximum(excess.max(axis=(1, 2)), (merged - big_k * ranks.min(axis=1)).max(axis=1))
+
+
+def _ranks_of(orders: np.ndarray) -> np.ndarray:
+    """Ranks from ordered tree indices along the last axis: ranks[..., t] is
+    1 + the place of t in its order."""
+    ranks = np.empty_like(orders)
+    np.put_along_axis(ranks, orders, np.arange(1, orders.shape[-1] + 1), axis=-1)
+    return ranks
 
 
 def suite_merge_bounds(instances: int = 60, seed: int = 24) -> CheckResult:
     """Round-robin merged ranks never exceed (j-1)K + k.
 
-    Small cases run over every tuple of permutations; larger sizes use
-    rankings induced by random likelihood scores.
+    Small cases run over every tuple of permutations, one rank stack per
+    (|B|, K); larger sizes use rankings induced by random likelihood scores,
+    stacked by (|B|, K).
     """
-    worst = -math.inf
-    checked = 0
-    violations = 0
+    stacks = []
     for b, big_k in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        keys = tuple(range(b))
-        perms = [RankingFunction(ordered_keys=p) for p in itertools.permutations(keys)]
-        for combo in itertools.product(perms, repeat=big_k):
-            slack = _merge_rank_slack(list(combo))
-            worst = max(worst, slack)
-            violations += slack > 0
-            checked += 1
+        perms = _ranks_of(np.array(list(itertools.permutations(range(b)))))
+        stacks.append(perms[np.indices((len(perms),) * big_k).reshape(big_k, -1).T])
     rng = np.random.default_rng(seed)
+    groups: dict = {}
     for _ in range(instances):
         b = int(rng.integers(2, 9))
         big_k = int(rng.integers(1, 4))
-        keys = tuple(range(b))
-        rankings = []
+        orders = []
         for _ in range(big_k):
-            scores = rng.random(b)
-            order = sorted(keys, key=lambda t: (-scores[t], t))
-            rankings.append(RankingFunction(ordered_keys=tuple(order)))
-        slack = _merge_rank_slack(rankings)
-        worst = max(worst, slack)
-        violations += slack > 0
-        checked += 1
+            scores = rng.random(b).tolist()
+            orders.append(sorted(range(b), key=lambda t: (-scores[t], t)))
+        groups.setdefault((b, big_k), []).append(orders)
+    stacks += [_ranks_of(np.array(cases)) for cases in groups.values()]
+    slacks = np.concatenate([_merge_rank_slacks(ranks) for ranks in stacks])
+    worst = int(slacks.max())
+    violations = int((slacks > 0).sum())
     return CheckResult(
         name="merge-bounds",
         passed=violations == 0,
-        instances=checked,
+        instances=slacks.size,
         violations=violations,
         worst=worst,
         detail=f"max rank excess {worst:g}",
@@ -303,13 +303,13 @@ def suite_exponents(instances: int = 40, seed: int = 27) -> CheckResult:
     quadratic lower bound, block exponent super-additivity, and the beta
     exponent's shape. The branch-point gap of beta is reported, not asserted."""
     rng = np.random.default_rng(seed)
+    fb = identity_feedback(_symbols(2))  # every instance's outputs
     rho_grid = np.linspace(0.0, 1.0, 11)
     grid_cases, lb_cases, fn_cases = [], [], []
     for idx in range(instances):
         n_states = int(rng.integers(1, 3))
         n = int(rng.integers(1, 3))
         fsc = random_fsc(rng, n_states, 2, 2)
-        fb = identity_feedback(fsc.outputs)
         q = random_policy(n, 2, fb.z_card, rng)
         s0 = int(rng.integers(n_states))
         grid_cases.append((rho_grid, q, fsc, s0, fb))

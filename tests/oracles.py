@@ -330,3 +330,16 @@ def separability_per_violation(family, representatives, n: int, eps_nats: float)
         violation_count=total,
         violations=tuple(kept[:10]),
     )
+
+
+def round_robin_merge(rankings) -> tuple:
+    """The ordered keys of the round-robin merge, walked key by key: rank 1
+    of candidate 1, rank 1 of candidate 2, ..., skipping trees already placed."""
+    merged, seen = [], set()
+    for j in range(len(rankings[0])):
+        for r in rankings:
+            key = r.ordered_keys[j]
+            if key not in seen:
+                seen.add(key)
+                merged.append(key)
+    return tuple(merged)

@@ -377,6 +377,86 @@ def test_policy_validation():
 
 
 
+
+NOT_A_LAW = "conditionals must be finite and non-negative"
+OFF_SUM = "conditional rows must sum to 1"
+
+
+def _four_step_policy():
+    """Conditionals of a horizon-4 policy at |X| = |Z| = 2: step 0 full,
+    step 1 a zero-stride view of one row, step 2 full (a middle step) and
+    step 3 full (the last)."""
+    rng = np.random.default_rng(7)
+    conds = [rng.dirichlet(np.ones(2), size=4 ** i) for i in range(4)]
+    conds[1] = np.broadcast_to(np.array([0.25, 0.75]), (4, 2))
+    return conds
+
+
+def _with_entry(conds, step, row, value, partner):
+    """A copy of conds whose entry [step][row, 0] is value and [step][row, 1]
+    partner; a zero-stride step stays zero-stride."""
+    conds = list(conds)
+    c = conds[step]
+    if c.strides[0] == 0:
+        conds[step] = np.broadcast_to(np.array([value, partner]), c.shape)
+    else:
+        conds[step] = c.copy()
+        conds[step][row] = (value, partner)
+    return conds
+
+
+@pytest.mark.parametrize("step, row", [(0, 0), (1, 2), (2, 9), (3, 63)], ids=["first", "zero-stride", "middle", "last"])
+@pytest.mark.parametrize(
+    "value, partner, message",
+    [(-1e-14, 1.0 + 1e-14, NOT_A_LAW), (math.nan, 0.5, NOT_A_LAW), (math.inf, 0.5, NOT_A_LAW), (0.5 + 2e-9, 0.5, OFF_SUM)],
+    ids=["negative", "nan", "inf", "off-sum"],
+)
+def test_policy_check_keeps_its_message_at_every_step(step, row, value, partner, message):
+    conds = _with_entry(_four_step_policy(), step, row, value, partner)
+    with pytest.raises(ValidationError) as err:
+        CausalConditioning(horizon=4, x_card=2, z_card=2, conditionals=tuple(conds))
+    assert str(err.value) == message
+
+
+def test_policy_check_names_the_first_faulty_step():
+    # a step-by-step check stops at the first faulty step, whether the later
+    # fault shares its pass (steps 0..2) or not (step 3), or is a wrong shape
+    good = _four_step_policy()
+    for first, later, message in (
+        ((0, 0, 0.5 + 2e-9, 0.5), (2, 4, -1e-14, 1.0 + 1e-14), OFF_SUM),
+        ((1, 0, -1e-14, 1.0 + 1e-14), (2, 4, 0.5 + 2e-9, 0.5), NOT_A_LAW),
+        ((2, 4, 0.5 + 2e-9, 0.5), (3, 0, math.nan, 0.5), OFF_SUM),
+    ):
+        conds = _with_entry(_with_entry(good, *first), *later)
+        with pytest.raises(ValidationError) as err:
+            CausalConditioning(horizon=4, x_card=2, z_card=2, conditionals=tuple(conds))
+        assert str(err.value) == message
+    conds = _with_entry(good, 0, 0, math.nan, 0.5)
+    conds[3] = conds[3][:-1]
+    with pytest.raises(ValidationError) as err:
+        CausalConditioning(horizon=4, x_card=2, z_card=2, conditionals=tuple(conds))
+    assert str(err.value) == NOT_A_LAW
+    for step in range(4):
+        conds = list(good)
+        conds[step] = np.ones((4 ** step + 1, 2)) / 2
+        with pytest.raises(ValidationError, match=rf"^step {step} table shape \({4 ** step + 1}, 2\) != \({4 ** step}, 2\)$"):
+            CausalConditioning(horizon=4, x_card=2, z_card=2, conditionals=tuple(conds))
+
+
+def test_policy_check_copies_no_more_than_the_last_step():
+    # the check's temporaries stay within the last step's table: the steps
+    # before it share one copy, and the last is read in place
+    rng = np.random.default_rng(8)
+    conds = tuple(rng.dirichlet(np.ones(2), size=4 ** i) for i in range(8))
+    tracemalloc.start()
+    try:
+        CausalConditioning(horizon=8, x_card=2, z_card=2, conditionals=conds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= conds[-1].nbytes
+
+
 @pytest.mark.parametrize("n, x_card, z_card", [(1, 2, 2), (3, 2, 2), (3, 3, 1), (2, 3, 2)])
 def test_random_policy_draws_the_per_step_stream(n, x_card, z_card):
     rng, ref = np.random.default_rng(83), np.random.default_rng(83)

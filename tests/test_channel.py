@@ -68,6 +68,20 @@ def test_kernel_rejections_keep_their_messages():
     assert k[0, 0, 0, 0] == -1e-16 and k.flags.writeable
 
 
+def test_kernel_clamp_zeroes_tiny_negatives_into_a_new_array():
+    # -1e-16 entries pass the sign check and are clamped to 0 in a new
+    # array: the caller's kernel keeps its values and stays writable
+    k = np.full((2, 2, 2, 2), 0.25)
+    k[:, :, 0] = (-1e-16, 0.5)
+    k[:, :, 1, 1] += 1e-16
+    fsc = FscSpec(states=("a", "b"), inputs=("0", "1"), outputs=("0", "1"), kernel=k)
+    assert np.array_equal(fsc.kernel, np.clip(k, 0.0, None))
+    assert (fsc.kernel[:, :, 0, 0] == 0.0).all() and not np.signbit(fsc.kernel).any()
+    assert not fsc.kernel.flags.writeable and k.flags.writeable
+    assert (k[:, :, 0, 0] == -1e-16).all()
+    k[:] = 0.0
+    assert fsc.kernel[0, 0, 0, 1] == 0.5
+
 def test_gilbert_elliot_deterministic_alternation():
     fsc = make_gilbert_elliot(GilbertElliotParams(g=1.0, b=1.0, p_g=0.0, p_b=0.0))
     # output copies input, state flips every step

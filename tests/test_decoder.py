@@ -30,13 +30,14 @@ from compound_fsc.decoder import (
     build_ranking,
     merge_rankings,
     ml_decode,
+    round_robin_ranks,
     separability_check,
     tree_log_likelihood,
     universal_decode,
 )
 from compound_fsc.util import enumerate_paths
 from compound_fsc.verify import random_family, random_fsc
-from oracles import separability_per_violation
+from oracles import round_robin_merge, separability_per_violation
 
 
 def leaf_tree(symbols, depth):
@@ -153,6 +154,40 @@ def test_merge_is_bijection():
     r2 = RankingFunction(ordered_keys=(2, 3, 1, 0))
     merged = merge_rankings([r1, r2])
     assert sorted(merged.ordered_keys) == [0, 1, 2, 3]
+
+
+def test_merge_is_the_round_robin_walk_on_every_small_permutation_tuple():
+    for b in range(1, 5):
+        perms = [RankingFunction(ordered_keys=p) for p in itertools.permutations("abcd"[:b])]
+        for big_k in range(1, 4):
+            for combo in itertools.product(perms, repeat=big_k):
+                assert merge_rankings(combo).ordered_keys == round_robin_merge(combo)
+
+
+def test_merge_is_the_round_robin_walk_on_random_rankings():
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        keys = [f"t{v}" for v in rng.permutation(int(rng.integers(1, 9)))]
+        rankings = [
+            RankingFunction(ordered_keys=tuple(keys[v] for v in rng.permutation(len(keys))))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        assert merge_rankings(rankings).ordered_keys == round_robin_merge(rankings)
+
+
+def test_stacked_merge_is_the_one_case_merge_case_by_case():
+    rng = np.random.default_rng(36)
+    for b, big_k in ((1, 1), (1, 3), (4, 1), (5, 2), (8, 3)):
+        ranks = np.stack(
+            [[rng.permutation(b) + 1 for _ in range(big_k)] for _ in range(12)]
+        ).reshape(3, 4, big_k, b)
+        stacked = round_robin_ranks(ranks)
+        assert stacked.shape == (3, 4, b)
+        for case in np.ndindex(3, 4):
+            assert np.array_equal(stacked[case], round_robin_ranks(ranks[case]))
+            rankings = [RankingFunction(ordered_keys=tuple(np.argsort(row).tolist())) for row in ranks[case]]
+            merged = merge_rankings(rankings)
+            assert [merged.rank(t) for t in range(b)] == stacked[case].tolist()
 
 
 def test_merge_requires_shared_domain():
