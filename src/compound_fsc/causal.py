@@ -34,11 +34,17 @@ class CausalConditioning:
     history (x^i, z^i), encoded earliest-pair-most-significant with pair code
     x*z_card + z. child_histories is the one step of that code.
 
-    Every table is read-only. A step whose rows are all one law may be a
+    Every table is read-only and the policy's own: the constructor copies
+    the caller's tables, so the caller's arrays stay as they were, writable
+    if they were. A step whose rows are all one law may be given as a
     zero-stride view of that row (np.broadcast_to, as uniform_policy and
-    iid_policy build it), kept as it is and validated on its one distinct
-    row; every other table is made contiguous. Consumers must not assume
+    iid_policy build it); it stays a zero-stride view, of its one copied
+    row, and is validated on that row. Consumers must not assume
     contiguity.
+
+    to_dict writes a step whose rows are all equal as that one row and lists
+    it under "shared_steps"; from_dict reads that back as a zero-stride view
+    and reads the full form, which has no such key, unchanged.
     """
 
     horizon: int
@@ -51,45 +57,39 @@ class CausalConditioning:
             raise ValidationError("horizon must be >= 1")
         if self.x_card < 1 or self.z_card < 1:
             raise ValidationError("alphabet cardinalities must be >= 1")
-        conds = tuple(
-            c if isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype == float and c.strides[0] == 0
-            else np.ascontiguousarray(c, dtype=float)
-            for c in self.conditionals
-        )
+        conds = [np.asarray(c, dtype=float) for c in self.conditionals]
         if len(conds) != self.horizon:
             raise ValidationError("need one conditional table per step")
-        # every step's rows are checked in blocks: consecutive steps are
-        # copied into one table while it stays within the last step's size,
-        # and a block of one step is read in place; with |X||Z| >= 2 that is
-        # one pass over the steps before the last and one over the last
         base = self.x_card * self.z_card
-        blocks, size = [[]], 0
+        rows = []  # each step's distinct rows: a zero-stride step's one row
         for i, c in enumerate(conds):
             want = (base ** i, self.x_card)
             if c.shape != want:
-                _name_row_fault(itertools.chain(*blocks))
+                _name_row_fault(rows)
                 raise ValidationError(f"step {i} table shape {c.shape} != {want}")
-            rows = c[:1] if c.strides[0] == 0 else c  # a zero-stride step's one distinct row
-            if size + rows.size > conds[-1].size:
-                blocks.append([])
-                size = 0
-            blocks[-1].append(rows)
-            size += rows.size
-        for block in blocks:
-            if _row_fault(block[0] if len(block) == 1 else np.concatenate(block)):
-                _name_row_fault(itertools.chain(*blocks))
-        for c in conds:
-            c.setflags(write=False)
-        object.__setattr__(self, "conditionals", conds)
+            rows.append(c[:1] if c.strides[0] == 0 else c)
+        # one private copy of every step's distinct rows, checked in one pass;
+        # the steps are read-only views of it
+        own = np.concatenate(rows)
+        if _row_fault(own):
+            _name_row_fault(rows)
+        own.setflags(write=False)
+        steps, start = [], 0
+        for c, r in zip(conds, rows):
+            steps.append(np.broadcast_to(own[start], c.shape) if c.strides[0] == 0 else own[start : start + len(r)])
+            start += len(r)
+        object.__setattr__(self, "conditionals", tuple(steps))
 
     def to_dict(self) -> dict:
+        shared = [i for i, c in enumerate(self.conditionals) if c.strides[0] == 0 or (c == c[0]).all()]
         flat = []
-        for c in self.conditionals:
-            flat.extend(c.reshape(-1).tolist())
+        for i, c in enumerate(self.conditionals):
+            flat.extend((c[0] if i in shared else c.reshape(-1)).tolist())
         return {
             "horizon": self.horizon,
             "x_card": self.x_card,
             "z_card": self.z_card,
+            "shared_steps": shared,
             "conditionals": flat,
         }
 
@@ -104,14 +104,28 @@ class CausalConditioning:
             flat = np.asarray(d["conditionals"], dtype=float)
         except KeyError as e:
             raise ValidationError(f"policy dict missing key {e}") from e
-        conds = []
-        pos = 0
-        for i in range(horizon):
-            n = (x_card * z_card) ** i * x_card
-            conds.append(flat[pos : pos + n].reshape((x_card * z_card) ** i, x_card))
-            pos += n
-        if pos != flat.size:
+        shared = d.get("shared_steps", [])
+        if not (
+            isinstance(shared, list)
+            and all(type(i) is int and 0 <= i < horizon for i in shared)
+            and len(set(shared)) == len(shared)
+        ):
+            raise ValidationError(f"shared_steps must be distinct step indices in 0..{horizon - 1}")
+        # every step holds at least one row, so a horizon longer than the
+        # data is refused before its steps are sized
+        if horizon * max(x_card, 1) > flat.size:
             raise ValidationError("flat conditional array has wrong length")
+        shared = set(shared)
+        shapes = [((x_card * z_card) ** i, x_card) for i in range(horizon)]
+        if shapes and math.prod(shapes[-1]) * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(f"step {horizon - 1} has too many entries for one array, even as a view")
+        sizes = [x_card if i in shared else math.prod(shape) for i, shape in enumerate(shapes)]
+        if flat.ndim != 1 or sum(sizes) != flat.size:
+            raise ValidationError("flat conditional array has wrong length")
+        conds = []
+        for i, (shape, end) in enumerate(zip(shapes, itertools.accumulate(sizes))):
+            step = flat[end - sizes[i] : end]
+            conds.append(np.broadcast_to(step, shape) if i in shared else step.reshape(shape))
         return cls(horizon=horizon, x_card=x_card, z_card=z_card, conditionals=tuple(conds))
 
 
@@ -162,8 +176,8 @@ def random_policy(n: int, x_card: int, z_card: int, rng: np.random.Generator) ->
 
 def iid_policy(n: int, marginal, z_card: int) -> CausalConditioning:
     """Same single-letter input marginal at every step, ignoring the history:
-    each table is a zero-stride view of one private copy of the marginal."""
-    marginal = np.array(marginal, dtype=float)
+    each table is a zero-stride view of the policy's copy of the marginal."""
+    marginal = np.asarray(marginal, dtype=float)
     x_card = marginal.size
     base = x_card * z_card
     conds = tuple(np.broadcast_to(marginal, (base ** i, x_card)) for i in range(n))

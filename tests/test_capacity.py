@@ -64,6 +64,18 @@ def ge_family(*param_tuples, labels=None):
     return CompoundFamily(members=members, labels=labels)
 
 
+def input_skewed(fam):
+    """fam with input 1's crossover 0.05 above input 0's in every state of
+    every two-state binary member: the same shape, but no member adds
+    input-independent noise, so its solves take the path-table solver."""
+    members = []
+    for m in fam.members:
+        emit, trans = m.kernel.sum(axis=3), m.kernel.sum(axis=2)[:, 0]
+        emit[:, 1] += (0.05, -0.05)
+        members.append(FscSpec(states=m.states, inputs=m.inputs, outputs=m.outputs, kernel=emit[..., None] * trans[:, None, None]))
+    return CompoundFamily(members=tuple(members), labels=fam.labels)
+
+
 LEAN = SolverConfig(max_iters=120, restarts=1, seed=3)
 
 
@@ -302,7 +314,7 @@ def _refuse_to_build(*args, **kwargs):
 
 def test_solver_refuses_past_byte_budget_before_any_table(monkeypatch):
     monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
-    fam = ge_gap_family()
+    fam = input_skewed(ge_gap_family())
     fb = identity_feedback(fam.members[0].outputs)
     with pytest.raises(CapExceededError):
         compute_Cn(fam, fb, 12)
@@ -313,7 +325,7 @@ def test_solver_refuses_past_byte_budget_before_any_table(monkeypatch):
 def test_solver_admits_n10_on_ge_gap(monkeypatch):
     # the guard passes, so the first channel table build is reached
     monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
-    fam = ge_gap_family()
+    fam = input_skewed(ge_gap_family())
     with pytest.raises(_Built):
         compute_Cn(fam, identity_feedback(fam.members[0].outputs), 10, SolverConfig(max_iters=3, restarts=0))
 
@@ -323,7 +335,7 @@ def test_solver_admits_n11_on_ge_gap(monkeypatch):
     # also with the default starts (their group narrows to what fits); n = 12
     # does not, even with one start
     monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
-    fam = ge_gap_family()
+    fam = input_skewed(ge_gap_family())
     fb = identity_feedback(fam.members[0].outputs)
     for cfg in (SolverConfig(max_iters=3, restarts=0), SolverConfig()):
         with pytest.raises(_Built):
@@ -343,7 +355,8 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
     monkeypatch.setattr(capmod, "check_table_bytes", recording)
     group = capmod.GROUP_CODE_ENTRIES
     # ge-gap is certified at the uniform start; the random family runs the
-    # ascent and then the certificate over every pair
+    # ascent and then the certificate over every pair. Both are solved on
+    # path tables, which compute_Cn skips for ge-gap's additive noise
     for fam in (ge_gap_family(), random_family(np.random.default_rng(1), 2, 2)):
         # without restarts, and with the default ones that every CLI solve
         # runs, one at a time (n = 8 is past the group's code span) and all
@@ -356,7 +369,7 @@ def test_solver_charge_bounds_its_measured_peak(monkeypatch):
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 cfg = SolverConfig(max_iters=2, restarts=restarts)
-                compute_Cn(fam, identity_feedback(fam.members[0].outputs), 8, cfg)
+                capmod._solve_tables([capmod._problem(fam, identity_feedback(fam.members[0].outputs), 8)], cfg)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -721,3 +734,126 @@ def test_identity_feedback_ascent_pinned():
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(max_iters=0)
+
+
+def mod3_family():
+    """Two members that add two-state hidden-Markov noise mod 3: kernel[s,
+    x, y, s'] = emit[s, (y - x) mod 3] trans[s, s']."""
+    z = (np.arange(3) - np.arange(3)[:, None]) % 3  # z[x, y]
+    members = []
+    for emit, trans in (
+        ([[0.8, 0.15, 0.05], [0.4, 0.35, 0.25]], [[0.9, 0.1], [0.3, 0.7]]),
+        ([[0.7, 0.2, 0.1], [0.5, 0.1, 0.4]], [[0.6, 0.4], [0.2, 0.8]]),
+    ):
+        noise = np.asarray(emit)[:, :, None] * np.asarray(trans)[:, None, :]
+        members.append(FscSpec(states=(0, 1), inputs=(0, 1, 2), outputs=(0, 1, 2), kernel=noise[:, z]))
+    return CompoundFamily(members=tuple(members), labels=("n0", "n1"))
+
+
+def _path_table_report(fam, fb, n, pairs=None):
+    return capmod._solve_tables([capmod._problem(fam, fb, n, pairs=pairs)], SolverConfig())[0]
+
+
+def _assert_closed_form_matches(rep, ref):
+    assert rep.C_n_nats == pytest.approx(ref.C_n_nats, rel=0, abs=1e-12)
+    assert rep.upper_nats == rep.C_n_nats
+    assert ref.upper_nats >= rep.C_n_nats - 1e-12
+    assert rep.worst_case == ref.worst_case
+    assert (rep.diagnostics.converged, rep.diagnostics.iterations) == (True, 0)
+
+
+@pytest.mark.parametrize("preset", ["example1", "bsc-pair", "ge-gap", "zero-capacity"])
+def test_closed_form_matches_path_tables_on_every_preset(preset, monkeypatch):
+    from compound_fsc import load_preset
+
+    fam = load_preset(preset)
+    outputs = fam.members[0].outputs
+    for fb in (identity_feedback(outputs), no_feedback(outputs)):
+        for n in range(1, 9):
+            ref = _path_table_report(fam, fb, n)
+            with monkeypatch.context() as m:
+                m.setattr(capmod, "channel_prob_table", _refuse_to_build)
+                rep = compute_Cn(fam, fb, n)
+            _assert_closed_form_matches(rep, ref)
+            assert all(c.strides[0] == 0 for c in rep.policy.conditionals)
+
+
+def test_closed_form_matches_path_tables_mod3_and_coarse_feedback():
+    fam = mod3_family()
+    for table in ((0, 1, 2), (0, 1, 1), (0, 0, 0)):
+        fb = FeedbackMap(z_alphabet=tuple(sorted(set(table))), table=np.array(table))
+        for n in range(1, 5):
+            rep = compute_Cn(fam, fb, n)
+            _assert_closed_form_matches(rep, _path_table_report(fam, fb, n))
+            assert rep.policy.z_card == fb.z_card
+
+
+@pytest.mark.parametrize("fam", [ge_gap_family(), mod3_family()], ids=["ge-gap", "mod3"])
+def test_closed_form_matches_path_tables_from_stationary_laws(fam):
+    fb = identity_feedback(fam.members[0].outputs)
+    pairs = [(("stationary", label), m, stationary_distribution(m)) for label, m in fam]
+    for n in range(1, 6 if fam.members[0].n_outputs == 2 else 4):
+        _assert_closed_form_matches(compute_Cn_markovian(fam, fb, n), _path_table_report(fam, fb, n, pairs))
+
+
+def test_closed_form_matches_both_feedback_gap_reports():
+    fam = ge_gap_family()
+    for n in range(1, 5):
+        res = ge_feedback_gap(fam, n)
+        for rep, ref in ((compute_Cn(fam, identity_feedback((0, 1)), n), res.report_fb),
+                         (compute_Cn_nofeedback(fam, n), res.report_nfb)):
+            _assert_closed_form_matches(rep, ref)
+
+
+def test_kernel_off_additive_by_1e12_takes_the_path_tables(monkeypatch):
+    # the test is exact: a member 1e-12 off additive noise is solved on path
+    # tables, and its value still agrees with the closed form's
+    fam = ge_gap_family()
+    kernel = fam.members[0].kernel.copy()
+    kernel[0, 1, 0, 0] += 1e-12
+    kernel[0, 1, 1, 0] -= 1e-12
+    m0 = FscSpec(states=fam.members[0].states, inputs=(0, 1), outputs=(0, 1), kernel=kernel)
+    off = CompoundFamily(members=(m0,) + fam.members[1:], labels=fam.labels)
+    assert capmod._noise_laws(capmod._state_pairs(fam)) is not None
+    assert capmod._noise_laws(capmod._state_pairs(off)) is None
+    fb = identity_feedback((0, 1))
+    rep = compute_Cn(off, fb, 3)
+    assert rep.C_n_nats == pytest.approx(compute_Cn(fam, fb, 3).C_n_nats, rel=0, abs=1e-11)
+    monkeypatch.setattr(capmod, "channel_prob_table", _refuse_to_build)
+    with pytest.raises(_Built):
+        compute_Cn(off, fb, 3)
+
+
+def test_closed_form_reaches_long_horizons():
+    # ge-gap's C_n where the path tables refuse (n >= 12)
+    fam = ge_gap_family()
+    fb = identity_feedback((0, 1))
+    for n, want in ((12, 0.035368), (16, 0.037328), (20, 0.038505)):
+        rep = compute_Cn(fam, fb, n)
+        assert rep.C_n_nats == pytest.approx(want, rel=0, abs=5e-7)
+        assert rep.worst_case == ("B", "ge-c")
+
+
+def test_closed_form_charge_bounds_its_measured_peak(monkeypatch):
+    charged = []
+    guard = capmod.check_table_bytes
+
+    def recording(entries, arrays, what):
+        charged.append(entries * 8 * arrays)
+        guard(entries, arrays, what)
+
+    monkeypatch.setattr(capmod, "check_table_bytes", recording)
+    for fam in (ge_gap_family(), mod3_family()):
+        fb = identity_feedback(fam.members[0].outputs)
+        compute_Cn(fam, fb, 4)  # warm-up
+        charged.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute_Cn(fam, fb, 14 if fam.members[0].n_outputs == 2 else 9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak <= charged[0], f"peak {peak / charged[0]:.3f} of the charge"

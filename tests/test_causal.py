@@ -340,6 +340,77 @@ def test_policy_round_trip():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "shared",
+    [[1, 1], [2], [-1], [1.0], [True], ["1"], 1, "01", None],
+    ids=["repeated", "past-horizon", "negative", "float", "bool", "string", "int", "str", "null"],
+)
+def test_load_policy_rejects_bad_shared_steps(shared):
+    d = uniform_policy(2, 2, 2).to_dict()
+    d["shared_steps"] = shared
+    with pytest.raises(ValidationError, match="shared_steps"):
+        CausalConditioning.from_dict(d)
+
+
+def test_load_policy_checks_the_compact_length():
+    # step 1 shared is one row (2 entries), not its four (8 entries)
+    for flat in ([0.5] * 3, [0.5] * 6, [0.5] * 10, [[0.5, 0.5], [0.5, 0.5]]):
+        d = {"horizon": 2, "x_card": 2, "z_card": 2, "shared_steps": [1], "conditionals": flat}
+        with pytest.raises(ValidationError, match="wrong length"):
+            CausalConditioning.from_dict(d)
+    # a horizon far past the data is refused at once, not sized step by step
+    d = {"horizon": 10 ** 12, "x_card": 2, "z_card": 2, "shared_steps": [0], "conditionals": [0.5] * 4}
+    with pytest.raises(ValidationError, match="wrong length"):
+        CausalConditioning.from_dict(d)
+    # a shared step whose view would span more entries than numpy indexes
+    d = {"horizon": 40, "x_card": 2, "z_card": 2, "shared_steps": list(range(40)), "conditionals": [0.5] * 80}
+    with pytest.raises(ValidationError, match="too many entries"):
+        CausalConditioning.from_dict(d)
+    d = {"horizon": 2, "x_card": 2, "z_card": 2, "shared_steps": [1], "conditionals": [0.5] * 2 + [0.25, 0.75]}
+    assert CausalConditioning.from_dict(d).conditionals[1].tolist() == [[0.25, 0.75]] * 4
+
+
+def test_compact_round_trip_keeps_every_step():
+    # a step whose rows are all equal is written once, zero-stride or not,
+    # and every other step in full; both read back to the same values
+    rng = np.random.default_rng(5)
+    conds = [rng.dirichlet(np.ones(2), size=4 ** i) for i in range(4)]
+    conds[2] = np.tile([0.3, 0.7], (16, 1))
+    conds[3] = np.broadcast_to(np.array([0.6, 0.4]), (64, 2))
+    q = CausalConditioning(horizon=4, x_card=2, z_card=2, conditionals=tuple(conds))
+    d = q.to_dict()
+    assert d["shared_steps"] == [0, 2, 3]
+    assert len(d["conditionals"]) == 2 + 8 + 2 + 2
+    back = CausalConditioning.from_dict(json.loads(json.dumps(d)))
+    assert [c.strides[0] == 0 for c in back.conditionals] == [True, False, True, True]
+    for a, b in zip(back.conditionals, q.conditionals):
+        assert not a.flags.writeable and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_policy_and_kernel_copy_the_callers_arrays():
+    # both validated constructors keep a read-only copy and leave the
+    # caller's array writable and theirs to change
+    a = np.array([[0.5, 0.5]])
+    row = np.array([0.25, 0.75])
+    q = CausalConditioning(horizon=2, x_card=2, z_card=2, conditionals=(a, np.broadcast_to(row, (4, 2))))
+    assert a.flags.writeable and row.flags.writeable
+    a[0] = (1.0, 0.0)
+    row[0] = 9.0
+    assert q.conditionals[0].tolist() == [[0.5, 0.5]] and q.conditionals[1].tolist() == [[0.25, 0.75]] * 4
+    assert q.conditionals[1].strides[0] == 0
+    assert not any(c.flags.writeable for c in q.conditionals)
+    b = np.array([[0.5, 0.5]])  # a lone step, which the check could read in place
+    q = CausalConditioning(horizon=1, x_card=2, z_card=1, conditionals=(b,))
+    assert b.flags.writeable and q.conditionals[0] is not b
+    b[0] = (1.0, 0.0)
+    assert q.conditionals[0].tolist() == [[0.5, 0.5]]
+    kernel = bsc(0.1).kernel.copy()
+    fsc = make_memoryless(kernel[0, :, :, 0])
+    assert kernel.flags.writeable
+    kernel[:] = 0.0
+    assert fsc.kernel[0, 0, 1, 0] == 0.1 and not fsc.kernel.flags.writeable
+
+
 def test_load_policy_rejects_non_object():
     with pytest.raises(ValidationError, match="must be an object"):
         CausalConditioning.from_dict([])
@@ -354,8 +425,11 @@ def test_policy_validation():
         CausalConditioning(
             horizon=1, x_card=2, z_card=2, conditionals=(np.array([[1.3, -0.3]]),)
         )
+    # the full form, with no shared_steps, as reports were written before
+    # the compact one: entries 0..1 are step 0's row, 2..9 step 1's four rows
+    full = {"horizon": 2, "x_card": 2, "z_card": 2, "conditionals": [0.5] * 10}
     for bad in (math.nan, math.inf):  # NaN fails every comparison, so no tolerance check sees it
-        d = uniform_policy(2, 2, 2).to_dict()
+        d = dict(full, conditionals=list(full["conditionals"]))
         d["conditionals"][3] = bad
         with pytest.raises(ValidationError):
             CausalConditioning.from_dict(d)
@@ -366,6 +440,19 @@ def test_policy_validation():
         (3, math.inf, "finite and non-negative"),
         (3, -1e-14, "finite and non-negative"),
         (4, 0.5 + 2e-9, "rows must sum to 1"),
+    ):
+        d = dict(full, conditionals=list(full["conditionals"]))
+        d["conditionals"][pos] = bad
+        with pytest.raises(ValidationError, match=message):
+            CausalConditioning.from_dict(d)
+    # the same checks on the compact form, where step 1's four rows are the
+    # one row at entries 2..3
+    assert uniform_policy(2, 2, 2).to_dict() == dict(full, shared_steps=[0, 1], conditionals=[0.5] * 4)
+    for pos, bad, message in (
+        (3, math.nan, "finite and non-negative"),
+        (3, math.inf, "finite and non-negative"),
+        (3, -1e-14, "finite and non-negative"),
+        (2, 0.5 + 2e-9, "rows must sum to 1"),
     ):
         d = uniform_policy(2, 2, 2).to_dict()
         d["conditionals"][pos] = bad
@@ -444,8 +531,8 @@ def test_policy_check_names_the_first_faulty_step():
 
 
 def test_policy_check_copies_no_more_than_the_last_step():
-    # the check's temporaries stay within the last step's table: the steps
-    # before it share one copy, and the last is read in place
+    # the check's temporaries stay within the last step's table: it reads
+    # the policy's one copy of every step's rows in place
     rng = np.random.default_rng(8)
     conds = tuple(rng.dirichlet(np.ones(2), size=4 ** i) for i in range(8))
     tracemalloc.start()
@@ -454,7 +541,7 @@ def test_policy_check_copies_no_more_than_the_last_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= conds[-1].nbytes
+    assert peak - sum(c.nbytes for c in conds) <= conds[-1].nbytes
 
 
 @pytest.mark.parametrize("n, x_card, z_card", [(1, 2, 2), (3, 2, 2), (3, 3, 1), (2, 3, 2)])
@@ -499,8 +586,11 @@ def test_iid_policy_tables_are_views_of_a_private_marginal():
     for c in q.conditionals:
         assert c.strides[0] == 0 and not c.flags.writeable
         assert c.tolist() == [[0.25, 0.75]] * c.shape[0]
-    back = CausalConditioning.from_dict(q.to_dict())
-    assert all(c.flags.c_contiguous for c in back.conditionals)
+    # the compact report form reads back as read-only zero-stride views
+    back = CausalConditioning.from_dict(json.loads(json.dumps(q.to_dict())))
+    for a, b in zip(back.conditionals, q.conditionals):
+        assert a.strides[0] == 0 and not a.flags.writeable
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(

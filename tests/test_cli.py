@@ -16,6 +16,7 @@ import pytest
 
 import compound_fsc
 from compound_fsc import CompoundFamily, bsc, ge_gap_family, save_family
+from compound_fsc.channel import make_memoryless
 from compound_fsc.capacity import GAP_TOL
 from compound_fsc.cli import build_parser, main
 from compound_fsc.verify import random_family
@@ -206,12 +207,46 @@ class TestCapacity:
             assert "error:" in capsys.readouterr().err
 
     def test_table_cap_exit_code(self, tmp_path, capsys):
-        fam = write_pair_family(tmp_path)
+        # the pair's shape, with each member's crossover differing by input,
+        # so the solve takes the path-table solver, which refuses n = 13
+        skewed = CompoundFamily(
+            members=(make_memoryless([[0.9, 0.1], [0.15, 0.85]]), make_memoryless([[0.8, 0.2], [0.25, 0.75]])),
+            labels=("p10", "p20"),
+        )
+        fam = tmp_path / "skewed.json"
+        save_family(skewed, fam)
         rc = main(
             ["capacity", "--family", str(fam), "--n", "13", "--out", str(tmp_path / "run")]
         )
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_additive_pair_solves_past_the_path_tables(self, tmp_path, capsys):
+        # the bsc pair adds input-independent noise, so n = 13 takes the
+        # closed form: C_13 = ln 2 - h(0.2), the noisier member's, and the
+        # uniform policy is written as one row a step
+        fam = write_pair_family(tmp_path)
+        out = tmp_path / "run"
+        assert main(["capacity", "--family", str(fam), "--n", "13", "--out", str(out)]) == 0
+        body = json.loads((out / "capacity_report.json").read_text())
+        assert body["C_n_nats_per_symbol"] == pytest.approx(math.log(2) - binary_entropy_nats(0.2), rel=0, abs=1e-12)
+        assert body["C_n_upper_nats_per_symbol"] == body["C_n_nats_per_symbol"]
+        assert body["worst_case"] == ["s", "p20"]
+        assert body["policy"]["shared_steps"] == list(range(13))
+        assert body["policy"]["conditionals"] == [0.5] * 26
+        assert_rerun_reproduces(out, tmp_path / "replay")
+
+    def test_additive_horizon_past_the_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        import compound_fsc.capacity as capmod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the budget")
+
+        # the closed form's charge is checked before its first array
+        monkeypatch.setattr(capmod, "_as_prior", refuse)
+        rc = main(["capacity", "--preset", "ge-gap", "--n", "40", "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "additive-noise solver" in capsys.readouterr().err
 
     def test_horizon_below_one_exit_code(self, tmp_path, capsys):
         for n in ("0", "-1"):
