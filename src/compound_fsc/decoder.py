@@ -31,7 +31,7 @@ from .causal import _as_prior, channel_prob_table, forward_step, step_table
 from .channel import CompoundFamily, FeedbackMap, FscSpec
 from .codetree import Codebook, node_columns
 from .errors import ValidationError
-from .util import chunk_digits, worker_count
+from .util import chunk_digits, symbol_dtype, worker_count
 
 SEPARABILITY_EXAMPLES = 10  # violations separability_check reports in all
 # Budget for a decode: its prefix plan and one block of trees on each of
@@ -386,9 +386,10 @@ def _scored_blocks(fsc: FscSpec, trees, rows: np.ndarray, feedback: FeedbackMap,
 
 
 def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
-    """Row-wise message with the best (likelihood, key, index) tree. The
-    decision is a function of the row alone, so each distinct row is scored
-    once and its decision copied to every row equal to it."""
+    """Row-wise message with the best (likelihood, key, index) tree, in
+    `symbol_dtype(M)` as run_trials' messages. The decision is a function of
+    the row alone, so each distinct row is scored once and its decision
+    copied to every row equal to it."""
     keys, trees, owner = _codebook_key_table(cb)
     distinct, inverse = _distinct_rows(_output_rows(y_rows, cb.depth, fsc.n_outputs))
     t = distinct.shape[0]
@@ -404,7 +405,7 @@ def _best_key_rows(cb: Codebook, y_rows, fsc, feedback, s0_prior) -> np.ndarray:
         best_ll[better] = top_ll[better]
         best[better] = top[better]
         del top, top_ll  # freed before the next block is taken
-    messages = np.array([owner[k] for k in keys], dtype=np.int64)
+    messages = np.array([owner[k] for k in keys], dtype=symbol_dtype(cb.m_count))
     return messages[best][inverse]
 
 

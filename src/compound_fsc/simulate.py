@@ -12,19 +12,19 @@ CDF table per channel (the kernel's cumulative sums over (y, s') for every
 each drawing by `util.cdf_draw` from its own row of the table. run_trials
 allocates its result tables once, step-major (n, trials), and each slab
 fills its own column slice in place; a result's outputs and state_paths are
-transposed (trials, n) views of those tables. Every table of symbols, inputs,
-outputs or states, takes the narrowest dtype that holds its alphabet
-(`util.symbol_dtype`: uint8 up to 256 symbols), as the code-trees store
-theirs, so the trees' symbols stack without a cast. Each slab also packs its
-outputs, while they are in cache, into one base-|Y| code per trial
-(`decoder._pack_rows`) in a run-wide table of the narrowest dtype that holds
-|Y|^n - 1 (uint16 at |Y| = 2, n = 12), or of int64 key columns when one
-int64 cannot hold a row. A decision is a function of the output row alone,
-so once its worker threads are done run_trials dedupes that table once
-(`decoder._distinct_keys`: by counting when the code space is small, else by
-a sort), decodes the run's sorted distinct outputs in one decode_rows call,
-which bounds its own memory and threads, and reads each trial's decision
-back through its code.
+transposed (trials, n) views of those tables. Every table of symbols,
+messages and decisions, inputs, outputs or states takes the narrowest dtype
+that holds its alphabet (`util.symbol_dtype`: uint8 up to 256 symbols), as
+the code-trees store theirs, so the trees' symbols stack without a cast.
+Each slab also packs its outputs, while they are in cache, into one base-|Y|
+code per trial (`decoder._pack_rows`) in a run-wide table of the narrowest
+dtype that holds |Y|^n - 1 (uint16 at |Y| = 2, n = 12), or of int64 key
+columns when one int64 cannot hold a row. A decision is a function of the
+output row alone, so once its worker threads are done run_trials dedupes
+that table once (`decoder._distinct_keys`: by counting when the code space
+is small, else by a sort), decodes the run's sorted distinct outputs in one
+decode_rows call, which bounds its own memory and threads, and reads each
+trial's decision back through its code.
 """
 
 from __future__ import annotations
@@ -79,8 +79,11 @@ class TrialConfig:
     decoder_s0_prior: tuple | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        # numpy integers pass and bools do not, as for s0
+        for name, low in (("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not np.issubdtype(type(value), np.integer) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.decoder not in ("ml", "universal"):
             raise ValidationError("decoder must be 'ml' or 'universal'")
         fsc = self.family.member(self.true_label)
@@ -104,9 +107,10 @@ def _check_loop(fsc: FscSpec, cb: Codebook, feedback: FeedbackMap) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
-    """One run's trials. messages, decisions and initial_states are int64;
-    outputs and state_paths, (trials, n), are in `symbol_dtype` of |Y| and
-    |S|, the narrowest dtype that holds the alphabet (uint8 up to 256)."""
+    """One run's trials. Every table of symbols is in `symbol_dtype` of its
+    alphabet's size, the narrowest dtype that holds it (uint8 up to 256):
+    messages and decisions of M, initial_states of |S|, and outputs and
+    state_paths, (trials, n), of |Y| and |S|."""
 
     trials: int
     errors: int
@@ -180,7 +184,8 @@ def _drive(loop: _LoopTables, w, s0, u, ys, states, xs=None) -> None:
     step-major (n, trials) tables ys and states, and the input in xs[i] when
     xs is given."""
     t, depth = u.shape[1], ys.shape[0]
-    base = w * loop.tree.symbols.size
+    # int64: in the messages' narrow dtype w * nodes would wrap (300 * 4095)
+    base = np.multiply(w, loop.tree.symbols.size, dtype=np.int64)
     node, row, z = (np.empty(t, dtype=np.int64) for _ in range(3))
     x = np.empty(t, dtype=loop.flat.dtype)
     level = np.empty(t)
@@ -216,7 +221,8 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
     n = cb.depth
     prior_cdf = np.cumsum(_as_prior(fsc, cfg.s0_prior))[:-1]
     decoder = _make_decoder(cfg)
-    w, s0 = (np.empty(cfg.trials, dtype=np.int64) for _ in range(2))
+    w = np.empty(cfg.trials, dtype=symbol_dtype(cb.m_count))
+    s0 = np.empty(cfg.trials, dtype=symbol_dtype(fsc.n_states))
     loop = _loop_tables(fsc, cb, cfg.feedback)
     ys = np.empty((n, cfg.trials), dtype=loop.y_of.dtype)
     states = np.empty((n, cfg.trials), dtype=loop.s_of.dtype)
@@ -236,7 +242,9 @@ def run_trials(cfg: TrialConfig) -> TrialResult:
             for c in range(0, b - a, _DRAW_ROWS):
                 rows = gen.random(out=block[: b - a - c])
                 u[:, c : c + rows.shape[0]] = rows.T
-            np.minimum((u[0] * cb.m_count).astype(np.int64), cb.m_count - 1, out=w[a:b])
+            # floor(u M), capped at M - 1, cast straight into the narrow slice
+            np.multiply(u[0], cb.m_count, out=u[0])
+            np.minimum(u[0], cb.m_count - 1, out=w[a:b], casting="unsafe")
             s0[a:b] = cfg.s0 if cfg.s0 is not None else cdf_draw(prior_cdf, u[1])
             _drive(loop, w[a:b], s0[a:b], u[2:], ys[:, a:b], states[:, a:b])
             _pack_rows(ys[:, a:b], fsc.n_outputs, codes[:, a:b])

@@ -345,6 +345,13 @@ class TestSimulate:
         assert (out2 / "simulate_results.csv").read_bytes() == csv_a
         assert (out2 / "trials.jsonl").read_bytes() == log_a
 
+    def test_trial_log_written_in_blocks_is_the_same(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--preset", "example1", "--n", "3", "--trials", "400", "--seed", "11", "--out"]
+        assert main(argv + [str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(compound_fsc.cli, "_RECORD_ROWS", 7)  # 58 blocks, the last one partial
+        assert main(argv + [str(tmp_path / "blocks")]) == 0
+        assert (tmp_path / "blocks" / "trials.jsonl").read_bytes() == (tmp_path / "whole" / "trials.jsonl").read_bytes()
+
     def test_noiseless_config_zero_error(self, tmp_path):
         spec = bsc(0.0).to_dict()
         spec["label"] = "clean"

@@ -28,10 +28,10 @@ from compound_fsc import (
 )
 from compound_fsc.channel import GilbertElliotParams, make_gilbert_elliot, make_memoryless
 from compound_fsc.codetree import Codebook, CodeTree, paths_rows
-from compound_fsc.decoder import ml_decode
+from compound_fsc.decoder import UniversalDecoder, ml_decode, universal_decode
 from compound_fsc.exponents import random_coding_bound
 from compound_fsc.simulate import example1_config, example1_row, simulate_batch
-from compound_fsc.util import enumerate_paths, worker_count
+from compound_fsc.util import enumerate_paths, symbol_dtype, worker_count
 from compound_fsc.verify import random_fsc
 from oracles import naive_causal_channel_prob
 
@@ -167,6 +167,29 @@ def test_exact_error_with_duplicate_trees_equals_one_table_sum(monkeypatch):
         for w, tree in enumerate(cb.trees):
             want += float(np.exp(ll[row[tree.key]][w_hat != w]).sum())
         assert exact_error_probability(cb, fsc, s0, fb, dec) == want / cb.m_count
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", v) for v in (True, 1000.0, 2.5, 0, -3, "10", None)] + [("seed", v) for v in (1.5, 1.9, -1, True, "0")],
+)
+def test_trial_config_refuses_trials_and_seeds_that_are_not_counts(field, value):
+    fam = CompoundFamily(members=(bsc(0.2),), labels=("m",))
+    with pytest.raises(ValidationError, match=field):
+        TrialConfig(family=fam, true_label="m", codebook=constant_codebook(2, (0, 1)),
+                    feedback=identity_feedback((0, 1)), **{field: value})
+
+
+def test_trial_config_takes_numpy_integer_trials_and_seeds():
+    fam = CompoundFamily(members=(bsc(0.2),), labels=("m",))
+    cb = sample_codebook(uniform_policy(3, 2, 2), 4, np.random.default_rng(83))
+    runs = [
+        run_trials(TrialConfig(family=fam, true_label="m", codebook=cb, feedback=identity_feedback((0, 1)),
+                               trials=trials, seed=seed))
+        for trials, seed in ((50, 1), (np.int32(50), np.uint64(1)))
+    ]
+    assert runs[1].trials == 50
+    assert np.array_equal(runs[0].messages, runs[1].messages) and np.array_equal(runs[0].outputs, runs[1].outputs)
 
 
 @pytest.mark.parametrize("s0", [-1, 2, True])
@@ -378,13 +401,48 @@ def test_state_row_index_is_computed_past_the_state_dtype():
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("m_count, dtype", [(64, np.uint8), (300, np.uint16)])
+def test_messages_initial_states_and_decisions_take_their_symbol_dtype(m_count, dtype):
+    # a tree at n = 8 has 255 nodes, so messages from 258 on start past node
+    # 65 535: a node offset taken in the messages' uint16 would wrap
+    fam = CompoundFamily(
+        members=tuple(
+            make_gilbert_elliot(GilbertElliotParams(g=0.3, b=0.2, p_g=0.05, p_b=p_b)) for p_b in (0.4, 0.3)
+        ),
+        labels=("a", "b"),
+    )
+    fsc, fb = fam.member("a"), identity_feedback((0, 1))
+    cb = sample_codebook(uniform_policy(8, 2, 2), m_count, np.random.default_rng(71))
+    cfg = TrialConfig(family=fam, true_label="a", codebook=cb, feedback=fb, trials=600, seed=73)
+    res = run_trials(cfg)
+    assert res.messages.dtype == res.decisions.dtype == dtype
+    assert res.initial_states.dtype == symbol_dtype(fsc.n_states)
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, cb.depth + 2))
+    w = np.minimum((u[:, 0] * m_count).astype(np.int64), m_count - 1)
+    assert np.array_equal(res.messages, w)
+    assert (w * cb.trees[0].symbols.size > np.iinfo(np.uint16).max).any() == (m_count > 256)
+    s0 = (u[:, 1] > 0.5).astype(np.int64)  # uniform prior, two states
+    assert np.array_equal(res.initial_states, s0)
+    _, ys, states = scalar_simulation(fsc, cb, fb, w, s0, u[:, 2:])
+    assert np.array_equal(res.outputs, ys) and np.array_equal(res.state_paths, states)
+    rows = enumerate_paths(fsc.n_outputs, cb.depth)  # row k is k in base 2, column 0 first
+    ml_rows = MLDecoder(fsc, fb).decode_rows(cb, rows)
+    universal_rows = UniversalDecoder(fam, fb).decode_rows(cb, rows)
+    assert ml_rows.dtype == universal_rows.dtype == dtype
+    assert ml_rows.tolist() == [ml_decode(cb, y, fsc, fb) for y in rows]
+    assert universal_rows.tolist() == [universal_decode(cb, y, fam, fb) for y in rows]
+    assert np.array_equal(res.decisions, ml_rows[ys @ 2 ** np.arange(cb.depth)[::-1]])
+    assert np.array_equal(res.error_flags, res.decisions != w)
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads):
     """A run holds its step-major result tables once, and each worker thread
     one uniform slab and one draw block; beyond them it may use one scorer
-    budget, whatever the thread count, and a slack of 6 int64 values per
-    trial (the per-trial messages, initial states, output codes and
-    decisions, and the O(trials) temporaries of one step of the loop) plus
+    budget, whatever the thread count, and a per-trial slack of the result's
+    messages, decisions, initial states and error flags at their own
+    itemsizes, one output code and 3 int64 values (the temporaries of one
+    step of the loop, whose slabs hold at most every trial at once), plus
     1 MiB (stacked tree symbols, CDF and code tables)."""
     monkeypatch.setenv("COMPOUND_FSC_THREADS", threads)
     monkeypatch.setattr(decoder_mod, "SCORER_BYTES", 2 ** 20)
@@ -403,7 +461,9 @@ def test_run_trials_memory_is_its_tables_and_scorer_blocks(monkeypatch, threads)
         tracemalloc.stop()
     tables = res.outputs.nbytes + res.state_paths.nbytes
     uniforms = worker_count() * 8 * (n + 2) * (simulate_mod._SLAB_ROWS + simulate_mod._DRAW_ROWS)
-    slack = 8 * 6 * trials + 2 ** 20
+    per_trial = sum(a.itemsize for a in (res.messages, res.decisions, res.initial_states, res.error_flags))
+    per_trial += symbol_dtype(2**n).itemsize + 3 * 8
+    slack = per_trial * trials + 2 ** 20
     assert peak <= tables + uniforms + decoder_mod.SCORER_BYTES + slack
     assert res.outputs.T.flags.c_contiguous and res.state_paths.T.flags.c_contiguous
 
